@@ -3,13 +3,16 @@
 Every global matrix here is a (block-diagonal of) Kronecker products of
 the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 
-* ``mass_matrix``           -- L2 mass of any tensor space,
+* ``KronSum``               -- block-diagonal Kronecker sums of 1-D
+                               stiffness and mass factors, kept factored,
+* ``mass_operator``         -- L2 mass of any tensor space as a KronSum,
+* ``mass_matrix``           -- the same, assembled,
 * ``system_matrix``         -- A = D^T M_range D + tau M_D for the
                                curl-curl / grad-div problem,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
-                               space (matrix H, includes the L2 part),
+                               space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
-                               space (matrix L, essential bc only),
+                               space (KronSum L, essential bc only),
 * ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C (3-D only),
 * ``assemble_rhs``          -- load vector from an analytic field.
 """
@@ -37,7 +40,9 @@ from .splines1d import (
 __all__ = [
     "ProblemSpec",
     "AssembledSystem",
+    "KronSum",
     "make_quadratures",
+    "mass_operator",
     "mass_matrix",
     "system_matrix",
     "h1_vector_matrix",
@@ -90,6 +95,8 @@ class AssembledSystem:
     M_range: sp.csr_matrix = field(repr=False)
     D_mat: sp.csr_matrix = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
+    # the rules M_D and M_range were assembled with (None: the defaults)
+    quads: tuple[QuadratureRule, ...] | None = field(repr=False, default=None)
 
 
 def make_quadratures(space: TensorSpace, order: int | None = None) -> tuple[QuadratureRule, ...]:
@@ -104,19 +111,58 @@ def _kron_chain(mats) -> sp.csr_matrix:
     return sp.csr_matrix(out)
 
 
-def mass_matrix(space: TensorSpace,
-                quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
-    """Block-diagonal L2 mass matrix; each component block is the
-    Kronecker product of its 1-D factor masses."""
+@dataclass(frozen=True, eq=False)
+class KronSum:
+    """Block-diagonal matrix kept as its 1-D factors.  Block ``c`` is
+
+        sum_k  K_k (x) (x)_{j != k} M_j  +  mass_coeff * (x)_j M_j
+
+    with ``masses[c]`` the per-direction factors M_j and
+    ``stiffnesses[c]`` the K_k (``None``: no stiffness terms, a pure
+    mass).  Components whose factor tuples are the same objects are
+    identical blocks, which the fast-diagonalization solve of
+    :class:`iga_asp.precond.InnerSolver` treats as one batch.
+    """
+
+    masses: tuple[tuple[sp.csr_matrix, ...], ...] = field(repr=False)
+    stiffnesses: tuple[tuple[sp.csr_matrix, ...], ...] | None = field(
+        repr=False, default=None)
+    mass_coeff: float = 1.0
+
+    def tocsr(self) -> sp.csr_matrix:
+        blocks = []
+        for c, masses in enumerate(self.masses):
+            terms = [self.mass_coeff * _kron_chain(masses)] if self.mass_coeff else []
+            if self.stiffnesses is not None:
+                terms += [_kron_chain(masses[:k] + (K,) + masses[k + 1:])
+                          for k, K in enumerate(self.stiffnesses[c])]
+            blocks.append(sum(terms[1:], terms[0]))
+        out = sp.csr_matrix(sp.block_diag(blocks, format="csr"))
+        out.sort_indices()
+        return out
+
+    def toarray(self) -> np.ndarray:
+        return self.tocsr().toarray()
+
+
+def _factor_masses(comp, quads) -> tuple[sp.csr_matrix, ...]:
+    return tuple(mass_matrix_1d(f, f, q) for f, q in zip(comp, quads))
+
+
+def mass_operator(space: TensorSpace,
+                  quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
+    """L2 mass of a tensor space: per component the Kronecker product
+    of its 1-D factor masses."""
     if quads is None:
         quads = make_quadratures(space)
-    blocks = []
-    for comp in space.components:
-        facs = [mass_matrix_1d(f, f, q) for f, q in zip(comp, quads)]
-        blocks.append(_kron_chain(facs))
-    out = sp.csr_matrix(sp.block_diag(blocks, format="csr"))
-    out.sort_indices()
-    return out
+    return KronSum(tuple(_factor_masses(comp, quads)
+                         for comp in space.components))
+
+
+def mass_matrix(space: TensorSpace,
+                quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
+    """Block-diagonal L2 mass matrix, assembled from :func:`mass_operator`."""
+    return mass_operator(space, quads).tocsr()
 
 
 def system_matrix(spec: ProblemSpec,
@@ -132,24 +178,22 @@ def system_matrix(spec: ProblemSpec,
     M_range = mass_matrix(range_space, quads)
     A = drop_small(D_mat.T @ M_range @ D_mat + spec.tau * M_D)
     b = assemble_rhs(space, spec.rhs, quads) if spec.rhs is not None else None
-    return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat, b)
+    return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat, b,
+                           quads)
 
 
-def _scalar_h1_block(comp, quads, include_mass: bool) -> sp.csr_matrix:
-    masses = [mass_matrix_1d(f, f, q) for f, q in zip(comp, quads)]
-    stiffs = [stiffness_matrix_1d(f, q) for f, q in zip(comp, quads)]
-    d = len(comp)
-    block = sp.csr_matrix((int(np.prod([f.dim for f in comp])),) * 2)
-    for k in range(d):
-        facs = [stiffs[j] if j == k else masses[j] for j in range(d)]
-        block = block + _kron_chain(facs)
-    if include_mass:
-        block = block + _kron_chain(masses)
-    return drop_small(block)
+def _h1_operator(comp, n_components: int, quads,
+                 mass_coeff: float) -> KronSum:
+    """``n_components`` identical blocks of sum_k K_k (x) M.. plus
+    ``mass_coeff`` times the mass, all on the scalar factors ``comp``."""
+    masses = _factor_masses(comp, quads)
+    stiffs = tuple(stiffness_matrix_1d(f, q) for f, q in zip(comp, quads))
+    return KronSum((masses,) * n_components, (stiffs,) * n_components,
+                   mass_coeff)
 
 
 def h1_vector_matrix(vector_space: TensorSpace,
-                     quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
+                     quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
     """Matrix H: the full vector H1 inner product (grad-grad plus L2)
     on the auxiliary space, block-diagonal over the identical scalar
     components."""
@@ -157,15 +201,12 @@ def h1_vector_matrix(vector_space: TensorSpace,
         raise ValueError("H is assembled on the auxiliary vector space")
     if quads is None:
         quads = make_quadratures(vector_space)
-    blocks = [_scalar_h1_block(comp, quads, include_mass=True)
-              for comp in vector_space.components]
-    out = sp.csr_matrix(sp.block_diag(blocks, format="csr"))
-    out.sort_indices()
-    return out
+    return _h1_operator(vector_space.components[0],
+                        vector_space.n_components, quads, 1.0)
 
 
 def scalar_laplacian_matrix(grad_space: TensorSpace,
-                            quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
+                            quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
     """Matrix L: grad-grad form on the scalar potential space.
 
     Only the essential-bc space is supported: with natural bc the
@@ -179,7 +220,7 @@ def scalar_laplacian_matrix(grad_space: TensorSpace,
                          "the natural-bc operator is singular (constants)")
     if quads is None:
         quads = make_quadratures(grad_space)
-    return _scalar_h1_block(grad_space.components[0], quads, include_mass=False)
+    return _h1_operator(grad_space.components[0], 1, quads, 0.0)
 
 
 def curl_stiffness_matrix(curl_space: TensorSpace, div_space: TensorSpace,

@@ -27,7 +27,7 @@ from .krylov import (
     estimate_condition_number,
     pcg,
 )
-from .precond import AspPreconditioner, InnerSolver
+from .precond import AspPreconditioner
 from .transfer import function_projection_1d
 
 __all__ = [
@@ -251,8 +251,7 @@ def _cell(spec: ExperimentSpec, p: int, n: int, tau: float) -> dict:
     asp = None
     if spec.precond != "none":
         asp = AspPreconditioner(system, smoother=spec.smoother,
-                                curl_smoother=spec.curl_smoother,
-                                inner=InnerSolver())
+                                curl_smoother=spec.curl_smoother)
         precond = asp
     if spec.precond == "asp-glt":
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)

@@ -23,8 +23,8 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem
-from .precond import AspPreconditioner
+from .assembly import AssembledSystem, mass_operator
+from .precond import AspPreconditioner, InnerSolver
 
 __all__ = [
     "SolveReport",
@@ -216,6 +216,10 @@ class GltPreconditioner:
     inverse mass matrix (the degree-robust "GLT" smoothing step), then
     the auxiliary-space correction; nu_asp cycles per application.
 
+    M_D is per component a Kronecker product of 1-D masses; its inverse
+    is the fast-diagonalization solve of :class:`InnerSolver`, built
+    from the 1-D factors and quadrature that assembled ``system.M_D``.
+
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
     """
@@ -226,9 +230,9 @@ class GltPreconditioner:
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
-        mass_solve = spla.factorized(system.M_D.tocsc())
+        mass_solve = InnerSolver().make(mass_operator(system.space, system.quads))
         self._mass_inverse = spla.LinearOperator(
-            self.shape, matvec=lambda v: mass_solve(v), dtype=float)
+            self.shape, matvec=mass_solve, dtype=float)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         A = self.system.A

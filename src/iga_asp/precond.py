@@ -15,24 +15,30 @@ potential term by two curl-based corrections
 where W is either the diagonal of Q_curl = C^T M_div C or its symmetric
 Gauss-Seidel matrix.
 
-All inner inverses are exact sparse direct factorizations computed once
-at setup; an inner-CG fallback is available for larger problems.
+H + tau M, L and H are per component Kronecker sums of 1-D stiffness
+and mass matrices (:class:`iga_asp.assembly.KronSum`).
+:class:`InnerSolver` inverts them exactly by fast diagonalization
+(Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
+K_k U_k = M_k U_k Lambda_k, computed once at setup, turn every inverse
+into dense 1-D matrix products and a pointwise division.  The SGS
+smoothers of A and Q_curl, which are not Kronecker, keep sparse
+triangular solves.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
     AssembledSystem,
+    KronSum,
     curl_stiffness_matrix,
     h1_vector_matrix,
     make_quadratures,
-    mass_matrix,
+    mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
     scalar_laplacian_matrix,
 )
 from .derham import build_space
@@ -42,7 +48,6 @@ __all__ = [
     "Smoother",
     "InnerSolver",
     "AspPreconditioner",
-    "apply_smoother_inverse",
     "build_asp_preconditioner",
 ]
 
@@ -88,41 +93,77 @@ class Smoother:
         return x + self._solve_l(r - self.A @ x)
 
 
-def apply_smoother_inverse(kind: str, A: sp.spmatrix, r: np.ndarray) -> np.ndarray:
-    """One-shot S^{-1} r for the given smoother kind."""
-    return Smoother(kind, A).apply(np.asarray(r, dtype=float))
+def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, U) with K U = M U diag(lam) and U^T M U = I; without K,
+    lam = 0 and U U^T = M^{-1}."""
+    if K is None:
+        w, V = sla.eigh(M.toarray())
+        return np.zeros_like(w), V / np.sqrt(w)
+    return sla.eigh(K.toarray(), M.toarray())
 
 
-@dataclass(frozen=True)
+def _kron_apply(X: np.ndarray, left, right: np.ndarray) -> np.ndarray:
+    """(x)_k F_k applied to X of shape (count, n_1, ..., n_d): ``left``
+    multiplies axes 1..d-1 from the left, ``right`` the last axis from
+    the right; every step is one (batched) matmul on a reshaped view."""
+    count, *dims = X.shape
+    lead = count
+    for k, F in enumerate(left):
+        X = F @ X.reshape(lead, dims[k], -1)
+        lead *= dims[k]
+    return (X.reshape(-1, dims[-1]) @ right).reshape(count, *dims)
+
+
+def _runs(op: KronSum) -> list[list]:
+    """[masses, stiffnesses, count] of each run of consecutive components
+    sharing their factor tuples (identical blocks)."""
+    stiffnesses = op.stiffnesses or (None,) * len(op.masses)
+    runs: list[list] = []
+    for masses, stiffs in zip(op.masses, stiffnesses):
+        if runs and runs[-1][0] is masses and runs[-1][1] is stiffs:
+            runs[-1][2] += 1
+        else:
+            runs.append([masses, stiffs, 1])
+    return runs
+
+
 class InnerSolver:
-    """How the SPD auxiliary matrices are inverted inside the
-    preconditioner: exact factorization (default) or inner CG."""
+    """Exact inverse of a :class:`KronSum` by fast diagonalization."""
 
-    kind: str = "direct"
-    tol: float = 1e-10
-    maxit: int = 2000
+    def make(self, op: KronSum, shift: float = 0.0):
+        """Solve with ``op + shift * (x)M``.  The shift adds to the mass
+        coefficient, so H + tau M is never formed; identical components
+        are solved as one batch."""
+        blocks = []
+        for masses, stiffs, count in _runs(op):
+            pairs = [_m_orthonormal_eigenpairs(K, M)
+                     for K, M in zip(stiffs or (None,) * len(masses), masses)]
+            lam = sum(np.ix_(*(w for w, _ in pairs)), op.mass_coeff + shift)
+            if np.any(lam <= 0.0):
+                raise ArithmeticError("Kronecker-sum operator is not SPD")
+            Us = [U for _, U in pairs]
+            forward = ([np.ascontiguousarray(U.T) for U in Us[:-1]], Us[-1])
+            backward = (Us[:-1], np.ascontiguousarray(Us[-1].T))
+            blocks.append((count, lam.shape, forward, backward, 1.0 / lam))
 
-    def make(self, M: sp.spmatrix):
-        M = sp.csc_matrix(M)
-        if self.kind == "direct":
-            solve = spla.factorized(M)
-            return lambda b: solve(b)
-        if self.kind == "cg":
-            def solve_cg(b, M=M):
-                x, info = spla.cg(M, b, rtol=self.tol, atol=0.0, maxiter=self.maxit)
-                if info != 0:
-                    raise ArithmeticError("inner CG did not converge")
-                return x
-            return solve_cg
-        raise ValueError("inner solver kind must be 'direct' or 'cg'")
+        def solve(b: np.ndarray) -> np.ndarray:
+            b = np.asarray(b, dtype=float).ravel()
+            parts = []
+            lo = 0
+            for count, shape, forward, backward, inv_lam in blocks:
+                hi = lo + count * inv_lam.size
+                Y = _kron_apply(b[lo:hi].reshape(count, *shape), *forward)
+                parts.append(_kron_apply(Y * inv_lam, *backward).ravel())
+                lo = hi
+            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+        return solve
 
 
 class AspPreconditioner:
     """Matrix-free application of the auxiliary-space preconditioner."""
 
     def __init__(self, system: AssembledSystem, smoother: str = "jacobi",
-                 curl_smoother: str = "diag",
-                 inner: InnerSolver = InnerSolver()) -> None:
+                 curl_smoother: str = "diag") -> None:
         spec = system.spec
         if spec.bc != "essential":
             raise ValueError("the preconditioner requires essential bc")
@@ -136,13 +177,12 @@ class AspPreconditioner:
         xh = build_space("vector", spec.p, spec.n_elems, **kw)
         grad = build_space("grad", spec.p, spec.n_elems, **kw)
         quads = make_quadratures(xh)
+        inner = InnerSolver()
         H = h1_vector_matrix(xh, quads)
-        M_x = mass_matrix(xh, quads)
-        self._solve_main = inner.make(H + self.tau * M_x)
+        self._solve_main = inner.make(H, shift=self.tau)
         if spec.operator == "curl" or spec.dim == 2:
             L = scalar_laplacian_matrix(grad, quads)
             self._solve_potential = inner.make(L)
-            self._apply_extra = None
         else:
             self._solve_potential = None
             self._setup_div_3d(spec, H, curl_smoother, inner, quads)
@@ -193,8 +233,7 @@ class AspPreconditioner:
 
 
 def build_asp_preconditioner(system: AssembledSystem, smoother: str = "jacobi",
-                             curl_smoother: str = "diag",
-                             inner: InnerSolver = InnerSolver()) -> AspPreconditioner:
+                             curl_smoother: str = "diag") -> AspPreconditioner:
     """Convenience factory mirroring the JSON configuration block."""
     return AspPreconditioner(system, smoother=smoother,
-                             curl_smoother=curl_smoother, inner=inner)
+                             curl_smoother=curl_smoother)

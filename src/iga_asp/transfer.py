@@ -167,7 +167,6 @@ def build_transfer_set(spec: ProblemSpec) -> TransferSet:
         return TransferSet(P_main=P_div,
                            potential=derham.vector_curl_matrix(grad, div))
     curl = build_space("curl", spec.p, spec.n_elems, **kw)
-    return TransferSet(P_main=P_div,
-                       potential=derham.curl_matrix(curl, div),
-                       C=derham.curl_matrix(curl, div),
+    C = derham.curl_matrix(curl, div)
+    return TransferSet(P_main=P_div, potential=C, C=C,
                        P_curl=build_p_curl(xh, curl))

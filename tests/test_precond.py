@@ -3,14 +3,25 @@
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from iga_asp.assembly import ProblemSpec, system_matrix
+from iga_asp.assembly import (
+    ProblemSpec,
+    h1_vector_matrix,
+    make_quadratures,
+    mass_matrix,
+    mass_operator,
+    scalar_laplacian_matrix,
+    system_matrix,
+)
+from iga_asp.derham import build_space
 from iga_asp.krylov import estimate_condition_number, pcg
 from iga_asp.precond import (
     AspPreconditioner,
     InnerSolver,
     Smoother,
-    apply_smoother_inverse,
     build_asp_preconditioner,
 )
 
@@ -47,12 +58,6 @@ class TestSmoother:
         S = np.array([s.apply(e) for e in np.eye(10)]).T
         np.testing.assert_allclose(S, S.T, atol=1e-12)
 
-    def test_one_shot_helper(self):
-        A = random_spd(5, 4)
-        r = np.ones(5)
-        np.testing.assert_allclose(apply_smoother_inverse("jacobi", A, r),
-                                   r / A.diagonal())
-
     def test_bad_kind_rejected(self):
         with pytest.raises(ValueError):
             Smoother("sor", random_spd(3))
@@ -63,17 +68,42 @@ class TestSmoother:
             Smoother("jacobi", A)
 
 
-class TestInnerSolver:
-    def test_direct_and_cg_agree(self):
-        A = random_spd(12, 5)
-        b = np.linspace(-1.0, 1.0, 12)
-        direct = InnerSolver("direct").make(A)(b)
-        iterative = InnerSolver("cg", tol=1e-12).make(A)(b)
-        np.testing.assert_allclose(direct, iterative, atol=1e-8)
+def kronecker_cases(dim, p, n, tau):
+    """name -> (Kronecker operator, shift, assembled matrix the solve
+    must invert), for every operator the preconditioners invert."""
+    kw = dict(dim=dim, bc="essential")
+    xh = build_space("vector", p, n, **kw)
+    quads = make_quadratures(xh)
+    H = h1_vector_matrix(xh, quads)
+    L = scalar_laplacian_matrix(build_space("grad", p, n, **kw), quads)
+    cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(xh, quads)),
+             "H": (H, 0.0, H.tocsr()),
+             "L": (L, 0.0, L.tocsr())}
+    for kind in ("curl", "div"):
+        space = build_space(kind, p, n, **kw)
+        cases[f"M_D {kind}"] = (mass_operator(space), 0.0, mass_matrix(space))
+    return cases
 
-    def test_bad_kind(self):
-        with pytest.raises(ValueError):
-            InnerSolver("lu-ish").make(random_spd(3))
+
+class TestInnerSolver:
+    @given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=4),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_fast_diagonalization_matches_splu(self, dim, p, n, log_tau, seed):
+        rng = np.random.default_rng(seed)
+        for name, (op, shift, oracle) in kronecker_cases(
+                dim, p, n, 10.0 ** log_tau).items():
+            b = rng.standard_normal(oracle.shape[0])
+            x = InnerSolver().make(op, shift)(b)
+            ref = spla.splu(sp.csc_matrix(oracle)).solve(b)
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), name
+
+    def test_indefinite_shift_rejected(self):
+        xh = build_space("vector", 2, 4, dim=2, bc="essential")
+        with pytest.raises(ArithmeticError):
+            InnerSolver().make(h1_vector_matrix(xh), shift=-100.0)
 
 
 def build(op, dim, p, n, tau, smoother="jacobi", **kw):
@@ -83,13 +113,18 @@ def build(op, dim, p, n, tau, smoother="jacobi", **kw):
 
 class TestAspPreconditioner:
     def test_symmetric_positive(self):
-        system, B = build("curl", 2, 2, 4, 1e-2)
-        rng = np.random.default_rng(0)
-        for _ in range(5):
-            v = rng.standard_normal(B.shape[0])
-            w = rng.standard_normal(B.shape[0])
-            assert abs(v @ B.apply(w) - w @ B.apply(v)) <= 1e-10 * abs(v @ B.apply(w))
-            assert v @ B.apply(v) > 0.0
+        cases = [(("curl", 2, 2, 4, 1e-2), {}),
+                 (("curl", 3, 2, 3, 1e-2), {}),
+                 (("div", 3, 2, 3, 1e-2), {"curl_smoother": "diag"}),
+                 (("div", 3, 2, 3, 1e-2), {"curl_smoother": "sgs"})]
+        for args, kw in cases:
+            system, B = build(*args, **kw)
+            rng = np.random.default_rng(0)
+            for _ in range(5):
+                v = rng.standard_normal(B.shape[0])
+                w = rng.standard_normal(B.shape[0])
+                assert abs(v @ B.apply(w) - w @ B.apply(v)) <= 1e-10 * abs(v @ B.apply(w))
+                assert v @ B.apply(v) > 0.0
 
     def test_apply_is_smoother_plus_correction(self):
         system, B = build("div", 2, 2, 4, 1e-3, smoother="gs")
