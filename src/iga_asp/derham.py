@@ -25,7 +25,6 @@ coordinate index fastest.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -292,7 +291,3 @@ def space_descriptor(space: TensorSpace) -> dict:
         "component_dims": list(space.component_dims),
         "total_dim": space.total_dim,
     }
-
-
-def space_descriptor_json(space: TensorSpace) -> str:
-    return json.dumps(space_descriptor(space), indent=2, sort_keys=True)

@@ -46,9 +46,6 @@ class SolveReport:
     wall_time: float = 0.0
     max_iter: int = 0
     breakdown: bool = False
-    lambda_min: float | None = None
-    lambda_max: float | None = None
-    kappa2: float | None = None
 
     def to_json(self) -> str:
         return json.dumps({
@@ -58,9 +55,6 @@ class SolveReport:
             "max_iter": self.max_iter,
             "wall_time": self.wall_time,
             "residuals": self.residuals,
-            "lambda_min": self.lambda_min,
-            "lambda_max": self.lambda_max,
-            "kappa2": self.kappa2,
         })
 
     def residuals_csv(self) -> str:
@@ -76,8 +70,6 @@ def _as_matvec(op):
         return op
     if hasattr(op, "apply"):
         return op.apply
-    if hasattr(op, "matvec"):
-        return op.matvec
     return lambda v: op @ v
 
 
@@ -247,10 +239,22 @@ class GltPreconditioner:
         return x
 
 
+# columns of the identity per application of B in dense mode: one block
+# of n columns would hold a second n x n array at peak memory
+_PANEL_WIDTH = 64
+
+
 def _materialize(op, n: int) -> np.ndarray:
+    """Dense n x n matrix of ``op``, applied to (n, _PANEL_WIDTH) panels
+    of the identity."""
     mv = _as_matvec(op)
-    cols = [mv(col) for col in np.eye(n)]
-    return np.array(cols).T
+    out = np.empty((n, n))
+    for lo in range(0, n, _PANEL_WIDTH):
+        hi = min(lo + _PANEL_WIDTH, n)
+        panel = np.zeros((n, hi - lo))
+        panel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
+        out[:, lo:hi] = mv(panel)
+    return out
 
 
 def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
@@ -258,7 +262,9 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     """Extreme eigenvalues and condition number of B A (or A alone).
 
     ``dense`` materializes the operators (dim <= 20000) and solves the
-    generalized symmetric eigenproblem exactly; ``lanczos`` runs ``k``
+    generalized symmetric eigenproblem exactly; it applies ``B`` to
+    (n, 64) panels of the identity, so ``B`` must accept (n, k) blocks
+    as well as vectors.  ``lanczos`` runs ``k``
     preconditioned-Lanczos steps with full reorthogonalization and
     returns the extreme Ritz values (about +/-2% at k = 200).
     """

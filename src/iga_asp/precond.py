@@ -67,9 +67,10 @@ def _triangular_factor(T: sp.csc_matrix):
 class Smoother:
     """Jacobi or symmetric Gauss-Seidel smoother of a sparse matrix.
 
-    ``apply`` realizes S^{-1} r:  Jacobi divides by the diagonal; SGS
-    evaluates L^{-1} - L^{-1} A U^{-1} + U^{-1} with L/U the lower and
-    upper triangles including the diagonal.
+    ``apply`` realizes S^{-1} r for r of shape (N,) or a block (N, k):
+    Jacobi divides by the diagonal; SGS evaluates
+    L^{-1} - L^{-1} A U^{-1} + U^{-1} with L/U the lower and upper
+    triangles including the diagonal.
     """
 
     def __init__(self, kind: str, A: sp.spmatrix) -> None:
@@ -88,7 +89,7 @@ class Smoother:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "jacobi":
-            return r / self._diag
+            return r / self._diag.reshape((-1,) + (1,) * (r.ndim - 1))
         x = self._solve_u(r)
         return x + self._solve_l(r - self.A @ x)
 
@@ -132,8 +133,9 @@ class InnerSolver:
 
     def make(self, op: KronSum, shift: float = 0.0):
         """Solve with ``op + shift * (x)M``.  The shift adds to the mass
-        coefficient, so H + tau M is never formed; identical components
-        are solved as one batch."""
+        coefficient, so H + tau M is never formed; identical components,
+        and the k columns of an (N, k) right-hand side, are solved as one
+        batch."""
         blocks = []
         for masses, stiffs, count in _runs(op):
             pairs = [_m_orthonormal_eigenpairs(K, M)
@@ -147,15 +149,19 @@ class InnerSolver:
             blocks.append((count, lam.shape, forward, backward, 1.0 / lam))
 
         def solve(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float).ravel()
+            b = np.asarray(b, dtype=float)
+            rows = b.T.reshape(-1, b.shape[0])    # one row per column of b
+            k = rows.shape[0]
             parts = []
             lo = 0
             for count, shape, forward, backward, inv_lam in blocks:
                 hi = lo + count * inv_lam.size
-                Y = _kron_apply(b[lo:hi].reshape(count, *shape), *forward)
-                parts.append(_kron_apply(Y * inv_lam, *backward).ravel())
+                Y = _kron_apply(rows[:, lo:hi].reshape(k * count, *shape),
+                                *forward)
+                parts.append(_kron_apply(Y * inv_lam, *backward).reshape(k, -1))
                 lo = hi
-            return parts[0] if len(parts) == 1 else np.concatenate(parts)
+            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+            return x.T.reshape(b.shape)
         return solve
 
 
@@ -203,7 +209,9 @@ class AspPreconditioner:
         self._solve_h_curl = inner.make(H)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
-        """B r: smoother + auxiliary-space correction terms."""
+        """B r: smoother + auxiliary-space correction terms.  Like
+        ``smoother_apply`` and ``correction``, takes r of shape (N,) or a
+        block (N, k) and returns the same shape."""
         r = np.asarray(r, dtype=float)
         out = self.smoother.apply(r) + self.correction(r)
         return out
@@ -227,9 +235,6 @@ class AspPreconditioner:
             out = out + (C @ self._q_smoother.apply(ctr)) / self.tau
             out = out + (C @ (Pc @ self._solve_h_curl(Pc.T @ ctr))) / self.tau
         return out
-
-    def as_linear_operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(self.shape, matvec=self.apply, dtype=float)
 
 
 def build_asp_preconditioner(system: AssembledSystem, smoother: str = "jacobi",

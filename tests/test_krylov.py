@@ -5,12 +5,16 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from iga_asp.assembly import ProblemSpec, system_matrix
 from iga_asp.krylov import (
+    _PANEL_WIDTH,
     GltConfig,
     GltPreconditioner,
     SolveReport,
+    _as_matvec,
+    _materialize,
     estimate_condition_number,
     minres,
     pcg,
@@ -115,7 +119,6 @@ class TestMinres:
     def test_matches_scipy_residual_optimality(self):
         # oracle: scipy's MINRES reaches the same residual norm after
         # the same number of steps (both minimize over the same space)
-        import scipy.sparse.linalg as spla
         A = random_spd(35, 8, shift=0.5)
         b = np.linspace(-1.0, 1.0, 35)
         for k in (3, 8, 15):
@@ -178,6 +181,32 @@ class TestGltPreconditioner:
         _, composite = pcg(system.A, b, glt, tol=1e-6, max_iter=300,
                            flexible=True)
         assert composite.iterations < plain.iterations
+
+
+def materialize_by_columns(op, n):
+    """Oracle: the dense matrix of ``op``, one unit column at a time."""
+    mv = _as_matvec(op)
+    return np.array([mv(col) for col in np.eye(n)]).T
+
+
+class TestMaterialize:
+    def test_sparse_and_linear_operator_match_column_loop(self):
+        n = 2 * _PANEL_WIDTH + 5
+        B = random_spd(n, 12)
+        ref = materialize_by_columns(B, n)
+        # a matvec-only LinearOperator takes blocks through its matmat
+        for op in (B, spla.LinearOperator((n, n), matvec=lambda v: B @ v)):
+            np.testing.assert_array_equal(_materialize(op, n), ref)
+
+    def test_preconditioner_matches_column_loop(self):
+        system = system_matrix(ProblemSpec("curl", 2, 2, 8, 1e-4,
+                                           bc="essential"))
+        B = build_asp_preconditioner(system)
+        n = B.shape[0]
+        assert n % _PANEL_WIDTH != 0
+        ref = materialize_by_columns(B, n)
+        assert np.linalg.norm(_materialize(B, n) - ref) <= (
+            1e-14 * np.linalg.norm(ref))
 
 
 class TestEstimateConditionNumber:

@@ -100,6 +100,25 @@ class TestInnerSolver:
             ref = spla.splu(sp.csc_matrix(oracle)).solve(b)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), name
 
+    @given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=4),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_block_matches_columns(self, dim, p, n, log_tau, k, seed):
+        # an (N, k) block is solved as the k columns one at a time
+        rng = np.random.default_rng(seed)
+        for name, (op, shift, oracle) in kronecker_cases(
+                dim, p, n, 10.0 ** log_tau).items():
+            solve = InnerSolver().make(op, shift)
+            X = rng.standard_normal((oracle.shape[0], k))
+            Y = solve(X)
+            ref = np.column_stack([solve(x) for x in X.T])
+            assert Y.shape == X.shape, name
+            assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref), name
+            assert solve(X[:, 0]).shape == (oracle.shape[0],), name
+
     def test_indefinite_shift_rejected(self):
         xh = build_space("vector", 2, 4, dim=2, bc="essential")
         with pytest.raises(ArithmeticError):
@@ -111,7 +130,34 @@ def build(op, dim, p, n, tau, smoother="jacobi", **kw):
     return system, build_asp_preconditioner(system, smoother=smoother, **kw)
 
 
+# (operator, dim, keyword arguments) of every preconditioner variant
+VARIANTS = [("curl", 2, {"smoother": "jacobi"}), ("curl", 2, {"smoother": "gs"}),
+            ("div", 2, {"smoother": "jacobi"}), ("div", 2, {"smoother": "gs"}),
+            ("curl", 3, {}),
+            ("div", 3, {"curl_smoother": "diag"}),
+            ("div", 3, {"curl_smoother": "sgs"})]
+
+
 class TestAspPreconditioner:
+    @given(st.sampled_from(VARIANTS), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=4),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=25, deadline=None)
+    def test_block_matches_columns(self, variant, p, n, log_tau, k, seed):
+        op, dim, kw = variant
+        if dim == 3:
+            p, n = min(p, 2), min(n, 3)
+        _, B = build(op, dim, p, n, 10.0 ** log_tau, **kw)
+        X = np.random.default_rng(seed).standard_normal((B.shape[0], k))
+        for apply in (B.apply, B.correction, B.smoother_apply):
+            Y = apply(X)
+            ref = np.column_stack([apply(x) for x in X.T])
+            assert Y.shape == X.shape
+            assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert apply(X[:, 0]).shape == (B.shape[0],)
+
     def test_symmetric_positive(self):
         cases = [(("curl", 2, 2, 4, 1e-2), {}),
                  (("curl", 3, 2, 3, 1e-2), {}),
