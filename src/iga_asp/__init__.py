@@ -12,7 +12,7 @@ Subpackage map:
 - ``transfer``: auxiliary-space transfer matrices built from 1-D
   interpolation/histopolation factors.
 - ``precond``: smoothers and the auxiliary-space preconditioners.
-- ``krylov``: PCG, MINRES, the composite smoothed preconditioner, and
+- ``krylov``: PCG, the composite smoothed preconditioner, and
   condition-number estimation.
 - ``bench``/``cli``: manufactured solutions, experiment sweeps, and the
   ``iga-asp`` command-line tool.

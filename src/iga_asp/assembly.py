@@ -27,7 +27,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import derham
-from .derham import TensorSpace, build_space, differential_matrix
+from .derham import TensorSpace, build_space, differential_matrix, kron_blocks
 from .splines1d import (
     QuadratureRule,
     drop_small,
@@ -94,21 +94,14 @@ class AssembledSystem:
     M_D: sp.csr_matrix = field(repr=False)
     M_range: sp.csr_matrix = field(repr=False)
     D_mat: sp.csr_matrix = field(repr=False)
+    # the rules M_D and M_range were assembled with
+    quads: tuple[QuadratureRule, ...] = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
-    # the rules M_D and M_range were assembled with (None: the defaults)
-    quads: tuple[QuadratureRule, ...] | None = field(repr=False, default=None)
 
 
 def make_quadratures(space: TensorSpace, order: int | None = None) -> tuple[QuadratureRule, ...]:
     """One Gauss-Legendre rule per direction (default p + 2 points/span)."""
     return tuple(make_quadrature(kv, order) for kv in space.knots)
-
-
-def _kron_chain(mats) -> sp.csr_matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return sp.csr_matrix(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,16 +123,14 @@ class KronSum:
     mass_coeff: float = 1.0
 
     def tocsr(self) -> sp.csr_matrix:
-        blocks = []
+        rows = [[None] * len(self.masses) for _ in self.masses]
         for c, masses in enumerate(self.masses):
-            terms = [self.mass_coeff * _kron_chain(masses)] if self.mass_coeff else []
+            terms = [(self.mass_coeff, masses)] if self.mass_coeff else []
             if self.stiffnesses is not None:
-                terms += [_kron_chain(masses[:k] + (K,) + masses[k + 1:])
+                terms += [(1.0, masses[:k] + (K,) + masses[k + 1:])
                           for k, K in enumerate(self.stiffnesses[c])]
-            blocks.append(sum(terms[1:], terms[0]))
-        out = sp.csr_matrix(sp.block_diag(blocks, format="csr"))
-        out.sort_indices()
-        return out
+            rows[c][c] = terms
+        return kron_blocks(rows)
 
     def toarray(self) -> np.ndarray:
         return self.tocsr().toarray()
@@ -165,21 +156,20 @@ def mass_matrix(space: TensorSpace,
     return mass_operator(space, quads).tocsr()
 
 
-def system_matrix(spec: ProblemSpec,
-                  quad_order: int | None = None) -> AssembledSystem:
+def system_matrix(spec: ProblemSpec) -> AssembledSystem:
     """Assemble A = D^T M_range D + tau M_D for the problem, plus the
     load vector when a right-hand side is attached."""
     space = build_space(spec.operator, spec.p, spec.n_elems, dim=spec.dim, bc=spec.bc)
     range_space = build_space(spec.range_kind, spec.p, spec.n_elems,
                               dim=spec.dim, bc=spec.bc)
-    quads = make_quadratures(space, quad_order)
+    quads = make_quadratures(space)
     D_mat = differential_matrix(space, range_space)
     M_D = mass_matrix(space, quads)
     M_range = mass_matrix(range_space, quads)
     A = drop_small(D_mat.T @ M_range @ D_mat + spec.tau * M_D)
     b = assemble_rhs(space, spec.rhs, quads) if spec.rhs is not None else None
-    return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat, b,
-                           quads)
+    return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat,
+                           quads, b)
 
 
 def _h1_operator(comp, n_components: int, quads,

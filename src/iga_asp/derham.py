@@ -45,6 +45,7 @@ __all__ = [
     "flat_index",
     "unflatten_index",
     "space_descriptor",
+    "kron_blocks",
 ]
 
 _FACTOR_TABLE = {
@@ -156,11 +157,28 @@ def _factor_block(src_factor: Space1D, dst_factor: Space1D) -> sp.csr_matrix:
     return sp.csr_matrix(diff[:, src_factor.indices()])
 
 
-def _kron_chain(mats) -> sp.csr_matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return sp.csr_matrix(out)
+def kron_blocks(rows) -> sp.csr_matrix:
+    """Block matrix of Kronecker products.  ``rows[i][j]`` is ``None`` (a
+    zero block) or a list of ``(coeff, factors)`` terms, and the block is
+    the sum of ``coeff * factors[0] (x) factors[1] (x) ...`` in term
+    order.  Every block row and column needs a non-``None`` entry, from
+    which the zero blocks take their shapes.  Returns CSR with sorted
+    indices."""
+    def block(terms):
+        if terms is None:
+            return None
+        mats = []
+        for coeff, factors in terms:
+            out = factors[0]
+            for f in factors[1:]:
+                out = sp.kron(out, f, format="csr")
+            mats.append(coeff * sp.csr_matrix(out))
+        return sum(mats[1:], mats[0])
+
+    out = sp.csr_matrix(sp.bmat([[block(t) for t in row] for row in rows],
+                                format="csr"))
+    out.sort_indices()
+    return out
 
 
 def _assemble_blocks(src: TensorSpace, dst: TensorSpace, pattern) -> sp.csr_matrix:
@@ -173,16 +191,13 @@ def _assemble_blocks(src: TensorSpace, dst: TensorSpace, pattern) -> sp.csr_matr
         for cj, src_comp in enumerate(src.components):
             entry = pattern[ci][cj]
             if entry is None:
-                row.append(sp.csr_matrix((int(np.prod([f.dim for f in dst_comp])),
-                                          int(np.prod([f.dim for f in src_comp])))))
+                row.append(None)
                 continue
             sign, _ = entry
             factors = [_factor_block(sf, df) for sf, df in zip(src_comp, dst_comp)]
-            row.append(sign * _kron_chain(factors))
+            row.append([(sign, factors)])
         rows.append(row)
-    out = sp.csr_matrix(sp.bmat(rows, format="csr"))
-    out.sort_indices()
-    return out
+    return kron_blocks(rows)
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:

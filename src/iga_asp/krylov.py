@@ -4,8 +4,6 @@
   true-residual stopping rule ||A x - b|| / ||b|| <= tol, zero initial
   guess, and an optional flexible (Polak-Ribiere) direction update for
   nonlinear preconditioners.
-* :func:`minres` -- minimum-residual iterations for symmetric systems,
-  with a fixed-iteration smoother mode.
 * :class:`GltPreconditioner` -- the composite cycle: relaxation sweeps,
   a fixed number of mass-preconditioned MINRES iterations on the
   system itself, then the auxiliary-space correction.
@@ -31,7 +29,6 @@ __all__ = [
     "GltConfig",
     "GltPreconditioner",
     "pcg",
-    "minres",
     "estimate_condition_number",
 ]
 
@@ -126,64 +123,6 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000,
             breakdown = True
             break
         p = z + beta * p
-    report = SolveReport(it, converged, residuals,
-                         time.perf_counter() - t0, max_iter, breakdown)
-    return x, report
-
-
-def minres(M, b: np.ndarray, max_iter: int, x0: np.ndarray | None = None,
-           tol: float | None = None):
-    """Minimum-residual iterations for a symmetric system M x = b.
-
-    With ``tol=None`` (smoother mode) exactly ``max_iter`` iterations
-    are performed unless the residual vanishes; otherwise the loop exits
-    once ||b - M x|| / ||b|| <= tol.  Conjugate-residual three-term
-    recurrence form.
-    """
-    mv = _as_matvec(M)
-    b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b) if x0 is None else np.array(x0, dtype=float)
-    t0 = time.perf_counter()
-    nb = np.linalg.norm(b)
-    if nb == 0.0:
-        return x, SolveReport(0, True, [0.0], time.perf_counter() - t0, max_iter)
-    r = b - mv(x)
-    residuals = [float(np.linalg.norm(r) / nb)]
-    p1 = r.copy()
-    s1 = mv(p1)
-    p2 = None
-    s2 = None
-    breakdown = False
-    it = 0
-    for it in range(1, max_iter + 1):
-        ss = float(s1 @ s1)
-        if ss == 0.0 or not np.isfinite(ss):
-            breakdown = ss != 0.0
-            it -= 1
-            break
-        alpha = float(r @ s1) / ss
-        x = x + alpha * p1
-        r = r - alpha * s1
-        residuals.append(float(np.linalg.norm(r) / nb))
-        if tol is not None and residuals[-1] <= tol:
-            break
-        if residuals[-1] == 0.0:
-            break
-        # next direction: A-orthogonalize A s1 against the last two
-        p0 = s1.copy()
-        s0 = mv(s1)
-        beta1 = float(s0 @ s1) / ss
-        p0 = p0 - beta1 * p1
-        s0 = s0 - beta1 * s1
-        if p2 is not None:
-            ss2 = float(s2 @ s2)
-            if ss2 > 0.0:
-                beta2 = float(s0 @ s2) / ss2
-                p0 = p0 - beta2 * p2
-                s0 = s0 - beta2 * s2
-        p2, s2 = p1, s1
-        p1, s1 = p0, s0
-    converged = tol is None or residuals[-1] <= tol
     report = SolveReport(it, converged, residuals,
                          time.perf_counter() - t0, max_iter, breakdown)
     return x, report
@@ -300,30 +239,31 @@ def _lanczos_extremes(A, B, k: int, seed: int) -> tuple[float, float]:
     v = rng.standard_normal(n)
     z = bmat(v)
     beta = float(np.sqrt(v @ z))
-    v /= beta
-    z /= beta
-    V = [v]
-    Z = [z]
+    # Lanczos vectors and their B-images as rows: row-major keeps each
+    # vector contiguous for the operators and the reorthogonalization
+    V = np.empty((k + 1, n))
+    Z = np.empty((k + 1, n))
+    V[0] = v / beta
+    Z[0] = z / beta
     alphas: list[float] = []
     betas: list[float] = []
     v_prev = np.zeros(n)
     beta_j = 0.0
-    for _ in range(k):
-        w = amat(Z[-1]) - beta_j * v_prev
-        alpha = float(w @ Z[-1])
-        w = w - alpha * V[-1]
+    for j in range(k):
+        w = amat(Z[j]) - beta_j * v_prev
+        alpha = float(w @ Z[j])
+        w = w - alpha * V[j]
         # full reorthogonalization in the B inner product
-        for vi, zi in zip(V, Z):
-            w = w - float(w @ zi) * vi
+        w -= (Z[: j + 1] @ w) @ V[: j + 1]
         wz = bmat(w)
         beta_j = float(np.sqrt(max(w @ wz, 0.0)))
         alphas.append(alpha)
         if beta_j <= 1e-14 * abs(alpha):
             break
         betas.append(beta_j)
-        v_prev = V[-1]
-        V.append(w / beta_j)
-        Z.append(wz / beta_j)
+        v_prev = V[j]
+        V[j + 1] = w / beta_j
+        Z[j + 1] = wz / beta_j
     if len(betas) >= len(alphas):
         betas = betas[: len(alphas) - 1]
     w = sla.eigvalsh_tridiagonal(np.array(alphas), np.array(betas))

@@ -1,19 +1,22 @@
 """Auxiliary-space preconditioners and their smoothers.
 
-The preconditioner for the curl problem is
+Every problem uses the one formula (Hiptmair & Xu, SIAM J. Numer.
+Anal. 45, 2007)
 
-    B = S^{-1} + P (H + tau M)^{-1} P^T + tau^{-1} G L^{-1} G^T
+    B = S^{-1} + P (H + tau M)^{-1} P^T + tau^{-1} T B_T T^T
 
 with S the Jacobi or symmetric Gauss-Seidel smoother of A, P the
-auxiliary-space transfer, H the vector H1 matrix, M the auxiliary mass,
-L the scalar Laplacian, and G the gradient.  The 2-D div problem swaps
-G for the rotated gradient R; the 3-D div problem replaces the
-potential term by two curl-based corrections
+auxiliary-space transfer, H the vector H1 matrix and M the auxiliary
+mass.  The potential map T and the potential-space operator B_T are
 
-    tau^{-1} C W^{-1} C^T + tau^{-1} C P_curl H^{-1} P_curl^T C^T
+    curl (2-D, 3-D):  T = G (gradient),          B_T = L^{-1}
+    div 2-D:          T = R (rotated gradient),  B_T = L^{-1}
+    div 3-D:          T = C (curl),              B_T = W^{-1} + P_curl H^{-1} P_curl^T
 
-where W is either the diagonal of Q_curl = C^T M_div C or its symmetric
-Gauss-Seidel matrix.
+with L the scalar Laplacian.  For 3-D div, B_T is itself an
+auxiliary-space preconditioner on V(curl): W is either the diagonal of
+Q_curl = C^T M_div C or its symmetric Gauss-Seidel matrix, and P_curl
+the transfer onto V(curl).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`).
@@ -48,7 +51,6 @@ __all__ = [
     "Smoother",
     "InnerSolver",
     "AspPreconditioner",
-    "build_asp_preconditioner",
 ]
 
 
@@ -175,38 +177,33 @@ class AspPreconditioner:
             raise ValueError("the preconditioner requires essential bc")
         self.system = system
         self.tau = spec.tau
-        self.operator = spec.operator
-        self.dim = spec.dim
         self.smoother = Smoother(smoother, system.A)
         self.transfers: TransferSet = build_transfer_set(spec)
         kw = dict(dim=spec.dim, bc="essential")
         xh = build_space("vector", spec.p, spec.n_elems, **kw)
-        grad = build_space("grad", spec.p, spec.n_elems, **kw)
         quads = make_quadratures(xh)
         inner = InnerSolver()
         H = h1_vector_matrix(xh, quads)
         self._solve_main = inner.make(H, shift=self.tau)
-        if spec.operator == "curl" or spec.dim == 2:
-            L = scalar_laplacian_matrix(grad, quads)
-            self._solve_potential = inner.make(L)
+        P_curl = self.transfers.P_curl
+        if P_curl is None:
+            # curl and 2-D div: B_T = L^{-1}
+            grad = build_space("grad", spec.p, spec.n_elems, **kw)
+            self._solve_potential = inner.make(scalar_laplacian_matrix(grad, quads))
         else:
-            self._solve_potential = None
-            self._setup_div_3d(spec, H, curl_smoother, inner, quads)
+            # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
+            if curl_smoother not in ("diag", "sgs"):
+                raise ValueError("curl smoother must be 'diag' or 'sgs'")
+            curl = build_space("curl", spec.p, spec.n_elems, **kw)
+            Q_curl = curl_stiffness_matrix(curl, system.space, quads)
+            if np.any(Q_curl.diagonal() <= 0.0):
+                raise ArithmeticError("Q_curl has a non-positive diagonal entry "
+                                      "(curl-free curl basis function)")
+            W = Smoother("jacobi" if curl_smoother == "diag" else "gs", Q_curl)
+            solve_h = inner.make(H)
+            self._solve_potential = (
+                lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))
         self.shape = (system.A.shape[0], system.A.shape[0])
-
-    def _setup_div_3d(self, spec, H, curl_smoother, inner, quads) -> None:
-        if curl_smoother not in ("diag", "sgs"):
-            raise ValueError("curl smoother must be 'diag' or 'sgs'")
-        curl = build_space("curl", spec.p, spec.n_elems, dim=3, bc="essential")
-        div = self.system.space
-        Q_curl = curl_stiffness_matrix(curl, div, quads)
-        dq = Q_curl.diagonal()
-        if np.any(dq <= 0.0):
-            raise ArithmeticError("Q_curl has a non-positive diagonal entry "
-                                  "(curl-free curl basis function)")
-        self._q_smoother = (Smoother("jacobi", Q_curl) if curl_smoother == "diag"
-                            else Smoother("gs", Q_curl))
-        self._solve_h_curl = inner.make(H)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r: smoother + auxiliary-space correction terms.  Like
@@ -224,21 +221,6 @@ class AspPreconditioner:
         """K r = (B - S^{-1}) r: the auxiliary-space terms alone."""
         r = np.asarray(r, dtype=float)
         P = self.transfers.P_main
+        T = self.transfers.potential
         out = P @ self._solve_main(P.T @ r)
-        if self._solve_potential is not None:
-            Gm = self.transfers.potential
-            out = out + (Gm @ self._solve_potential(Gm.T @ r)) / self.tau
-        else:
-            C = self.transfers.C
-            Pc = self.transfers.P_curl
-            ctr = C.T @ r
-            out = out + (C @ self._q_smoother.apply(ctr)) / self.tau
-            out = out + (C @ (Pc @ self._solve_h_curl(Pc.T @ ctr))) / self.tau
-        return out
-
-
-def build_asp_preconditioner(system: AssembledSystem, smoother: str = "jacobi",
-                             curl_smoother: str = "diag") -> AspPreconditioner:
-    """Convenience factory mirroring the JSON configuration block."""
-    return AspPreconditioner(system, smoother=smoother,
-                             curl_smoother=curl_smoother)
+        return out + (T @ self._solve_potential(T.T @ r)) / self.tau

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 
 from . import derham
 from .assembly import ProblemSpec
-from .derham import TensorSpace, build_space
+from .derham import TensorSpace, build_space, kron_blocks
 from .splines1d import (
     Space1D,
     difference_matrix_1d,
@@ -49,8 +49,7 @@ class TransferSet:
     """All matrices one ASP formula needs besides the smoother."""
 
     P_main: sp.csr_matrix = field(repr=False)
-    potential: sp.csr_matrix = field(repr=False)   # G (curl) or R (2-D div)
-    C: sp.csr_matrix | None = field(repr=False, default=None)     # 3-D div
+    potential: sp.csr_matrix = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
 
 
@@ -70,13 +69,6 @@ def _factor_transfer(src: Space1D, dst: Space1D) -> sp.csr_matrix:
     return restrict_bc(Q, None, src if src.bc == "zero" else None)
 
 
-def _kron_chain(mats) -> sp.csr_matrix:
-    out = mats[0]
-    for m in mats[1:]:
-        out = sp.kron(out, m, format="csr")
-    return sp.csr_matrix(out)
-
-
 def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_matrix:
     if xh_space.kind.kind != "vector":
         raise ValueError("transfers act on the auxiliary vector space")
@@ -84,13 +76,12 @@ def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_m
         raise ValueError("spaces must share knots and bc")
     if xh_space.n_components != target.n_components:
         raise ValueError("component count mismatch")
-    blocks = []
-    for src_comp, dst_comp in zip(xh_space.components, target.components):
+    rows = [[None] * target.n_components for _ in target.components]
+    for c, (src_comp, dst_comp) in enumerate(zip(xh_space.components,
+                                                 target.components)):
         facs = [_factor_transfer(s, d) for s, d in zip(src_comp, dst_comp)]
-        blocks.append(_kron_chain(facs))
-    out = sp.csr_matrix(sp.block_diag(blocks, format="csr"))
-    out.sort_indices()
-    return out
+        rows[c][c] = [(1.0, facs)]
+    return kron_blocks(rows)
 
 
 def build_p_curl(xh_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
@@ -167,6 +158,5 @@ def build_transfer_set(spec: ProblemSpec) -> TransferSet:
         return TransferSet(P_main=P_div,
                            potential=derham.vector_curl_matrix(grad, div))
     curl = build_space("curl", spec.p, spec.n_elems, **kw)
-    C = derham.curl_matrix(curl, div)
-    return TransferSet(P_main=P_div, potential=C, C=C,
+    return TransferSet(P_main=P_div, potential=derham.curl_matrix(curl, div),
                        P_curl=build_p_curl(xh, curl))

@@ -25,7 +25,7 @@ from iga_asp.bench import (
 )
 from iga_asp.derham import build_space, differential_matrix
 from iga_asp.krylov import estimate_condition_number, pcg
-from iga_asp.precond import build_asp_preconditioner
+from iga_asp.precond import AspPreconditioner
 from iga_asp.transfer import build_p_curl, build_p_div
 
 
@@ -82,7 +82,7 @@ def test_criterion_02_unpreconditioned_conditioning():
 
 def asp_kappa(n, smoother="jacobi", p=1, tau=1e-4):
     system = system_matrix(ProblemSpec("curl", 2, p, n, tau, bc="essential"))
-    B = build_asp_preconditioner(system, smoother=smoother)
+    B = AspPreconditioner(system, smoother=smoother)
     mode = "dense" if n <= 16 else "lanczos"
     return estimate_condition_number(system.A, B, mode=mode, k=250)
 

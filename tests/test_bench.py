@@ -21,7 +21,7 @@ from iga_asp.bench import (
 )
 from iga_asp.derham import build_space
 from iga_asp.krylov import pcg
-from iga_asp.precond import build_asp_preconditioner
+from iga_asp.precond import AspPreconditioner
 
 
 class TestAmplitudeConstants:
@@ -204,7 +204,7 @@ class TestQuasiInterpolant:
         spec = ProblemSpec("curl", 2, 2, 16, tau, bc="essential",
                            rhs=case.rhs)
         system = system_matrix(spec)
-        B = build_asp_preconditioner(system)
+        B = AspPreconditioner(system)
         x, rep = pcg(system.A, system.b, B, tol=1e-10, max_iter=200)
         assert rep.converged
         assert l2_coefficient_error(x, case, system.space) <= 1e-3

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from iga_asp.derham import (
     divergence_matrix,
     flat_index,
     gradient_matrix,
+    kron_blocks,
     scalar_curl_matrix,
     space_descriptor,
     unflatten_index,
@@ -63,6 +65,50 @@ class TestBuildSpace:
     def test_rejects_mismatched_lengths(self):
         with pytest.raises(ValueError):
             build_space("grad", (2, 2), 8, dim=3)
+
+
+class TestKronBlocks:
+    @given(st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_dense_kron_oracle(self, n_rows, n_cols, n_factors, seed):
+        # oracle: np.block of sums of np.kron products, over random
+        # small non-square factors, None blocks and multi-term blocks
+        rng = np.random.default_rng(seed)
+        row_dims = rng.integers(1, 4, size=(n_rows, n_factors))
+        col_dims = rng.integers(1, 4, size=(n_cols, n_factors))
+        present = rng.random((n_rows, n_cols)) < 0.5
+        # every block row and column keeps one entry
+        present[np.arange(n_rows), np.arange(n_rows) % n_cols] = True
+        present[np.arange(n_cols) % n_rows, np.arange(n_cols)] = True
+        rows, dense = [], []
+        for i in range(n_rows):
+            row, dense_row = [], []
+            for j in range(n_cols):
+                block = np.zeros((row_dims[i].prod(), col_dims[j].prod()))
+                dense_row.append(block)
+                if not present[i, j]:
+                    row.append(None)
+                    continue
+                terms = []
+                for _ in range(rng.integers(1, 4)):
+                    coeff = rng.standard_normal()
+                    factors = [rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.6)
+                               for r, c in zip(row_dims[i], col_dims[j])]
+                    terms.append((coeff, [sp.csr_matrix(f) for f in factors]))
+                    product = np.ones((1, 1))
+                    for f in factors:
+                        product = np.kron(product, f)
+                    block += coeff * product
+                row.append(terms)
+            rows.append(row)
+            dense.append(dense_row)
+        out = kron_blocks(rows)
+        assert isinstance(out, sp.csr_matrix) and out.has_sorted_indices
+        np.testing.assert_allclose(out.toarray(), np.block(dense),
+                                   rtol=1e-13, atol=1e-13)
 
 
 class TestDifferentialMatrices:

@@ -16,10 +16,9 @@ from iga_asp.krylov import (
     _as_matvec,
     _materialize,
     estimate_condition_number,
-    minres,
     pcg,
 )
-from iga_asp.precond import build_asp_preconditioner
+from iga_asp.precond import AspPreconditioner
 
 
 def random_spd(n, seed=0, shift=None):
@@ -91,51 +90,6 @@ class TestPcg:
         assert len(csv.splitlines()) == len(report.residuals) + 1
 
 
-class TestMinres:
-    def test_fixed_iteration_count(self):
-        A = random_spd(30, 6)
-        b = np.ones(30)
-        _, report = minres(A, b, max_iter=7)
-        assert report.iterations == 7
-        assert len(report.residuals) == 8
-
-    def test_residual_monotone(self):
-        A = random_spd(30, 7, shift=2.0)
-        b = np.cos(np.arange(30.0))
-        _, report = minres(A, b, max_iter=25)
-        r = report.residuals
-        assert all(b <= a * (1 + 1e-10) for a, b in zip(r, r[1:]))
-
-    def test_solves_indefinite_symmetric(self):
-        # MINRES handles symmetric indefinite systems that break CG
-        d = np.array([3.0, -2.0, 1.0, -1.0, 4.0, 2.5, -0.5, 1.5])
-        A = sp.diags(d)
-        x_ref = np.arange(1.0, 9.0)
-        b = A @ x_ref
-        x, report = minres(A, b, max_iter=40, tol=1e-12)
-        assert report.converged
-        np.testing.assert_allclose(x, x_ref, atol=1e-8)
-
-    def test_matches_scipy_residual_optimality(self):
-        # oracle: scipy's MINRES reaches the same residual norm after
-        # the same number of steps (both minimize over the same space)
-        A = random_spd(35, 8, shift=0.5)
-        b = np.linspace(-1.0, 1.0, 35)
-        for k in (3, 8, 15):
-            x_ours, _ = minres(A, b, max_iter=k)
-            x_scipy, _ = spla.minres(A, b, maxiter=k, rtol=1e-16)
-            ours = np.linalg.norm(b - A @ x_ours)
-            ref = np.linalg.norm(b - A @ x_scipy)
-            assert ours <= ref * (1 + 1e-6)
-
-    def test_warm_start(self):
-        A = random_spd(12, 9)
-        x_ref = np.ones(12)
-        b = A @ x_ref
-        x, _ = minres(A, b, max_iter=3, x0=x_ref)
-        np.testing.assert_allclose(x, x_ref, atol=1e-12)
-
-
 class TestGltPreconditioner:
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -152,8 +106,8 @@ class TestGltPreconditioner:
         mass_system = type(system)(system.spec, system.space,
                                    system.range_space, system.M_D,
                                    system.M_D, system.M_range,
-                                   system.D_mat, None)
-        asp = build_asp_preconditioner(mass_system)
+                                   system.D_mat, system.quads)
+        asp = AspPreconditioner(mass_system)
         glt = GltPreconditioner(mass_system, asp, GltConfig(1, 2, 1))
         b = np.linspace(-1.0, 1.0, system.M_D.shape[0])
         x = glt.apply(b)
@@ -163,7 +117,7 @@ class TestGltPreconditioner:
     def test_outer_flexible_cg_converges(self):
         system = system_matrix(ProblemSpec("curl", 2, 2, 8, 1e-4,
                                            bc="essential"))
-        asp = build_asp_preconditioner(system)
+        asp = AspPreconditioner(system)
         glt = GltPreconditioner(system, asp, GltConfig(1, 4, 3))
         b = np.ones(system.A.shape[0])
         _, report = pcg(system.A, b, glt, tol=1e-6, max_iter=60,
@@ -174,7 +128,7 @@ class TestGltPreconditioner:
     def test_fewer_outer_iterations_than_plain_asp(self):
         system = system_matrix(ProblemSpec("curl", 2, 3, 8, 1e-4,
                                            bc="essential"))
-        asp = build_asp_preconditioner(system)
+        asp = AspPreconditioner(system)
         b = np.ones(system.A.shape[0])
         _, plain = pcg(system.A, b, asp, tol=1e-6, max_iter=300)
         glt = GltPreconditioner(system, asp, GltConfig(1, 9, 3))
@@ -201,7 +155,7 @@ class TestMaterialize:
     def test_preconditioner_matches_column_loop(self):
         system = system_matrix(ProblemSpec("curl", 2, 2, 8, 1e-4,
                                            bc="essential"))
-        B = build_asp_preconditioner(system)
+        B = AspPreconditioner(system)
         n = B.shape[0]
         assert n % _PANEL_WIDTH != 0
         ref = materialize_by_columns(B, n)
@@ -234,7 +188,7 @@ class TestEstimateConditionNumber:
         # p=1, n=16 preconditioned system; 2% band
         system = system_matrix(ProblemSpec("curl", 2, 1, 16, 1e-4,
                                            bc="essential"))
-        B = build_asp_preconditioner(system)
+        B = AspPreconditioner(system)
         _, _, dense = estimate_condition_number(system.A, B, mode="dense")
         _, _, lanczos = estimate_condition_number(system.A, B,
                                                   mode="lanczos", k=200)

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from iga_asp.assembly import (
     ProblemSpec,
+    curl_stiffness_matrix,
     h1_vector_matrix,
     make_quadratures,
     mass_matrix,
@@ -22,8 +23,8 @@ from iga_asp.precond import (
     AspPreconditioner,
     InnerSolver,
     Smoother,
-    build_asp_preconditioner,
 )
+from iga_asp.transfer import build_transfer_set
 
 
 def random_spd(n, seed=0):
@@ -127,7 +128,7 @@ class TestInnerSolver:
 
 def build(op, dim, p, n, tau, smoother="jacobi", **kw):
     system = system_matrix(ProblemSpec(op, dim, p, n, tau, bc="essential"))
-    return system, build_asp_preconditioner(system, smoother=smoother, **kw)
+    return system, AspPreconditioner(system, smoother=smoother, **kw)
 
 
 # (operator, dim, keyword arguments) of every preconditioner variant
@@ -138,7 +139,44 @@ VARIANTS = [("curl", 2, {"smoother": "jacobi"}), ("curl", 2, {"smoother": "gs"})
             ("div", 3, {"curl_smoother": "sgs"})]
 
 
+def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
+    """The module-docstring formula P (H + tau M)^{-1} P^T
+    + tau^{-1} T B_T T^T from dense matrices and dense inverses."""
+    kw = dict(dim=spec.dim, bc="essential")
+    xh = build_space("vector", spec.p, spec.n_elems, **kw)
+    quads = make_quadratures(xh)
+    ts = build_transfer_set(spec)
+    P, T = ts.P_main.toarray(), ts.potential.toarray()
+    H = h1_vector_matrix(xh, quads).toarray()
+    main = P @ np.linalg.inv(H + spec.tau * mass_matrix(xh, quads).toarray()) @ P.T
+    if (spec.operator, spec.dim) == ("div", 3):
+        Q = curl_stiffness_matrix(build_space("curl", spec.p, spec.n_elems, **kw),
+                                  build_space("div", spec.p, spec.n_elems, **kw),
+                                  quads).toarray()
+        if curl_smoother == "diag":
+            W = np.diag(np.diag(Q))
+        else:    # symmetric Gauss-Seidel: W = U D^{-1} L
+            W = np.triu(Q) @ np.diag(1.0 / np.diag(Q)) @ np.tril(Q)
+        P_curl = ts.P_curl.toarray()
+        B_T = np.linalg.inv(W) + P_curl @ np.linalg.inv(H) @ P_curl.T
+    else:
+        L = scalar_laplacian_matrix(build_space("grad", spec.p, spec.n_elems, **kw),
+                                    quads).toarray()
+        B_T = np.linalg.inv(L)
+    return main + T @ B_T @ T.T / spec.tau
+
+
 class TestAspPreconditioner:
+    @pytest.mark.parametrize("variant", VARIANTS, ids=str)
+    def test_correction_matches_dense_formula(self, variant):
+        op, dim, kw = variant
+        p, n = (2, 4) if dim == 2 else (2, 3)
+        system, B = build(op, dim, p, n, 1e-2, **kw)
+        K = dense_correction(system.spec, **kw)
+        X = np.random.default_rng(3).standard_normal((B.shape[0], 4))
+        Y = B.correction(X)
+        assert np.linalg.norm(Y - K @ X) <= 1e-10 * np.linalg.norm(K @ X)
+
     @given(st.sampled_from(VARIANTS), st.integers(min_value=1, max_value=3),
            st.integers(min_value=2, max_value=4),
            st.floats(min_value=-4.0, max_value=4.0),
@@ -211,7 +249,7 @@ class TestAspPreconditioner:
                                            bc="essential"))
         kappa = {}
         for sm in ("jacobi", "gs"):
-            B = build_asp_preconditioner(system, smoother=sm)
+            B = AspPreconditioner(system, smoother=sm)
             _, _, kappa[sm] = estimate_condition_number(system.A, B,
                                                         mode="dense")
         assert kappa["gs"] < kappa["jacobi"]
@@ -241,7 +279,7 @@ class TestDiv3d:
                                            bc="essential"))
         kappa = {}
         for cs in ("diag", "sgs"):
-            B = build_asp_preconditioner(system, curl_smoother=cs)
+            B = AspPreconditioner(system, curl_smoother=cs)
             _, _, kappa[cs] = estimate_condition_number(system.A, B,
                                                         mode="dense")
         assert kappa["sgs"] <= kappa["diag"]
@@ -250,7 +288,7 @@ class TestDiv3d:
         system = system_matrix(ProblemSpec("div", 3, 1, 2, 1e-2,
                                            bc="essential"))
         with pytest.raises(ValueError):
-            build_asp_preconditioner(system, curl_smoother="ilu")
+            AspPreconditioner(system, curl_smoother="ilu")
 
     def test_preconditioned_solve_converges_fast(self):
         system, B = build("div", 3, 1, 3, 1e-4, curl_smoother="sgs")

@@ -166,12 +166,12 @@ class TestBuildTransferSet:
     def test_curl_set(self):
         ts = build_transfer_set(ProblemSpec("curl", 3, 2, 2, tau=1.0,
                                             bc="essential"))
-        assert ts.C is None and ts.P_curl is None
+        assert ts.P_curl is None
 
     def test_div_2d_set(self):
         ts = build_transfer_set(ProblemSpec("div", 2, 2, 4, tau=1.0,
                                             bc="essential"))
-        assert ts.C is None and ts.P_curl is None
+        assert ts.P_curl is None
         div = build_space("div", 2, 4, dim=2, bc="essential")
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
         assert ts.potential.shape == (div.total_dim, grad.total_dim)
@@ -179,10 +179,10 @@ class TestBuildTransferSet:
     def test_div_3d_set(self):
         ts = build_transfer_set(ProblemSpec("div", 3, 2, 2, tau=1.0,
                                             bc="essential"))
-        assert ts.C is not None and ts.P_curl is not None
+        assert ts.P_curl is not None
         div = build_space("div", 2, 2, dim=3, bc="essential")
         curl = build_space("curl", 2, 2, dim=3, bc="essential")
-        assert ts.C.shape == (div.total_dim, curl.total_dim)
+        assert ts.potential.shape == (div.total_dim, curl.total_dim)
         xh = build_space("vector", 2, 2, dim=3, bc="essential")
         assert ts.P_curl.shape == (curl.total_dim, xh.total_dim)
 
