@@ -3,6 +3,11 @@
 Every global matrix here is a (block-diagonal of) Kronecker products of
 the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 
+* ``discretize``            -- the tau-independent ``Discretization`` of
+                               one mesh: its five spaces, a p + 2 point
+                               Gauss rule per direction, and one 1-D mass
+                               (stiffness) per distinct (B) factor space,
+                               which every function below looks up,
 * ``KronSum``               -- block-diagonal Kronecker sums of 1-D
                                stiffness and mass factors, kept factored,
 * ``mass_operator``         -- L2 mass of any tensor space as a KronSum,
@@ -13,7 +18,8 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
                                space (KronSum L, essential bc only),
-* ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C (3-D only),
+* ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C from the curl matrix
+                               and div mass already built (3-D div),
 * ``assemble_rhs``          -- load vector from an analytic field.
 """
 
@@ -30,6 +36,7 @@ from . import derham
 from .derham import TensorSpace, build_space, differential_matrix, kron_blocks
 from .splines1d import (
     QuadratureRule,
+    Space1D,
     drop_small,
     make_quadrature,
     mass_matrix_1d,
@@ -41,7 +48,8 @@ __all__ = [
     "ProblemSpec",
     "AssembledSystem",
     "KronSum",
-    "make_quadratures",
+    "Discretization",
+    "discretize",
     "mass_operator",
     "mass_matrix",
     "system_matrix",
@@ -94,14 +102,41 @@ class AssembledSystem:
     M_D: sp.csr_matrix = field(repr=False)
     M_range: sp.csr_matrix = field(repr=False)
     D_mat: sp.csr_matrix = field(repr=False)
-    # the rules M_D and M_range were assembled with
-    quads: tuple[QuadratureRule, ...] = field(repr=False)
+    # the spaces, rules and 1-D factors everything was assembled from
+    disc: Discretization = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
 
 
-def make_quadratures(space: TensorSpace, order: int | None = None) -> tuple[QuadratureRule, ...]:
-    """One Gauss-Legendre rule per direction (default p + 2 points/span)."""
-    return tuple(make_quadrature(kv, order) for kv in space.knots)
+@dataclass(frozen=True, eq=False)
+class Discretization:
+    """The five de Rham spaces of one mesh (``spaces[kind]``), one
+    quadrature rule per direction, and the 1-D factor matrices keyed by
+    factor space."""
+
+    spaces: dict[str, TensorSpace] = field(repr=False)
+    quads: tuple[QuadratureRule, ...] = field(repr=False)
+    masses: dict[Space1D, sp.csr_matrix] = field(repr=False)
+    stiffnesses: dict[Space1D, sp.csr_matrix] = field(repr=False)
+
+    def check(self, space: TensorSpace) -> None:
+        """Raise unless ``space`` is one of the five spaces."""
+        if self.spaces[space.kind.kind] != space:
+            raise ValueError("space is not part of this discretization "
+                             "(other mesh, dimension or bc)")
+
+
+def discretize(p, n_elems, *, dim: int, bc: str) -> Discretization:
+    """Build the spaces, the p + 2 point Gauss rules and the 1-D mass
+    and stiffness factors of one mesh (scalars broadcast as in
+    :func:`iga_asp.derham.build_space`)."""
+    spaces = {kind: build_space(kind, p, n_elems, dim=dim, bc=bc)
+              for kind in ("grad", "curl", "div", "l2", "vector")}
+    quads = tuple(make_quadrature(kv) for kv in spaces["grad"].knots)
+    rules = {f: q for space in spaces.values() for comp in space.components
+             for f, q in zip(comp, quads)}
+    return Discretization(
+        spaces, quads, {f: mass_matrix_1d(f, f, q) for f, q in rules.items()},
+        {f: stiffness_matrix_1d(f, q) for f, q in rules.items() if f.kind == "B"})
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,67 +171,57 @@ class KronSum:
         return self.tocsr().toarray()
 
 
-def _factor_masses(comp, quads) -> tuple[sp.csr_matrix, ...]:
-    return tuple(mass_matrix_1d(f, f, q) for f, q in zip(comp, quads))
-
-
-def mass_operator(space: TensorSpace,
-                  quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
+def mass_operator(space: TensorSpace, disc: Discretization) -> KronSum:
     """L2 mass of a tensor space: per component the Kronecker product
     of its 1-D factor masses."""
-    if quads is None:
-        quads = make_quadratures(space)
-    return KronSum(tuple(_factor_masses(comp, quads)
+    disc.check(space)
+    return KronSum(tuple(tuple(disc.masses[f] for f in comp)
                          for comp in space.components))
 
 
-def mass_matrix(space: TensorSpace,
-                quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
+def mass_matrix(space: TensorSpace, disc: Discretization) -> sp.csr_matrix:
     """Block-diagonal L2 mass matrix, assembled from :func:`mass_operator`."""
-    return mass_operator(space, quads).tocsr()
+    return mass_operator(space, disc).tocsr()
 
 
 def system_matrix(spec: ProblemSpec) -> AssembledSystem:
     """Assemble A = D^T M_range D + tau M_D for the problem, plus the
     load vector when a right-hand side is attached."""
-    space = build_space(spec.operator, spec.p, spec.n_elems, dim=spec.dim, bc=spec.bc)
-    range_space = build_space(spec.range_kind, spec.p, spec.n_elems,
-                              dim=spec.dim, bc=spec.bc)
-    quads = make_quadratures(space)
+    disc = discretize(spec.p, spec.n_elems, dim=spec.dim, bc=spec.bc)
+    space = disc.spaces[spec.operator]
+    range_space = disc.spaces[spec.range_kind]
     D_mat = differential_matrix(space, range_space)
-    M_D = mass_matrix(space, quads)
-    M_range = mass_matrix(range_space, quads)
+    M_D = mass_matrix(space, disc)
+    M_range = mass_matrix(range_space, disc)
     A = drop_small(D_mat.T @ M_range @ D_mat + spec.tau * M_D)
-    b = assemble_rhs(space, spec.rhs, quads) if spec.rhs is not None else None
+    b = assemble_rhs(space, spec.rhs, disc) if spec.rhs is not None else None
     return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat,
-                           quads, b)
+                           disc, b)
 
 
-def _h1_operator(comp, n_components: int, quads,
+def _h1_operator(space: TensorSpace, disc: Discretization,
                  mass_coeff: float) -> KronSum:
-    """``n_components`` identical blocks of sum_k K_k (x) M.. plus
-    ``mass_coeff`` times the mass, all on the scalar factors ``comp``."""
-    masses = _factor_masses(comp, quads)
-    stiffs = tuple(stiffness_matrix_1d(f, q) for f, q in zip(comp, quads))
-    return KronSum((masses,) * n_components, (stiffs,) * n_components,
-                   mass_coeff)
+    """One block of sum_k K_k (x) M.. plus ``mass_coeff`` times the mass
+    per component of ``space``, whose components are identical."""
+    disc.check(space)
+    comp = space.components[0]
+    masses = tuple(disc.masses[f] for f in comp)
+    stiffs = tuple(disc.stiffnesses[f] for f in comp)
+    n = space.n_components
+    return KronSum((masses,) * n, (stiffs,) * n, mass_coeff)
 
 
-def h1_vector_matrix(vector_space: TensorSpace,
-                     quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
+def h1_vector_matrix(vector_space: TensorSpace, disc: Discretization) -> KronSum:
     """Matrix H: the full vector H1 inner product (grad-grad plus L2)
     on the auxiliary space, block-diagonal over the identical scalar
     components."""
     if vector_space.kind.kind != "vector":
         raise ValueError("H is assembled on the auxiliary vector space")
-    if quads is None:
-        quads = make_quadratures(vector_space)
-    return _h1_operator(vector_space.components[0],
-                        vector_space.n_components, quads, 1.0)
+    return _h1_operator(vector_space, disc, 1.0)
 
 
 def scalar_laplacian_matrix(grad_space: TensorSpace,
-                            quads: tuple[QuadratureRule, ...] | None = None) -> KronSum:
+                            disc: Discretization) -> KronSum:
     """Matrix L: grad-grad form on the scalar potential space.
 
     Only the essential-bc space is supported: with natural bc the
@@ -208,24 +233,18 @@ def scalar_laplacian_matrix(grad_space: TensorSpace,
     if grad_space.kind.bc != "essential":
         raise ValueError("scalar Laplacian requires essential bc; "
                          "the natural-bc operator is singular (constants)")
-    if quads is None:
-        quads = make_quadratures(grad_space)
-    return _h1_operator(grad_space.components[0], 1, quads, 0.0)
+    return _h1_operator(grad_space, disc, 0.0)
 
 
-def curl_stiffness_matrix(curl_space: TensorSpace, div_space: TensorSpace,
-                          quads: tuple[QuadratureRule, ...] | None = None) -> sp.csr_matrix:
-    """Q_curl = C^T M_div C (3-D): the curl-curl stiffness whose
-    diagonal drives the extra div-problem smoother."""
-    if curl_space.dim != 3:
-        raise ValueError("Q_curl exists only in 3-D")
-    C = derham.curl_matrix(curl_space, div_space)
-    M_div = mass_matrix(div_space, quads)
+def curl_stiffness_matrix(C: sp.csr_matrix, M_div: sp.csr_matrix) -> sp.csr_matrix:
+    """Q_curl = C^T M_div C from the 3-D curl matrix and the div mass:
+    the curl-curl stiffness whose diagonal drives the extra div-problem
+    smoother."""
     return drop_small(C.T @ M_div @ C)
 
 
 def assemble_rhs(space: TensorSpace, f: FieldFunc,
-                 quads: tuple[QuadratureRule, ...] | None = None) -> np.ndarray:
+                 disc: Discretization) -> np.ndarray:
     """Load vector b_r = ∫ f · v_r by tensor Gauss quadrature.
 
     ``f`` is a sequence of callables, one per component, each taking d
@@ -235,8 +254,8 @@ def assemble_rhs(space: TensorSpace, f: FieldFunc,
         f = [f]
     if len(f) != space.n_components:
         raise ValueError("need one right-hand side callable per component")
-    if quads is None:
-        quads = make_quadratures(space)
+    disc.check(space)
+    quads = disc.quads
     out = []
     for comp, fc in zip(space.components, f):
         axes_pts = [q.flat_nodes for q in quads]

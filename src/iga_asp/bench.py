@@ -36,7 +36,6 @@ __all__ = [
     "manufactured_2d",
     "rhs_3d",
     "layer_constant",
-    "oscillatory_constant",
     "quasi_interpolant_coefficients",
     "l2_coefficient_error",
     "run_experiment",
@@ -54,24 +53,6 @@ def layer_constant(tau: float) -> float:
         raise ValueError("tau must be positive")
     s = math.sqrt(tau)
     return -1.0 / (tau * (math.exp(-s / 2.0) + math.exp(s / 2.0)))
-
-
-def oscillatory_constant(tau: float) -> float:
-    """C2 = -tau^{-1} / cos(sqrt(tau)/2): amplitude of the companion
-    cosine profile.
-
-    The cosine profile zeroes the trace but solves the grad-div
-    equation with the *opposite* sign on the zeroth-order term, so the
-    solvers here use the exponential profile for both problems; the
-    constant is kept as a documented reference value.  Singular when
-    cos(sqrt(tau)/2) = 0.
-    """
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    c = math.cos(math.sqrt(tau) / 2.0)
-    if abs(c) < 1e-12:
-        raise ArithmeticError("oscillatory amplitude is singular at this tau")
-    return -1.0 / (tau * c)
 
 
 def _layer_profile(tau: float):
@@ -186,6 +167,11 @@ def l2_coefficient_error(u_computed: np.ndarray, exact: ManufacturedCase,
     return float(np.linalg.norm(np.asarray(u_computed, dtype=float) - ref) / nref)
 
 
+_CHOICES = {"precond": ("none", "asp", "asp-glt"), "smoother": ("jacobi", "gs"),
+            "curl_smoother": ("diag", "sgs"), "variant": ("pure", "perturbed"),
+            "cond_mode": ("auto", "dense", "lanczos")}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
     """One parameter sweep: the cross product of p, n, and tau values."""
@@ -214,8 +200,9 @@ class ExperimentSpec:
             raise ValueError("problem must be 'curl' or 'div'")
         if self.dim not in (2, 3):
             raise ValueError("dim must be 2 or 3")
-        if self.precond not in ("none", "asp", "asp-glt"):
-            raise ValueError("precond must be none, asp, or asp-glt")
+        for name, allowed in _CHOICES.items():
+            if getattr(self, name) not in allowed:
+                raise ValueError(f"{name} must be one of {', '.join(allowed)}")
         if any(t <= 0.0 for t in self.tau_values):
             raise ValueError("tau values must be positive")
         bad = set(self.report) - {"iters", "cond", "errors"}

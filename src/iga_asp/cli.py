@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from decimal import Decimal
 from pathlib import Path
 
 from .assembly import ProblemSpec, export_matrix_market, system_matrix
@@ -36,19 +38,21 @@ def parse_int_values(text: str) -> tuple[int, ...]:
 
 
 def parse_tau_values(text: str) -> tuple[float, ...]:
-    """``"1e-4..1e4"`` -> decade steps 1e-4, 1e-3, ..., 1e4; comma
-    lists are taken verbatim."""
+    """``"1e-4..1e4"`` -> decade steps 1e-4, 1e-3, ..., 1e4, each the
+    double nearest the decimal value (``"3e-4..3e4"`` gives 0.003, not
+    0.0029999999999999996); comma lists are taken verbatim."""
     text = text.strip()
     if ".." in text:
         lo_s, hi_s = text.split("..", 1)
         lo, hi = float(lo_s), float(hi_s)
-        if lo <= 0.0 or hi < lo:
+        if not 0.0 < lo <= hi < math.inf:
             raise ValueError(f"invalid tau range {text!r}")
+        first = Decimal(lo_s.strip())
         out = []
         t = lo
         while t <= hi * (1.0 + 1e-9):
             out.append(t)
-            t *= 10.0
+            t = float(first.scaleb(len(out)))
         return tuple(out)
     values = tuple(float(v) for v in text.split(",") if v.strip())
     if not values:
@@ -84,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--variant", choices=["pure", "perturbed"],
                      help="2-D manufactured-solution variant")
     run.add_argument("--cond-mode", choices=["auto", "dense", "lanczos"])
-    run.add_argument("--format", choices=["csv", "json", "pretty"])
+    run.add_argument("--format", choices=_FORMATS)
     run.add_argument("--out", type=Path, help="output file (default stdout)")
     run.add_argument("--dump-matrices", type=Path, metavar="DIR",
                      help="export each cell's matrices in Matrix Market format")
@@ -92,6 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="exit 0 even when some cells did not converge")
     return parser
 
+
+_FORMATS = ("csv", "json", "pretty")
 
 _DEFAULTS = {
     "problem": "curl", "dim": 2, "p": "1", "n": "8", "tau": "1e-4",
@@ -116,6 +122,8 @@ def _settings(args: argparse.Namespace) -> dict:
         value = getattr(args, key, None)
         if value is not None:
             settings[key] = value
+    if settings["format"] not in _FORMATS:
+        raise ValueError(f"format must be one of {', '.join(_FORMATS)}")
     return settings
 
 

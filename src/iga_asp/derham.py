@@ -42,8 +42,6 @@ __all__ = [
     "scalar_curl_matrix",
     "vector_curl_matrix",
     "differential_matrix",
-    "flat_index",
-    "unflatten_index",
     "space_descriptor",
     "kron_blocks",
 ]
@@ -271,28 +269,6 @@ def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
     if key == ("grad", "div", 2):
         return vector_curl_matrix(src, dst)
     raise ValueError(f"no differential between {src.kind} and {dst.kind}")
-
-
-def flat_index(space: TensorSpace, component: int, multi: tuple[int, ...]) -> int:
-    """Flat DOF index of ``(component, multi-index)``; last coordinate
-    index runs fastest."""
-    shape = space.component_shapes[component]
-    if len(multi) != len(shape):
-        raise ValueError("multi-index arity mismatch")
-    if any(not 0 <= m < s for m, s in zip(multi, shape)):
-        raise IndexError("multi-index out of range")
-    return space.component_offset(component) + int(np.ravel_multi_index(multi, shape))
-
-def unflatten_index(space: TensorSpace, flat: int) -> tuple[int, tuple[int, ...]]:
-    """Inverse of :func:`flat_index`."""
-    if not 0 <= flat < space.total_dim:
-        raise IndexError("flat index out of range")
-    for c, cdim in enumerate(space.component_dims):
-        off = space.component_offset(c)
-        if flat < off + cdim:
-            multi = np.unravel_index(flat - off, space.component_shapes[c])
-            return c, tuple(int(m) for m in multi)
-    raise AssertionError("unreachable")
 
 
 def space_descriptor(space: TensorSpace) -> dict:

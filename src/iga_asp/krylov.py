@@ -149,7 +149,8 @@ class GltPreconditioner:
 
     M_D is per component a Kronecker product of 1-D masses; its inverse
     is the fast-diagonalization solve of :class:`InnerSolver`, built
-    from the 1-D factors and quadrature that assembled ``system.M_D``.
+    from the 1-D factor masses of ``system.disc`` that assembled
+    ``system.M_D``.
 
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
@@ -161,7 +162,7 @@ class GltPreconditioner:
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
-        mass_solve = InnerSolver().make(mass_operator(system.space, system.quads))
+        mass_solve = InnerSolver().make(mass_operator(system.space, system.disc))
         self._mass_inverse = spla.LinearOperator(
             self.shape, matvec=mass_solve, dtype=float)
 

@@ -40,11 +40,10 @@ from .assembly import (
     KronSum,
     curl_stiffness_matrix,
     h1_vector_matrix,
-    make_quadratures,
     mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
     scalar_laplacian_matrix,
 )
-from .derham import build_space
+from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .transfer import TransferSet, build_transfer_set
 
 __all__ = [
@@ -178,24 +177,21 @@ class AspPreconditioner:
         self.system = system
         self.tau = spec.tau
         self.smoother = Smoother(smoother, system.A)
-        self.transfers: TransferSet = build_transfer_set(spec)
-        kw = dict(dim=spec.dim, bc="essential")
-        xh = build_space("vector", spec.p, spec.n_elems, **kw)
-        quads = make_quadratures(xh)
+        self.transfers: TransferSet = build_transfer_set(system)
+        disc = system.disc
         inner = InnerSolver()
-        H = h1_vector_matrix(xh, quads)
+        H = h1_vector_matrix(disc.spaces["vector"], disc)
         self._solve_main = inner.make(H, shift=self.tau)
         P_curl = self.transfers.P_curl
         if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
-            grad = build_space("grad", spec.p, spec.n_elems, **kw)
-            self._solve_potential = inner.make(scalar_laplacian_matrix(grad, quads))
+            self._solve_potential = inner.make(
+                scalar_laplacian_matrix(disc.spaces["grad"], disc))
         else:
             # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
             if curl_smoother not in ("diag", "sgs"):
                 raise ValueError("curl smoother must be 'diag' or 'sgs'")
-            curl = build_space("curl", spec.p, spec.n_elems, **kw)
-            Q_curl = curl_stiffness_matrix(curl, system.space, quads)
+            Q_curl = curl_stiffness_matrix(self.transfers.potential, system.M_D)
             if np.any(Q_curl.diagonal() <= 0.0):
                 raise ArithmeticError("Q_curl has a non-positive diagonal entry "
                                       "(curl-free curl basis function)")

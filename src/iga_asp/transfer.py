@@ -23,8 +23,9 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import derham
-from .assembly import ProblemSpec
-from .derham import TensorSpace, build_space, kron_blocks
+from .assembly import AssembledSystem
+from .derham import TensorSpace, kron_blocks
+from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .splines1d import (
     Space1D,
     difference_matrix_1d,
@@ -53,20 +54,20 @@ class TransferSet:
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
 
 
-def _factor_transfer(src: Space1D, dst: Space1D) -> sp.csr_matrix:
-    """1-D transfer from a B factor of the auxiliary space onto one
-    factor of the target space: identity for B targets (Greville
-    interpolation reproduces its own space), bc-restricted
-    histopolation for D targets."""
-    if src.kind != "B":
-        raise ValueError("auxiliary factors are B-spline spaces")
+def _factor_transfer(src: Space1D, dst: Space1D,
+                     histopolations: dict[Space1D, sp.csr_matrix]) -> sp.csr_matrix:
+    """1-D transfer from a B factor of the auxiliary space onto the
+    matching factor (same knots and bc) of the target space: identity
+    for B targets (Greville interpolation reproduces its own space),
+    bc-restricted histopolation for D targets, computed once per
+    ``src`` into ``histopolations``."""
     if dst.kind == "B":
-        if src.dim != dst.dim:
-            raise ValueError("factor dimension mismatch")
         return sp.identity(src.dim, format="csr")
-    free = Space1D(src.knot, kind="B", bc="free")
-    Q = histopolation_matrix_1d(free, make_quadrature(src.knot))
-    return restrict_bc(Q, None, src if src.bc == "zero" else None)
+    if src not in histopolations:
+        free = Space1D(src.knot, kind="B", bc="free")
+        Q = histopolation_matrix_1d(free, make_quadrature(src.knot))
+        histopolations[src] = restrict_bc(Q, None, src if src.bc == "zero" else None)
+    return histopolations[src]
 
 
 def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_matrix:
@@ -77,9 +78,11 @@ def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_m
     if xh_space.n_components != target.n_components:
         raise ValueError("component count mismatch")
     rows = [[None] * target.n_components for _ in target.components]
+    histopolations: dict[Space1D, sp.csr_matrix] = {}
     for c, (src_comp, dst_comp) in enumerate(zip(xh_space.components,
                                                  target.components)):
-        facs = [_factor_transfer(s, d) for s, d in zip(src_comp, dst_comp)]
+        facs = [_factor_transfer(s, d, histopolations)
+                for s, d in zip(src_comp, dst_comp)]
         rows[c][c] = [(1.0, facs)]
     return kron_blocks(rows)
 
@@ -141,22 +144,19 @@ def function_projection_1d(factor: Space1D,
     return nodes, T
 
 
-def build_transfer_set(spec: ProblemSpec) -> TransferSet:
-    """Assemble the complete transfer-matrix set for one problem."""
+def build_transfer_set(system: AssembledSystem) -> TransferSet:
+    """Assemble the complete transfer-matrix set on ``system.disc``."""
+    spec = system.spec
     if spec.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
-    kw = dict(dim=spec.dim, bc=spec.bc)
-    xh = build_space("vector", spec.p, spec.n_elems, **kw)
-    grad = build_space("grad", spec.p, spec.n_elems, **kw)
+    spaces = system.disc.spaces
+    xh, grad, curl, div = (spaces[k] for k in ("vector", "grad", "curl", "div"))
     if spec.operator == "curl":
-        curl = build_space("curl", spec.p, spec.n_elems, **kw)
         return TransferSet(P_main=build_p_curl(xh, curl),
                            potential=derham.gradient_matrix(grad, curl))
-    div = build_space("div", spec.p, spec.n_elems, **kw)
     P_div = build_p_div(xh, div)
     if spec.dim == 2:
         return TransferSet(P_main=P_div,
                            potential=derham.vector_curl_matrix(grad, div))
-    curl = build_space("curl", spec.p, spec.n_elems, **kw)
     return TransferSet(P_main=P_div, potential=derham.curl_matrix(curl, div),
                        P_curl=build_p_curl(xh, curl))

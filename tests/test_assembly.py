@@ -5,21 +5,24 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iga_asp.assembly import (
     AssembledSystem,
     ProblemSpec,
     assemble_rhs,
     curl_stiffness_matrix,
+    discretize,
     export_matrix_market,
     h1_vector_matrix,
-    make_quadratures,
     mass_matrix,
     scalar_laplacian_matrix,
     system_manifest,
     system_matrix,
 )
-from iga_asp.derham import build_space, differential_matrix
+from iga_asp.derham import build_space, differential_matrix, kron_blocks
+from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
 
 
 def cond2(A: sp.csr_matrix) -> float:
@@ -32,11 +35,12 @@ class TestMassMatrix:
         # all-B spaces: the basis sums to 1, so sum(M) = |domain| = 1
         for dim in (2, 3):
             space = build_space("grad", 2, 3, dim=dim)
-            assert abs(mass_matrix(space).sum() - 1.0) <= 1e-12
+            disc = discretize(2, 3, dim=dim, bc="natural")
+            assert abs(mass_matrix(space, disc).sum() - 1.0) <= 1e-12
 
     def test_spd(self):
         space = build_space("curl", 2, 3, dim=2, bc="essential")
-        M = mass_matrix(space).toarray()
+        M = mass_matrix(space, discretize(2, 3, dim=2, bc="essential")).toarray()
         np.testing.assert_allclose(M, M.T, atol=1e-15)
         assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -45,8 +49,9 @@ class TestMassMatrix:
         # product of 2-D basis functions
         from iga_asp.splines1d import basis_values
         space = build_space("grad", 2, 2, dim=2)
-        quads = make_quadratures(space)
-        M = mass_matrix(space, quads).toarray()
+        disc = discretize(2, 2, dim=2, bc="natural")
+        quads = disc.quads
+        M = mass_matrix(space, disc).toarray()
         comp = space.components[0]
         Vx = basis_values(comp[0], quads[0].flat_nodes)
         Vy = basis_values(comp[1], quads[1].flat_nodes)
@@ -121,7 +126,8 @@ class TestScalarLaplacian:
     def test_single_hat_2d(self):
         # exact integral of |grad(hat x hat)|^2 on a 2x2 mesh: 8/3
         grad = build_space("grad", 1, 2, dim=2, bc="essential")
-        L = scalar_laplacian_matrix(grad).toarray()
+        L = scalar_laplacian_matrix(
+            grad, discretize(1, 2, dim=2, bc="essential")).toarray()
         np.testing.assert_allclose(L, [[8.0 / 3.0]], atol=1e-14)
 
     def test_matches_gradient_route(self):
@@ -129,29 +135,31 @@ class TestScalarLaplacian:
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
         curl = build_space("curl", 2, 4, dim=2, bc="essential")
         G = differential_matrix(grad, curl)
-        L = scalar_laplacian_matrix(grad)
-        M_curl = mass_matrix(curl, make_quadratures(grad))
+        disc = discretize(2, 4, dim=2, bc="essential")
+        L = scalar_laplacian_matrix(grad, disc)
+        M_curl = mass_matrix(curl, disc)
         np.testing.assert_allclose(L.toarray(), (G.T @ M_curl @ G).toarray(),
                                    atol=1e-12)
 
     def test_natural_bc_rejected(self):
         grad = build_space("grad", 2, 4, dim=2)
         with pytest.raises(ValueError):
-            scalar_laplacian_matrix(grad)
+            scalar_laplacian_matrix(grad, discretize(2, 4, dim=2, bc="natural"))
 
 
 class TestH1VectorMatrix:
     def test_requires_vector_space(self):
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
         with pytest.raises(ValueError):
-            h1_vector_matrix(grad)
+            h1_vector_matrix(grad, discretize(2, 4, dim=2, bc="essential"))
 
     def test_block_diagonal_of_scalar_h1(self):
         vec = build_space("vector", 2, 3, dim=2, bc="essential")
         grad = build_space("grad", 2, 3, dim=2, bc="essential")
-        H = h1_vector_matrix(vec).toarray()
-        L = scalar_laplacian_matrix(grad).toarray()
-        M = mass_matrix(grad).toarray()
+        disc = discretize(2, 3, dim=2, bc="essential")
+        H = h1_vector_matrix(vec, disc).toarray()
+        L = scalar_laplacian_matrix(grad, disc).toarray()
+        M = mass_matrix(grad, disc).toarray()
         block = L + M
         n = block.shape[0]
         np.testing.assert_allclose(H[:n, :n], block, atol=1e-12)
@@ -163,17 +171,74 @@ class TestCurlStiffness:
     def test_matches_curl_route(self):
         curl = build_space("curl", 2, 2, dim=3, bc="essential")
         div = build_space("div", 2, 2, dim=3, bc="essential")
-        Q = curl_stiffness_matrix(curl, div)
         C = differential_matrix(curl, div)
-        M_div = mass_matrix(div, make_quadratures(curl))
+        M_div = mass_matrix(div, discretize(2, 2, dim=3, bc="essential"))
+        Q = curl_stiffness_matrix(C, M_div)
         np.testing.assert_allclose(Q.toarray(), (C.T @ M_div @ C).toarray(),
                                    atol=1e-13)
 
-    def test_2d_rejected(self):
-        curl = build_space("curl", 2, 4, dim=2)
-        div = build_space("div", 2, 4, dim=2)
+
+def factor_route(space, stiffness_only=False, with_stiffness=False):
+    """Block-diagonal Kronecker matrix of a space from 1-D factors
+    computed per factor, each with its own knot vector's p + 2 rule:
+    the mass, or with ``with_stiffness`` the mass plus the stiffness
+    terms, or with ``stiffness_only`` the stiffness terms alone."""
+    rows = [[None] * space.n_components for _ in space.components]
+    for c, comp in enumerate(space.components):
+        quads = [make_quadrature(f.knot) for f in comp]
+        Ms = [mass_matrix_1d(f, f, q) for f, q in zip(comp, quads)]
+        terms = [] if stiffness_only else [(1.0, Ms)]
+        if with_stiffness or stiffness_only:
+            terms += [(1.0, Ms[:k] + [stiffness_matrix_1d(f, q)] + Ms[k + 1:])
+                      for k, (f, q) in enumerate(zip(comp, quads))]
+        rows[c][c] = terms
+    return kron_blocks(rows)
+
+
+def assert_bit_equal(a, b):
+    a, b = sp.csr_matrix(a), sp.csr_matrix(b)
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(a.indptr, b.indptr)
+    np.testing.assert_array_equal(a.indices, b.indices)
+    np.testing.assert_array_equal(a.data, b.data)
+
+
+class TestDiscretization:
+    @given(st.sampled_from([2, 3]), st.sampled_from(["natural", "essential"]),
+           st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_per_factor_route(self, dim, bc, p, n):
+        # every space kind, per-direction degrees and element counts
+        # (anisotropic meshes), both bcs: the shared factors give the
+        # same bits as factors built per call
+        p, n = tuple(p[:dim]), tuple(n[:dim])
+        disc = discretize(p, n, dim=dim, bc=bc)
+        assert len(disc.masses) <= 2 * dim
+        assert len(disc.stiffnesses) <= dim
+        for kind in ("grad", "curl", "div", "l2", "vector"):
+            space = build_space(kind, p, n, dim=dim, bc=bc)
+            assert disc.spaces[kind] == space
+            assert_bit_equal(mass_matrix(space, disc), factor_route(space))
+        assert_bit_equal(h1_vector_matrix(disc.spaces["vector"], disc).tocsr(),
+                         factor_route(disc.spaces["vector"], with_stiffness=True))
+        if bc == "essential":
+            grad = disc.spaces["grad"]
+            assert_bit_equal(scalar_laplacian_matrix(grad, disc).tocsr(),
+                             factor_route(grad, stiffness_only=True))
+        # a space of another mesh, or of the other bc, is rejected
+        other_n = (n[0] + 1,) + n[1:]
+        other_bc = "essential" if bc == "natural" else "natural"
+        for other in (build_space("curl", p, other_n, dim=dim, bc=bc),
+                      build_space("curl", p, n, dim=dim, bc=other_bc),
+                      build_space("vector", p, other_n, dim=dim, bc=bc)):
+            with pytest.raises(ValueError):
+                mass_matrix(other, disc)
         with pytest.raises(ValueError):
-            curl_stiffness_matrix(curl, div)
+            h1_vector_matrix(build_space("vector", p, other_n, dim=dim, bc=bc), disc)
+        with pytest.raises(ValueError):
+            assemble_rhs(build_space("grad", p, other_n, dim=dim, bc=bc),
+                         [lambda *x: x[0]], disc)
 
 
 class TestAssembleRhs:
@@ -183,7 +248,8 @@ class TestAssembleRhs:
         # each D function has unit integral, so a (D,B) component sums
         # to the D dimension
         space = build_space("curl", 2, 3, dim=2)
-        b = assemble_rhs(space, [lambda x, y: np.ones_like(x)] * 2)
+        b = assemble_rhs(space, [lambda x, y: np.ones_like(x)] * 2,
+                         discretize(2, 3, dim=2, bc="natural"))
         n0 = space.component_dims[0]
         n_d = space.components[0][0].dim
         assert abs(b[:n0].sum() - n_d) <= 1e-12
@@ -192,20 +258,22 @@ class TestAssembleRhs:
     def test_matches_mass_times_interpolant(self):
         # oracle: for a field inside the space, b = M u exactly
         space = build_space("grad", 2, 3, dim=2)
-        M = mass_matrix(space)
+        disc = discretize(2, 3, dim=2, bc="natural")
+        M = mass_matrix(space, disc)
         # f(x, y) = x * y is in the space; its coefficients are the
         # Greville tensor products (linear reproduction per axis)
         from iga_asp.splines1d import greville_points
         gx = greville_points(space.knots[0])
         gy = greville_points(space.knots[1])
         u = np.outer(gx, gy).ravel()
-        b = assemble_rhs(space, [lambda x, y: x * y])
+        b = assemble_rhs(space, [lambda x, y: x * y], disc)
         np.testing.assert_allclose(b, M @ u, atol=1e-13)
 
     def test_component_count_mismatch(self):
         space = build_space("curl", 2, 3, dim=2)
         with pytest.raises(ValueError):
-            assemble_rhs(space, [lambda x, y: x])
+            assemble_rhs(space, [lambda x, y: x],
+                         discretize(2, 3, dim=2, bc="natural"))
 
 
 class TestManifestAndExport:

@@ -2,10 +2,12 @@
 
 import json
 import math
+import sys
 
 import numpy as np
 import pytest
 
+from iga_asp import derham, splines1d
 from iga_asp.assembly import ProblemSpec, system_matrix
 from iga_asp.bench import (
     COLUMNS,
@@ -14,7 +16,6 @@ from iga_asp.bench import (
     l2_coefficient_error,
     layer_constant,
     manufactured_2d,
-    oscillatory_constant,
     quasi_interpolant_coefficients,
     rhs_3d,
     run_experiment,
@@ -30,21 +31,9 @@ class TestAmplitudeConstants:
         expected = -1.0 / (math.exp(-0.5) + math.exp(0.5))
         assert layer_constant(1.0) == pytest.approx(expected, rel=1e-14)
 
-    def test_oscillatory_constant_at_tau_one(self):
-        # C2(1) = -1 / cos(1/2)
-        assert oscillatory_constant(1.0) == pytest.approx(
-            -1.0 / math.cos(0.5), rel=1e-14)
-
-    def test_singular_tau_flagged(self):
-        # cos(sqrt(tau)/2) = 0 at tau = pi^2
-        with pytest.raises(ArithmeticError):
-            oscillatory_constant(math.pi**2)
-
     def test_positive_tau_required(self):
         with pytest.raises(ValueError):
             layer_constant(0.0)
-        with pytest.raises(ValueError):
-            oscillatory_constant(-1.0)
 
 
 def fd_residual(case, tau, h=1e-3):
@@ -280,6 +269,55 @@ class TestRunExperiment:
         (row,) = run_experiment(spec)
         assert row["converged"]
         assert row["kappa2"] is None
+
+
+def count_calls(monkeypatch, fn) -> list[int]:
+    """Replace every binding of ``fn`` in the iga_asp modules by a
+    wrapper that counts calls; returns the one-element counter."""
+    counter = [0]
+
+    def counted(*args, **kwargs):
+        counter[0] += 1
+        return fn(*args, **kwargs)
+    for mod_name, mod in list(sys.modules.items()):
+        if mod_name.startswith("iga_asp"):
+            for attr, value in list(vars(mod).items()):
+                if value is fn:
+                    monkeypatch.setattr(mod, attr, counted)
+    return counter
+
+
+# one small cell per path through the setup: 2-D curl with kappa and
+# errors, 2-D div, 3-D curl, 3-D div with the composite cycle and SGS
+SHARED_SETUP_CELLS = [
+    ExperimentSpec("curl", 2, (2,), (4,), (1e-2,), precond="asp",
+                   report=("iters", "cond", "errors")),
+    ExperimentSpec("div", 2, (2,), (4,), (1e-2,), precond="asp"),
+    ExperimentSpec("curl", 3, (2,), (2,), (1e-2,), precond="asp"),
+    ExperimentSpec("div", 3, (2,), (2,), (1e-2,), precond="asp-glt",
+                   curl_smoother="sgs"),
+]
+
+
+class TestSharedDiscretization:
+    @pytest.mark.parametrize("spec", SHARED_SETUP_CELLS,
+                             ids=lambda s: f"{s.problem}{s.dim}d-{s.precond}")
+    def test_each_cell_builds_spaces_and_factors_once(self, monkeypatch, spec):
+        counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
+            splines1d.mass_matrix_1d, splines1d.stiffness_matrix_1d,
+            splines1d.histopolation_matrix_1d, derham.curl_matrix,
+            derham.build_space)}
+        (row,) = run_experiment(spec)
+        assert row["converged"]
+        n_transfers = 2 if (spec.problem, spec.dim) == ("div", 3) else 1
+        got = {name: c[0] for name, c in counts.items()}
+        # a uniform mesh has one B and one D factor space, so 2 masses
+        # and 1 stiffness; 5 spaces; one histopolation per transfer
+        assert got["mass_matrix_1d"] <= 2, got
+        assert got["stiffness_matrix_1d"] <= 1, got
+        assert got["histopolation_matrix_1d"] <= n_transfers, got
+        assert got["curl_matrix"] <= 1, got
+        assert got["build_space"] <= 5, got
 
 
 class TestEmit:

@@ -37,6 +37,12 @@ class TestValueParsing:
         ratios = [b / a for a, b in zip(values, values[1:])]
         assert all(r == pytest.approx(10.0) for r in ratios)
 
+    def test_tau_decades_are_nearest_doubles(self):
+        # each step is the double nearest 3e-4, 3e-3, ..., not a
+        # repeated product that drifts to 0.0029999999999999996
+        assert parse_tau_values("3e-4..3e4") == tuple(
+            float(f"3e{k}") for k in range(-4, 5))
+
     def test_tau_list(self):
         assert parse_tau_values("1e-4,1e2") == (1e-4, 1e2)
 
@@ -103,6 +109,22 @@ class TestMain:
         spec.write_text("{not json")
         with pytest.raises(SystemExit):
             main(["run", "--spec", str(spec)])
+
+    @pytest.mark.parametrize("key, value", [
+        ("format", "xml"), ("smoother", "sor"), ("curl_smoother", "ilu"),
+        ("variant", "smooth"), ("cond_mode", "exact")])
+    def test_spec_file_bad_choice_exits_before_any_cell(
+            self, tmp_path, monkeypatch, key, value):
+        # values from --spec bypass argparse choices; they must still
+        # stop at parser.error (exit 2) before the sweep starts
+        def no_sweep(spec):
+            raise AssertionError("run_experiment called")
+        monkeypatch.setattr("iga_asp.cli.run_experiment", no_sweep)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--spec", str(spec)])
+        assert exc.value.code == 2
 
     def test_nonconvergence_exit_code(self, capsys):
         argv = ["run", "--p", "2", "--n", "8", "--tau", "1e-4",

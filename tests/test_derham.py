@@ -12,12 +12,10 @@ from iga_asp.derham import (
     curl_matrix,
     differential_matrix,
     divergence_matrix,
-    flat_index,
     gradient_matrix,
     kron_blocks,
     scalar_curl_matrix,
     space_descriptor,
-    unflatten_index,
     vector_curl_matrix,
 )
 
@@ -250,42 +248,6 @@ class TestDifferentialSemantics:
         expect = [du(2, 1) - du(1, 2), du(0, 2) - du(2, 0), du(1, 0) - du(0, 1)]
         for i in range(3):
             assert abs(comp(div, cu, i, x) - expect[i]) <= 1e-5
-
-
-class TestIndexing:
-    def test_round_trip_small(self):
-        space = build_space("curl", 2, 3, dim=2)
-        for flat in range(space.total_dim):
-            c, multi = unflatten_index(space, flat)
-            assert flat_index(space, c, multi) == flat
-
-    def test_last_index_fastest(self):
-        space = build_space("grad", 1, 3, dim=2)      # shape (4, 4)
-        assert flat_index(space, 0, (0, 1)) == 1
-        assert flat_index(space, 0, (1, 0)) == 4
-
-    def test_component_offset(self):
-        space = build_space("curl", 2, 4, dim=2)
-        assert flat_index(space, 1, (0, 0)) == space.component_dims[0]
-
-    def test_out_of_range(self):
-        space = build_space("grad", 2, 3, dim=2)
-        with pytest.raises(IndexError):
-            flat_index(space, 0, (99, 0))
-        with pytest.raises(IndexError):
-            unflatten_index(space, space.total_dim)
-
-    @given(st.sampled_from(["grad", "curl", "div", "l2"]),
-           st.integers(min_value=1, max_value=3),
-           st.integers(min_value=2, max_value=4),
-           st.sampled_from([2, 3]),
-           st.integers(min_value=0, max_value=10**9))
-    @settings(max_examples=40, deadline=None)
-    def test_round_trip_property(self, kind, p, n, dim, pick):
-        space = build_space(kind, p, n, dim=dim)
-        flat = pick % space.total_dim
-        c, multi = unflatten_index(space, flat)
-        assert flat_index(space, c, multi) == flat
 
 
 class TestDescriptor:

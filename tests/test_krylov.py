@@ -106,7 +106,7 @@ class TestGltPreconditioner:
         mass_system = type(system)(system.spec, system.space,
                                    system.range_space, system.M_D,
                                    system.M_D, system.M_range,
-                                   system.D_mat, system.quads)
+                                   system.D_mat, system.disc)
         asp = AspPreconditioner(mass_system)
         glt = GltPreconditioner(mass_system, asp, GltConfig(1, 2, 1))
         b = np.linspace(-1.0, 1.0, system.M_D.shape[0])

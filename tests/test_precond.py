@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from iga_asp.assembly import (
     ProblemSpec,
     curl_stiffness_matrix,
+    discretize,
     h1_vector_matrix,
-    make_quadratures,
     mass_matrix,
     mass_operator,
     scalar_laplacian_matrix,
@@ -74,15 +74,16 @@ def kronecker_cases(dim, p, n, tau):
     must invert), for every operator the preconditioners invert."""
     kw = dict(dim=dim, bc="essential")
     xh = build_space("vector", p, n, **kw)
-    quads = make_quadratures(xh)
-    H = h1_vector_matrix(xh, quads)
-    L = scalar_laplacian_matrix(build_space("grad", p, n, **kw), quads)
-    cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(xh, quads)),
+    disc = discretize(p, n, **kw)
+    H = h1_vector_matrix(xh, disc)
+    L = scalar_laplacian_matrix(build_space("grad", p, n, **kw), disc)
+    cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(xh, disc)),
              "H": (H, 0.0, H.tocsr()),
              "L": (L, 0.0, L.tocsr())}
     for kind in ("curl", "div"):
         space = build_space(kind, p, n, **kw)
-        cases[f"M_D {kind}"] = (mass_operator(space), 0.0, mass_matrix(space))
+        cases[f"M_D {kind}"] = (mass_operator(space, disc), 0.0,
+                                mass_matrix(space, disc))
     return cases
 
 
@@ -123,7 +124,8 @@ class TestInnerSolver:
     def test_indefinite_shift_rejected(self):
         xh = build_space("vector", 2, 4, dim=2, bc="essential")
         with pytest.raises(ArithmeticError):
-            InnerSolver().make(h1_vector_matrix(xh), shift=-100.0)
+            InnerSolver().make(h1_vector_matrix(
+                xh, discretize(2, 4, dim=2, bc="essential")), shift=-100.0)
 
 
 def build(op, dim, p, n, tau, smoother="jacobi", **kw):
@@ -144,15 +146,14 @@ def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
     + tau^{-1} T B_T T^T from dense matrices and dense inverses."""
     kw = dict(dim=spec.dim, bc="essential")
     xh = build_space("vector", spec.p, spec.n_elems, **kw)
-    quads = make_quadratures(xh)
-    ts = build_transfer_set(spec)
+    system = system_matrix(spec)
+    disc = system.disc
+    ts = build_transfer_set(system)
     P, T = ts.P_main.toarray(), ts.potential.toarray()
-    H = h1_vector_matrix(xh, quads).toarray()
-    main = P @ np.linalg.inv(H + spec.tau * mass_matrix(xh, quads).toarray()) @ P.T
+    H = h1_vector_matrix(xh, disc).toarray()
+    main = P @ np.linalg.inv(H + spec.tau * mass_matrix(xh, disc).toarray()) @ P.T
     if (spec.operator, spec.dim) == ("div", 3):
-        Q = curl_stiffness_matrix(build_space("curl", spec.p, spec.n_elems, **kw),
-                                  build_space("div", spec.p, spec.n_elems, **kw),
-                                  quads).toarray()
+        Q = curl_stiffness_matrix(ts.potential, system.M_D).toarray()
         if curl_smoother == "diag":
             W = np.diag(np.diag(Q))
         else:    # symmetric Gauss-Seidel: W = U D^{-1} L
@@ -161,7 +162,7 @@ def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
         B_T = np.linalg.inv(W) + P_curl @ np.linalg.inv(H) @ P_curl.T
     else:
         L = scalar_laplacian_matrix(build_space("grad", spec.p, spec.n_elems, **kw),
-                                    quads).toarray()
+                                    disc).toarray()
         B_T = np.linalg.inv(L)
     return main + T @ B_T @ T.T / spec.tau
 
