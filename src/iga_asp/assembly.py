@@ -20,7 +20,11 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                space (KronSum L, essential bc only),
 * ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C from the curl matrix
                                and div mass already built (3-D div),
-* ``assemble_rhs``          -- load vector from an analytic field.
+* ``assemble_rhs``          -- load vector from an analytic field,
+* ``field_coefficients``    -- the Kronecker apply of per-direction
+                               (nodes, matrix) pairs to a sampled field
+                               that the load vector and the commuting
+                               quasi-interpolant share.
 """
 
 from __future__ import annotations
@@ -33,7 +37,13 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import derham
-from .derham import TensorSpace, build_space, differential_matrix, kron_blocks
+from .derham import (
+    TensorSpace,
+    build_space,
+    differential_matrix,
+    kron_apply,
+    kron_blocks,
+)
 from .splines1d import (
     QuadratureRule,
     Space1D,
@@ -57,6 +67,7 @@ __all__ = [
     "scalar_laplacian_matrix",
     "curl_stiffness_matrix",
     "assemble_rhs",
+    "field_coefficients",
     "system_manifest",
     "export_matrix_market",
 ]
@@ -243,38 +254,40 @@ def curl_stiffness_matrix(C: sp.csr_matrix, M_div: sp.csr_matrix) -> sp.csr_matr
     return drop_small(C.T @ M_div @ C)
 
 
+def field_coefficients(space: TensorSpace, funcs: FieldFunc,
+                       factor_pairs) -> np.ndarray:
+    """Per component, ``(x)_k T_k`` applied to the samples of the
+    component's callable on the tensor grid of the nodes ``x_k``, with
+    ``factor_pairs(component)`` the per-direction ``(x_k, T_k)``.
+
+    ``funcs`` is a sequence of callables, one per component, each taking
+    d coordinate arrays (broadcastable) and returning values.
+    """
+    if callable(funcs):
+        funcs = [funcs]
+    if len(funcs) != space.n_components:
+        raise ValueError("need one callable per component")
+    out = []
+    for comp, fc in zip(space.components, funcs):
+        pairs = factor_pairs(comp)
+        grids = np.meshgrid(*(x for x, _ in pairs), indexing="ij")
+        F = np.broadcast_to(np.asarray(fc(*grids), dtype=float), grids[0].shape)
+        out.append(kron_apply([T for _, T in pairs], F[None]).ravel())
+    return np.concatenate(out)
+
+
 def assemble_rhs(space: TensorSpace, f: FieldFunc,
                  disc: Discretization) -> np.ndarray:
-    """Load vector b_r = ∫ f · v_r by tensor Gauss quadrature.
-
-    ``f`` is a sequence of callables, one per component, each taking d
-    coordinate arrays (broadcastable) and returning values.
-    """
-    if callable(f):
-        f = [f]
-    if len(f) != space.n_components:
-        raise ValueError("need one right-hand side callable per component")
+    """Load vector b_r = ∫ f · v_r by tensor Gauss quadrature: per
+    direction the factor's basis values weighted by the rule's weights
+    (see :func:`field_coefficients` for ``f``)."""
     disc.check(space)
-    quads = disc.quads
-    out = []
-    for comp, fc in zip(space.components, f):
-        axes_pts = [q.flat_nodes for q in quads]
-        axes_wts = [q.flat_weights for q in quads]
-        grids = np.meshgrid(*axes_pts, indexing="ij")
-        F = np.asarray(fc(*grids), dtype=float)
-        # apply quadrature weights one axis at a time
-        for ax, w in enumerate(axes_wts):
-            shape = [1] * F.ndim
-            shape[ax] = -1
-            F = F * w.reshape(shape)
-        # contract each axis with the basis values of that factor
-        for ax, (fac, q) in enumerate(zip(comp, quads)):
-            V = basis_values(fac, q.flat_nodes)      # (npts, dim)
-            F = np.tensordot(V.T, F, axes=([1], [0]))
-            # tensordot moved the contracted axis to the front; rotate it back
-            F = np.moveaxis(F, 0, len(comp) - 1)
-        out.append(F.ravel(order="C"))
-    return np.concatenate(out)
+
+    def weighted_basis(comp):
+        return [(q.flat_nodes, (basis_values(fac, q.flat_nodes)
+                                * q.flat_weights[:, None]).T)
+                for fac, q in zip(comp, disc.quads)]
+    return field_coefficients(space, f, weighted_basis)
 
 
 def export_matrix_market(system: AssembledSystem, directory) -> list[str]:

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec, system_matrix
+from .assembly import ProblemSpec, field_coefficients, system_matrix
 from .derham import TensorSpace
 from .krylov import (
     GltConfig,
@@ -136,22 +136,8 @@ def quasi_interpolant_coefficients(space: TensorSpace, funcs: FieldFuncs) -> np.
     """Coefficients of the commuting quasi-interpolant of an analytic
     vector field: tensor products of the 1-D Greville interpolation and
     histopolation operators applied componentwise."""
-    if callable(funcs):
-        funcs = [funcs]
-    if len(funcs) != space.n_components:
-        raise ValueError("need one callable per component")
-    out = []
-    for comp, fc in zip(space.components, funcs):
-        ops = [function_projection_1d(f) for f in comp]
-        grids = np.meshgrid(*[nodes for nodes, _ in ops], indexing="ij")
-        F = np.asarray(fc(*grids), dtype=float)
-        if F.shape != grids[0].shape:
-            F = np.broadcast_to(F, grids[0].shape).copy()
-        for _, T in ops:
-            F = np.tensordot(T, F, axes=([1], [0]))
-            F = np.moveaxis(F, 0, len(comp) - 1)
-        out.append(F.ravel(order="C"))
-    return np.concatenate(out)
+    return field_coefficients(
+        space, funcs, lambda comp: [function_projection_1d(f) for f in comp])
 
 
 def l2_coefficient_error(u_computed: np.ndarray, exact: ManufacturedCase,
@@ -276,8 +262,6 @@ def run_experiment(spec: ExperimentSpec) -> list[dict]:
 def _fmt(value, column: str) -> str:
     if value is None:
         return ""
-    if column == "iters":
-        return str(value) if value is not None else ""
     if column == "converged":
         return "true" if value else "false"
     if column in ("kappa2", "res_err", "l2_err", "tau"):

@@ -127,25 +127,47 @@ def _settings(args: argparse.Namespace) -> dict:
     return settings
 
 
+def _number(key: str, value, kind):
+    """A JSON number or numeric string as ``kind`` (int or float); a bool,
+    list, object, null or non-integral float for an int raises
+    ValueError."""
+    if isinstance(value, bool) or not isinstance(value, (int, float, str)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    out = kind(value)
+    if isinstance(value, float) and out != value:
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return out
+
+
+def _values(key: str, value, parse, kind) -> tuple:
+    """A range string, one bare number, or a list of numbers."""
+    if isinstance(value, str):
+        return parse(value)
+    if not isinstance(value, list):
+        value = [value]
+    return tuple(_number(key, v, kind) for v in value)
+
+
 def _experiment_spec(settings: dict) -> ExperimentSpec:
     nu2 = settings["nu2"]
-    if isinstance(nu2, str) and nu2 not in ("psq", "pcube"):
-        nu2 = int(nu2)
+    if nu2 not in ("psq", "pcube"):
+        nu2 = _number("nu2", nu2, int)
     report = settings["report"]
     if isinstance(report, str):
-        report = tuple(v.strip() for v in report.split(",") if v.strip())
-    tau = settings["tau"]
-    tau_values = (parse_tau_values(tau) if isinstance(tau, str)
-                  else tuple(float(t) for t in tau))
-    def ints(v):
-        return parse_int_values(v) if isinstance(v, str) else tuple(int(x) for x in v)
+        report = [v.strip() for v in report.split(",") if v.strip()]
+    if not (isinstance(report, list) and all(isinstance(v, str) for v in report)):
+        raise ValueError(f"report must be a comma list of names, not {report!r}")
     return ExperimentSpec(
-        problem=settings["problem"], dim=int(settings["dim"]),
-        p_values=ints(settings["p"]), n_values=ints(settings["n"]),
-        tau_values=tau_values, precond=settings["precond"],
+        problem=settings["problem"], dim=_number("dim", settings["dim"], int),
+        p_values=_values("p", settings["p"], parse_int_values, int),
+        n_values=_values("n", settings["n"], parse_int_values, int),
+        tau_values=_values("tau", settings["tau"], parse_tau_values, float),
+        precond=settings["precond"],
         smoother=settings["smoother"], curl_smoother=settings["curl_smoother"],
-        nu1=int(settings["nu1"]), nu2_rule=nu2, nu_asp=int(settings["nu_asp"]),
-        tol=float(settings["tol"]), max_iter=int(settings["max_iter"]),
+        nu1=_number("nu1", settings["nu1"], int), nu2_rule=nu2,
+        nu_asp=_number("nu_asp", settings["nu_asp"], int),
+        tol=_number("tol", settings["tol"], float),
+        max_iter=_number("max_iter", settings["max_iter"], int),
         report=tuple(report), variant=settings["variant"],
         cond_mode=settings["cond_mode"])
 

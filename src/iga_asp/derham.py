@@ -20,7 +20,10 @@ integer Kronecker products of bidiagonal difference factors; their
 compositions vanish with exactly zero stored entries.
 
 DOF numbering is component-major, then lexicographic with the *last*
-coordinate index fastest.
+coordinate index fastest, so a component's coefficients reshape to an
+array of shape ``(n_1, ..., n_d)`` and a Kronecker product
+``F_1 (x) ... (x) F_d`` acts on it one axis at a time: ``kron_blocks``
+assembles such products, ``kron_apply`` applies them without assembly.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ __all__ = [
     "differential_matrix",
     "space_descriptor",
     "kron_blocks",
+    "kron_apply",
 ]
 
 _FACTOR_TABLE = {
@@ -179,19 +183,36 @@ def kron_blocks(rows) -> sp.csr_matrix:
     return out
 
 
+def kron_apply(factors, X: np.ndarray) -> np.ndarray:
+    """``F_1 (x) ... (x) F_d`` applied to each of the ``count`` rows of
+    ``X``, a ``(count, n_1 * ... * n_d)`` or ``(count, n_1, ..., n_d)``
+    array with ``F_k`` of shape ``(m_k, n_k)``; returns shape ``(count,
+    m_1, ..., m_d)``.  ``F_1 .. F_{d-1}`` multiply their axes from the
+    left and ``F_d`` the last axis from the right (as ``F_d.T``); every
+    step is one (batched) matmul on a reshaped view."""
+    count = X.shape[0]
+    *left, last = factors
+    lead = count
+    for F in left:
+        X = F @ X.reshape(lead, F.shape[1], -1)
+        lead *= F.shape[0]
+    out = X.reshape(-1, last.shape[1]) @ last.T
+    return out.reshape(count, *(F.shape[0] for F in factors))
+
+
 def _assemble_blocks(src: TensorSpace, dst: TensorSpace, pattern) -> sp.csr_matrix:
     """Assemble a block matrix from ``pattern[dst_comp][src_comp]``
-    entries of the form ``(sign, derivative_direction)`` or ``None``."""
+    entries, a sign or ``None``; the factor kinds fix which direction
+    is differentiated."""
     _check_compatible(src, dst)
     rows = []
     for ci, dst_comp in enumerate(dst.components):
         row = []
         for cj, src_comp in enumerate(src.components):
-            entry = pattern[ci][cj]
-            if entry is None:
+            sign = pattern[ci][cj]
+            if sign is None:
                 row.append(None)
                 continue
-            sign, _ = entry
             factors = [_factor_block(sf, df) for sf, df in zip(src_comp, dst_comp)]
             row.append([(sign, factors)])
         rows.append(row)
@@ -203,8 +224,7 @@ def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_
     bc-restricted difference factors."""
     if grad_space.kind.kind != "grad" or curl_space.kind.kind != "curl":
         raise ValueError("gradient maps the grad space into the curl space")
-    d = grad_space.dim
-    pattern = [[(1, k)] for k in range(d)]
+    pattern = [[1] for _ in range(grad_space.dim)]
     return _assemble_blocks(grad_space, curl_space, pattern)
 
 
@@ -216,9 +236,9 @@ def curl_matrix(curl_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matri
     if curl_space.kind.kind != "curl" or div_space.kind.kind != "div":
         raise ValueError("curl maps the curl space into the div space")
     pattern = [
-        [None, (-1, 2), (1, 1)],
-        [(1, 2), None, (-1, 0)],
-        [(-1, 1), (1, 0), None],
+        [None, -1, 1],
+        [1, None, -1],
+        [-1, 1, None],
     ]
     return _assemble_blocks(curl_space, div_space, pattern)
 
@@ -227,8 +247,7 @@ def divergence_matrix(div_space: TensorSpace, l2_space: TensorSpace) -> sp.csr_m
     """Exact divergence matrix D: V(div) -> V(L2)."""
     if div_space.kind.kind != "div" or l2_space.kind.kind != "l2":
         raise ValueError("divergence maps the div space into the L2 space")
-    d = div_space.dim
-    pattern = [[(1, k) for k in range(d)]]
+    pattern = [[1] * div_space.dim]
     return _assemble_blocks(div_space, l2_space, pattern)
 
 
@@ -239,7 +258,7 @@ def scalar_curl_matrix(curl_space: TensorSpace, l2_space: TensorSpace) -> sp.csr
         raise ValueError("the scalar curl exists only in 2-D")
     if curl_space.kind.kind != "curl" or l2_space.kind.kind != "l2":
         raise ValueError("scalar curl maps the curl space into the L2 space")
-    pattern = [[(1, 1), (-1, 0)]]
+    pattern = [[1, -1]]
     return _assemble_blocks(curl_space, l2_space, pattern)
 
 
@@ -250,7 +269,7 @@ def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.cs
         raise ValueError("the vector curl exists only in 2-D")
     if grad_space.kind.kind != "grad" or div_space.kind.kind != "div":
         raise ValueError("vector curl maps the grad space into the div space")
-    pattern = [[(1, 1)], [(-1, 0)]]
+    pattern = [[1], [-1]]
     return _assemble_blocks(grad_space, div_space, pattern)
 
 

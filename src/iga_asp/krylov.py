@@ -206,7 +206,10 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     (n, 64) panels of the identity, so ``B`` must accept (n, k) blocks
     as well as vectors.  ``lanczos`` runs ``k``
     preconditioned-Lanczos steps with full reorthogonalization and
-    returns the extreme Ritz values (about +/-2% at k = 200).
+    returns the extreme Ritz values.  Measured at k = 200 on four 2-D
+    curl Jacobi-ASP cells with N <= 2,244 (p = 3, n = 32, tau = 1e-4 and
+    1e4; p = 2, n = 32, tau = 1; p = 1, n = 16, tau = 1e-4), kappa was
+    within 4.6e-9 relative of dense.
     """
     n = A.shape[0]
     if mode == "dense":

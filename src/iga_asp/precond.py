@@ -44,6 +44,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
+from .derham import kron_apply
 from .transfer import TransferSet, build_transfer_set
 
 __all__ = [
@@ -104,18 +105,6 @@ def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
     return sla.eigh(K.toarray(), M.toarray())
 
 
-def _kron_apply(X: np.ndarray, left, right: np.ndarray) -> np.ndarray:
-    """(x)_k F_k applied to X of shape (count, n_1, ..., n_d): ``left``
-    multiplies axes 1..d-1 from the left, ``right`` the last axis from
-    the right; every step is one (batched) matmul on a reshaped view."""
-    count, *dims = X.shape
-    lead = count
-    for k, F in enumerate(left):
-        X = F @ X.reshape(lead, dims[k], -1)
-        lead *= dims[k]
-    return (X.reshape(-1, dims[-1]) @ right).reshape(count, *dims)
-
-
 def _runs(op: KronSum) -> list[list]:
     """[masses, stiffnesses, count] of each run of consecutive components
     sharing their factor tuples (identical blocks)."""
@@ -144,9 +133,12 @@ class InnerSolver:
             lam = sum(np.ix_(*(w for w, _ in pairs)), op.mass_coeff + shift)
             if np.any(lam <= 0.0):
                 raise ArithmeticError("Kronecker-sum operator is not SPD")
+            # forward applies (x) U_k^T, backward (x) U_k; kron_apply
+            # multiplies by the last factor's transpose, which the Fortran
+            # copy turns into a C-ordered operand
             Us = [U for _, U in pairs]
-            forward = ([np.ascontiguousarray(U.T) for U in Us[:-1]], Us[-1])
-            backward = (Us[:-1], np.ascontiguousarray(Us[-1].T))
+            forward = [np.ascontiguousarray(U.T) for U in Us[:-1]] + [Us[-1].T]
+            backward = Us[:-1] + [np.asfortranarray(Us[-1])]
             blocks.append((count, lam.shape, forward, backward, 1.0 / lam))
 
         def solve(b: np.ndarray) -> np.ndarray:
@@ -157,9 +149,8 @@ class InnerSolver:
             lo = 0
             for count, shape, forward, backward, inv_lam in blocks:
                 hi = lo + count * inv_lam.size
-                Y = _kron_apply(rows[:, lo:hi].reshape(k * count, *shape),
-                                *forward)
-                parts.append(_kron_apply(Y * inv_lam, *backward).reshape(k, -1))
+                Y = kron_apply(forward, rows[:, lo:hi].reshape(k * count, *shape))
+                parts.append(kron_apply(backward, Y * inv_lam).reshape(k, -1))
                 lo = hi
             x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
             return x.T.reshape(b.shape)

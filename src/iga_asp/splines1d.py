@@ -1,9 +1,9 @@
 """Univariate B-spline and Curry-Schoenberg machinery.
 
-Knot vectors, basis evaluation, Greville points, Gauss-Legendre
-quadrature, and the 1-D matrix factories (mass, stiffness, difference,
-interpolation, histopolation) that all tensor-product assembly is built
-from.
+Knot vectors, basis evaluation, Greville points and their
+antiderivative rule, Gauss-Legendre quadrature, and the 1-D matrix
+factories (mass, stiffness, difference, interpolation, histopolation)
+that all tensor-product assembly is built from.
 
 Conventions
 -----------
@@ -40,8 +40,8 @@ __all__ = [
     "stiffness_matrix_1d",
     "difference_matrix_1d",
     "interpolation_matrix_1d",
+    "greville_rule",
     "histopolation_matrix_1d",
-    "restrict_bc",
     "drop_small",
 ]
 
@@ -393,64 +393,43 @@ def interpolation_matrix_1d(space: Space1D) -> sp.csr_matrix:
     return A
 
 
-def _antiderivative_moments(space: Space1D, points: np.ndarray,
-                            quad: QuadratureRule) -> np.ndarray:
-    """W_{kj} = ∫_0^{x_k} B_j, by span-wise quadrature split at knots."""
-    breaks = np.asarray(quad.breakpoints)
-    x = quad.flat_nodes
-    w = quad.flat_weights
-    vals = basis_values(space, x)
-    q = quad.order
-    # integral of each basis function over each full span
-    span_ints = (vals * w[:, None]).reshape(len(breaks) - 1, q, -1).sum(axis=1)
-    cum = np.vstack([np.zeros(vals.shape[1]), np.cumsum(span_ints, axis=0)])
+def greville_rule(kv: KnotVector) -> tuple[np.ndarray, np.ndarray]:
+    """Quadrature for the integrals from 0 to each Greville point.
+
+    Returns ``(nodes, Cum)`` with ``(Cum @ f(nodes))[k]`` the integral of
+    ``f`` over ``[0, g_k]``: p + 3 point Gauss panels cut at the
+    breakpoints and the Greville points, so the rule is exact for
+    splines of degree p and every ``g_k`` is a panel boundary.  This is
+    the one histopolation rule: the transfers apply it to the B-splines,
+    the error reference to analytic fields.
+    """
+    g = greville_points(kv)
+    cuts = np.unique(np.concatenate([kv.breakpoints, g, [0.0, 1.0]]))
+    q = kv.degree + 3
     ref_x, ref_w = np.polynomial.legendre.leggauss(q)
-    W = np.zeros((len(points), vals.shape[1]))
-    for k, xk in enumerate(points):
-        s = int(np.searchsorted(breaks, xk, side="right") - 1)
-        s = min(s, len(breaks) - 2)
-        W[k] = cum[s]
-        a = breaks[s]
-        if xk > a:
-            half = 0.5 * (xk - a)
-            loc = a + half * (ref_x + 1.0)
-            W[k] += half * (ref_w[:, None] * basis_values(space, loc)).sum(axis=0)
-    return W
+    a, b = cuts[:-1], cuts[1:]
+    half = 0.5 * (b - a)
+    nodes = (a[:, None] + half[:, None] * (ref_x[None, :] + 1.0)).ravel()
+    weights = (half[:, None] * ref_w[None, :]).ravel()
+    # Cum[k, :]: weights of all panels fully left of the k-th Greville point
+    panels_left = np.searchsorted(b, g + 1e-12)
+    Cum = np.zeros((len(g), len(nodes)))
+    for k, m in enumerate(panels_left):
+        Cum[k, : m * q] = weights[: m * q]
+    return nodes, Cum
 
 
-def histopolation_matrix_1d(space_p: Space1D, quad: QuadratureRule) -> sp.csr_matrix:
-    """Histopolation matrix Q = Diff · A^{-1} · W, mapping S^p
-    coefficients to Curry-Schoenberg coefficients of the projection that
-    matches antiderivative values at the Greville points."""
+def histopolation_matrix_1d(space_p: Space1D) -> sp.csr_matrix:
+    """Histopolation matrix Q = Diff · A^{-1} · (Cum · B(nodes)), mapping
+    S^p coefficients to Curry-Schoenberg coefficients of the projection
+    that matches antiderivative values at the Greville points (the
+    projector of :func:`greville_rule` applied to the B-splines)."""
     if space_p.kind != "B" or space_p.bc != "free":
         raise ValueError("histopolation acts on the unconstrained B-spline space")
     kv = space_p.knot
-    g = greville_points(kv)
-    W = _antiderivative_moments(space_p, g, quad)
+    nodes, Cum = greville_rule(kv)
+    W = Cum @ basis_values(space_p, nodes)
     A = interpolation_matrix_1d(space_p).toarray()
     coeffs = np.linalg.solve(A, W)
     Q = difference_matrix_1d(kv.n) @ coeffs
     return drop_small(sp.csr_matrix(Q))
-
-
-def restrict_bc(mat: sp.spmatrix, row_space: Space1D | None = None,
-                col_space: Space1D | None = None) -> sp.csr_matrix:
-    """Restrict rows/columns to the indices kept by the given spaces.
-
-    Passing ``None`` leaves that side untouched.  The spaces' index sets
-    must fit the matrix dimensions of the unconstrained operator.
-    """
-    out = sp.csr_matrix(mat)
-    if row_space is not None:
-        idx = row_space.indices()
-        if idx.max(initial=-1) >= out.shape[0]:
-            raise ValueError("row restriction does not fit matrix")
-        out = out[idx, :]
-    if col_space is not None:
-        idx = col_space.indices()
-        if idx.max(initial=-1) >= out.shape[1]:
-            raise ValueError("column restriction does not fit matrix")
-        out = out[:, idx]
-    out = sp.csr_matrix(out)
-    out.sort_indices()
-    return out

@@ -30,10 +30,9 @@ from .splines1d import (
     Space1D,
     difference_matrix_1d,
     greville_points,
+    greville_rule,
     histopolation_matrix_1d,
     interpolation_matrix_1d,
-    make_quadrature,
-    restrict_bc,
 )
 
 __all__ = [
@@ -64,9 +63,8 @@ def _factor_transfer(src: Space1D, dst: Space1D,
     if dst.kind == "B":
         return sp.identity(src.dim, format="csr")
     if src not in histopolations:
-        free = Space1D(src.knot, kind="B", bc="free")
-        Q = histopolation_matrix_1d(free, make_quadrature(src.knot))
-        histopolations[src] = restrict_bc(Q, None, src if src.bc == "zero" else None)
+        Q = histopolation_matrix_1d(Space1D(src.knot))
+        histopolations[src] = Q[:, src.indices()]
     return histopolations[src]
 
 
@@ -101,8 +99,7 @@ def build_p_div(xh_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     return _block_diag_transfer(xh_space, div_space)
 
 
-def function_projection_1d(factor: Space1D,
-                           order: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
     """Sampling nodes and matrix realizing the commuting 1-D projector
     on analytic data.
 
@@ -112,34 +109,17 @@ def function_projection_1d(factor: Space1D,
     * B factors: Greville interpolation, ``T = A^{-1}`` (rows restricted
       to the interior for zero-trace factors, valid for data satisfying
       the boundary conditions);
-    * D factors: histopolation, ``T = Diff A^{-1} Cum`` where ``Cum``
-      accumulates Gauss panel integrals into antiderivative values at
-      the Greville points.
+    * D factors: histopolation, ``T = Diff A^{-1} Cum`` on the nodes and
+      antiderivative matrix ``Cum`` of
+      :func:`iga_asp.splines1d.greville_rule`, the rule
+      :func:`histopolation_matrix_1d` applies to the B-splines.
     """
     kv = factor.knot
-    free = Space1D(kv, kind="B", bc="free")
-    A = interpolation_matrix_1d(free).toarray()
+    A = interpolation_matrix_1d(Space1D(kv)).toarray()
     if factor.kind == "B":
         T = np.linalg.inv(A)
-        if factor.bc == "zero":
-            T = T[factor.indices(), :]
-        return greville_points(kv), T
-    # D factor: panels split at breakpoints and Greville points so every
-    # Greville abscissa is a panel boundary of the cumulative integral.
-    g = greville_points(kv)
-    cuts = np.unique(np.concatenate([kv.breakpoints, g, [0.0, 1.0]]))
-    q = order if order is not None else kv.degree + 3
-    ref_x, ref_w = np.polynomial.legendre.leggauss(q)
-    a, b = cuts[:-1], cuts[1:]
-    half = 0.5 * (b - a)
-    nodes = (a[:, None] + half[:, None] * (ref_x[None, :] + 1.0)).ravel()
-    weights = (half[:, None] * ref_w[None, :]).ravel()
-    # Cum[k, :]: weights of all panels fully left of the k-th Greville
-    # point (every g_k is a panel boundary by construction)
-    panels_left = np.searchsorted(b, g + 1e-12)
-    Cum = np.zeros((len(g), len(nodes)))
-    for k, m in enumerate(panels_left):
-        Cum[k, : m * q] = weights[: m * q]
+        return greville_points(kv), T[factor.indices(), :]
+    nodes, Cum = greville_rule(kv)
     T = difference_matrix_1d(kv.n).toarray() @ np.linalg.solve(A, Cum)
     return nodes, T
 

@@ -112,7 +112,11 @@ class TestMain:
 
     @pytest.mark.parametrize("key, value", [
         ("format", "xml"), ("smoother", "sor"), ("curl_smoother", "ilu"),
-        ("variant", "smooth"), ("cond_mode", "exact")])
+        ("variant", "smooth"), ("cond_mode", "exact"),
+        # wrong JSON types
+        ("report", 5), ("nu1", [1]), ("nu2", [2]), ("dim", None),
+        ("max_iter", True), ("p", [[1]]), ("p", 2.5), ("n", {"8": 1}),
+        ("tau", [None])])
     def test_spec_file_bad_choice_exits_before_any_cell(
             self, tmp_path, monkeypatch, key, value):
         # values from --spec bypass argparse choices; they must still
@@ -125,6 +129,19 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--spec", str(spec)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("key, value, field, expected", [
+        ("p", 2, "p_values", (2,)), ("n", 8, "n_values", (8,)),
+        ("tau", 0.01, "tau_values", (0.01,))])
+    def test_spec_file_bare_number_is_one_value_list(
+            self, tmp_path, monkeypatch, key, value, field, expected):
+        seen = []
+        monkeypatch.setattr("iga_asp.cli.run_experiment",
+                            lambda spec: seen.append(spec) or [])
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({key: value}))
+        assert main(["run", "--spec", str(spec)]) == 0
+        assert getattr(seen[0], field) == expected
 
     def test_nonconvergence_exit_code(self, capsys):
         argv = ["run", "--p", "2", "--n", "8", "--tau", "1e-4",

@@ -13,6 +13,7 @@ from iga_asp.derham import (
     differential_matrix,
     divergence_matrix,
     gradient_matrix,
+    kron_apply,
     kron_blocks,
     scalar_curl_matrix,
     space_descriptor,
@@ -106,6 +107,27 @@ class TestKronBlocks:
         out = kron_blocks(rows)
         assert isinstance(out, sp.csr_matrix) and out.has_sorted_indices
         np.testing.assert_allclose(out.toarray(), np.block(dense),
+                                   rtol=1e-13, atol=1e-13)
+
+
+class TestKronApply:
+    @given(st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_dense_kron_oracle(self, n_factors, count, seed):
+        # oracle: each row of X times the transpose of np.kron of the
+        # dense non-square factors, in the last-index-fastest numbering
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(1, 5, size=(n_factors, 2))
+        factors = [rng.standard_normal((m, n)) for m, n in shapes]
+        X = rng.standard_normal((count, shapes[:, 1].prod()))
+        product = np.ones((1, 1))
+        for f in factors:
+            product = np.kron(product, f)
+        out = kron_apply(factors, X)
+        assert out.shape == (count, *shapes[:, 0])
+        np.testing.assert_allclose(out.reshape(count, -1), X @ product.T,
                                    rtol=1e-13, atol=1e-13)
 
 
