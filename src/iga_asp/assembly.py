@@ -12,8 +12,12 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                stiffness and mass factors, kept factored,
 * ``mass_operator``         -- L2 mass of any tensor space as a KronSum,
 * ``mass_matrix``           -- the same, assembled,
-* ``system_matrix``         -- A = D^T M_range D + tau M_D for the
-                               curl-curl / grad-div problem,
+* ``system_setup``          -- the tau-independent ``SystemSetup`` of one
+                               problem on one mesh: its discretization,
+                               D, M_D, M_range and the load vector's
+                               weighted 1-D bases, built once per mesh,
+* ``system_matrix``         -- A = D^T M_range D + tau M_D and the load
+                               vector for one tau, from a ``SystemSetup``,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
@@ -31,6 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,6 +65,8 @@ __all__ = [
     "KronSum",
     "Discretization",
     "discretize",
+    "SystemSetup",
+    "system_setup",
     "mass_operator",
     "mass_matrix",
     "system_matrix",
@@ -75,6 +82,16 @@ __all__ = [
 FieldFunc = Sequence[Callable[..., np.ndarray]]
 
 
+def _range_kind(operator: str, dim: int) -> str:
+    """Kind of the range space of the problem's differential, after
+    checking the operator and the dimension."""
+    if operator not in ("curl", "div"):
+        raise ValueError("operator must be 'curl' or 'div'")
+    if dim not in (2, 3):
+        raise ValueError("dimension must be 2 or 3")
+    return "div" if (operator, dim) == ("curl", 3) else "l2"
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """One curl-curl or grad-div model problem on the unit square/cube."""
@@ -88,34 +105,34 @@ class ProblemSpec:
     rhs: FieldFunc | None = None
 
     def __post_init__(self) -> None:
-        if self.operator not in ("curl", "div"):
-            raise ValueError("operator must be 'curl' or 'div'")
+        _range_kind(self.operator, self.dim)
         if self.tau <= 0.0:
             raise ValueError("tau must be positive")
-        if self.dim not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
 
-    @property
-    def range_kind(self) -> str:
-        if self.operator == "div":
-            return "l2"
-        return "div" if self.dim == 3 else "l2"
+
+def _from_setup(name: str) -> property:
+    return property(lambda self: getattr(self.setup, name),
+                    doc=f"``setup.{name}``")
 
 
 @dataclass(frozen=True)
 class AssembledSystem:
-    """System matrix plus the pieces it was assembled from."""
+    """System matrix and load vector of one tau, plus the tau-independent
+    pieces they were assembled from (``setup``; its spaces and matrices
+    are read through as attributes of the system)."""
 
     spec: ProblemSpec
-    space: TensorSpace
-    range_space: TensorSpace
+    setup: SystemSetup = field(repr=False)
     A: sp.csr_matrix = field(repr=False)
-    M_D: sp.csr_matrix = field(repr=False)
-    M_range: sp.csr_matrix = field(repr=False)
-    D_mat: sp.csr_matrix = field(repr=False)
-    # the spaces, rules and 1-D factors everything was assembled from
-    disc: Discretization = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
+
+    space = _from_setup("space")
+    range_space = _from_setup("range_space")
+    M_D = _from_setup("M_D")
+    M_range = _from_setup("M_range")
+    D_mat = _from_setup("D_mat")
+    # the spaces, rules and 1-D factors everything was assembled from
+    disc = _from_setup("disc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -195,19 +212,61 @@ def mass_matrix(space: TensorSpace, disc: Discretization) -> sp.csr_matrix:
     return mass_operator(space, disc).tocsr()
 
 
-def system_matrix(spec: ProblemSpec) -> AssembledSystem:
+@dataclass(frozen=True, eq=False)
+class SystemSetup:
+    """Everything in the system of one problem on one mesh that does not
+    depend on tau: the discretization, the differential D from the
+    problem's space onto its range space, the masses M_D and M_range,
+    and per distinct 1-D factor of the problem's space the Gauss nodes
+    and transposed weighted basis values of the load vector.  A sweep
+    builds it once per mesh and assembles each tau's system from it."""
+
+    operator: str
+    dim: int
+    p: int | tuple[int, ...]
+    n_elems: int | tuple[int, ...]
+    bc: str
+    disc: Discretization = field(repr=False)
+    space: TensorSpace = field(repr=False)
+    range_space: TensorSpace = field(repr=False)
+    D_mat: sp.csr_matrix = field(repr=False)
+    M_D: sp.csr_matrix = field(repr=False)
+    M_range: sp.csr_matrix = field(repr=False)
+    load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
+
+
+def system_setup(operator: str, dim: int, p, n_elems,
+                 bc: str = "essential") -> SystemSetup:
+    """Build the tau-independent part of the system of every
+    ``ProblemSpec(operator, dim, p, n_elems, tau, bc)``."""
+    range_kind = _range_kind(operator, dim)
+    disc = discretize(p, n_elems, dim=dim, bc=bc)
+    space = disc.spaces[operator]
+    range_space = disc.spaces[range_kind]
+    return SystemSetup(
+        operator, dim, p, n_elems, bc, disc, space, range_space,
+        differential_matrix(space, range_space), mass_matrix(space, disc),
+        mass_matrix(range_space, disc), _load_bases(space, disc))
+
+
+_mesh_key = attrgetter("operator", "dim", "p", "n_elems", "bc")
+
+
+def system_matrix(spec: ProblemSpec,
+                  setup: SystemSetup | None = None) -> AssembledSystem:
     """Assemble A = D^T M_range D + tau M_D for the problem, plus the
-    load vector when a right-hand side is attached."""
-    disc = discretize(spec.p, spec.n_elems, dim=spec.dim, bc=spec.bc)
-    space = disc.spaces[spec.operator]
-    range_space = disc.spaces[spec.range_kind]
-    D_mat = differential_matrix(space, range_space)
-    M_D = mass_matrix(space, disc)
-    M_range = mass_matrix(range_space, disc)
-    A = drop_small(D_mat.T @ M_range @ D_mat + spec.tau * M_D)
-    b = assemble_rhs(space, spec.rhs, disc) if spec.rhs is not None else None
-    return AssembledSystem(spec, space, range_space, A, M_D, M_range, D_mat,
-                           disc, b)
+    load vector when a right-hand side is attached, from ``setup``
+    (built from ``spec`` when not given)."""
+    if setup is None:
+        setup = system_setup(*_mesh_key(spec))
+    elif _mesh_key(setup) != _mesh_key(spec):
+        raise ValueError(f"setup was built for {_mesh_key(setup)}, "
+                         f"not {_mesh_key(spec)}")
+    A = drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
+                   + spec.tau * setup.M_D)
+    b = (assemble_rhs(setup.space, spec.rhs, setup.disc, setup.load_bases)
+         if spec.rhs is not None else None)
+    return AssembledSystem(spec, setup, A, b)
 
 
 def _h1_operator(space: TensorSpace, disc: Discretization,
@@ -276,18 +335,27 @@ def field_coefficients(space: TensorSpace, funcs: FieldFunc,
     return np.concatenate(out)
 
 
-def assemble_rhs(space: TensorSpace, f: FieldFunc,
-                 disc: Discretization) -> np.ndarray:
+def _load_bases(space: TensorSpace, disc: Discretization) -> dict:
+    """Per distinct 1-D factor of ``space``: the Gauss nodes of its
+    direction and its basis values there, weighted and transposed."""
+    rules = {fac: q for comp in space.components
+             for fac, q in zip(comp, disc.quads)}
+    return {fac: (q.flat_nodes,
+                  (basis_values(fac, q.flat_nodes) * q.flat_weights[:, None]).T)
+            for fac, q in rules.items()}
+
+
+def assemble_rhs(space: TensorSpace, f: FieldFunc, disc: Discretization,
+                 load_bases: dict | None = None) -> np.ndarray:
     """Load vector b_r = ∫ f · v_r by tensor Gauss quadrature: per
     direction the factor's basis values weighted by the rule's weights
-    (see :func:`field_coefficients` for ``f``)."""
+    (see :func:`field_coefficients` for ``f``).  ``load_bases``, from
+    :attr:`SystemSetup.load_bases`, saves recomputing them."""
     disc.check(space)
-
-    def weighted_basis(comp):
-        return [(q.flat_nodes, (basis_values(fac, q.flat_nodes)
-                                * q.flat_weights[:, None]).T)
-                for fac, q in zip(comp, disc.quads)]
-    return field_coefficients(space, f, weighted_basis)
+    if load_bases is None:
+        load_bases = _load_bases(space, disc)
+    return field_coefficients(space, f,
+                              lambda comp: [load_bases[fac] for fac in comp])
 
 
 def export_matrix_market(system: AssembledSystem, directory) -> list[str]:

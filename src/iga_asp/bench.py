@@ -15,11 +15,19 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .assembly import ProblemSpec, field_coefficients, system_matrix
+from .assembly import (
+    ProblemSpec,
+    SystemSetup,
+    field_coefficients,
+    mass_operator,
+    system_matrix,
+    system_setup,
+)
 from .derham import TensorSpace
 from .krylov import (
     GltConfig,
@@ -27,7 +35,7 @@ from .krylov import (
     estimate_condition_number,
     pcg,
 )
-from .precond import AspPreconditioner
+from .precond import AspPreconditioner, AspSetup, InnerSolver
 from .transfer import function_projection_1d
 
 __all__ = [
@@ -132,21 +140,34 @@ def rhs_3d(problem: str, tau: float) -> ManufacturedCase:
     return ManufacturedCase(problem, 3, tau, "rhs-only", rhs, None)
 
 
-def quasi_interpolant_coefficients(space: TensorSpace, funcs: FieldFuncs) -> np.ndarray:
+def quasi_interpolant_coefficients(space: TensorSpace, funcs: FieldFuncs,
+                                   projections: dict | None = None) -> np.ndarray:
     """Coefficients of the commuting quasi-interpolant of an analytic
     vector field: tensor products of the 1-D Greville interpolation and
-    histopolation operators applied componentwise."""
-    return field_coefficients(
-        space, funcs, lambda comp: [function_projection_1d(f) for f in comp])
+    histopolation operators applied componentwise.  ``projections`` maps
+    each 1-D factor to its :func:`function_projection_1d` pair; missing
+    factors are computed into it, so one dict shared by the calls on one
+    mesh computes each pair once."""
+    if projections is None:
+        projections = {}
+
+    def pairs(comp):
+        for f in comp:
+            if f not in projections:
+                projections[f] = function_projection_1d(f)
+        return [projections[f] for f in comp]
+    return field_coefficients(space, funcs, pairs)
 
 
 def l2_coefficient_error(u_computed: np.ndarray, exact: ManufacturedCase,
-                         space: TensorSpace) -> float:
+                         space: TensorSpace,
+                         projections: dict | None = None) -> float:
     """Relative l2 error of the coefficient vector against the
-    commuting quasi-interpolant of the exact solution."""
+    commuting quasi-interpolant of the exact solution (``projections``
+    as in :func:`quasi_interpolant_coefficients`)."""
     if exact.solution is None:
         raise ValueError("the case has no closed-form solution")
-    ref = quasi_interpolant_coefficients(space, exact.solution)
+    ref = quasi_interpolant_coefficients(space, exact.solution, projections)
     nref = np.linalg.norm(ref)
     if nref == 0.0:
         raise ZeroDivisionError("exact-solution coefficients have zero norm")
@@ -189,8 +210,8 @@ class ExperimentSpec:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}")
-        if any(t <= 0.0 for t in self.tau_values):
-            raise ValueError("tau values must be positive")
+        if not all(0.0 < t < math.inf for t in self.tau_values):
+            raise ValueError("tau values must be positive and finite")
         bad = set(self.report) - {"iters", "cond", "errors"}
         if bad:
             raise ValueError(f"unknown report fields {sorted(bad)}")
@@ -213,22 +234,46 @@ def _make_case(spec: ExperimentSpec, tau: float) -> ManufacturedCase:
     return rhs_3d(spec.problem, tau)
 
 
-def _cell(spec: ExperimentSpec, p: int, n: int, tau: float) -> dict:
+class _SharedSetup:
+    """The tau-independent setup of one (p, n) of a sweep.  Its first
+    cell builds each piece it needs; the other tau cells reuse it."""
+
+    def __init__(self, spec: ExperimentSpec, p: int, n: int) -> None:
+        self.spec, self.p, self.n = spec, p, n
+        self.projections: dict = {}     # see quasi_interpolant_coefficients
+
+    @cached_property
+    def system(self) -> SystemSetup:
+        return system_setup(self.spec.problem, self.spec.dim, self.p, self.n)
+
+    @cached_property
+    def asp(self) -> AspSetup:
+        return AspSetup(self.system, self.spec.curl_smoother)
+
+    @cached_property
+    def mass_solver(self) -> InnerSolver:
+        """The composite cycle's M_D inverse."""
+        return InnerSolver(mass_operator(self.system.space, self.system.disc))
+
+
+def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
     t0 = time.perf_counter()
+    p, n = shared.p, shared.n
     case = _make_case(spec, tau)
     pspec = ProblemSpec(spec.problem, spec.dim, p, n, tau, bc="essential",
                         rhs=case.rhs)
-    system = system_matrix(pspec)
+    system = system_matrix(pspec, shared.system)
     flexible = False
     precond = None
     asp = None
     if spec.precond != "none":
         asp = AspPreconditioner(system, smoother=spec.smoother,
-                                curl_smoother=spec.curl_smoother)
+                                curl_smoother=spec.curl_smoother,
+                                setup=shared.asp)
         precond = asp
     if spec.precond == "asp-glt":
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
-        precond = GltPreconditioner(system, asp, cfg)
+        precond = GltPreconditioner(system, asp, cfg, shared.mass_solver)
         flexible = True
     x, rep = pcg(system.A, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter, flexible=flexible)
@@ -246,17 +291,22 @@ def _cell(spec: ExperimentSpec, p: int, n: int, tau: float) -> dict:
         _, _, kappa = estimate_condition_number(system.A, cond_op, mode=mode)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
-        row["l2_err"] = l2_coefficient_error(x, case, system.space)
+        row["l2_err"] = l2_coefficient_error(x, case, system.space,
+                                             shared.projections)
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row
 
 
 def run_experiment(spec: ExperimentSpec) -> list[dict]:
-    """All sweep cells, ordered p-major, then n, then tau."""
-    return [_cell(spec, p, n, tau)
-            for p in spec.p_values
-            for n in spec.n_values
-            for tau in spec.tau_values]
+    """All sweep cells, ordered p-major, then n, then tau.  The tau
+    cells of one (p, n) share one :class:`_SharedSetup`, whose pieces
+    are charged to the ``wall_ms`` of the cell that builds them."""
+    rows = []
+    for p in spec.p_values:
+        for n in spec.n_values:
+            shared = _SharedSetup(spec, p, n)
+            rows += [_cell(spec, shared, tau) for tau in spec.tau_values]
+    return rows
 
 
 def _fmt(value, column: str) -> str:

@@ -16,7 +16,12 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from .assembly import ProblemSpec, export_matrix_market, system_matrix
+from .assembly import (
+    ProblemSpec,
+    export_matrix_market,
+    system_matrix,
+    system_setup,
+)
 from .bench import ExperimentSpec, emit, run_experiment
 
 __all__ = ["main", "build_parser", "parse_int_values", "parse_tau_values"]
@@ -172,13 +177,21 @@ def _experiment_spec(settings: dict) -> ExperimentSpec:
         cond_mode=settings["cond_mode"])
 
 
+def _tau_label(tau: float) -> str:
+    """The shortest e-notation of ``tau`` that reads back as the same
+    double: ``1e-04``, but ``1.4e-04`` for 1.4e-4."""
+    return next(label for digits in range(17)
+                if float(label := f"{tau:.{digits}e}") == tau)
+
+
 def _dump_matrices(spec: ExperimentSpec, root: Path) -> None:
     for p in spec.p_values:
         for n in spec.n_values:
+            setup = system_setup(spec.problem, spec.dim, p, n)
             for tau in spec.tau_values:
                 system = system_matrix(ProblemSpec(spec.problem, spec.dim,
-                                                   p, n, tau, bc="essential"))
-                name = f"{spec.problem}{spec.dim}d_p{p}_n{n}_tau{tau:.0e}"
+                                                   p, n, tau), setup)
+                name = f"{spec.problem}{spec.dim}d_p{p}_n{n}_tau{_tau_label(tau)}"
                 export_matrix_market(system, root / name)
 
 

@@ -150,19 +150,22 @@ class GltPreconditioner:
     M_D is per component a Kronecker product of 1-D masses; its inverse
     is the fast-diagonalization solve of :class:`InnerSolver`, built
     from the 1-D factor masses of ``system.disc`` that assembled
-    ``system.M_D``.
+    ``system.M_D``.  ``mass_solver``, that ``InnerSolver`` built once
+    per mesh, saves recomputing its eigenpairs for every tau.
 
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
     """
 
     def __init__(self, system: AssembledSystem, asp: AspPreconditioner,
-                 cfg: GltConfig) -> None:
+                 cfg: GltConfig, mass_solver: InnerSolver | None = None) -> None:
         self.system = system
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
-        mass_solve = InnerSolver().make(mass_operator(system.space, system.disc))
+        if mass_solver is None:
+            mass_solver = InnerSolver(mass_operator(system.space, system.disc))
+        mass_solve = mass_solver.make()
         self._mass_inverse = spla.LinearOperator(
             self.shape, matvec=mass_solve, dtype=float)
 

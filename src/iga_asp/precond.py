@@ -22,10 +22,14 @@ H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`).
 :class:`InnerSolver` inverts them exactly by fast diagonalization
 (Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
-K_k U_k = M_k U_k Lambda_k, computed once at setup, turn every inverse
+K_k U_k = M_k U_k Lambda_k, computed once per mesh, turn every inverse
 into dense 1-D matrix products and a pointwise division.  The SGS
 smoothers of A and Q_curl, which are not Kronecker, keep sparse
 triangular solves.
+
+Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
+holds everything else (P, T, P_curl, the eigenpairs of H and B_T) for
+one mesh, and :class:`AspPreconditioner` adds the two per-tau pieces.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ import scipy.sparse.linalg as spla
 from .assembly import (
     AssembledSystem,
     KronSum,
+    SystemSetup,
     curl_stiffness_matrix,
     h1_vector_matrix,
     mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
@@ -50,6 +55,7 @@ from .transfer import TransferSet, build_transfer_set
 __all__ = [
     "Smoother",
     "InnerSolver",
+    "AspSetup",
     "AspPreconditioner",
 ]
 
@@ -119,26 +125,35 @@ def _runs(op: KronSum) -> list[list]:
 
 
 class InnerSolver:
-    """Exact inverse of a :class:`KronSum` by fast diagonalization."""
+    """Exact inverse of a :class:`KronSum` by fast diagonalization.  The
+    1-D generalized eigenpairs are computed once, here; :meth:`make`
+    builds the solve for one shift from them."""
 
-    def make(self, op: KronSum, shift: float = 0.0):
-        """Solve with ``op + shift * (x)M``.  The shift adds to the mass
-        coefficient, so H + tau M is never formed; identical components,
-        and the k columns of an (N, k) right-hand side, are solved as one
-        batch."""
-        blocks = []
+    def __init__(self, op: KronSum) -> None:
+        self.mass_coeff = op.mass_coeff
+        self._blocks = []
         for masses, stiffs, count in _runs(op):
             pairs = [_m_orthonormal_eigenpairs(K, M)
                      for K, M in zip(stiffs or (None,) * len(masses), masses)]
-            lam = sum(np.ix_(*(w for w, _ in pairs)), op.mass_coeff + shift)
-            if np.any(lam <= 0.0):
-                raise ArithmeticError("Kronecker-sum operator is not SPD")
             # forward applies (x) U_k^T, backward (x) U_k; kron_apply
             # multiplies by the last factor's transpose, which the Fortran
             # copy turns into a C-ordered operand
             Us = [U for _, U in pairs]
             forward = [np.ascontiguousarray(U.T) for U in Us[:-1]] + [Us[-1].T]
             backward = Us[:-1] + [np.asfortranarray(Us[-1])]
+            self._blocks.append((count, [w for w, _ in pairs], forward,
+                                 backward))
+
+    def make(self, shift: float = 0.0):
+        """Solve with ``op + shift * (x)M``.  The shift adds to the mass
+        coefficient, so H + tau M is never formed; identical components,
+        and the k columns of an (N, k) right-hand side, are solved as one
+        batch."""
+        blocks = []
+        for count, eigenvalues, forward, backward in self._blocks:
+            lam = sum(np.ix_(*eigenvalues), self.mass_coeff + shift)
+            if np.any(lam <= 0.0):
+                raise ArithmeticError("Kronecker-sum operator is not SPD")
             blocks.append((count, lam.shape, forward, backward, 1.0 / lam))
 
         def solve(b: np.ndarray) -> np.ndarray:
@@ -157,39 +172,61 @@ class InnerSolver:
         return solve
 
 
-class AspPreconditioner:
-    """Matrix-free application of the auxiliary-space preconditioner."""
+class AspSetup:
+    """The tau-independent part of the auxiliary-space preconditioner of
+    one problem on one mesh: the transfers, the eigenpairs of H, and the
+    potential-space solve B_T.  A sweep builds it once per mesh and
+    every tau's :class:`AspPreconditioner` reads it."""
 
-    def __init__(self, system: AssembledSystem, smoother: str = "jacobi",
-                 curl_smoother: str = "diag") -> None:
-        spec = system.spec
-        if spec.bc != "essential":
+    def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
+        if setup.bc != "essential":
             raise ValueError("the preconditioner requires essential bc")
-        self.system = system
-        self.tau = spec.tau
-        self.smoother = Smoother(smoother, system.A)
-        self.transfers: TransferSet = build_transfer_set(system)
-        disc = system.disc
-        inner = InnerSolver()
-        H = h1_vector_matrix(disc.spaces["vector"], disc)
-        self._solve_main = inner.make(H, shift=self.tau)
+        self.system_setup = setup
+        self.curl_smoother = curl_smoother
+        self.transfers: TransferSet = build_transfer_set(setup)
+        disc = setup.disc
+        self.h1 = InnerSolver(h1_vector_matrix(disc.spaces["vector"], disc))
         P_curl = self.transfers.P_curl
         if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
-            self._solve_potential = inner.make(
-                scalar_laplacian_matrix(disc.spaces["grad"], disc))
-        else:
-            # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
-            if curl_smoother not in ("diag", "sgs"):
-                raise ValueError("curl smoother must be 'diag' or 'sgs'")
-            Q_curl = curl_stiffness_matrix(self.transfers.potential, system.M_D)
-            if np.any(Q_curl.diagonal() <= 0.0):
-                raise ArithmeticError("Q_curl has a non-positive diagonal entry "
-                                      "(curl-free curl basis function)")
-            W = Smoother("jacobi" if curl_smoother == "diag" else "gs", Q_curl)
-            solve_h = inner.make(H)
-            self._solve_potential = (
-                lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))
+            self.solve_potential = InnerSolver(
+                scalar_laplacian_matrix(disc.spaces["grad"], disc)).make()
+            return
+        # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
+        if curl_smoother not in ("diag", "sgs"):
+            raise ValueError("curl smoother must be 'diag' or 'sgs'")
+        Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
+        if np.any(Q_curl.diagonal() <= 0.0):
+            raise ArithmeticError("Q_curl has a non-positive diagonal entry "
+                                  "(curl-free curl basis function)")
+        W = Smoother("jacobi" if curl_smoother == "diag" else "gs", Q_curl)
+        solve_h = self.h1.make()
+        self.solve_potential = (
+            lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))
+
+
+class AspPreconditioner:
+    """Matrix-free application of the auxiliary-space preconditioner.
+    Only the smoother of A and the shift of H + tau M are built per tau;
+    the rest comes from ``setup`` (built from ``system`` when not
+    given)."""
+
+    def __init__(self, system: AssembledSystem, smoother: str = "jacobi",
+                 curl_smoother: str = "diag",
+                 setup: AspSetup | None = None) -> None:
+        if setup is None:
+            setup = AspSetup(system.setup, curl_smoother)
+        elif setup.system_setup is not system.setup:
+            raise ValueError("setup was built for another system setup")
+        elif setup.curl_smoother != curl_smoother:
+            raise ValueError(f"setup was built for curl smoother "
+                             f"{setup.curl_smoother!r}, not {curl_smoother!r}")
+        self.system = system
+        self.tau = system.spec.tau
+        self.smoother = Smoother(smoother, system.A)
+        self.transfers = setup.transfers
+        self._solve_main = setup.h1.make(shift=self.tau)
+        self._solve_potential = setup.solve_potential
         self.shape = (system.A.shape[0], system.A.shape[0])
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from . import derham
-from .assembly import AssembledSystem
+from .assembly import SystemSetup
 from .derham import TensorSpace, kron_blocks
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .splines1d import (
@@ -124,18 +124,18 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
     return nodes, T
 
 
-def build_transfer_set(system: AssembledSystem) -> TransferSet:
-    """Assemble the complete transfer-matrix set on ``system.disc``."""
-    spec = system.spec
-    if spec.bc != "essential":
+def build_transfer_set(setup: SystemSetup) -> TransferSet:
+    """Assemble the complete transfer-matrix set of the problem of
+    ``setup`` on ``setup.disc`` (tau does not enter)."""
+    if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
-    spaces = system.disc.spaces
+    spaces = setup.disc.spaces
     xh, grad, curl, div = (spaces[k] for k in ("vector", "grad", "curl", "div"))
-    if spec.operator == "curl":
+    if setup.operator == "curl":
         return TransferSet(P_main=build_p_curl(xh, curl),
                            potential=derham.gradient_matrix(grad, curl))
     P_div = build_p_div(xh, div)
-    if spec.dim == 2:
+    if setup.dim == 2:
         return TransferSet(P_main=P_div,
                            potential=derham.vector_curl_matrix(grad, div))
     return TransferSet(P_main=P_div, potential=derham.curl_matrix(curl, div),

@@ -1,5 +1,6 @@
 """Manufactured solutions, error metric, sweeps, and table emission."""
 
+import dataclasses
 import json
 import math
 import sys
@@ -7,8 +8,13 @@ import sys
 import numpy as np
 import pytest
 
-from iga_asp import derham, splines1d
-from iga_asp.assembly import ProblemSpec, system_matrix
+from iga_asp import assembly, derham, precond, splines1d, transfer
+from iga_asp.assembly import (
+    ProblemSpec,
+    mass_operator,
+    system_matrix,
+    system_setup,
+)
 from iga_asp.bench import (
     COLUMNS,
     ExperimentSpec,
@@ -21,8 +27,8 @@ from iga_asp.bench import (
     run_experiment,
 )
 from iga_asp.derham import build_space
-from iga_asp.krylov import pcg
-from iga_asp.precond import AspPreconditioner
+from iga_asp.krylov import GltConfig, GltPreconditioner, pcg
+from iga_asp.precond import AspPreconditioner, AspSetup, InnerSolver
 
 
 class TestAmplitudeConstants:
@@ -205,6 +211,9 @@ class TestExperimentSpec:
             ExperimentSpec("curl", 2, (), (8,), (1.0,))
         with pytest.raises(ValueError):
             ExperimentSpec("curl", 2, (1,), (8,), (-1.0,))
+        for tau in (math.inf, math.nan):
+            with pytest.raises(ValueError):
+                ExperimentSpec("curl", 2, (1,), (8,), (tau,))
         with pytest.raises(ValueError):
             ExperimentSpec("curl", 2, (1,), (8,), (1.0,), precond="amg")
         with pytest.raises(ValueError):
@@ -287,37 +296,120 @@ def count_calls(monkeypatch, fn) -> list[int]:
     return counter
 
 
-# one small cell per path through the setup: 2-D curl with kappa and
-# errors, 2-D div, 3-D curl, 3-D div with the composite cycle and SGS
+# one small (p, n) with three tau values per path through the setup: 2-D
+# curl with kappa and errors, 2-D div, 3-D curl, 3-D div with the
+# composite cycle and SGS
+TAUS = (1e-2, 1.0, 1e2)
 SHARED_SETUP_CELLS = [
-    ExperimentSpec("curl", 2, (2,), (4,), (1e-2,), precond="asp",
+    ExperimentSpec("curl", 2, (2,), (4,), TAUS, precond="asp",
                    report=("iters", "cond", "errors")),
-    ExperimentSpec("div", 2, (2,), (4,), (1e-2,), precond="asp"),
-    ExperimentSpec("curl", 3, (2,), (2,), (1e-2,), precond="asp"),
-    ExperimentSpec("div", 3, (2,), (2,), (1e-2,), precond="asp-glt",
+    ExperimentSpec("div", 2, (2,), (4,), TAUS, precond="asp"),
+    ExperimentSpec("curl", 3, (2,), (2,), TAUS, precond="asp"),
+    ExperimentSpec("div", 3, (2,), (2,), TAUS, precond="asp-glt",
                    curl_smoother="sgs"),
 ]
 
 
+each_path = pytest.mark.parametrize(
+    "spec", SHARED_SETUP_CELLS, ids=lambda s: f"{s.problem}{s.dim}d-{s.precond}")
+
+
+def without_wall_time(rows):
+    return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
+
+
+def assert_same_sparse(a, b):
+    assert a.shape == b.shape
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(a, attr), getattr(b, attr)), attr
+
+
 class TestSharedDiscretization:
-    @pytest.mark.parametrize("spec", SHARED_SETUP_CELLS,
-                             ids=lambda s: f"{s.problem}{s.dim}d-{s.precond}")
+    @each_path
     def test_each_cell_builds_spaces_and_factors_once(self, monkeypatch, spec):
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
             splines1d.mass_matrix_1d, splines1d.stiffness_matrix_1d,
             splines1d.histopolation_matrix_1d, derham.curl_matrix,
-            derham.build_space)}
-        (row,) = run_experiment(spec)
-        assert row["converged"]
+            derham.build_space, transfer.build_transfer_set)}
+        rows = run_experiment(spec)
+        assert all(r["converged"] for r in rows)
         n_transfers = 2 if (spec.problem, spec.dim) == ("div", 3) else 1
         got = {name: c[0] for name, c in counts.items()}
-        # a uniform mesh has one B and one D factor space, so 2 masses
-        # and 1 stiffness; 5 spaces; one histopolation per transfer
+        # the tau cells of one (p, n) build what one cell builds: a
+        # uniform mesh has one B and one D factor space, so 2 masses and
+        # 1 stiffness; 5 spaces; one histopolation per transfer
         assert got["mass_matrix_1d"] <= 2, got
         assert got["stiffness_matrix_1d"] <= 1, got
         assert got["histopolation_matrix_1d"] <= n_transfers, got
         assert got["curl_matrix"] <= 1, got
         assert got["build_space"] <= 5, got
+        assert got["build_transfer_set"] <= 1, got
+
+    @each_path
+    def test_tau_cells_add_no_setup(self, monkeypatch, spec):
+        # every tau-independent builder runs as often for three tau
+        # values as for one: eigenpairs, basis values, projections
+        counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
+            precond._m_orthonormal_eigenpairs, splines1d.basis_values,
+            transfer.function_projection_1d, assembly.differential_matrix,
+            assembly.mass_matrix)}
+
+        def run(s):
+            for c in counts.values():
+                c[0] = 0
+            run_experiment(s)
+            return {name: c[0] for name, c in counts.items()}
+        one = run(dataclasses.replace(spec, tau_values=spec.tau_values[:1]))
+        assert run(spec) == one
+
+    @each_path
+    def test_sweep_rows_match_one_tau_at_a_time(self, spec):
+        alone = [r for tau in spec.tau_values for r in run_experiment(
+            dataclasses.replace(spec, tau_values=(tau,)))]
+        assert without_wall_time(run_experiment(spec)) == without_wall_time(alone)
+
+    @each_path
+    def test_shared_setup_matches_one_off_path(self, spec):
+        p, n = spec.p_values[0], spec.n_values[0]
+        setup = system_setup(spec.problem, spec.dim, p, n)
+        asp_setup = AspSetup(setup, spec.curl_smoother)
+        mass_solver = InnerSolver(mass_operator(setup.space, setup.disc))
+        rng = np.random.default_rng(5)
+        for tau in spec.tau_values:
+            case = (manufactured_2d(spec.problem, "perturbed", tau)
+                    if spec.dim == 2 else rhs_3d(spec.problem, tau))
+            pspec = ProblemSpec(spec.problem, spec.dim, p, n, tau, rhs=case.rhs)
+            shared, alone = system_matrix(pspec, setup), system_matrix(pspec)
+            assert_same_sparse(shared.A, alone.A)
+            assert np.array_equal(shared.b, alone.b)
+            kw = dict(smoother=spec.smoother, curl_smoother=spec.curl_smoother)
+            B = AspPreconditioner(shared, **kw, setup=asp_setup)
+            B_alone = AspPreconditioner(alone, **kw)
+            assert_same_sparse(B.transfers.P_main, B_alone.transfers.P_main)
+            assert_same_sparse(B.transfers.potential,
+                               B_alone.transfers.potential)
+            X = rng.standard_normal((shared.A.shape[0], 5))
+            assert np.array_equal(B.apply(X), B_alone.apply(X))
+            if spec.precond == "asp-glt":
+                cfg = GltConfig(1, 2, 1)
+                glt = GltPreconditioner(shared, B, cfg, mass_solver)
+                glt_alone = GltPreconditioner(alone, B_alone, cfg)
+                assert np.array_equal(glt.apply(X[:, 0]),
+                                      glt_alone.apply(X[:, 0]))
+
+    def test_setup_of_another_problem_rejected(self):
+        setup = system_setup("curl", 2, 2, 4)
+        with pytest.raises(ValueError):
+            system_matrix(ProblemSpec("curl", 2, 2, 5, 1.0), setup)
+        with pytest.raises(ValueError):
+            system_matrix(ProblemSpec("div", 2, 2, 4, 1.0), setup)
+        other = system_matrix(ProblemSpec("curl", 2, 2, 4, 1.0))
+        with pytest.raises(ValueError):
+            AspPreconditioner(other, setup=AspSetup(setup))
+        system = system_matrix(ProblemSpec("curl", 2, 2, 4, 1.0), setup)
+        with pytest.raises(ValueError):
+            AspPreconditioner(system, curl_smoother="sgs",
+                              setup=AspSetup(setup))
 
 
 class TestEmit:

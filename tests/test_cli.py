@@ -165,6 +165,19 @@ class TestMain:
         manifest = json.loads((cell / "manifest.json").read_text())
         assert manifest["problem"]["operator"] == "curl"
 
+    def test_dump_matrices_keeps_tau_values_of_one_decade_apart(self, tmp_path,
+                                                                 capsys):
+        root = tmp_path / "mats"
+        code = main(["run", "--p", "1", "--n", "2", "--tau", "1e-4,1.4e-4,3e-4",
+                     "--dump-matrices", str(root)])
+        assert code == 0
+        names = sorted(d.name for d in root.iterdir())
+        assert names == ["curl2d_p1_n2_tau1.4e-04", "curl2d_p1_n2_tau1e-04",
+                         "curl2d_p1_n2_tau3e-04"]
+        for name in names:
+            manifest = json.loads((root / name / "manifest.json").read_text())
+            assert float(name.split("tau")[1]) == manifest["problem"]["tau"]
+
     def test_pretty_format(self, capsys):
         code = main(["run", "--p", "1", "--n", "4", "--tau", "1e-2",
                      "--precond", "asp", "--smoother", "gs",

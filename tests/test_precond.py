@@ -98,7 +98,7 @@ class TestInnerSolver:
         for name, (op, shift, oracle) in kronecker_cases(
                 dim, p, n, 10.0 ** log_tau).items():
             b = rng.standard_normal(oracle.shape[0])
-            x = InnerSolver().make(op, shift)(b)
+            x = InnerSolver(op).make(shift)(b)
             ref = spla.splu(sp.csc_matrix(oracle)).solve(b)
             assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref), name
 
@@ -113,7 +113,7 @@ class TestInnerSolver:
         rng = np.random.default_rng(seed)
         for name, (op, shift, oracle) in kronecker_cases(
                 dim, p, n, 10.0 ** log_tau).items():
-            solve = InnerSolver().make(op, shift)
+            solve = InnerSolver(op).make(shift)
             X = rng.standard_normal((oracle.shape[0], k))
             Y = solve(X)
             ref = np.column_stack([solve(x) for x in X.T])
@@ -124,8 +124,8 @@ class TestInnerSolver:
     def test_indefinite_shift_rejected(self):
         xh = build_space("vector", 2, 4, dim=2, bc="essential")
         with pytest.raises(ArithmeticError):
-            InnerSolver().make(h1_vector_matrix(
-                xh, discretize(2, 4, dim=2, bc="essential")), shift=-100.0)
+            InnerSolver(h1_vector_matrix(
+                xh, discretize(2, 4, dim=2, bc="essential"))).make(shift=-100.0)
 
 
 def build(op, dim, p, n, tau, smoother="jacobi", **kw):
@@ -148,7 +148,7 @@ def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
     xh = build_space("vector", spec.p, spec.n_elems, **kw)
     system = system_matrix(spec)
     disc = system.disc
-    ts = build_transfer_set(system)
+    ts = build_transfer_set(system.setup)
     P, T = ts.P_main.toarray(), ts.potential.toarray()
     H = h1_vector_matrix(xh, disc).toarray()
     main = P @ np.linalg.inv(H + spec.tau * mass_matrix(xh, disc).toarray()) @ P.T

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from iga_asp.assembly import ProblemSpec, system_matrix
+from iga_asp.assembly import system_setup
 from iga_asp.bench import quasi_interpolant_coefficients
 from iga_asp.derham import build_space, differential_matrix, gradient_matrix
 from iga_asp.splines1d import (
@@ -143,8 +143,7 @@ class TestCommuting:
 
 class TestEssentialBc:
     def test_restricted_shapes(self):
-        spec = ProblemSpec("curl", 2, 2, 4, tau=1.0, bc="essential")
-        ts = build_transfer_set(system_matrix(spec))
+        ts = build_transfer_set(system_setup("curl", 2, 2, 4))
         curl = build_space("curl", 2, 4, dim=2, bc="essential")
         xh = build_space("vector", 2, 4, dim=2, bc="essential")
         assert ts.P_main.shape == (curl.total_dim, xh.total_dim)
@@ -154,8 +153,7 @@ class TestEssentialBc:
         # the same field through P o grad coefficients must agree for
         # spline inputs: grad X_h functions lie in V(curl) and the
         # projection reproduces them
-        spec = ProblemSpec("curl", 2, 2, 4, tau=1.0, bc="essential")
-        ts = build_transfer_set(system_matrix(spec))
+        ts = build_transfer_set(system_setup("curl", 2, 2, 4))
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
         curl = build_space("curl", 2, 4, dim=2, bc="essential")
         G = gradient_matrix(grad, curl)
@@ -164,21 +162,18 @@ class TestEssentialBc:
 
 class TestBuildTransferSet:
     def test_curl_set(self):
-        ts = build_transfer_set(system_matrix(ProblemSpec("curl", 3, 2, 2, tau=1.0,
-                                                          bc="essential")))
+        ts = build_transfer_set(system_setup("curl", 3, 2, 2))
         assert ts.P_curl is None
 
     def test_div_2d_set(self):
-        ts = build_transfer_set(system_matrix(ProblemSpec("div", 2, 2, 4, tau=1.0,
-                                                          bc="essential")))
+        ts = build_transfer_set(system_setup("div", 2, 2, 4))
         assert ts.P_curl is None
         div = build_space("div", 2, 4, dim=2, bc="essential")
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
         assert ts.potential.shape == (div.total_dim, grad.total_dim)
 
     def test_div_3d_set(self):
-        ts = build_transfer_set(system_matrix(ProblemSpec("div", 3, 2, 2, tau=1.0,
-                                                          bc="essential")))
+        ts = build_transfer_set(system_setup("div", 3, 2, 2))
         assert ts.P_curl is not None
         div = build_space("div", 2, 2, dim=3, bc="essential")
         curl = build_space("curl", 2, 2, dim=3, bc="essential")
@@ -188,8 +183,7 @@ class TestBuildTransferSet:
 
     def test_natural_bc_rejected(self):
         with pytest.raises(ValueError):
-            build_transfer_set(system_matrix(ProblemSpec("curl", 2, 2, 4, tau=1.0,
-                                                         bc="natural")))
+            build_transfer_set(system_setup("curl", 2, 2, 4, bc="natural"))
 
 
 class TestFunctionProjection1d:
