@@ -10,7 +10,8 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                which every function below looks up,
 * ``KronSum``               -- block-diagonal Kronecker sums of 1-D
                                stiffness and mass factors, kept factored,
-* ``mass_operator``         -- L2 mass of any tensor space as a KronSum,
+* ``mass_operator``         -- L2 mass of any of the five spaces as a
+                               KronSum,
 * ``mass_matrix``           -- the same, assembled,
 * ``system_setup``          -- the tau-independent ``SystemSetup`` of one
                                problem on one mesh: its discretization,
@@ -34,8 +35,8 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, field
-from operator import attrgetter
 from typing import Callable, Sequence
 
 import numpy as np
@@ -60,7 +61,6 @@ from .splines1d import (
 )
 
 __all__ = [
-    "ProblemSpec",
     "AssembledSystem",
     "KronSum",
     "Discretization",
@@ -93,46 +93,14 @@ def _range_kind(operator: str, dim: int) -> str:
 
 
 @dataclass(frozen=True)
-class ProblemSpec:
-    """One curl-curl or grad-div model problem on the unit square/cube."""
-
-    operator: str                     # 'curl' or 'div'
-    dim: int
-    p: int | tuple[int, ...]
-    n_elems: int | tuple[int, ...]
-    tau: float
-    bc: str = "essential"
-    rhs: FieldFunc | None = None
-
-    def __post_init__(self) -> None:
-        _range_kind(self.operator, self.dim)
-        if self.tau <= 0.0:
-            raise ValueError("tau must be positive")
-
-
-def _from_setup(name: str) -> property:
-    return property(lambda self: getattr(self.setup, name),
-                    doc=f"``setup.{name}``")
-
-
-@dataclass(frozen=True)
 class AssembledSystem:
     """System matrix and load vector of one tau, plus the tau-independent
-    pieces they were assembled from (``setup``; its spaces and matrices
-    are read through as attributes of the system)."""
+    ``setup`` they were assembled from."""
 
-    spec: ProblemSpec
     setup: SystemSetup = field(repr=False)
+    tau: float
     A: sp.csr_matrix = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
-
-    space = _from_setup("space")
-    range_space = _from_setup("range_space")
-    M_D = _from_setup("M_D")
-    M_range = _from_setup("M_range")
-    D_mat = _from_setup("D_mat")
-    # the spaces, rules and 1-D factors everything was assembled from
-    disc = _from_setup("disc")
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,12 +114,6 @@ class Discretization:
     masses: dict[Space1D, sp.csr_matrix] = field(repr=False)
     stiffnesses: dict[Space1D, sp.csr_matrix] = field(repr=False)
 
-    def check(self, space: TensorSpace) -> None:
-        """Raise unless ``space`` is one of the five spaces."""
-        if self.spaces[space.kind.kind] != space:
-            raise ValueError("space is not part of this discretization "
-                             "(other mesh, dimension or bc)")
-
 
 def discretize(p, n_elems, *, dim: int, bc: str) -> Discretization:
     """Build the spaces, the p + 2 point Gauss rules and the 1-D mass
@@ -163,7 +125,7 @@ def discretize(p, n_elems, *, dim: int, bc: str) -> Discretization:
     rules = {f: q for space in spaces.values() for comp in space.components
              for f, q in zip(comp, quads)}
     return Discretization(
-        spaces, quads, {f: mass_matrix_1d(f, f, q) for f, q in rules.items()},
+        spaces, quads, {f: mass_matrix_1d(f, q) for f, q in rules.items()},
         {f: stiffness_matrix_1d(f, q) for f, q in rules.items() if f.kind == "B"})
 
 
@@ -199,17 +161,16 @@ class KronSum:
         return self.tocsr().toarray()
 
 
-def mass_operator(space: TensorSpace, disc: Discretization) -> KronSum:
-    """L2 mass of a tensor space: per component the Kronecker product
-    of its 1-D factor masses."""
-    disc.check(space)
+def mass_operator(disc: Discretization, kind: str) -> KronSum:
+    """L2 mass of the space ``disc.spaces[kind]``: per component the
+    Kronecker product of its 1-D factor masses."""
     return KronSum(tuple(tuple(disc.masses[f] for f in comp)
-                         for comp in space.components))
+                         for comp in disc.spaces[kind].components))
 
 
-def mass_matrix(space: TensorSpace, disc: Discretization) -> sp.csr_matrix:
+def mass_matrix(disc: Discretization, kind: str) -> sp.csr_matrix:
     """Block-diagonal L2 mass matrix, assembled from :func:`mass_operator`."""
-    return mass_operator(space, disc).tocsr()
+    return mass_operator(disc, kind).tocsr()
 
 
 @dataclass(frozen=True, eq=False)
@@ -237,43 +198,36 @@ class SystemSetup:
 
 def system_setup(operator: str, dim: int, p, n_elems,
                  bc: str = "essential") -> SystemSetup:
-    """Build the tau-independent part of the system of every
-    ``ProblemSpec(operator, dim, p, n_elems, tau, bc)``."""
+    """Build the tau-independent part of the curl-curl (``operator``
+    'curl') or grad-div ('div') problem on the unit square or cube
+    (``dim`` 2 or 3) with ``n_elems`` elements of degree ``p`` per
+    direction."""
     range_kind = _range_kind(operator, dim)
     disc = discretize(p, n_elems, dim=dim, bc=bc)
     space = disc.spaces[operator]
     range_space = disc.spaces[range_kind]
     return SystemSetup(
         operator, dim, p, n_elems, bc, disc, space, range_space,
-        differential_matrix(space, range_space), mass_matrix(space, disc),
-        mass_matrix(range_space, disc), _load_bases(space, disc))
+        differential_matrix(space, range_space), mass_matrix(disc, operator),
+        mass_matrix(disc, range_kind), _load_bases(space, disc))
 
 
-_mesh_key = attrgetter("operator", "dim", "p", "n_elems", "bc")
-
-
-def system_matrix(spec: ProblemSpec,
-                  setup: SystemSetup | None = None) -> AssembledSystem:
-    """Assemble A = D^T M_range D + tau M_D for the problem, plus the
-    load vector when a right-hand side is attached, from ``setup``
-    (built from ``spec`` when not given)."""
-    if setup is None:
-        setup = system_setup(*_mesh_key(spec))
-    elif _mesh_key(setup) != _mesh_key(spec):
-        raise ValueError(f"setup was built for {_mesh_key(setup)}, "
-                         f"not {_mesh_key(spec)}")
+def system_matrix(setup: SystemSetup, tau: float,
+                  rhs: FieldFunc | None = None) -> AssembledSystem:
+    """Assemble A = D^T M_range D + tau M_D from ``setup``, plus the
+    load vector of ``rhs`` when given."""
+    if not 0.0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
     A = drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
-                   + spec.tau * setup.M_D)
-    b = (assemble_rhs(setup.space, spec.rhs, setup.disc, setup.load_bases)
-         if spec.rhs is not None else None)
-    return AssembledSystem(spec, setup, A, b)
+                   + tau * setup.M_D)
+    b = assemble_rhs(setup, rhs) if rhs is not None else None
+    return AssembledSystem(setup, tau, A, b)
 
 
 def _h1_operator(space: TensorSpace, disc: Discretization,
                  mass_coeff: float) -> KronSum:
     """One block of sum_k K_k (x) M.. plus ``mass_coeff`` times the mass
     per component of ``space``, whose components are identical."""
-    disc.check(space)
     comp = space.components[0]
     masses = tuple(disc.masses[f] for f in comp)
     stiffs = tuple(disc.stiffnesses[f] for f in comp)
@@ -281,25 +235,21 @@ def _h1_operator(space: TensorSpace, disc: Discretization,
     return KronSum((masses,) * n, (stiffs,) * n, mass_coeff)
 
 
-def h1_vector_matrix(vector_space: TensorSpace, disc: Discretization) -> KronSum:
+def h1_vector_matrix(disc: Discretization) -> KronSum:
     """Matrix H: the full vector H1 inner product (grad-grad plus L2)
     on the auxiliary space, block-diagonal over the identical scalar
     components."""
-    if vector_space.kind.kind != "vector":
-        raise ValueError("H is assembled on the auxiliary vector space")
-    return _h1_operator(vector_space, disc, 1.0)
+    return _h1_operator(disc.spaces["vector"], disc, 1.0)
 
 
-def scalar_laplacian_matrix(grad_space: TensorSpace,
-                            disc: Discretization) -> KronSum:
+def scalar_laplacian_matrix(disc: Discretization) -> KronSum:
     """Matrix L: grad-grad form on the scalar potential space.
 
     Only the essential-bc space is supported: with natural bc the
     constants make L singular and the preconditioner formulas that use
     L^{-1} are meaningless.
     """
-    if grad_space.kind.kind != "grad":
-        raise ValueError("L is assembled on the scalar grad space")
+    grad_space = disc.spaces["grad"]
     if grad_space.kind.bc != "essential":
         raise ValueError("scalar Laplacian requires essential bc; "
                          "the natural-bc operator is singular (constants)")
@@ -345,17 +295,13 @@ def _load_bases(space: TensorSpace, disc: Discretization) -> dict:
             for fac, q in rules.items()}
 
 
-def assemble_rhs(space: TensorSpace, f: FieldFunc, disc: Discretization,
-                 load_bases: dict | None = None) -> np.ndarray:
-    """Load vector b_r = ∫ f · v_r by tensor Gauss quadrature: per
-    direction the factor's basis values weighted by the rule's weights
-    (see :func:`field_coefficients` for ``f``).  ``load_bases``, from
-    :attr:`SystemSetup.load_bases`, saves recomputing them."""
-    disc.check(space)
-    if load_bases is None:
-        load_bases = _load_bases(space, disc)
-    return field_coefficients(space, f,
-                              lambda comp: [load_bases[fac] for fac in comp])
+def assemble_rhs(setup: SystemSetup, f: FieldFunc) -> np.ndarray:
+    """Load vector b_r = ∫ f · v_r on ``setup.space`` by tensor Gauss
+    quadrature: per direction the factor's basis values weighted by the
+    rule's weights, from ``setup.load_bases`` (see
+    :func:`field_coefficients` for ``f``)."""
+    return field_coefficients(
+        setup.space, f, lambda comp: [setup.load_bases[fac] for fac in comp])
 
 
 def export_matrix_market(system: AssembledSystem, directory) -> list[str]:
@@ -369,8 +315,9 @@ def export_matrix_market(system: AssembledSystem, directory) -> list[str]:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
-    mats = {"A": system.A, "M_D": system.M_D,
-            "M_range": system.M_range, "D_mat": system.D_mat}
+    setup = system.setup
+    mats = {"A": system.A, "M_D": setup.M_D,
+            "M_range": setup.M_range, "D_mat": setup.D_mat}
     for name, mat in mats.items():
         path = directory / f"{name}.mtx"
         sio.mmwrite(path, sp.coo_matrix(mat))
@@ -395,19 +342,20 @@ def system_manifest(system: AssembledSystem) -> dict:
         h.update(np.round(mat.data, 12).tobytes())
         return h.hexdigest()[:16]
 
+    setup = system.setup
     return {
         "problem": {
-            "operator": system.spec.operator,
-            "dim": system.spec.dim,
-            "p": [int(v) for v in np.atleast_1d(system.spec.p)],
-            "n_elems": [int(v) for v in np.atleast_1d(system.spec.n_elems)],
-            "tau": system.spec.tau,
-            "bc": system.spec.bc,
+            "operator": setup.operator,
+            "dim": setup.dim,
+            "p": [int(v) for v in np.atleast_1d(setup.p)],
+            "n_elems": [int(v) for v in np.atleast_1d(setup.n_elems)],
+            "tau": system.tau,
+            "bc": setup.bc,
         },
-        "space": derham.space_descriptor(system.space),
-        "range_space": derham.space_descriptor(system.range_space),
-        "nnz": {"A": int(system.A.nnz), "M_D": int(system.M_D.nnz),
-                "M_range": int(system.M_range.nnz), "D_mat": int(system.D_mat.nnz)},
-        "checksums": {"A": checksum(system.A), "M_D": checksum(system.M_D),
-                      "D_mat": checksum(system.D_mat)},
+        "space": derham.space_descriptor(setup.space),
+        "range_space": derham.space_descriptor(setup.range_space),
+        "nnz": {"A": int(system.A.nnz), "M_D": int(setup.M_D.nnz),
+                "M_range": int(setup.M_range.nnz), "D_mat": int(setup.D_mat.nnz)},
+        "checksums": {"A": checksum(system.A), "M_D": checksum(setup.M_D),
+                      "D_mat": checksum(setup.D_mat)},
     }

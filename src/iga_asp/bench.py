@@ -21,7 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .assembly import (
-    ProblemSpec,
     SystemSetup,
     field_coefficients,
     mass_operator,
@@ -253,23 +252,19 @@ class _SharedSetup:
     @cached_property
     def mass_solver(self) -> InnerSolver:
         """The composite cycle's M_D inverse."""
-        return InnerSolver(mass_operator(self.system.space, self.system.disc))
+        return InnerSolver(mass_operator(self.system.disc, self.spec.problem))
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
     t0 = time.perf_counter()
     p, n = shared.p, shared.n
     case = _make_case(spec, tau)
-    pspec = ProblemSpec(spec.problem, spec.dim, p, n, tau, bc="essential",
-                        rhs=case.rhs)
-    system = system_matrix(pspec, shared.system)
+    system = system_matrix(shared.system, tau, case.rhs)
     flexible = False
     precond = None
     asp = None
     if spec.precond != "none":
-        asp = AspPreconditioner(system, smoother=spec.smoother,
-                                curl_smoother=spec.curl_smoother,
-                                setup=shared.asp)
+        asp = AspPreconditioner(shared.asp, system, spec.smoother)
         precond = asp
     if spec.precond == "asp-glt":
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
@@ -291,7 +286,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         _, _, kappa = estimate_condition_number(system.A, cond_op, mode=mode)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
-        row["l2_err"] = l2_coefficient_error(x, case, system.space,
+        row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,
                                              shared.projections)
     row["wall_ms"] = (time.perf_counter() - t0) * 1e3
     return row

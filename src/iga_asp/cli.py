@@ -16,12 +16,7 @@ import sys
 from decimal import Decimal
 from pathlib import Path
 
-from .assembly import (
-    ProblemSpec,
-    export_matrix_market,
-    system_matrix,
-    system_setup,
-)
+from .assembly import export_matrix_market, system_matrix, system_setup
 from .bench import ExperimentSpec, emit, run_experiment
 
 __all__ = ["main", "build_parser", "parse_int_values", "parse_tau_values"]
@@ -189,8 +184,7 @@ def _dump_matrices(spec: ExperimentSpec, root: Path) -> None:
         for n in spec.n_values:
             setup = system_setup(spec.problem, spec.dim, p, n)
             for tau in spec.tau_values:
-                system = system_matrix(ProblemSpec(spec.problem, spec.dim,
-                                                   p, n, tau), setup)
+                system = system_matrix(setup, tau)
                 name = f"{spec.problem}{spec.dim}d_p{p}_n{n}_tau{_tau_label(tau)}"
                 export_matrix_market(system, root / name)
 

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem, mass_operator
+from .assembly import AssembledSystem
 from .precond import AspPreconditioner, InnerSolver
 
 __all__ = [
@@ -148,23 +148,20 @@ class GltPreconditioner:
     the auxiliary-space correction; nu_asp cycles per application.
 
     M_D is per component a Kronecker product of 1-D masses; its inverse
-    is the fast-diagonalization solve of :class:`InnerSolver`, built
-    from the 1-D factor masses of ``system.disc`` that assembled
-    ``system.M_D``.  ``mass_solver``, that ``InnerSolver`` built once
-    per mesh, saves recomputing its eigenpairs for every tau.
+    is ``mass_solver``, the fast-diagonalization :class:`InnerSolver`
+    of ``mass_operator(disc, kind)`` for the problem's space, built
+    once per mesh.
 
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
     """
 
     def __init__(self, system: AssembledSystem, asp: AspPreconditioner,
-                 cfg: GltConfig, mass_solver: InnerSolver | None = None) -> None:
+                 cfg: GltConfig, mass_solver: InnerSolver) -> None:
         self.system = system
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
-        if mass_solver is None:
-            mass_solver = InnerSolver(mass_operator(system.space, system.disc))
         mass_solve = mass_solver.make()
         self._mass_inverse = spla.LinearOperator(
             self.shape, matvec=mass_solve, dtype=float)
@@ -174,7 +171,7 @@ class GltPreconditioner:
         x = np.zeros_like(np.asarray(b, dtype=float))
         for _ in range(self.cfg.nu_asp):
             for _ in range(self.cfg.nu1):
-                x = x + self.asp.smoother_apply(b - A @ x)
+                x = x + self.asp.smoother.apply(b - A @ x)
             x, _ = spla.minres(A, b, x0=x, M=self._mass_inverse,
                                maxiter=self.cfg.nu2, rtol=1e-14)
             d = b - A @ x

@@ -179,22 +179,20 @@ class AspSetup:
     every tau's :class:`AspPreconditioner` reads it."""
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
+        if curl_smoother not in ("diag", "sgs"):
+            raise ValueError("curl smoother must be 'diag' or 'sgs'")
         if setup.bc != "essential":
             raise ValueError("the preconditioner requires essential bc")
         self.system_setup = setup
-        self.curl_smoother = curl_smoother
         self.transfers: TransferSet = build_transfer_set(setup)
-        disc = setup.disc
-        self.h1 = InnerSolver(h1_vector_matrix(disc.spaces["vector"], disc))
+        self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
         P_curl = self.transfers.P_curl
         if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
             self.solve_potential = InnerSolver(
-                scalar_laplacian_matrix(disc.spaces["grad"], disc)).make()
+                scalar_laplacian_matrix(setup.disc)).make()
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
-        if curl_smoother not in ("diag", "sgs"):
-            raise ValueError("curl smoother must be 'diag' or 'sgs'")
         Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
         if np.any(Q_curl.diagonal() <= 0.0):
             raise ArithmeticError("Q_curl has a non-positive diagonal entry "
@@ -206,23 +204,17 @@ class AspSetup:
 
 
 class AspPreconditioner:
-    """Matrix-free application of the auxiliary-space preconditioner.
-    Only the smoother of A and the shift of H + tau M are built per tau;
-    the rest comes from ``setup`` (built from ``system`` when not
-    given)."""
+    """Matrix-free application of the auxiliary-space preconditioner of
+    ``system``, whose system setup ``setup`` was built from.  Only the
+    smoother of A and the shift of H + tau M are built per tau; the
+    rest comes from ``setup``."""
 
-    def __init__(self, system: AssembledSystem, smoother: str = "jacobi",
-                 curl_smoother: str = "diag",
-                 setup: AspSetup | None = None) -> None:
-        if setup is None:
-            setup = AspSetup(system.setup, curl_smoother)
-        elif setup.system_setup is not system.setup:
+    def __init__(self, setup: AspSetup, system: AssembledSystem,
+                 smoother: str = "jacobi") -> None:
+        if setup.system_setup is not system.setup:
             raise ValueError("setup was built for another system setup")
-        elif setup.curl_smoother != curl_smoother:
-            raise ValueError(f"setup was built for curl smoother "
-                             f"{setup.curl_smoother!r}, not {curl_smoother!r}")
         self.system = system
-        self.tau = system.spec.tau
+        self.tau = system.tau
         self.smoother = Smoother(smoother, system.A)
         self.transfers = setup.transfers
         self._solve_main = setup.h1.make(shift=self.tau)
@@ -231,15 +223,10 @@ class AspPreconditioner:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r: smoother + auxiliary-space correction terms.  Like
-        ``smoother_apply`` and ``correction``, takes r of shape (N,) or a
+        ``smoother.apply`` and ``correction``, takes r of shape (N,) or a
         block (N, k) and returns the same shape."""
         r = np.asarray(r, dtype=float)
-        out = self.smoother.apply(r) + self.correction(r)
-        return out
-
-    def smoother_apply(self, r: np.ndarray) -> np.ndarray:
-        """The S^{-1} part alone."""
-        return self.smoother.apply(np.asarray(r, dtype=float))
+        return self.smoother.apply(r) + self.correction(r)
 
     def correction(self, r: np.ndarray) -> np.ndarray:
         """K r = (B - S^{-1}) r: the auxiliary-space terms alone."""

@@ -340,21 +340,12 @@ def _bspline_values(kv: KnotVector, pts: np.ndarray, derivative: bool = False) -
     return out
 
 
-def _check_breakpoints(a: Space1D, b: Space1D) -> None:
-    if not np.array_equal(a.knot.breakpoints, b.knot.breakpoints):
-        raise ValueError("spaces must share the same breakpoints")
-
-
-def mass_matrix_1d(row_space: Space1D, col_space: Space1D,
-                   quad: QuadratureRule) -> sp.csr_matrix:
-    """Banded L2 pairing matrix M_{ab} = ∫ φ_a ψ_b between any two
-    factor spaces over the same breakpoints."""
-    _check_breakpoints(row_space, col_space)
+def mass_matrix_1d(space: Space1D, quad: QuadratureRule) -> sp.csr_matrix:
+    """Banded mass matrix M_{ab} = ∫ φ_a φ_b of a factor space."""
     x = quad.flat_nodes
     w = quad.flat_weights
-    R = basis_values(row_space, x)
-    C = basis_values(col_space, x)
-    return drop_small((R * w[:, None]).T @ C)
+    R = basis_values(space, x)
+    return drop_small((R * w[:, None]).T @ R)
 
 
 def stiffness_matrix_1d(space: Space1D, quad: QuadratureRule) -> sp.csr_matrix:

@@ -15,7 +15,7 @@ Criteria 3 and 4 print lambda_min and lambda_max next to kappa.
 import numpy as np
 import pytest
 
-from iga_asp.assembly import ProblemSpec, system_matrix
+from iga_asp.assembly import system_matrix, system_setup
 from iga_asp.bench import (
     ExperimentSpec,
     l2_coefficient_error,
@@ -25,7 +25,7 @@ from iga_asp.bench import (
 )
 from iga_asp.derham import build_space, differential_matrix
 from iga_asp.krylov import estimate_condition_number, pcg
-from iga_asp.precond import AspPreconditioner
+from iga_asp.precond import AspPreconditioner, AspSetup
 from iga_asp.transfer import build_p_curl, build_p_div
 
 
@@ -66,7 +66,7 @@ def test_criterion_01_exactness_identities():
 
 
 def unpreconditioned_kappa(n):
-    A = system_matrix(ProblemSpec("curl", 2, 1, n, 1e-4, bc="essential")).A
+    A = system_matrix(system_setup("curl", 2, 1, n), 1e-4).A
     w = np.linalg.eigvalsh(A.toarray())
     return w[-1] / w[0]
 
@@ -81,8 +81,9 @@ def test_criterion_02_unpreconditioned_conditioning():
 
 
 def asp_kappa(n, smoother="jacobi", p=1, tau=1e-4):
-    system = system_matrix(ProblemSpec("curl", 2, p, n, tau, bc="essential"))
-    B = AspPreconditioner(system, smoother=smoother)
+    setup = system_setup("curl", 2, p, n)
+    system = system_matrix(setup, tau)
+    B = AspPreconditioner(AspSetup(setup), system, smoother)
     mode = "dense" if n <= 16 else "lanczos"
     return estimate_condition_number(system.A, B, mode=mode, k=250)
 

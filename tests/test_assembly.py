@@ -9,8 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iga_asp.assembly import (
-    AssembledSystem,
-    ProblemSpec,
     assemble_rhs,
     curl_stiffness_matrix,
     discretize,
@@ -20,6 +18,7 @@ from iga_asp.assembly import (
     scalar_laplacian_matrix,
     system_manifest,
     system_matrix,
+    system_setup,
 )
 from iga_asp.derham import build_space, differential_matrix, kron_blocks
 from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
@@ -34,13 +33,12 @@ class TestMassMatrix:
     def test_total_mass_is_volume_for_partition_of_unity(self):
         # all-B spaces: the basis sums to 1, so sum(M) = |domain| = 1
         for dim in (2, 3):
-            space = build_space("grad", 2, 3, dim=dim)
             disc = discretize(2, 3, dim=dim, bc="natural")
-            assert abs(mass_matrix(space, disc).sum() - 1.0) <= 1e-12
+            assert abs(mass_matrix(disc, "grad").sum() - 1.0) <= 1e-12
 
     def test_spd(self):
-        space = build_space("curl", 2, 3, dim=2, bc="essential")
-        M = mass_matrix(space, discretize(2, 3, dim=2, bc="essential")).toarray()
+        M = mass_matrix(discretize(2, 3, dim=2, bc="essential"),
+                        "curl").toarray()
         np.testing.assert_allclose(M, M.T, atol=1e-15)
         assert np.linalg.eigvalsh(M).min() > 0.0
 
@@ -48,10 +46,10 @@ class TestMassMatrix:
         # oracle: assemble one entry by direct tensor quadrature of the
         # product of 2-D basis functions
         from iga_asp.splines1d import basis_values
-        space = build_space("grad", 2, 2, dim=2)
         disc = discretize(2, 2, dim=2, bc="natural")
+        space = disc.spaces["grad"]
         quads = disc.quads
-        M = mass_matrix(space, disc).toarray()
+        M = mass_matrix(disc, "grad").toarray()
         comp = space.components[0]
         Vx = basis_values(comp[0], quads[0].flat_nodes)
         Vy = basis_values(comp[1], quads[1].flat_nodes)
@@ -67,67 +65,63 @@ class TestMassMatrix:
 class TestSystemMatrix:
     def test_spd_and_symmetric(self):
         for op, dim in [("curl", 2), ("div", 2), ("curl", 3), ("div", 3)]:
-            system = system_matrix(ProblemSpec(op, dim, 2, 3, tau=1e-2))
+            system = system_matrix(system_setup(op, dim, 2, 3), 1e-2)
             A = system.A
             assert abs(A - A.T).max() <= 1e-13
             assert np.linalg.eigvalsh(A.toarray()).min() > 0.0
 
     def test_gradient_fields_see_only_mass_curl(self):
         # curl(grad q) = 0, so A restricted to gradients is tau * mass
-        spec = ProblemSpec("curl", 2, 2, 4, tau=0.37, bc="essential")
-        system = system_matrix(spec)
+        setup = system_setup("curl", 2, 2, 4)
+        system = system_matrix(setup, 0.37)
         grad = build_space("grad", 2, 4, dim=2, bc="essential")
-        G = differential_matrix(grad, system.space)
+        G = differential_matrix(grad, setup.space)
         rng = np.random.default_rng(0)
         q = rng.standard_normal(grad.total_dim)
         u = G @ q
-        np.testing.assert_allclose(system.A @ u, spec.tau * (system.M_D @ u),
+        np.testing.assert_allclose(system.A @ u, 0.37 * (setup.M_D @ u),
                                    atol=1e-12)
 
     def test_condition_number_tau_1em4(self):
         # kappa_2(A_curl), p=1, n=8, tau=1e-4 = 1.37e7
-        A = system_matrix(ProblemSpec("curl", 2, 1, 8, tau=1e-4,
-                                      bc="essential")).A
+        A = system_matrix(system_setup("curl", 2, 1, 8), 1e-4).A
         assert cond2(A) == pytest.approx(1.37e7, rel=0.05)
 
     def test_condition_number_tau_1em2(self):
         # kappa_2(A_curl), p=2, n=16, tau=1e-2 = 1.65e6
-        A = system_matrix(ProblemSpec("curl", 2, 2, 16, tau=1e-2,
-                                      bc="essential")).A
+        A = system_matrix(system_setup("curl", 2, 2, 16), 1e-2).A
         assert cond2(A) == pytest.approx(1.65e6, rel=0.05)
 
     def test_condition_number_tau_1e4(self):
         # mass-dominated regime, p=1, n=8, tau=1e4: kappa = 2.72
-        A = system_matrix(ProblemSpec("curl", 2, 1, 8, tau=1e4,
-                                      bc="essential")).A
+        A = system_matrix(system_setup("curl", 2, 1, 8), 1e4).A
         assert cond2(A) == pytest.approx(2.72, rel=0.05)
 
     def test_div_matches_rotated_curl_spectrum(self):
         # dual route: on the square the div problem is the 90-degree
         # rotation of the curl problem, so the spectra coincide
-        curl_A = system_matrix(ProblemSpec("curl", 2, 2, 8, tau=1e-3,
-                                           bc="essential")).A
-        div_A = system_matrix(ProblemSpec("div", 2, 2, 8, tau=1e-3,
-                                          bc="essential")).A
+        curl_A = system_matrix(system_setup("curl", 2, 2, 8), 1e-3).A
+        div_A = system_matrix(system_setup("div", 2, 2, 8), 1e-3).A
         np.testing.assert_allclose(np.linalg.eigvalsh(curl_A.toarray()),
                                    np.linalg.eigvalsh(div_A.toarray()),
                                    rtol=1e-9)
 
     def test_rejects_bad_spec(self):
         with pytest.raises(ValueError):
-            ProblemSpec("mass", 2, 2, 8, tau=1.0)
+            system_setup("mass", 2, 2, 8)
         with pytest.raises(ValueError):
-            ProblemSpec("curl", 2, 2, 8, tau=-1.0)
-        with pytest.raises(ValueError):
-            ProblemSpec("curl", 4, 2, 8, tau=1.0)
+            system_setup("curl", 4, 2, 8)
+        setup = system_setup("curl", 2, 2, 4)
+        for tau in (-1.0, 0.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                system_matrix(setup, tau)
 
 
 class TestScalarLaplacian:
     def test_single_hat_2d(self):
         # exact integral of |grad(hat x hat)|^2 on a 2x2 mesh: 8/3
-        grad = build_space("grad", 1, 2, dim=2, bc="essential")
         L = scalar_laplacian_matrix(
-            grad, discretize(1, 2, dim=2, bc="essential")).toarray()
+            discretize(1, 2, dim=2, bc="essential")).toarray()
         np.testing.assert_allclose(L, [[8.0 / 3.0]], atol=1e-14)
 
     def test_matches_gradient_route(self):
@@ -136,30 +130,22 @@ class TestScalarLaplacian:
         curl = build_space("curl", 2, 4, dim=2, bc="essential")
         G = differential_matrix(grad, curl)
         disc = discretize(2, 4, dim=2, bc="essential")
-        L = scalar_laplacian_matrix(grad, disc)
-        M_curl = mass_matrix(curl, disc)
+        L = scalar_laplacian_matrix(disc)
+        M_curl = mass_matrix(disc, "curl")
         np.testing.assert_allclose(L.toarray(), (G.T @ M_curl @ G).toarray(),
                                    atol=1e-12)
 
     def test_natural_bc_rejected(self):
-        grad = build_space("grad", 2, 4, dim=2)
         with pytest.raises(ValueError):
-            scalar_laplacian_matrix(grad, discretize(2, 4, dim=2, bc="natural"))
+            scalar_laplacian_matrix(discretize(2, 4, dim=2, bc="natural"))
 
 
 class TestH1VectorMatrix:
-    def test_requires_vector_space(self):
-        grad = build_space("grad", 2, 4, dim=2, bc="essential")
-        with pytest.raises(ValueError):
-            h1_vector_matrix(grad, discretize(2, 4, dim=2, bc="essential"))
-
     def test_block_diagonal_of_scalar_h1(self):
-        vec = build_space("vector", 2, 3, dim=2, bc="essential")
-        grad = build_space("grad", 2, 3, dim=2, bc="essential")
         disc = discretize(2, 3, dim=2, bc="essential")
-        H = h1_vector_matrix(vec, disc).toarray()
-        L = scalar_laplacian_matrix(grad, disc).toarray()
-        M = mass_matrix(grad, disc).toarray()
+        H = h1_vector_matrix(disc).toarray()
+        L = scalar_laplacian_matrix(disc).toarray()
+        M = mass_matrix(disc, "grad").toarray()
         block = L + M
         n = block.shape[0]
         np.testing.assert_allclose(H[:n, :n], block, atol=1e-12)
@@ -169,10 +155,9 @@ class TestH1VectorMatrix:
 
 class TestCurlStiffness:
     def test_matches_curl_route(self):
-        curl = build_space("curl", 2, 2, dim=3, bc="essential")
-        div = build_space("div", 2, 2, dim=3, bc="essential")
-        C = differential_matrix(curl, div)
-        M_div = mass_matrix(div, discretize(2, 2, dim=3, bc="essential"))
+        disc = discretize(2, 2, dim=3, bc="essential")
+        C = differential_matrix(disc.spaces["curl"], disc.spaces["div"])
+        M_div = mass_matrix(disc, "div")
         Q = curl_stiffness_matrix(C, M_div)
         np.testing.assert_allclose(Q.toarray(), (C.T @ M_div @ C).toarray(),
                                    atol=1e-13)
@@ -186,7 +171,7 @@ def factor_route(space, stiffness_only=False, with_stiffness=False):
     rows = [[None] * space.n_components for _ in space.components]
     for c, comp in enumerate(space.components):
         quads = [make_quadrature(f.knot) for f in comp]
-        Ms = [mass_matrix_1d(f, f, q) for f, q in zip(comp, quads)]
+        Ms = [mass_matrix_1d(f, q) for f, q in zip(comp, quads)]
         terms = [] if stiffness_only else [(1.0, Ms)]
         if with_stiffness or stiffness_only:
             terms += [(1.0, Ms[:k] + [stiffness_matrix_1d(f, q)] + Ms[k + 1:])
@@ -219,26 +204,12 @@ class TestDiscretization:
         for kind in ("grad", "curl", "div", "l2", "vector"):
             space = build_space(kind, p, n, dim=dim, bc=bc)
             assert disc.spaces[kind] == space
-            assert_bit_equal(mass_matrix(space, disc), factor_route(space))
-        assert_bit_equal(h1_vector_matrix(disc.spaces["vector"], disc).tocsr(),
+            assert_bit_equal(mass_matrix(disc, kind), factor_route(space))
+        assert_bit_equal(h1_vector_matrix(disc).tocsr(),
                          factor_route(disc.spaces["vector"], with_stiffness=True))
         if bc == "essential":
-            grad = disc.spaces["grad"]
-            assert_bit_equal(scalar_laplacian_matrix(grad, disc).tocsr(),
-                             factor_route(grad, stiffness_only=True))
-        # a space of another mesh, or of the other bc, is rejected
-        other_n = (n[0] + 1,) + n[1:]
-        other_bc = "essential" if bc == "natural" else "natural"
-        for other in (build_space("curl", p, other_n, dim=dim, bc=bc),
-                      build_space("curl", p, n, dim=dim, bc=other_bc),
-                      build_space("vector", p, other_n, dim=dim, bc=bc)):
-            with pytest.raises(ValueError):
-                mass_matrix(other, disc)
-        with pytest.raises(ValueError):
-            h1_vector_matrix(build_space("vector", p, other_n, dim=dim, bc=bc), disc)
-        with pytest.raises(ValueError):
-            assemble_rhs(build_space("grad", p, other_n, dim=dim, bc=bc),
-                         [lambda *x: x[0]], disc)
+            assert_bit_equal(scalar_laplacian_matrix(disc).tocsr(),
+                             factor_route(disc.spaces["grad"], stiffness_only=True))
 
 
 class TestAssembleRhs:
@@ -247,9 +218,9 @@ class TestAssembleRhs:
         # sum to the partition of unity (total 1 per B direction) and
         # each D function has unit integral, so a (D,B) component sums
         # to the D dimension
-        space = build_space("curl", 2, 3, dim=2)
-        b = assemble_rhs(space, [lambda x, y: np.ones_like(x)] * 2,
-                         discretize(2, 3, dim=2, bc="natural"))
+        setup = system_setup("curl", 2, 2, 3, bc="natural")
+        space = setup.space
+        b = assemble_rhs(setup, [lambda x, y: np.ones_like(x)] * 2)
         n0 = space.component_dims[0]
         n_d = space.components[0][0].dim
         assert abs(b[:n0].sum() - n_d) <= 1e-12
@@ -257,29 +228,24 @@ class TestAssembleRhs:
 
     def test_matches_mass_times_interpolant(self):
         # oracle: for a field inside the space, b = M u exactly
-        space = build_space("grad", 2, 3, dim=2)
-        disc = discretize(2, 3, dim=2, bc="natural")
-        M = mass_matrix(space, disc)
-        # f(x, y) = x * y is in the space; its coefficients are the
-        # Greville tensor products (linear reproduction per axis)
-        from iga_asp.splines1d import greville_points
-        gx = greville_points(space.knots[0])
-        gy = greville_points(space.knots[1])
-        u = np.outer(gx, gy).ravel()
-        b = assemble_rhs(space, [lambda x, y: x * y], disc)
-        np.testing.assert_allclose(b, M @ u, atol=1e-13)
+        setup = system_setup("curl", 2, 2, 3, bc="natural")
+        # (x y, x y) is in the space (both factors of each component
+        # reproduce linears); the commuting projector reproduces it
+        from iga_asp.bench import quasi_interpolant_coefficients
+        f = [lambda x, y: x * y] * 2
+        u = quasi_interpolant_coefficients(setup.space, f)
+        b = assemble_rhs(setup, f)
+        np.testing.assert_allclose(b, setup.M_D @ u, atol=1e-13)
 
     def test_component_count_mismatch(self):
-        space = build_space("curl", 2, 3, dim=2)
         with pytest.raises(ValueError):
-            assemble_rhs(space, [lambda x, y: x],
-                         discretize(2, 3, dim=2, bc="natural"))
+            assemble_rhs(system_setup("curl", 2, 2, 3, bc="natural"),
+                         [lambda x, y: x])
 
 
 class TestManifestAndExport:
     def test_manifest_round_trips_json(self):
-        system = system_matrix(ProblemSpec("curl", 2, 2, 4, tau=1e-2,
-                                           bc="essential"))
+        system = system_matrix(system_setup("curl", 2, 2, 4), 1e-2)
         manifest = system_manifest(system)
         loaded = json.loads(json.dumps(manifest))
         assert loaded["problem"]["operator"] == "curl"
@@ -288,16 +254,14 @@ class TestManifestAndExport:
         assert set(loaded["checksums"]) == {"A", "M_D", "D_mat"}
 
     def test_manifest_checksums_deterministic(self):
-        spec = ProblemSpec("div", 2, 2, 4, tau=1e-3, bc="essential")
-        m1 = system_manifest(system_matrix(spec))
-        m2 = system_manifest(system_matrix(spec))
+        m1 = system_manifest(system_matrix(system_setup("div", 2, 2, 4), 1e-3))
+        m2 = system_manifest(system_matrix(system_setup("div", 2, 2, 4), 1e-3))
         assert m1 == m2
 
     def test_export_round_trip(self, tmp_path):
         import scipy.io as sio
-        spec = ProblemSpec("curl", 2, 2, 3, tau=1e-2, bc="essential",
-                           rhs=[lambda x, y: x, lambda x, y: y])
-        system = system_matrix(spec)
+        system = system_matrix(system_setup("curl", 2, 2, 3), 1e-2,
+                               [lambda x, y: x, lambda x, y: y])
         written = export_matrix_market(system, tmp_path)
         assert set(written) == {"A.mtx", "M_D.mtx", "M_range.mtx",
                                 "D_mat.mtx", "b.mtx", "manifest.json"}

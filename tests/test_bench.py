@@ -9,12 +9,7 @@ import numpy as np
 import pytest
 
 from iga_asp import assembly, derham, precond, splines1d, transfer
-from iga_asp.assembly import (
-    ProblemSpec,
-    mass_operator,
-    system_matrix,
-    system_setup,
-)
+from iga_asp.assembly import mass_operator, system_matrix, system_setup
 from iga_asp.bench import (
     COLUMNS,
     ExperimentSpec,
@@ -196,13 +191,12 @@ class TestQuasiInterpolant:
         # quasi-interpolant of the exact solution
         tau = 1.0
         case = manufactured_2d("curl", "pure", tau)
-        spec = ProblemSpec("curl", 2, 2, 16, tau, bc="essential",
-                           rhs=case.rhs)
-        system = system_matrix(spec)
-        B = AspPreconditioner(system)
+        setup = system_setup("curl", 2, 2, 16)
+        system = system_matrix(setup, tau, case.rhs)
+        B = AspPreconditioner(AspSetup(setup), system)
         x, rep = pcg(system.A, system.b, B, tol=1e-10, max_iter=200)
         assert rep.converged
-        assert l2_coefficient_error(x, case, system.space) <= 1e-3
+        assert l2_coefficient_error(x, case, setup.space) <= 1e-3
 
 
 class TestExperimentSpec:
@@ -370,46 +364,43 @@ class TestSharedDiscretization:
 
     @each_path
     def test_shared_setup_matches_one_off_path(self, spec):
+        # one setup shared by the tau values gives the bits of a fresh
+        # setup built for each tau alone
         p, n = spec.p_values[0], spec.n_values[0]
-        setup = system_setup(spec.problem, spec.dim, p, n)
-        asp_setup = AspSetup(setup, spec.curl_smoother)
-        mass_solver = InnerSolver(mass_operator(setup.space, setup.disc))
+
+        def setups():
+            setup = system_setup(spec.problem, spec.dim, p, n)
+            return (setup, AspSetup(setup, spec.curl_smoother),
+                    InnerSolver(mass_operator(setup.disc, spec.problem)))
+        shared = setups()
         rng = np.random.default_rng(5)
         for tau in spec.tau_values:
             case = (manufactured_2d(spec.problem, "perturbed", tau)
                     if spec.dim == 2 else rhs_3d(spec.problem, tau))
-            pspec = ProblemSpec(spec.problem, spec.dim, p, n, tau, rhs=case.rhs)
-            shared, alone = system_matrix(pspec, setup), system_matrix(pspec)
-            assert_same_sparse(shared.A, alone.A)
-            assert np.array_equal(shared.b, alone.b)
-            kw = dict(smoother=spec.smoother, curl_smoother=spec.curl_smoother)
-            B = AspPreconditioner(shared, **kw, setup=asp_setup)
-            B_alone = AspPreconditioner(alone, **kw)
+            built = []
+            for setup, asp_setup, mass_solver in (shared, setups()):
+                system = system_matrix(setup, tau, case.rhs)
+                B = AspPreconditioner(asp_setup, system, spec.smoother)
+                glt = GltPreconditioner(system, B, GltConfig(1, 2, 1),
+                                        mass_solver)
+                built.append((system, B, glt))
+            (shared_sys, B, glt), (alone, B_alone, glt_alone) = built
+            assert_same_sparse(shared_sys.A, alone.A)
+            assert np.array_equal(shared_sys.b, alone.b)
             assert_same_sparse(B.transfers.P_main, B_alone.transfers.P_main)
             assert_same_sparse(B.transfers.potential,
                                B_alone.transfers.potential)
-            X = rng.standard_normal((shared.A.shape[0], 5))
+            X = rng.standard_normal((alone.A.shape[0], 5))
             assert np.array_equal(B.apply(X), B_alone.apply(X))
             if spec.precond == "asp-glt":
-                cfg = GltConfig(1, 2, 1)
-                glt = GltPreconditioner(shared, B, cfg, mass_solver)
-                glt_alone = GltPreconditioner(alone, B_alone, cfg)
                 assert np.array_equal(glt.apply(X[:, 0]),
                                       glt_alone.apply(X[:, 0]))
 
     def test_setup_of_another_problem_rejected(self):
         setup = system_setup("curl", 2, 2, 4)
+        other = system_matrix(system_setup("curl", 2, 2, 4), 1.0)
         with pytest.raises(ValueError):
-            system_matrix(ProblemSpec("curl", 2, 2, 5, 1.0), setup)
-        with pytest.raises(ValueError):
-            system_matrix(ProblemSpec("div", 2, 2, 4, 1.0), setup)
-        other = system_matrix(ProblemSpec("curl", 2, 2, 4, 1.0))
-        with pytest.raises(ValueError):
-            AspPreconditioner(other, setup=AspSetup(setup))
-        system = system_matrix(ProblemSpec("curl", 2, 2, 4, 1.0), setup)
-        with pytest.raises(ValueError):
-            AspPreconditioner(system, curl_smoother="sgs",
-                              setup=AspSetup(setup))
+            AspPreconditioner(AspSetup(setup), other)
 
 
 class TestEmit:

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from iga_asp.assembly import ProblemSpec, system_matrix
+from iga_asp.assembly import mass_operator, system_matrix, system_setup
 from iga_asp.krylov import (
     _PANEL_WIDTH,
     GltConfig,
@@ -19,7 +19,20 @@ from iga_asp.krylov import (
     estimate_condition_number,
     pcg,
 )
-from iga_asp.precond import AspPreconditioner
+from iga_asp.precond import AspPreconditioner, AspSetup, InnerSolver
+
+
+def asp_cell(p, n, tau):
+    """2-D curl system with its Jacobi ASP preconditioner."""
+    setup = system_setup("curl", 2, p, n)
+    system = system_matrix(setup, tau)
+    return system, AspPreconditioner(AspSetup(setup), system)
+
+
+def mass_solver(system):
+    """The composite cycle's M_D solve on the system's space."""
+    setup = system.setup
+    return InnerSolver(mass_operator(setup.disc, setup.operator))
 
 
 def random_spd(n, seed=0, shift=None):
@@ -102,21 +115,21 @@ class TestGltPreconditioner:
         # when A is itself the mass matrix, the mass-preconditioned
         # inner iteration converges immediately and one cycle is an
         # exact solve
-        system = system_matrix(ProblemSpec("curl", 2, 2, 4, 1.0,
-                                           bc="essential"))
-        mass_system = dataclasses.replace(system, A=system.M_D)
-        asp = AspPreconditioner(mass_system)
-        glt = GltPreconditioner(mass_system, asp, GltConfig(1, 2, 1))
-        b = np.linspace(-1.0, 1.0, system.M_D.shape[0])
+        setup = system_setup("curl", 2, 2, 4)
+        mass_system = dataclasses.replace(system_matrix(setup, 1.0),
+                                          A=setup.M_D)
+        asp = AspPreconditioner(AspSetup(setup), mass_system)
+        glt = GltPreconditioner(mass_system, asp, GltConfig(1, 2, 1),
+                                mass_solver(mass_system))
+        b = np.linspace(-1.0, 1.0, setup.M_D.shape[0])
         x = glt.apply(b)
-        np.testing.assert_allclose(system.M_D @ x, b,
+        np.testing.assert_allclose(setup.M_D @ x, b,
                                    atol=1e-9 * np.abs(b).max())
 
     def test_outer_flexible_cg_converges(self):
-        system = system_matrix(ProblemSpec("curl", 2, 2, 8, 1e-4,
-                                           bc="essential"))
-        asp = AspPreconditioner(system)
-        glt = GltPreconditioner(system, asp, GltConfig(1, 4, 3))
+        system, asp = asp_cell(2, 8, 1e-4)
+        glt = GltPreconditioner(system, asp, GltConfig(1, 4, 3),
+                                mass_solver(system))
         b = np.ones(system.A.shape[0])
         _, report = pcg(system.A, b, glt, tol=1e-6, max_iter=60,
                         flexible=True)
@@ -124,12 +137,11 @@ class TestGltPreconditioner:
         assert report.iterations <= 15
 
     def test_fewer_outer_iterations_than_plain_asp(self):
-        system = system_matrix(ProblemSpec("curl", 2, 3, 8, 1e-4,
-                                           bc="essential"))
-        asp = AspPreconditioner(system)
+        system, asp = asp_cell(3, 8, 1e-4)
         b = np.ones(system.A.shape[0])
         _, plain = pcg(system.A, b, asp, tol=1e-6, max_iter=300)
-        glt = GltPreconditioner(system, asp, GltConfig(1, 9, 3))
+        glt = GltPreconditioner(system, asp, GltConfig(1, 9, 3),
+                                mass_solver(system))
         _, composite = pcg(system.A, b, glt, tol=1e-6, max_iter=300,
                            flexible=True)
         assert composite.iterations < plain.iterations
@@ -151,9 +163,7 @@ class TestMaterialize:
             np.testing.assert_array_equal(_materialize(op, n), ref)
 
     def test_preconditioner_matches_column_loop(self):
-        system = system_matrix(ProblemSpec("curl", 2, 2, 8, 1e-4,
-                                           bc="essential"))
-        B = AspPreconditioner(system)
+        _, B = asp_cell(2, 8, 1e-4)
         n = B.shape[0]
         assert n % _PANEL_WIDTH != 0
         ref = materialize_by_columns(B, n)
@@ -184,9 +194,7 @@ class TestEstimateConditionNumber:
 
     def test_lanczos_agrees_with_dense(self):
         # p=1, n=16 preconditioned system; 2% band
-        system = system_matrix(ProblemSpec("curl", 2, 1, 16, 1e-4,
-                                           bc="essential"))
-        B = AspPreconditioner(system)
+        system, B = asp_cell(1, 16, 1e-4)
         _, _, dense = estimate_condition_number(system.A, B, mode="dense")
         _, _, lanczos = estimate_condition_number(system.A, B,
                                                   mode="lanczos", k=200)

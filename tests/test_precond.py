@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iga_asp.assembly import (
-    ProblemSpec,
     curl_stiffness_matrix,
     discretize,
     h1_vector_matrix,
@@ -16,11 +15,12 @@ from iga_asp.assembly import (
     mass_operator,
     scalar_laplacian_matrix,
     system_matrix,
+    system_setup,
 )
-from iga_asp.derham import build_space
 from iga_asp.krylov import estimate_condition_number, pcg
 from iga_asp.precond import (
     AspPreconditioner,
+    AspSetup,
     InnerSolver,
     Smoother,
 )
@@ -72,18 +72,15 @@ class TestSmoother:
 def kronecker_cases(dim, p, n, tau):
     """name -> (Kronecker operator, shift, assembled matrix the solve
     must invert), for every operator the preconditioners invert."""
-    kw = dict(dim=dim, bc="essential")
-    xh = build_space("vector", p, n, **kw)
-    disc = discretize(p, n, **kw)
-    H = h1_vector_matrix(xh, disc)
-    L = scalar_laplacian_matrix(build_space("grad", p, n, **kw), disc)
-    cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(xh, disc)),
+    disc = discretize(p, n, dim=dim, bc="essential")
+    H = h1_vector_matrix(disc)
+    L = scalar_laplacian_matrix(disc)
+    cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(disc, "vector")),
              "H": (H, 0.0, H.tocsr()),
              "L": (L, 0.0, L.tocsr())}
     for kind in ("curl", "div"):
-        space = build_space(kind, p, n, **kw)
-        cases[f"M_D {kind}"] = (mass_operator(space, disc), 0.0,
-                                mass_matrix(space, disc))
+        cases[f"M_D {kind}"] = (mass_operator(disc, kind), 0.0,
+                                mass_matrix(disc, kind))
     return cases
 
 
@@ -122,15 +119,16 @@ class TestInnerSolver:
             assert solve(X[:, 0]).shape == (oracle.shape[0],), name
 
     def test_indefinite_shift_rejected(self):
-        xh = build_space("vector", 2, 4, dim=2, bc="essential")
         with pytest.raises(ArithmeticError):
             InnerSolver(h1_vector_matrix(
-                xh, discretize(2, 4, dim=2, bc="essential"))).make(shift=-100.0)
+                discretize(2, 4, dim=2, bc="essential"))).make(shift=-100.0)
 
 
-def build(op, dim, p, n, tau, smoother="jacobi", **kw):
-    system = system_matrix(ProblemSpec(op, dim, p, n, tau, bc="essential"))
-    return system, AspPreconditioner(system, smoother=smoother, **kw)
+def build(op, dim, p, n, tau, smoother="jacobi", curl_smoother="diag"):
+    setup = system_setup(op, dim, p, n)
+    system = system_matrix(setup, tau)
+    return system, AspPreconditioner(AspSetup(setup, curl_smoother), system,
+                                     smoother)
 
 
 # (operator, dim, keyword arguments) of every preconditioner variant
@@ -141,19 +139,17 @@ VARIANTS = [("curl", 2, {"smoother": "jacobi"}), ("curl", 2, {"smoother": "gs"})
             ("div", 3, {"curl_smoother": "sgs"})]
 
 
-def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
+def dense_correction(system, smoother="jacobi", curl_smoother="diag"):
     """The module-docstring formula P (H + tau M)^{-1} P^T
     + tau^{-1} T B_T T^T from dense matrices and dense inverses."""
-    kw = dict(dim=spec.dim, bc="essential")
-    xh = build_space("vector", spec.p, spec.n_elems, **kw)
-    system = system_matrix(spec)
-    disc = system.disc
-    ts = build_transfer_set(system.setup)
+    setup, tau = system.setup, system.tau
+    disc = setup.disc
+    ts = build_transfer_set(setup)
     P, T = ts.P_main.toarray(), ts.potential.toarray()
-    H = h1_vector_matrix(xh, disc).toarray()
-    main = P @ np.linalg.inv(H + spec.tau * mass_matrix(xh, disc).toarray()) @ P.T
-    if (spec.operator, spec.dim) == ("div", 3):
-        Q = curl_stiffness_matrix(ts.potential, system.M_D).toarray()
+    H = h1_vector_matrix(disc).toarray()
+    main = P @ np.linalg.inv(H + tau * mass_matrix(disc, "vector").toarray()) @ P.T
+    if (setup.operator, setup.dim) == ("div", 3):
+        Q = curl_stiffness_matrix(ts.potential, setup.M_D).toarray()
         if curl_smoother == "diag":
             W = np.diag(np.diag(Q))
         else:    # symmetric Gauss-Seidel: W = U D^{-1} L
@@ -161,10 +157,8 @@ def dense_correction(spec, smoother="jacobi", curl_smoother="diag"):
         P_curl = ts.P_curl.toarray()
         B_T = np.linalg.inv(W) + P_curl @ np.linalg.inv(H) @ P_curl.T
     else:
-        L = scalar_laplacian_matrix(build_space("grad", spec.p, spec.n_elems, **kw),
-                                    disc).toarray()
-        B_T = np.linalg.inv(L)
-    return main + T @ B_T @ T.T / spec.tau
+        B_T = np.linalg.inv(scalar_laplacian_matrix(disc).toarray())
+    return main + T @ B_T @ T.T / tau
 
 
 class TestAspPreconditioner:
@@ -173,7 +167,7 @@ class TestAspPreconditioner:
         op, dim, kw = variant
         p, n = (2, 4) if dim == 2 else (2, 3)
         system, B = build(op, dim, p, n, 1e-2, **kw)
-        K = dense_correction(system.spec, **kw)
+        K = dense_correction(system, **kw)
         X = np.random.default_rng(3).standard_normal((B.shape[0], 4))
         Y = B.correction(X)
         assert np.linalg.norm(Y - K @ X) <= 1e-10 * np.linalg.norm(K @ X)
@@ -190,7 +184,7 @@ class TestAspPreconditioner:
             p, n = min(p, 2), min(n, 3)
         _, B = build(op, dim, p, n, 10.0 ** log_tau, **kw)
         X = np.random.default_rng(seed).standard_normal((B.shape[0], k))
-        for apply in (B.apply, B.correction, B.smoother_apply):
+        for apply in (B.apply, B.correction, B.smoother.apply):
             Y = apply(X)
             ref = np.column_stack([apply(x) for x in X.T])
             assert Y.shape == X.shape
@@ -215,13 +209,12 @@ class TestAspPreconditioner:
         system, B = build("div", 2, 2, 4, 1e-3, smoother="gs")
         r = np.linspace(-1.0, 1.0, B.shape[0])
         np.testing.assert_allclose(B.apply(r),
-                                   B.smoother_apply(r) + B.correction(r),
+                                   B.smoother.apply(r) + B.correction(r),
                                    atol=1e-14)
 
     def test_natural_bc_rejected(self):
-        system = system_matrix(ProblemSpec("curl", 2, 2, 4, 1e-2, bc="natural"))
         with pytest.raises(ValueError):
-            AspPreconditioner(system)
+            AspSetup(system_setup("curl", 2, 2, 4, bc="natural"))
 
     def test_curl_div_rotation_symmetry_2d(self):
         # dual route: on the square the two problems are rotations of
@@ -246,11 +239,12 @@ class TestAspPreconditioner:
         assert kappa <= 60.0
 
     def test_gs_beats_jacobi(self):
-        system = system_matrix(ProblemSpec("curl", 2, 1, 8, 1e-4,
-                                           bc="essential"))
+        setup = system_setup("curl", 2, 1, 8)
+        system = system_matrix(setup, 1e-4)
+        asp_setup = AspSetup(setup)
         kappa = {}
         for sm in ("jacobi", "gs"):
-            B = AspPreconditioner(system, smoother=sm)
+            B = AspPreconditioner(asp_setup, system, sm)
             _, _, kappa[sm] = estimate_condition_number(system.A, B,
                                                         mode="dense")
         assert kappa["gs"] < kappa["jacobi"]
@@ -276,20 +270,20 @@ class TestDiv3d:
             assert abs(v @ B.apply(w) - w @ B.apply(v)) <= 1e-10 * abs(v @ B.apply(w))
 
     def test_sgs_variant_conditions_better(self):
-        system = system_matrix(ProblemSpec("div", 3, 2, 2, 1e-4,
-                                           bc="essential"))
+        setup = system_setup("div", 3, 2, 2)
+        system = system_matrix(setup, 1e-4)
         kappa = {}
         for cs in ("diag", "sgs"):
-            B = AspPreconditioner(system, curl_smoother=cs)
+            B = AspPreconditioner(AspSetup(setup, cs), system)
             _, _, kappa[cs] = estimate_condition_number(system.A, B,
                                                         mode="dense")
         assert kappa["sgs"] <= kappa["diag"]
 
     def test_bad_curl_smoother(self):
-        system = system_matrix(ProblemSpec("div", 3, 1, 2, 1e-2,
-                                           bc="essential"))
-        with pytest.raises(ValueError):
-            AspPreconditioner(system, curl_smoother="ilu")
+        # rejected for every problem, not only the 3-D div one that uses it
+        for op, dim in (("div", 3), ("curl", 2)):
+            with pytest.raises(ValueError):
+                AspSetup(system_setup(op, dim, 1, 2), "ilu")
 
     def test_preconditioned_solve_converges_fast(self):
         system, B = build("div", 3, 1, 3, 1e-4, curl_smoother="sgs")

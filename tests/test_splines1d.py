@@ -208,27 +208,27 @@ class TestMassMatrix:
     def test_single_element_linear(self):
         kv = make_uniform_open_knots(1, 1)
         space = Space1D(kv, kind="B", bc="free")
-        M = mass_matrix_1d(space, space, make_quadrature(kv)).toarray()
+        M = mass_matrix_1d(space, make_quadrature(kv)).toarray()
         np.testing.assert_allclose(M, [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-15)
 
     def test_total_sum_is_one(self):
         for p, n in [(1, 4), (3, 5)]:
             kv = make_uniform_open_knots(n, p)
             space = Space1D(kv, kind="B", bc="free")
-            M = mass_matrix_1d(space, space, make_quadrature(kv))
+            M = mass_matrix_1d(space, make_quadrature(kv))
             assert abs(M.sum() - 1.0) <= 1e-13
 
     def test_matches_overresolved_quadrature(self):
         kv = make_uniform_open_knots(8, 4)
         space = Space1D(kv, kind="B", bc="free")
-        M = mass_matrix_1d(space, space, make_quadrature(kv)).toarray()
-        oracle = mass_matrix_1d(space, space, make_quadrature(kv, order=64)).toarray()
+        M = mass_matrix_1d(space, make_quadrature(kv)).toarray()
+        oracle = mass_matrix_1d(space, make_quadrature(kv, order=64)).toarray()
         np.testing.assert_allclose(M, oracle, atol=1e-13)
 
     def test_spd_and_banded(self):
         kv = make_uniform_open_knots(6, 3)
         space = Space1D(kv, kind="B", bc="free")
-        M = mass_matrix_1d(space, space, make_quadrature(kv)).toarray()
+        M = mass_matrix_1d(space, make_quadrature(kv)).toarray()
         assert np.linalg.eigvalsh(M).min() > 0.0
         for (i, j), v in np.ndenumerate(M):
             if abs(i - j) > kv.degree:
@@ -239,19 +239,9 @@ class TestMassMatrix:
         free = Space1D(kv, kind="B", bc="free")
         zero = Space1D(kv, kind="B", bc="zero")
         quad = make_quadrature(kv)
-        sliced = mass_matrix_1d(free, free, quad).toarray()[1:-1, 1:-1]
-        direct = mass_matrix_1d(zero, zero, quad)
+        sliced = mass_matrix_1d(free, quad).toarray()[1:-1, 1:-1]
+        direct = mass_matrix_1d(zero, quad)
         np.testing.assert_allclose(direct.toarray(), sliced, atol=1e-14)
-
-    def test_mixed_basis_pairing(self):
-        kv = make_uniform_open_knots(4, 2)
-        b = Space1D(kv, kind="B", bc="free")
-        d = Space1D(kv, kind="D")
-        M = mass_matrix_1d(b, d, make_quadrature(kv))
-        assert M.shape == (b.dim, d.dim)
-        # rows integrate partition-of-unity against unit-integral D basis
-        np.testing.assert_allclose(np.asarray(M.sum(axis=0)).ravel(),
-                                   np.ones(d.dim), atol=1e-13)
 
 
 class TestStiffnessMatrix:
@@ -393,8 +383,8 @@ class TestStabilityConstants:
                 quad = make_quadrature(kv)
                 b_space = Space1D(kv, kind="B", bc="free")
                 d_space = Space1D(kv, kind="D")
-                Mb = mass_matrix_1d(b_space, b_space, quad)
-                Md = mass_matrix_1d(d_space, d_space, quad)
+                Mb = mass_matrix_1d(b_space, quad)
+                Md = mass_matrix_1d(d_space, quad)
                 cb = rng.standard_normal(b_space.dim)
                 cd = rng.standard_normal(d_space.dim)
                 h = 1.0 / n
