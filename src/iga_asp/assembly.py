@@ -9,7 +9,8 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                (stiffness) per distinct (B) factor space,
                                which every function below looks up,
 * ``KronSum``               -- block-diagonal Kronecker sums of 1-D
-                               stiffness and mass factors, kept factored,
+                               stiffness and mass factors, kept factored
+                               and applied by sum factorization,
 * ``mass_operator``         -- L2 mass of any of the five spaces as a
                                KronSum,
 * ``mass_matrix``           -- the same, assembled,
@@ -18,7 +19,9 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                D, M_D, M_range and the load vector's
                                weighted 1-D bases, built once per mesh,
 * ``system_matrix``         -- A = D^T M_range D + tau M_D and the load
-                               vector for one tau, from a ``SystemSetup``,
+                               vector for one tau, from a ``SystemSetup``;
+                               A both assembled and as a product from the
+                               factored masses,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
@@ -37,6 +40,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Sequence
 
 import numpy as np
@@ -95,11 +99,14 @@ def _range_kind(operator: str, dim: int) -> str:
 @dataclass(frozen=True)
 class AssembledSystem:
     """System matrix and load vector of one tau, plus the tau-independent
-    ``setup`` they were assembled from."""
+    ``setup`` they were assembled from.  ``apply_A`` is the same A
+    applied from the factored masses of ``setup`` (see
+    :func:`system_matrix`); ``A`` is its assembled CSR."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
     A: sp.csr_matrix = field(repr=False)
+    apply_A: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
 
 
@@ -147,18 +154,59 @@ class KronSum:
         repr=False, default=None)
     mass_coeff: float = 1.0
 
-    def tocsr(self) -> sp.csr_matrix:
-        rows = [[None] * len(self.masses) for _ in self.masses]
+    def _terms(self) -> list[list[tuple[float, tuple]]]:
+        """Per component, the ``(coeff, factors)`` terms of its block in
+        the form :func:`iga_asp.derham.kron_blocks` takes."""
+        out = []
         for c, masses in enumerate(self.masses):
             terms = [(self.mass_coeff, masses)] if self.mass_coeff else []
             if self.stiffnesses is not None:
                 terms += [(1.0, masses[:k] + (K,) + masses[k + 1:])
                           for k, K in enumerate(self.stiffnesses[c])]
-            rows[c][c] = terms
-        return kron_blocks(rows)
+            out.append(terms)
+        return out
+
+    def tocsr(self) -> sp.csr_matrix:
+        blocks = self._terms()
+        return kron_blocks([[terms if c == j else None
+                             for j in range(len(blocks))]
+                            for c, terms in enumerate(blocks)])
 
     def toarray(self) -> np.ndarray:
         return self.tocsr().toarray()
+
+    @cached_property
+    def _dense_terms(self) -> list[tuple[tuple[int, ...], list]]:
+        """Per component its shape and its terms with dense factors,
+        built on the first :meth:`apply` and kept with the operator."""
+        return [(tuple(M.shape[0] for M in masses),
+                 [(coeff, [F.toarray() for F in factors])
+                  for coeff, factors in terms])
+                for masses, terms in zip(self.masses, self._terms())]
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x of shape (N,) or (N, k), without assembly:
+        per component and term one :func:`iga_asp.derham.kron_apply` of
+        the dense 1-D factors (sum factorization)."""
+        x = np.asarray(x, dtype=float)
+        rows = x.T.reshape(-1, x.shape[0])    # one row per column of x
+        k = rows.shape[0]
+        out = np.empty_like(rows)
+        lo = 0
+        for shape, terms in self._dense_terms:
+            hi = lo + math.prod(shape)
+            X = rows[:, lo:hi].reshape(k, *shape)
+            block = out[:, lo:hi]
+            for i, (coeff, factors) in enumerate(terms):
+                Y = kron_apply(factors, X).reshape(k, -1)
+                if coeff != 1.0:
+                    Y *= coeff
+                if i:
+                    block += Y
+                else:
+                    block[...] = Y
+            lo = hi
+        return out.T.reshape(x.shape)
 
 
 def mass_operator(disc: Discretization, kind: str) -> KronSum:
@@ -177,8 +225,9 @@ def mass_matrix(disc: Discretization, kind: str) -> sp.csr_matrix:
 class SystemSetup:
     """Everything in the system of one problem on one mesh that does not
     depend on tau: the discretization, the differential D from the
-    problem's space onto its range space, the masses M_D and M_range,
-    and per distinct 1-D factor of the problem's space the Gauss nodes
+    problem's space onto its range space, the masses M_D and M_range
+    (assembled, and factored as ``M_D_op`` and ``M_range_op``), and per
+    distinct 1-D factor of the problem's space the Gauss nodes
     and transposed weighted basis values of the load vector.  A sweep
     builds it once per mesh and assembles each tau's system from it."""
 
@@ -193,6 +242,8 @@ class SystemSetup:
     D_mat: sp.csr_matrix = field(repr=False)
     M_D: sp.csr_matrix = field(repr=False)
     M_range: sp.csr_matrix = field(repr=False)
+    M_D_op: KronSum = field(repr=False)
+    M_range_op: KronSum = field(repr=False)
     load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
 
@@ -206,22 +257,41 @@ def system_setup(operator: str, dim: int, p, n_elems,
     disc = discretize(p, n_elems, dim=dim, bc=bc)
     space = disc.spaces[operator]
     range_space = disc.spaces[range_kind]
+    M_D_op = mass_operator(disc, operator)
+    M_range_op = mass_operator(disc, range_kind)
     return SystemSetup(
         operator, dim, p, n_elems, bc, disc, space, range_space,
-        differential_matrix(space, range_space), mass_matrix(disc, operator),
-        mass_matrix(disc, range_kind), _load_bases(space, disc))
+        differential_matrix(space, range_space), M_D_op.tocsr(),
+        M_range_op.tocsr(), M_D_op, M_range_op, _load_bases(space, disc))
+
+
+def _system_product(setup: SystemSetup, tau: float):
+    """x -> A x = D^T (M_range (D x)) + tau M_D x for x of shape (N,) or
+    (N, k), with the masses applied by sum factorization."""
+    D, DT = setup.D_mat, setup.D_mat.T
+    M_range, M_D = setup.M_range_op, setup.M_D_op
+
+    def apply(x: np.ndarray) -> np.ndarray:
+        out = M_D.apply(x)
+        out *= tau
+        out += DT @ M_range.apply(D @ x)
+        return out
+    return apply
 
 
 def system_matrix(setup: SystemSetup, tau: float,
                   rhs: FieldFunc | None = None) -> AssembledSystem:
     """Assemble A = D^T M_range D + tau M_D from ``setup``, plus the
-    load vector of ``rhs`` when given."""
+    load vector of ``rhs`` when given.  The system also carries
+    ``apply_A``, the product with A from the factored masses, which the
+    composite cycle uses; the CSR A serves the smoothers, CG, dense
+    kappa and the matrix export."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     A = drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
                    + tau * setup.M_D)
     b = assemble_rhs(setup, rhs) if rhs is not None else None
-    return AssembledSystem(setup, tau, A, b)
+    return AssembledSystem(setup, tau, A, _system_product(setup, tau), b)
 
 
 def _h1_operator(space: TensorSpace, disc: Discretization,

@@ -23,7 +23,6 @@ import numpy as np
 from .assembly import (
     SystemSetup,
     field_coefficients,
-    mass_operator,
     system_matrix,
     system_setup,
 )
@@ -252,7 +251,7 @@ class _SharedSetup:
     @cached_property
     def mass_solver(self) -> InnerSolver:
         """The composite cycle's M_D inverse."""
-        return InnerSolver(mass_operator(self.system.disc, self.spec.problem))
+        return InnerSolver(self.system.M_D_op)
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
@@ -268,7 +267,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         precond = asp
     if spec.precond == "asp-glt":
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
-        precond = GltPreconditioner(system, asp, cfg, shared.mass_solver)
+        precond = GltPreconditioner(asp, cfg, shared.mass_solver)
         flexible = True
     x, rep = pcg(system.A, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter, flexible=flexible)

@@ -6,7 +6,10 @@
   nonlinear preconditioners.
 * :class:`GltPreconditioner` -- the composite cycle: relaxation sweeps,
   a fixed number of mass-preconditioned MINRES iterations on the
-  system itself, then the auxiliary-space correction.
+  system itself, then the auxiliary-space correction.  It applies A
+  factored (``AssembledSystem.apply_A``: D^T M_range D + tau M_D with
+  the masses applied by sum factorization); :func:`pcg` and the
+  condition estimate are given the assembled CSR A by their callers.
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense or via preconditioned Lanczos.
 """
@@ -21,7 +24,6 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .assembly import AssembledSystem
 from .precond import AspPreconditioner, InnerSolver
 
 __all__ = [
@@ -147,34 +149,42 @@ class GltPreconditioner:
     inverse mass matrix (the degree-robust "GLT" smoothing step), then
     the auxiliary-space correction; nu_asp cycles per application.
 
+    The system is ``asp.system``.  Every product with A inside the cycle
+    is its ``apply_A``, which applies D^T M_range D + tau M_D from the
+    factored 1-D masses (sum factorization), never the assembled CSR.
     M_D is per component a Kronecker product of 1-D masses; its inverse
     is ``mass_solver``, the fast-diagonalization :class:`InnerSolver`
-    of ``mass_operator(disc, kind)`` for the problem's space, built
-    once per mesh.
+    of the system setup's ``M_D_op``, built once per mesh.
 
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
     """
 
-    def __init__(self, system: AssembledSystem, asp: AspPreconditioner,
-                 cfg: GltConfig, mass_solver: InnerSolver) -> None:
-        self.system = system
+    def __init__(self, asp: AspPreconditioner, cfg: GltConfig,
+                 mass_solver: InnerSolver) -> None:
+        self.system = asp.system
+        if mass_solver.op is not self.system.setup.M_D_op:
+            raise ValueError("mass solver was not built from the M_D_op "
+                             "of the system's setup")
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
+        self._apply_A = self.system.apply_A
+        self._A = spla.LinearOperator(self.shape, matvec=self._apply_A,
+                                      dtype=float)
         mass_solve = mass_solver.make()
         self._mass_inverse = spla.LinearOperator(
             self.shape, matvec=mass_solve, dtype=float)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        A = self.system.A
+        A = self._apply_A
         x = np.zeros_like(np.asarray(b, dtype=float))
         for _ in range(self.cfg.nu_asp):
             for _ in range(self.cfg.nu1):
-                x = x + self.asp.smoother.apply(b - A @ x)
-            x, _ = spla.minres(A, b, x0=x, M=self._mass_inverse,
+                x = x + self.asp.smoother.apply(b - A(x))
+            x, _ = spla.minres(self._A, b, x0=x, M=self._mass_inverse,
                                maxiter=self.cfg.nu2, rtol=1e-14)
-            d = b - A @ x
+            d = b - A(x)
             x = x + self.asp.correction(d)
         return x
 

@@ -125,12 +125,12 @@ def _runs(op: KronSum) -> list[list]:
 
 
 class InnerSolver:
-    """Exact inverse of a :class:`KronSum` by fast diagonalization.  The
-    1-D generalized eigenpairs are computed once, here; :meth:`make`
-    builds the solve for one shift from them."""
+    """Exact inverse of the :class:`KronSum` ``op`` by fast
+    diagonalization.  The 1-D generalized eigenpairs are computed once,
+    here; :meth:`make` builds the solve for one shift from them."""
 
     def __init__(self, op: KronSum) -> None:
-        self.mass_coeff = op.mass_coeff
+        self.op = op
         self._blocks = []
         for masses, stiffs, count in _runs(op):
             pairs = [_m_orthonormal_eigenpairs(K, M)
@@ -151,7 +151,7 @@ class InnerSolver:
         batch."""
         blocks = []
         for count, eigenvalues, forward, backward in self._blocks:
-            lam = sum(np.ix_(*eigenvalues), self.mass_coeff + shift)
+            lam = sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
             if np.any(lam <= 0.0):
                 raise ArithmeticError("Kronecker-sum operator is not SPD")
             blocks.append((count, lam.shape, forward, backward, 1.0 / lam))

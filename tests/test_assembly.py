@@ -15,6 +15,7 @@ from iga_asp.assembly import (
     export_matrix_market,
     h1_vector_matrix,
     mass_matrix,
+    mass_operator,
     scalar_laplacian_matrix,
     system_manifest,
     system_matrix,
@@ -210,6 +211,59 @@ class TestDiscretization:
         if bc == "essential":
             assert_bit_equal(scalar_laplacian_matrix(disc).tocsr(),
                              factor_route(disc.spaces["grad"], stiffness_only=True))
+
+
+def relative_error(got, ref):
+    return np.linalg.norm(got - ref) / np.linalg.norm(ref)
+
+
+class TestFactoredApply:
+    """The sum-factorized products against the assembled CSR they
+    replace in the composite cycle."""
+
+    @given(st.sampled_from([2, 3]), st.sampled_from(["natural", "essential"]),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+           st.lists(st.integers(min_value=2, max_value=3), min_size=3, max_size=3),
+           st.sampled_from([(), (3,)]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_kron_sum_apply_matches_csr(self, dim, bc, p, n, cols, seed):
+        # masses of every space kind, H and L; (N,) and (N, 3) inputs
+        disc = discretize(tuple(p[:dim]), tuple(n[:dim]), dim=dim, bc=bc)
+        ops = [mass_operator(disc, kind)
+               for kind in ("grad", "curl", "div", "l2", "vector")]
+        ops.append(h1_vector_matrix(disc))
+        if bc == "essential":
+            ops.append(scalar_laplacian_matrix(disc))
+        rng = np.random.default_rng(seed)
+        for op in ops:
+            A = op.tocsr()
+            x = rng.standard_normal((A.shape[0], *cols))
+            y = op.apply(x)
+            assert y.shape == x.shape
+            assert relative_error(y, A @ x) <= 1e-13
+
+    @pytest.mark.parametrize("bc", ["essential", "natural"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("operator", ["curl", "div"])
+    def test_system_apply_matches_csr(self, operator, dim, bc):
+        setup = system_setup(operator, dim, 2, 3, bc=bc)
+        rng = np.random.default_rng(7)
+        for tau in (1e-4, 1.0, 1e4):
+            system = system_matrix(setup, tau)
+            for cols in ((), (2,)):
+                x = rng.standard_normal((system.A.shape[0], *cols))
+                assert relative_error(system.apply_A(x), system.A @ x) <= 1e-13
+
+    def test_dense_factors_built_once_per_mesh(self):
+        # the system of every tau applies the setup's masses, whose
+        # dense factors the first product builds
+        setup = system_setup("curl", 3, 2, 3)
+        x = np.ones(setup.M_D.shape[0])
+        system_matrix(setup, 1.0).apply_A(x)
+        dense = setup.M_D_op._dense_terms, setup.M_range_op._dense_terms
+        system_matrix(setup, 1e-4).apply_A(x)
+        assert setup.M_D_op._dense_terms is dense[0]
+        assert setup.M_range_op._dense_terms is dense[1]
 
 
 class TestAssembleRhs:

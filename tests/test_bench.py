@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from iga_asp import assembly, derham, precond, splines1d, transfer
-from iga_asp.assembly import mass_operator, system_matrix, system_setup
+from iga_asp.assembly import system_matrix, system_setup
 from iga_asp.bench import (
     COLUMNS,
     ExperimentSpec,
@@ -346,7 +346,7 @@ class TestSharedDiscretization:
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
             precond._m_orthonormal_eigenpairs, splines1d.basis_values,
             transfer.function_projection_1d, assembly.differential_matrix,
-            assembly.mass_matrix)}
+            assembly.mass_operator)}
 
         def run(s):
             for c in counts.values():
@@ -371,7 +371,7 @@ class TestSharedDiscretization:
         def setups():
             setup = system_setup(spec.problem, spec.dim, p, n)
             return (setup, AspSetup(setup, spec.curl_smoother),
-                    InnerSolver(mass_operator(setup.disc, spec.problem)))
+                    InnerSolver(setup.M_D_op))
         shared = setups()
         rng = np.random.default_rng(5)
         for tau in spec.tau_values:
@@ -381,8 +381,7 @@ class TestSharedDiscretization:
             for setup, asp_setup, mass_solver in (shared, setups()):
                 system = system_matrix(setup, tau, case.rhs)
                 B = AspPreconditioner(asp_setup, system, spec.smoother)
-                glt = GltPreconditioner(system, B, GltConfig(1, 2, 1),
-                                        mass_solver)
+                glt = GltPreconditioner(B, GltConfig(1, 2, 1), mass_solver)
                 built.append((system, B, glt))
             (shared_sys, B, glt), (alone, B_alone, glt_alone) = built
             assert_same_sparse(shared_sys.A, alone.A)

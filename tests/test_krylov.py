@@ -31,8 +31,18 @@ def asp_cell(p, n, tau):
 
 def mass_solver(system):
     """The composite cycle's M_D solve on the system's space."""
-    setup = system.setup
-    return InnerSolver(mass_operator(setup.disc, setup.operator))
+    return InnerSolver(system.setup.M_D_op)
+
+
+class ProductCountingCsr(sp.csr_matrix):
+    """CSR matrix that counts its products (``@``, ``dot`` and ``*``
+    all go through ``_matmul_dispatch``)."""
+
+    products = 0
+
+    def _matmul_dispatch(self, other):
+        self.products += 1
+        return super()._matmul_dispatch(other)
 
 
 def random_spd(n, seed=0, shift=None):
@@ -117,9 +127,10 @@ class TestGltPreconditioner:
         # exact solve
         setup = system_setup("curl", 2, 2, 4)
         mass_system = dataclasses.replace(system_matrix(setup, 1.0),
-                                          A=setup.M_D)
+                                          A=setup.M_D,
+                                          apply_A=setup.M_D_op.apply)
         asp = AspPreconditioner(AspSetup(setup), mass_system)
-        glt = GltPreconditioner(mass_system, asp, GltConfig(1, 2, 1),
+        glt = GltPreconditioner(asp, GltConfig(1, 2, 1),
                                 mass_solver(mass_system))
         b = np.linspace(-1.0, 1.0, setup.M_D.shape[0])
         x = glt.apply(b)
@@ -128,8 +139,7 @@ class TestGltPreconditioner:
 
     def test_outer_flexible_cg_converges(self):
         system, asp = asp_cell(2, 8, 1e-4)
-        glt = GltPreconditioner(system, asp, GltConfig(1, 4, 3),
-                                mass_solver(system))
+        glt = GltPreconditioner(asp, GltConfig(1, 4, 3), mass_solver(system))
         b = np.ones(system.A.shape[0])
         _, report = pcg(system.A, b, glt, tol=1e-6, max_iter=60,
                         flexible=True)
@@ -140,11 +150,50 @@ class TestGltPreconditioner:
         system, asp = asp_cell(3, 8, 1e-4)
         b = np.ones(system.A.shape[0])
         _, plain = pcg(system.A, b, asp, tol=1e-6, max_iter=300)
-        glt = GltPreconditioner(system, asp, GltConfig(1, 9, 3),
-                                mass_solver(system))
+        glt = GltPreconditioner(asp, GltConfig(1, 9, 3), mass_solver(system))
         _, composite = pcg(system.A, b, glt, tol=1e-6, max_iter=300,
                            flexible=True)
         assert composite.iterations < plain.iterations
+
+    def test_mass_solver_of_another_setup_rejected(self):
+        system, asp = asp_cell(2, 4, 1e-4)
+        div_setup = system_setup("div", 2, 2, 5)
+        for solver in (InnerSolver(div_setup.M_D_op),
+                       # same factors, but not the setup's own operator
+                       InnerSolver(mass_operator(system.setup.disc, "curl"))):
+            with pytest.raises(ValueError):
+                GltPreconditioner(asp, GltConfig(), solver)
+
+    @pytest.mark.parametrize("tau, nu_asp", [(1e-4, 1), (1.0, 3)])
+    def test_factored_cycle_matches_csr_cycle(self, tau, nu_asp):
+        # 3-D div, p = 2, nu2 = p^3: one application with the factored A
+        # and with the assembled A put in its place.  At tau = 1e-4 the
+        # later cycles' residuals b - A x cancel so far that a 1e-16
+        # relative change of b alone moves three cycles by 3e-10, so
+        # that tau is held to one cycle
+        setup = system_setup("div", 3, 2, 4)
+        asp_setup = AspSetup(setup)
+        system = system_matrix(setup, tau)
+        csr_system = dataclasses.replace(system,
+                                         apply_A=lambda x: system.A @ x)
+        cfg = GltConfig(1, 8, nu_asp)
+        b = np.random.default_rng(3).standard_normal(system.A.shape[0])
+        x, x_csr = (GltPreconditioner(AspPreconditioner(asp_setup, s), cfg,
+                                      mass_solver(s)).apply(b)
+                    for s in (system, csr_system))
+        assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
+
+    def test_cycle_makes_no_csr_product_with_A(self):
+        setup = system_setup("div", 3, 2, 4)
+        system = system_matrix(setup, 1e-4)
+        counted = dataclasses.replace(system, A=ProductCountingCsr(system.A))
+        asp = AspPreconditioner(AspSetup(setup), counted)
+        glt = GltPreconditioner(asp, GltConfig(1, 8, 3), mass_solver(counted))
+        b = np.ones(system.A.shape[0])
+        glt.apply(b)
+        assert counted.A.products == 0
+        pcg(counted.A, b, glt, tol=1e-6, max_iter=2, flexible=True)
+        assert counted.A.products > 0      # the counter sees CG's products
 
 
 def materialize_by_columns(op, n):
