@@ -18,10 +18,13 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                problem on one mesh: its discretization,
                                D, M_D, M_range and the load vector's
                                weighted 1-D bases, built once per mesh,
-* ``system_matrix``         -- A = D^T M_range D + tau M_D and the load
-                               vector for one tau, from a ``SystemSetup``;
-                               A both assembled and as a product from the
-                               factored masses,
+* ``system_matrix``         -- the system A = D^T M_range D + tau M_D
+                               and the load vector of one tau, from a
+                               ``SystemSetup``: A as a product from the
+                               factored masses, its diagonal, and its CSR
+                               assembled only when read,
+* ``factored_product_wins`` -- the measured rule on which spaces that
+                               factored product is faster than CSR,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
@@ -45,6 +48,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from . import derham
 from .derham import (
@@ -55,6 +59,7 @@ from .derham import (
     kron_blocks,
 )
 from .splines1d import (
+    DROP_TOL,
     QuadratureRule,
     Space1D,
     drop_small,
@@ -74,6 +79,7 @@ __all__ = [
     "mass_operator",
     "mass_matrix",
     "system_matrix",
+    "factored_product_wins",
     "h1_vector_matrix",
     "scalar_laplacian_matrix",
     "curl_stiffness_matrix",
@@ -96,18 +102,44 @@ def _range_kind(operator: str, dim: int) -> str:
     return "div" if (operator, dim) == ("curl", 3) else "l2"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AssembledSystem:
-    """System matrix and load vector of one tau, plus the tau-independent
-    ``setup`` they were assembled from.  ``apply_A`` is the same A
-    applied from the factored masses of ``setup`` (see
-    :func:`system_matrix`); ``A`` is its assembled CSR."""
+    """System of one tau: the tau-independent ``setup`` it was built
+    from, ``apply_A`` (A applied from the factored masses of ``setup``,
+    see :func:`system_matrix`) and the load vector ``b``.  ``A`` is the
+    assembled CSR, built on its first read (by the SGS smoother, dense
+    kappa, the matrix export, and ``product`` below the rule);
+    ``diagonal`` is A's diagonal, built without it."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
-    A: sp.csr_matrix = field(repr=False)
     apply_A: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
+
+    @cached_property
+    def A(self) -> sp.csr_matrix:
+        setup = self.setup
+        return drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
+                          + self.tau * setup.M_D)
+
+    @cached_property
+    def diagonal(self) -> np.ndarray:
+        """diag(A) = diag(D^T M_range D) + tau diag(M_D), with the
+        entries that :attr:`A` drops set to zero."""
+        diag = self.setup.stiffness_diagonal + self.tau * self.setup.M_D.diagonal()
+        diag[np.abs(diag) < DROP_TOL] = 0.0
+        return diag
+
+    @cached_property
+    def product(self):
+        """The product with A that CG and Lanczos are given: ``apply_A``
+        as an operator with ``shape`` where :func:`factored_product_wins`,
+        else the CSR ``A``."""
+        if not factored_product_wins(self.setup.space):
+            return self.A
+        n = self.setup.space.total_dim
+        return spla.LinearOperator((n, n), matvec=self.apply_A,
+                                   matmat=self.apply_A, dtype=float)
 
 
 @dataclass(frozen=True, eq=False)
@@ -246,6 +278,13 @@ class SystemSetup:
     M_range_op: KronSum = field(repr=False)
     load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
+    @cached_property
+    def stiffness_diagonal(self) -> np.ndarray:
+        """diag(D^T M_range D), the tau-independent part of A's diagonal:
+        per column of D its quadratic form against M_range."""
+        D = self.D_mat
+        return np.asarray(D.multiply(self.M_range @ D).sum(axis=0)).ravel()
+
 
 def system_setup(operator: str, dim: int, p, n_elems,
                  bc: str = "essential") -> SystemSetup:
@@ -281,17 +320,32 @@ def _system_product(setup: SystemSetup, tau: float):
 
 def system_matrix(setup: SystemSetup, tau: float,
                   rhs: FieldFunc | None = None) -> AssembledSystem:
-    """Assemble A = D^T M_range D + tau M_D from ``setup``, plus the
-    load vector of ``rhs`` when given.  The system also carries
-    ``apply_A``, the product with A from the factored masses, which the
-    composite cycle uses; the CSR A serves the smoothers, CG, dense
-    kappa and the matrix export."""
+    """The system A = D^T M_range D + tau M_D of ``setup``, plus the load
+    vector of ``rhs`` when given.  It carries ``apply_A``, the product
+    with A from the factored masses, which the composite cycle uses;
+    its CSR A is assembled only when something reads it."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
-    A = drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
-                   + tau * setup.M_D)
     b = assemble_rhs(setup, rhs) if rhs is not None else None
-    return AssembledSystem(setup, tau, A, _system_product(setup, tau), b)
+    return AssembledSystem(setup, tau, _system_product(setup, tau), b)
+
+
+# One product with A, factored (``apply_A``) against CSR, one vCPU: the
+# factored product wins on 3-D curl p=2 n=16 (about 0.5 vs 4.4 ms), 3-D
+# div p=3 n=8, 3-D p=2 n=8 and 2-D curl p=3 n=32; CSR wins on 2-D p=2
+# n=32, on p=1 (3-D p=1 n=16 is close) and on every cell with N <= 612
+# (BENCH_csr_on_demand.json)
+FACTORED_MIN_DOFS = 1500
+FACTORED_MIN_DEGREE_PRODUCT = 8
+
+
+def factored_product_wins(space: TensorSpace) -> bool:
+    """Whether the factored product with the system matrix on ``space``
+    is faster than the CSR one: N >= 1,500 and a product of the
+    per-direction degrees >= 8 (3-D p >= 2, 2-D p >= 3)."""
+    degrees = math.prod(kv.degree for kv in space.knots)
+    return (space.total_dim >= FACTORED_MIN_DOFS
+            and degrees >= FACTORED_MIN_DEGREE_PRODUCT)
 
 
 def _h1_operator(space: TensorSpace, disc: Discretization,

@@ -26,8 +26,9 @@ from .assembly import (
     system_matrix,
     system_setup,
 )
-from .derham import TensorSpace
+from .derham import TensorSpace, build_space
 from .krylov import (
+    DENSE_MAX_DIM,
     GltConfig,
     GltPreconditioner,
     estimate_condition_number,
@@ -213,6 +214,16 @@ class ExperimentSpec:
         bad = set(self.report) - {"iters", "cond", "errors"}
         if bad:
             raise ValueError(f"unknown report fields {sorted(bad)}")
+        if ("cond" in self.report and self.precond != "asp-glt"
+                and self.cond_mode == "dense"):
+            for p in self.p_values:
+                for n in self.n_values:
+                    N = build_space(self.problem, p, n, dim=self.dim,
+                                    bc="essential").total_dim
+                    if N > DENSE_MAX_DIM:
+                        raise ValueError(
+                            f"dense kappa is limited to N <= {DENSE_MAX_DIM}"
+                            f" unknowns; p={p} n={n} has N={N}")
 
     def nu2(self, p: int) -> int:
         if self.nu2_rule == "psq":
@@ -269,7 +280,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
         precond = GltPreconditioner(asp, cfg, shared.mass_solver)
         flexible = True
-    x, rep = pcg(system.A, system.b, precond, tol=spec.tol,
+    x, rep = pcg(system.product, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter, flexible=flexible)
     row = {
         "problem": spec.problem, "dim": spec.dim, "p": p, "n": n, "tau": tau,
@@ -280,9 +291,11 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
     if "cond" in spec.report and spec.precond != "asp-glt":
         mode = spec.cond_mode
         if mode == "auto":
-            mode = "dense" if system.A.shape[0] <= 2500 else "lanczos"
+            mode = ("dense" if shared.system.space.total_dim <= 2500
+                    else "lanczos")
         cond_op = asp if spec.precond == "asp" else None
-        _, _, kappa = estimate_condition_number(system.A, cond_op, mode=mode)
+        A = system.A if mode == "dense" else system.product
+        _, _, kappa = estimate_condition_number(A, cond_op, mode=mode)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
         row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,

@@ -8,10 +8,14 @@
   a fixed number of mass-preconditioned MINRES iterations on the
   system itself, then the auxiliary-space correction.  It applies A
   factored (``AssembledSystem.apply_A``: D^T M_range D + tau M_D with
-  the masses applied by sum factorization); :func:`pcg` and the
-  condition estimate are given the assembled CSR A by their callers.
+  the masses applied by sum factorization).
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
-  (preconditioned) operator, dense or via preconditioned Lanczos.
+  (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
+  or via preconditioned Lanczos.
+
+:func:`pcg` and Lanczos take any operator; the sweep gives them
+``AssembledSystem.product``, the factored product past a measured rule
+and the CSR A below it.  Dense kappa reads the CSR A.
 """
 
 from __future__ import annotations
@@ -32,7 +36,11 @@ __all__ = [
     "GltPreconditioner",
     "pcg",
     "estimate_condition_number",
+    "DENSE_MAX_DIM",
 ]
+
+# largest dimension that dense kappa materializes
+DENSE_MAX_DIM = 20000
 
 
 @dataclass
@@ -211,10 +219,10 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
                               seed: int = 0):
     """Extreme eigenvalues and condition number of B A (or A alone).
 
-    ``dense`` materializes the operators (dim <= 20000) and solves the
-    generalized symmetric eigenproblem exactly; it applies ``B`` to
-    (n, 64) panels of the identity, so ``B`` must accept (n, k) blocks
-    as well as vectors.  ``lanczos`` runs ``k``
+    ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
+    solves the generalized symmetric eigenproblem exactly; it applies
+    ``B`` to (n, 64) panels of the identity, so ``B`` must accept (n, k)
+    blocks as well as vectors.  ``lanczos`` runs ``k``
     preconditioned-Lanczos steps with full reorthogonalization and
     returns the extreme Ritz values.  Measured at k = 200 on four 2-D
     curl Jacobi-ASP cells with N <= 2,244 (p = 3, n = 32, tau = 1e-4 and
@@ -223,8 +231,8 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     """
     n = A.shape[0]
     if mode == "dense":
-        if n > 20000:
-            raise ValueError("dense mode limited to dimension 20000")
+        if n > DENSE_MAX_DIM:
+            raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
         Ad = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
         Ad = 0.5 * (Ad + Ad.T)
         if B is None:

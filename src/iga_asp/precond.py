@@ -78,20 +78,28 @@ class Smoother:
     ``apply`` realizes S^{-1} r for r of shape (N,) or a block (N, k):
     Jacobi divides by the diagonal; SGS evaluates
     L^{-1} - L^{-1} A U^{-1} + U^{-1} with L/U the lower and upper
-    triangles including the diagonal.
+    triangles including the diagonal.  Jacobi may be given the
+    ``diagonal`` alone in place of ``A``, and keeps no matrix either way.
     """
 
-    def __init__(self, kind: str, A: sp.spmatrix) -> None:
+    def __init__(self, kind: str, A: sp.spmatrix | None = None, *,
+                 diagonal: np.ndarray | None = None) -> None:
         if kind not in ("jacobi", "gs"):
             raise ValueError("smoother kind must be 'jacobi' or 'gs'")
+        if (A is None) == (diagonal is None):
+            raise ValueError("give exactly one of the matrix and its diagonal")
+        if A is None and kind == "gs":
+            raise ValueError("the Gauss-Seidel smoother needs the matrix")
         self.kind = kind
-        self.A = sp.csr_matrix(A)
-        diag = self.A.diagonal()
-        if np.any(diag == 0.0):
+        if A is not None:
+            A = sp.csr_matrix(A)
+            diagonal = A.diagonal()
+        if np.any(diagonal == 0.0):
             raise ArithmeticError("matrix has a zero diagonal entry")
-        self._diag = diag
+        self._diag = diagonal
         if kind == "gs":
-            L, U = _lower_upper(self.A)
+            self._A = A
+            L, U = _lower_upper(A)
             self._solve_l = _triangular_factor(L).solve
             self._solve_u = _triangular_factor(U).solve
 
@@ -99,7 +107,7 @@ class Smoother:
         if self.kind == "jacobi":
             return r / self._diag.reshape((-1,) + (1,) * (r.ndim - 1))
         x = self._solve_u(r)
-        return x + self._solve_l(r - self.A @ x)
+        return x + self._solve_l(r - self._A @ x)
 
 
 def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
@@ -207,7 +215,8 @@ class AspPreconditioner:
     """Matrix-free application of the auxiliary-space preconditioner of
     ``system``, whose system setup ``setup`` was built from.  Only the
     smoother of A and the shift of H + tau M are built per tau; the
-    rest comes from ``setup``."""
+    rest comes from ``setup``.  Jacobi reads ``system.diagonal``, so
+    only the SGS smoother assembles the CSR A."""
 
     def __init__(self, setup: AspSetup, system: AssembledSystem,
                  smoother: str = "jacobi") -> None:
@@ -215,11 +224,13 @@ class AspPreconditioner:
             raise ValueError("setup was built for another system setup")
         self.system = system
         self.tau = system.tau
-        self.smoother = Smoother(smoother, system.A)
+        self.smoother = (Smoother("gs", system.A) if smoother == "gs"
+                         else Smoother(smoother, diagonal=system.diagonal))
         self.transfers = setup.transfers
         self._solve_main = setup.h1.make(shift=self.tau)
         self._solve_potential = setup.solve_potential
-        self.shape = (system.A.shape[0], system.A.shape[0])
+        n = system.setup.space.total_dim
+        self.shape = (n, n)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r: smoother + auxiliary-space correction terms.  Like

@@ -13,6 +13,7 @@ from iga_asp.assembly import (
     curl_stiffness_matrix,
     discretize,
     export_matrix_market,
+    factored_product_wins,
     h1_vector_matrix,
     mass_matrix,
     mass_operator,
@@ -264,6 +265,54 @@ class TestFactoredApply:
         system_matrix(setup, 1e-4).apply_A(x)
         assert setup.M_D_op._dense_terms is dense[0]
         assert setup.M_range_op._dense_terms is dense[1]
+
+
+class TestCsrOnDemand:
+    """A without assembly: its diagonal from the setup, its product by
+    the measured rule, and its CSR only when read."""
+
+    @given(st.sampled_from(["curl", "div"]), st.sampled_from([2, 3]),
+           st.sampled_from(["natural", "essential"]),
+           st.lists(st.integers(min_value=1, max_value=3), min_size=3, max_size=3),
+           st.lists(st.integers(min_value=2, max_value=4), min_size=3, max_size=3))
+    @settings(max_examples=30, deadline=None)
+    def test_diagonal_matches_assembled(self, operator, dim, bc, p, n):
+        # per-direction degrees and element counts (anisotropic meshes)
+        setup = system_setup(operator, dim, tuple(p[:dim]), tuple(n[:dim]),
+                             bc=bc)
+        for tau in (1e-4, 1.0, 1e4):
+            system = system_matrix(setup, tau)
+            diagonal = system.diagonal
+            assert "A" not in vars(system)
+            ref = system.A.diagonal()
+            assert np.all(np.abs(diagonal - ref) <= 1e-14 * np.abs(ref))
+
+    def test_assembled_on_first_read_only(self):
+        system = system_matrix(system_setup("curl", 2, 2, 4), 1.0)
+        assert "A" not in vars(system)
+        assert system.A is system.A
+
+    @pytest.mark.parametrize("operator, dim, p, n, factored", [
+        # every sweep2d cell: 2-D curl, p 1..3, n 8 and 16
+        *(("curl", 2, p, n, False) for p in (1, 2, 3) for n in (8, 16)),
+        # the cube3d cells and 2-D p=6 n=64
+        ("curl", 3, 2, 16, True), ("div", 3, 3, 8, True),
+        ("curl", 2, 6, 64, True),
+        # measured on either side of the rule
+        ("curl", 2, 3, 32, True), ("curl", 2, 2, 32, False),
+        ("curl", 3, 2, 8, True), ("div", 3, 2, 8, True),
+        ("curl", 2, 1, 64, False), ("curl", 3, 1, 16, False)])
+    def test_product_rule(self, operator, dim, p, n, factored):
+        space = build_space(operator, p, n, dim=dim, bc="essential")
+        assert factored_product_wins(space) is factored
+
+    def test_product_follows_the_rule(self):
+        below = system_matrix(system_setup("curl", 2, 2, 8), 1e-2)
+        assert below.product is below.A
+        past = system_matrix(system_setup("curl", 3, 2, 8), 1e-2)
+        x = np.random.default_rng(0).standard_normal(past.product.shape[0])
+        assert "A" not in vars(past)
+        assert relative_error(past.product @ x, past.A @ x) <= 1e-13
 
 
 class TestAssembleRhs:

@@ -213,6 +213,18 @@ class TestExperimentSpec:
         with pytest.raises(ValueError):
             ExperimentSpec("curl", 2, (1,), (8,), (1.0,), report=("time",))
 
+    def test_dense_kappa_past_its_limit_rejected(self):
+        # 2-D curl p=1 n=110 has N = 23,980: rejected from the space
+        # dimensions before any cell runs
+        with pytest.raises(ValueError, match=r"p=1 n=110 has N=23980"):
+            ExperimentSpec("curl", 2, (1,), (8, 110), (1e-4,), precond="asp",
+                           report=("cond",), cond_mode="dense")
+        # auto, Lanczos, or no kappa: accepted
+        for kw in (dict(cond_mode="auto"), dict(cond_mode="lanczos"),
+                   dict(report=("iters",), cond_mode="dense")):
+            ExperimentSpec("curl", 2, (1,), (8, 110), (1e-4,), precond="asp",
+                           **{"report": ("cond",), **kw})
+
     def test_nu2_rules(self):
         base = dict(problem="curl", dim=2, p_values=(1,), n_values=(4,),
                     tau_values=(1.0,))

@@ -130,6 +130,21 @@ class TestMain:
             main(["run", "--spec", str(spec)])
         assert exc.value.code == 2
 
+    def test_dense_kappa_past_its_limit_exits_before_any_cell(
+            self, tmp_path, monkeypatch, capsys):
+        def no_sweep(spec):
+            raise AssertionError("run_experiment called")
+        monkeypatch.setattr("iga_asp.cli.run_experiment", no_sweep)
+        out = tmp_path / "F"
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "curl", "--dim", "2", "--p", "1",
+                  "--n", "8,110", "--tau", "1e-4", "--precond", "asp",
+                  "--report", "cond", "--cond-mode", "dense",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        assert "p=1 n=110 has N=23980" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, field, expected", [
         ("p", 2, "p_values", (2,)), ("n", 8, "n_values", (8,)),
         ("tau", 0.01, "tau_values", (0.01,))])

@@ -1,6 +1,5 @@
 """Krylov solvers, the composite cycle, and condition-number estimation."""
 
-import dataclasses
 import json
 
 import numpy as np
@@ -8,7 +7,13 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from iga_asp.assembly import mass_operator, system_matrix, system_setup
+from iga_asp.assembly import (
+    AssembledSystem,
+    factored_product_wins,
+    mass_operator,
+    system_matrix,
+    system_setup,
+)
 from iga_asp.krylov import (
     _PANEL_WIDTH,
     GltConfig,
@@ -32,6 +37,17 @@ def asp_cell(p, n, tau):
 def mass_solver(system):
     """The composite cycle's M_D solve on the system's space."""
     return InnerSolver(system.setup.M_D_op)
+
+
+def replaced(system, A=None, apply_A=None):
+    """A copy of ``system`` with ``apply_A`` and, when given, the CSR
+    ``A`` and its diagonal put in place; the copy's cached ``A`` is set
+    before anything reads it."""
+    out = AssembledSystem(system.setup, system.tau,
+                          apply_A or system.apply_A, system.b)
+    if A is not None:
+        vars(out).update(A=A, diagonal=A.diagonal())
+    return out
 
 
 class ProductCountingCsr(sp.csr_matrix):
@@ -126,9 +142,8 @@ class TestGltPreconditioner:
         # inner iteration converges immediately and one cycle is an
         # exact solve
         setup = system_setup("curl", 2, 2, 4)
-        mass_system = dataclasses.replace(system_matrix(setup, 1.0),
-                                          A=setup.M_D,
-                                          apply_A=setup.M_D_op.apply)
+        mass_system = replaced(system_matrix(setup, 1.0), A=setup.M_D,
+                               apply_A=setup.M_D_op.apply)
         asp = AspPreconditioner(AspSetup(setup), mass_system)
         glt = GltPreconditioner(asp, GltConfig(1, 2, 1),
                                 mass_solver(mass_system))
@@ -174,8 +189,7 @@ class TestGltPreconditioner:
         setup = system_setup("div", 3, 2, 4)
         asp_setup = AspSetup(setup)
         system = system_matrix(setup, tau)
-        csr_system = dataclasses.replace(system,
-                                         apply_A=lambda x: system.A @ x)
+        csr_system = replaced(system, apply_A=lambda x: system.A @ x)
         cfg = GltConfig(1, 8, nu_asp)
         b = np.random.default_rng(3).standard_normal(system.A.shape[0])
         x, x_csr = (GltPreconditioner(AspPreconditioner(asp_setup, s), cfg,
@@ -186,7 +200,7 @@ class TestGltPreconditioner:
     def test_cycle_makes_no_csr_product_with_A(self):
         setup = system_setup("div", 3, 2, 4)
         system = system_matrix(setup, 1e-4)
-        counted = dataclasses.replace(system, A=ProductCountingCsr(system.A))
+        counted = replaced(system, A=ProductCountingCsr(system.A))
         asp = AspPreconditioner(AspSetup(setup), counted)
         glt = GltPreconditioner(asp, GltConfig(1, 8, 3), mass_solver(counted))
         b = np.ones(system.A.shape[0])
@@ -194,6 +208,25 @@ class TestGltPreconditioner:
         assert counted.A.products == 0
         pcg(counted.A, b, glt, tol=1e-6, max_iter=2, flexible=True)
         assert counted.A.products > 0      # the counter sees CG's products
+
+        # a Jacobi ASP cell past the product rule: CG with the system's
+        # product neither assembles A nor multiplies by it
+        setup = system_setup("curl", 3, 2, 8)
+        assert factored_product_wins(setup.space)
+        asp_setup = AspSetup(setup)
+        b = np.ones(setup.space.total_dim)
+        system = system_matrix(setup, 1e-4)
+        _, report = pcg(system.product, b, AspPreconditioner(asp_setup, system),
+                        tol=1e-6, max_iter=100)
+        assert report.converged
+        assert "A" not in system.__dict__
+        counted = replaced(system,
+                           A=ProductCountingCsr(system_matrix(setup, 1e-4).A))
+        _, counted_report = pcg(counted.product, b,
+                                AspPreconditioner(asp_setup, counted),
+                                tol=1e-6, max_iter=100)
+        assert counted.A.products == 0
+        assert counted_report.iterations == report.iterations
 
 
 def materialize_by_columns(op, n):

@@ -67,6 +67,20 @@ class TestSmoother:
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ArithmeticError):
             Smoother("jacobi", A)
+        with pytest.raises(ArithmeticError):
+            Smoother("jacobi", diagonal=A.diagonal())
+
+    def test_jacobi_from_diagonal_alone(self):
+        A = random_spd(6, 4)
+        R = np.arange(12.0).reshape(6, 2)
+        np.testing.assert_array_equal(
+            Smoother("jacobi", diagonal=A.diagonal()).apply(R),
+            Smoother("jacobi", A).apply(R))
+        with pytest.raises(ValueError):
+            Smoother("gs", diagonal=A.diagonal())     # SGS needs A
+        for kw in ({}, {"A": A, "diagonal": A.diagonal()}):
+            with pytest.raises(ValueError):
+                Smoother("jacobi", **kw)
 
 
 def kronecker_cases(dim, p, n, tau):
