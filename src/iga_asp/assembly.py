@@ -9,28 +9,39 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                (stiffness) per distinct (B) factor space,
                                which every function below looks up,
 * ``KronSum``               -- block-diagonal Kronecker sums of 1-D
-                               stiffness and mass factors, kept factored
-                               and applied by sum factorization,
+                               stiffness and mass factors, kept factored,
+                               applied by sum factorization, with their
+                               diagonal from the 1-D diagonals,
+* ``congruence_diagonal``   -- diag(B^T op B) for a block Kronecker B
+                               (a differential) and a KronSum op, from
+                               the 1-D factors: the Jacobi diagonals of
+                               D^T M_range D and Q_curl,
 * ``mass_operator``         -- L2 mass of any of the five spaces as a
                                KronSum,
 * ``mass_matrix``           -- the same, assembled,
 * ``system_setup``          -- the tau-independent ``SystemSetup`` of one
                                problem on one mesh: its discretization,
-                               D, M_D, M_range and the load vector's
-                               weighted 1-D bases, built once per mesh,
+                               D, the factored M_D and M_range (their
+                               CSR assembled only when read) and the
+                               load vector's weighted 1-D bases, built
+                               once per mesh,
 * ``system_matrix``         -- the system A = D^T M_range D + tau M_D
                                and the load vector of one tau, from a
                                ``SystemSetup``: A as a product from the
-                               factored masses, its diagonal, and its CSR
-                               assembled only when read,
+                               factored masses, its diagonal from the
+                               1-D factors, and its CSR assembled only
+                               when read,
 * ``factored_product_wins`` -- the measured rule on which spaces that
                                factored product is faster than CSR,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
                                space (KronSum L, essential bc only),
-* ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C from the curl matrix
-                               and div mass already built (3-D div),
+* ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C assembled from the
+                               curl matrix and div mass (the SGS curl
+                               smoother of 3-D div),
+* ``curl_stiffness_diagonal`` -- its diagonal from the 1-D factors (the
+                               ``diag`` curl smoother),
 * ``assemble_rhs``          -- load vector from an analytic field,
 * ``field_coefficients``    -- the Kronecker apply of per-direction
                                (nodes, matrix) pairs to a sampled field
@@ -43,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -54,6 +65,7 @@ from . import derham
 from .derham import (
     TensorSpace,
     build_space,
+    differential_blocks,
     differential_matrix,
     kron_apply,
     kron_blocks,
@@ -78,11 +90,13 @@ __all__ = [
     "system_setup",
     "mass_operator",
     "mass_matrix",
+    "congruence_diagonal",
     "system_matrix",
     "factored_product_wins",
     "h1_vector_matrix",
     "scalar_laplacian_matrix",
     "curl_stiffness_matrix",
+    "curl_stiffness_diagonal",
     "assemble_rhs",
     "field_coefficients",
     "system_manifest",
@@ -126,7 +140,7 @@ class AssembledSystem:
     def diagonal(self) -> np.ndarray:
         """diag(A) = diag(D^T M_range D) + tau diag(M_D), with the
         entries that :attr:`A` drops set to zero."""
-        diag = self.setup.stiffness_diagonal + self.tau * self.setup.M_D.diagonal()
+        diag = self.setup.stiffness_diagonal + self.tau * self.setup.M_D_op.diagonal()
         diag[np.abs(diag) < DROP_TOL] = 0.0
         return diag
 
@@ -207,6 +221,14 @@ class KronSum:
     def toarray(self) -> np.ndarray:
         return self.tocsr().toarray()
 
+    def diagonal(self) -> np.ndarray:
+        """The diagonal, from the 1-D factors: per component and term
+        ``coeff * (x)_k diag(F_k)``."""
+        return np.concatenate([
+            sum(coeff * _kron_vectors([F.diagonal() for F in factors])
+                for coeff, factors in terms)
+            for terms in self._terms()])
+
     @cached_property
     def _dense_terms(self) -> list[tuple[tuple[int, ...], list]]:
         """Per component its shape and its terms with dense factors,
@@ -241,6 +263,36 @@ class KronSum:
         return out.T.reshape(x.shape)
 
 
+def _kron_vectors(vectors) -> np.ndarray:
+    """(x)_k v_k of 1-D vectors, last index fastest as in ``sp.kron``."""
+    return reduce(np.multiply.outer, vectors).ravel()
+
+
+def congruence_diagonal(blocks, op: KronSum) -> np.ndarray:
+    """diag(B^T op B) from the 1-D factors, with B given as the block
+    terms of :func:`iga_asp.derham.kron_blocks`, one term (a, F) per
+    block as a differential has, whose block rows are the components of
+    the block-diagonal ``op``.  Block column c is the sum over block
+    rows r and over the terms (m, M) of op's component r of
+
+        a^2 m (x)_k diag(F_k^T M_k F_k)."""
+    out = []
+    for c in range(len(blocks[0])):
+        total = 0.0
+        for row, op_terms in zip(blocks, op._terms()):
+            if row[c] is None:
+                continue
+            (a, factors), = row[c]
+            for m, masses in op_terms:
+                diags = []
+                for F, M in zip(factors, masses):
+                    F = F.toarray()
+                    diags.append(np.einsum("ij,ij->j", F, M @ F))
+                total = total + a * a * m * _kron_vectors(diags)
+        out.append(total)
+    return np.concatenate(out)
+
+
 def mass_operator(disc: Discretization, kind: str) -> KronSum:
     """L2 mass of the space ``disc.spaces[kind]``: per component the
     Kronecker product of its 1-D factor masses."""
@@ -258,10 +310,13 @@ class SystemSetup:
     """Everything in the system of one problem on one mesh that does not
     depend on tau: the discretization, the differential D from the
     problem's space onto its range space, the masses M_D and M_range
-    (assembled, and factored as ``M_D_op`` and ``M_range_op``), and per
-    distinct 1-D factor of the problem's space the Gauss nodes
-    and transposed weighted basis values of the load vector.  A sweep
-    builds it once per mesh and assembles each tau's system from it."""
+    factored as ``M_D_op`` and ``M_range_op``, and per distinct 1-D
+    factor of the problem's space the Gauss nodes and transposed
+    weighted basis values of the load vector.  The CSR ``M_D`` and
+    ``M_range`` are assembled on first read (by the CSR A, the SGS
+    Q_curl and the matrix export); A's diagonal needs neither.  A sweep
+    builds the setup once per mesh and assembles each tau's system from
+    it."""
 
     operator: str
     dim: int
@@ -272,18 +327,24 @@ class SystemSetup:
     space: TensorSpace = field(repr=False)
     range_space: TensorSpace = field(repr=False)
     D_mat: sp.csr_matrix = field(repr=False)
-    M_D: sp.csr_matrix = field(repr=False)
-    M_range: sp.csr_matrix = field(repr=False)
     M_D_op: KronSum = field(repr=False)
     M_range_op: KronSum = field(repr=False)
     load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
 
     @cached_property
+    def M_D(self) -> sp.csr_matrix:
+        return self.M_D_op.tocsr()
+
+    @cached_property
+    def M_range(self) -> sp.csr_matrix:
+        return self.M_range_op.tocsr()
+
+    @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
-        """diag(D^T M_range D), the tau-independent part of A's diagonal:
-        per column of D its quadratic form against M_range."""
-        D = self.D_mat
-        return np.asarray(D.multiply(self.M_range @ D).sum(axis=0)).ravel()
+        """diag(D^T M_range D), the tau-independent part of A's diagonal,
+        from the 1-D factors of D and M_range."""
+        return congruence_diagonal(
+            differential_blocks(self.space, self.range_space), self.M_range_op)
 
 
 def system_setup(operator: str, dim: int, p, n_elems,
@@ -300,8 +361,8 @@ def system_setup(operator: str, dim: int, p, n_elems,
     M_range_op = mass_operator(disc, range_kind)
     return SystemSetup(
         operator, dim, p, n_elems, bc, disc, space, range_space,
-        differential_matrix(space, range_space), M_D_op.tocsr(),
-        M_range_op.tocsr(), M_D_op, M_range_op, _load_bases(space, disc))
+        differential_matrix(space, range_space), M_D_op, M_range_op,
+        _load_bases(space, disc))
 
 
 def _system_product(setup: SystemSetup, tau: float):
@@ -382,9 +443,18 @@ def scalar_laplacian_matrix(disc: Discretization) -> KronSum:
 
 def curl_stiffness_matrix(C: sp.csr_matrix, M_div: sp.csr_matrix) -> sp.csr_matrix:
     """Q_curl = C^T M_div C from the 3-D curl matrix and the div mass:
-    the curl-curl stiffness whose diagonal drives the extra div-problem
-    smoother."""
+    the curl-curl stiffness of the SGS curl smoother of the div problem
+    (the ``diag`` smoother reads its diagonal from the 1-D factors)."""
     return drop_small(C.T @ M_div @ C)
+
+
+def curl_stiffness_diagonal(disc: Discretization) -> np.ndarray:
+    """diag(Q_curl) = diag(C^T M_div C) of a 3-D mesh, from the 1-D
+    factors of the curl matrix and the div mass, without assembling
+    either (the ``diag`` curl smoother of the div problem)."""
+    spaces = disc.spaces
+    return congruence_diagonal(differential_blocks(spaces["curl"], spaces["div"]),
+                               mass_operator(disc, "div"))
 
 
 def field_coefficients(space: TensorSpace, funcs: FieldFunc,

@@ -44,6 +44,7 @@ __all__ = [
     "divergence_matrix",
     "scalar_curl_matrix",
     "vector_curl_matrix",
+    "differential_blocks",
     "differential_matrix",
     "space_descriptor",
     "kron_blocks",
@@ -200,23 +201,41 @@ def kron_apply(factors, X: np.ndarray) -> np.ndarray:
     return out.reshape(count, *(F.shape[0] for F in factors))
 
 
-def _assemble_blocks(src: TensorSpace, dst: TensorSpace, pattern) -> sp.csr_matrix:
-    """Assemble a block matrix from ``pattern[dst_comp][src_comp]``
-    entries, a sign or ``None``; the factor kinds fix which direction
-    is differentiated."""
+# The sign of each block of the differentials between neighbouring
+# spaces, keyed by (source kind, target kind, dimension): entry [i][j]
+# maps source component j into target component i, ``None`` is a zero
+# block.  The factor kinds fix which direction each block differentiates.
+_DIFFERENTIALS = {
+    ("grad", "curl", 2): [[1], [1]],
+    ("grad", "curl", 3): [[1], [1], [1]],
+    ("curl", "div", 3): [[None, -1, 1], [1, None, -1], [-1, 1, None]],
+    ("div", "l2", 2): [[1, 1]],
+    ("div", "l2", 3): [[1, 1, 1]],
+    ("curl", "l2", 2): [[1, -1]],
+    ("grad", "div", 2): [[1], [-1]],
+}
+
+
+def differential_blocks(src: TensorSpace, dst: TensorSpace) -> list[list]:
+    """The de Rham differential between two neighbouring spaces as the
+    block terms :func:`kron_blocks` takes: block [i][j] is ``None`` or
+    the one term ``(sign, factors)``, with per direction the identity or
+    the bc-restricted difference factor.  The assembled matrix and the
+    diagonals computed from the 1-D factors both read these terms."""
+    key = (src.kind.kind, dst.kind.kind, src.dim)
+    if key not in _DIFFERENTIALS:
+        raise ValueError(f"no differential between {src.kind} and {dst.kind}")
     _check_compatible(src, dst)
-    rows = []
-    for ci, dst_comp in enumerate(dst.components):
-        row = []
-        for cj, src_comp in enumerate(src.components):
-            sign = pattern[ci][cj]
-            if sign is None:
-                row.append(None)
-                continue
-            factors = [_factor_block(sf, df) for sf, df in zip(src_comp, dst_comp)]
-            row.append([(sign, factors)])
-        rows.append(row)
-    return kron_blocks(rows)
+    return [[None if sign is None else
+             [(sign, [_factor_block(sf, df) for sf, df in zip(src_comp, dst_comp)])]
+             for sign, src_comp in zip(signs, src.components)]
+            for signs, dst_comp in zip(_DIFFERENTIALS[key], dst.components)]
+
+
+def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
+    """The de Rham differential between two neighbouring spaces,
+    assembled from :func:`differential_blocks`."""
+    return kron_blocks(differential_blocks(src, dst))
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
@@ -224,8 +243,7 @@ def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_
     bc-restricted difference factors."""
     if grad_space.kind.kind != "grad" or curl_space.kind.kind != "curl":
         raise ValueError("gradient maps the grad space into the curl space")
-    pattern = [[1] for _ in range(grad_space.dim)]
-    return _assemble_blocks(grad_space, curl_space, pattern)
+    return differential_matrix(grad_space, curl_space)
 
 
 def curl_matrix(curl_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
@@ -235,20 +253,14 @@ def curl_matrix(curl_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matri
         raise ValueError("the vector curl matrix exists only in 3-D")
     if curl_space.kind.kind != "curl" or div_space.kind.kind != "div":
         raise ValueError("curl maps the curl space into the div space")
-    pattern = [
-        [None, -1, 1],
-        [1, None, -1],
-        [-1, 1, None],
-    ]
-    return _assemble_blocks(curl_space, div_space, pattern)
+    return differential_matrix(curl_space, div_space)
 
 
 def divergence_matrix(div_space: TensorSpace, l2_space: TensorSpace) -> sp.csr_matrix:
     """Exact divergence matrix D: V(div) -> V(L2)."""
     if div_space.kind.kind != "div" or l2_space.kind.kind != "l2":
         raise ValueError("divergence maps the div space into the L2 space")
-    pattern = [[1] * div_space.dim]
-    return _assemble_blocks(div_space, l2_space, pattern)
+    return differential_matrix(div_space, l2_space)
 
 
 def scalar_curl_matrix(curl_space: TensorSpace, l2_space: TensorSpace) -> sp.csr_matrix:
@@ -258,8 +270,7 @@ def scalar_curl_matrix(curl_space: TensorSpace, l2_space: TensorSpace) -> sp.csr
         raise ValueError("the scalar curl exists only in 2-D")
     if curl_space.kind.kind != "curl" or l2_space.kind.kind != "l2":
         raise ValueError("scalar curl maps the curl space into the L2 space")
-    pattern = [[1, -1]]
-    return _assemble_blocks(curl_space, l2_space, pattern)
+    return differential_matrix(curl_space, l2_space)
 
 
 def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
@@ -269,25 +280,7 @@ def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.cs
         raise ValueError("the vector curl exists only in 2-D")
     if grad_space.kind.kind != "grad" or div_space.kind.kind != "div":
         raise ValueError("vector curl maps the grad space into the div space")
-    pattern = [[1], [-1]]
-    return _assemble_blocks(grad_space, div_space, pattern)
-
-
-def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
-    """The de Rham differential between two neighbouring spaces,
-    dispatched on their kinds."""
-    key = (src.kind.kind, dst.kind.kind, src.dim)
-    if key == ("grad", "curl", 2) or key == ("grad", "curl", 3):
-        return gradient_matrix(src, dst)
-    if key == ("curl", "div", 3):
-        return curl_matrix(src, dst)
-    if key == ("div", "l2", 2) or key == ("div", "l2", 3):
-        return divergence_matrix(src, dst)
-    if key == ("curl", "l2", 2):
-        return scalar_curl_matrix(src, dst)
-    if key == ("grad", "div", 2):
-        return vector_curl_matrix(src, dst)
-    raise ValueError(f"no differential between {src.kind} and {dst.kind}")
+    return differential_matrix(grad_space, div_space)
 
 
 def space_descriptor(space: TensorSpace) -> dict:

@@ -15,17 +15,19 @@ mass.  The potential map T and the potential-space operator B_T are
 
 with L the scalar Laplacian.  For 3-D div, B_T is itself an
 auxiliary-space preconditioner on V(curl): W is either the diagonal of
-Q_curl = C^T M_div C or its symmetric Gauss-Seidel matrix, and P_curl
-the transfer onto V(curl).
+Q_curl = C^T M_div C, computed from the 1-D factors of C and M_div
+without assembling Q_curl, or its symmetric Gauss-Seidel matrix, and
+P_curl the transfer onto V(curl).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`).
 :class:`InnerSolver` inverts them exactly by fast diagonalization
 (Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
 K_k U_k = M_k U_k Lambda_k, computed once per mesh, turn every inverse
-into dense 1-D matrix products and a pointwise division.  The SGS
-smoothers of A and Q_curl, which are not Kronecker, keep sparse
-triangular solves.
+into dense 1-D matrix products and a pointwise division.  The Jacobi
+smoothers read diagonals built from the 1-D factors; the SGS smoothers
+of A and Q_curl, which are not Kronecker, assemble their matrix and
+keep sparse triangular solves.
 
 Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T) for
@@ -43,6 +45,7 @@ from .assembly import (
     AssembledSystem,
     KronSum,
     SystemSetup,
+    curl_stiffness_diagonal,
     curl_stiffness_matrix,
     h1_vector_matrix,
     mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
@@ -50,6 +53,7 @@ from .assembly import (
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .derham import kron_apply
+from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
 __all__ = [
@@ -180,6 +184,17 @@ class InnerSolver:
         return solve
 
 
+def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
+    """The diagonal of Q_curl with the entries below ``DROP_TOL`` set to
+    zero, as :func:`iga_asp.splines1d.drop_small` drops them, after
+    checking that every entry is positive."""
+    diagonal = np.where(np.abs(diagonal) < DROP_TOL, 0.0, diagonal)
+    if np.any(diagonal <= 0.0):
+        raise ArithmeticError("Q_curl has a non-positive diagonal entry "
+                              "(curl-free curl basis function)")
+    return diagonal
+
+
 class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
     one problem on one mesh: the transfers, the eigenpairs of H, and the
@@ -201,11 +216,13 @@ class AspSetup:
                 scalar_laplacian_matrix(setup.disc)).make()
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
-        Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
-        if np.any(Q_curl.diagonal() <= 0.0):
-            raise ArithmeticError("Q_curl has a non-positive diagonal entry "
-                                  "(curl-free curl basis function)")
-        W = Smoother("jacobi" if curl_smoother == "diag" else "gs", Q_curl)
+        if curl_smoother == "diag":
+            diagonal = curl_stiffness_diagonal(setup.disc)
+            W = Smoother("jacobi", diagonal=_checked_q_curl_diagonal(diagonal))
+        else:
+            Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
+            _checked_q_curl_diagonal(Q_curl.diagonal())
+            W = Smoother("gs", Q_curl)
         solve_h = self.h1.make()
         self.solve_potential = (
             lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from iga_asp.assembly import (
     assemble_rhs,
+    curl_stiffness_diagonal,
     curl_stiffness_matrix,
     discretize,
     export_matrix_market,
@@ -313,6 +314,34 @@ class TestCsrOnDemand:
         x = np.random.default_rng(0).standard_normal(past.product.shape[0])
         assert "A" not in vars(past)
         assert relative_error(past.product @ x, past.A @ x) <= 1e-13
+
+
+class TestFactoredDiagonals:
+    """The Jacobi diagonals from the 1-D factors against the sparse
+    products they replace, which stay here as the oracles."""
+
+    @given(st.sampled_from(["curl", "div"]), st.sampled_from([2, 3]),
+           st.sampled_from(["natural", "essential"]),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3),
+           st.lists(st.integers(min_value=1, max_value=4), min_size=3, max_size=3))
+    @settings(max_examples=40, deadline=None)
+    def test_match_sparse_products(self, operator, dim, bc, p, n):
+        # per-direction degrees and element counts (anisotropic meshes)
+        setup = system_setup(operator, dim, tuple(p[:dim]), tuple(n[:dim]),
+                             bc=bc)
+
+        def assert_close(got, ref):
+            assert got.shape == ref.shape
+            assert np.all(np.abs(got - ref) <= 1e-14 * np.abs(ref))
+        D = setup.D_mat
+        assert_close(setup.stiffness_diagonal,
+                     np.asarray(D.multiply(setup.M_range @ D).sum(axis=0)).ravel())
+        assert_close(setup.M_D_op.diagonal(), setup.M_D.diagonal())
+        if dim == 3:
+            disc = setup.disc
+            C = differential_matrix(disc.spaces["curl"], disc.spaces["div"])
+            assert_close(curl_stiffness_diagonal(disc),
+                         curl_stiffness_matrix(C, mass_matrix(disc, "div")).diagonal())
 
 
 class TestAssembleRhs:

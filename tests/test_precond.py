@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iga_asp import bench, precond
 from iga_asp.assembly import (
     curl_stiffness_matrix,
     discretize,
@@ -17,6 +18,7 @@ from iga_asp.assembly import (
     system_matrix,
     system_setup,
 )
+from iga_asp.bench import ExperimentSpec, run_experiment
 from iga_asp.krylov import estimate_condition_number, pcg
 from iga_asp.precond import (
     AspPreconditioner,
@@ -305,3 +307,71 @@ class TestDiv3d:
         _, report = pcg(system.A, b, B, tol=1e-6, max_iter=100)
         assert report.converged
         assert report.iterations <= 20
+
+
+def run_recorded(monkeypatch, spec):
+    """Run the one-cell sweep ``spec``; returns its system and the number
+    of Q_curl assemblies."""
+    systems = []
+    q_curl = [0]
+
+    def recorded(*args, **kwargs):
+        systems.append(system_matrix(*args, **kwargs))
+        return systems[-1]
+
+    def counted(*args):
+        q_curl[0] += 1
+        return curl_stiffness_matrix(*args)
+    monkeypatch.setattr(bench, "system_matrix", recorded)
+    monkeypatch.setattr(precond, "curl_stiffness_matrix", counted)
+    (row,) = run_experiment(spec)
+    assert row["converged"]
+    (system,) = systems
+    return system, q_curl[0]
+
+
+class TestFactoredSetup:
+    """A Jacobi cell past the product rule assembles no CSR mass, no CSR
+    A and, with the diag curl smoother, no Q_curl."""
+
+    @pytest.mark.parametrize("spec", [
+        ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp"),
+        ExperimentSpec("div", 3, (2,), (8,), (1e-4,), precond="asp-glt",
+                       curl_smoother="diag")],
+        ids=["curl3d-asp", "div3d-asp-glt-diag"])
+    def test_jacobi_cell_assembles_no_csr(self, monkeypatch, spec):
+        system, q_curl = run_recorded(monkeypatch, spec)
+        assert "A" not in vars(system)
+        assert "M_D" not in vars(system.setup)
+        assert "M_range" not in vars(system.setup)
+        assert q_curl == 0
+
+    def test_sgs_cell_builds_q_curl(self, monkeypatch):
+        spec = ExperimentSpec("div", 3, (2,), (2,), (1e-4,), precond="asp-glt",
+                              curl_smoother="sgs")
+        system, q_curl = run_recorded(monkeypatch, spec)
+        assert q_curl == 1
+        assert "M_D" in vars(system.setup)
+
+    @pytest.mark.parametrize("entry", [0.0, 1e-16, -1.0])
+    def test_q_curl_guard_on_both_smoothers(self, monkeypatch, entry):
+        # the guard reads the diagonal after the DROP_TOL zeroing of
+        # drop_small, so an entry of 1e-16 counts as zero
+        setup = system_setup("div", 3, 2, 3)
+        diagonal_of, matrix_of = (precond.curl_stiffness_diagonal,
+                                  precond.curl_stiffness_matrix)
+
+        def bad_diagonal(disc):
+            out = diagonal_of(disc)
+            out[5] = entry
+            return out
+
+        def bad_matrix(C, M_div):
+            Q = matrix_of(C, M_div).tolil()
+            Q[5, 5] = entry
+            return Q.tocsr()
+        monkeypatch.setattr(precond, "curl_stiffness_diagonal", bad_diagonal)
+        monkeypatch.setattr(precond, "curl_stiffness_matrix", bad_matrix)
+        for curl_smoother in ("diag", "sgs"):
+            with pytest.raises(ArithmeticError, match="Q_curl"):
+                AspSetup(setup, curl_smoother)
