@@ -21,16 +21,16 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 * ``mass_matrix``           -- the same, assembled,
 * ``system_setup``          -- the tau-independent ``SystemSetup`` of one
                                problem on one mesh: its discretization,
-                               D, the factored M_D and M_range (their
-                               CSR assembled only when read) and the
-                               load vector's weighted 1-D bases, built
-                               once per mesh,
-* ``system_matrix``         -- the system A = D^T M_range D + tau M_D
-                               and the load vector of one tau, from a
-                               ``SystemSetup``: A as a product from the
-                               factored masses, its diagonal from the
-                               1-D factors, and its CSR assembled only
-                               when read,
+                               D, the factored M_D and M_range, the
+                               stiffness K = D^T M_range D (these CSR
+                               assembled only when read) and the load
+                               vector's weighted 1-D bases, built once
+                               per mesh,
+* ``system_matrix``         -- the ``AssembledSystem(setup, tau, b)`` of
+                               one tau: A = K + tau M_D as a product
+                               from the factored masses, its diagonal
+                               from the 1-D factors, and its CSR
+                               assembled from K only when read,
 * ``factored_product_wins`` -- the measured rule on which spaces that
                                factored product is faster than CSR,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
@@ -119,22 +119,28 @@ def _range_kind(operator: str, dim: int) -> str:
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """System of one tau: the tau-independent ``setup`` it was built
-    from, ``apply_A`` (A applied from the factored masses of ``setup``,
-    see :func:`system_matrix`) and the load vector ``b``.  ``A`` is the
-    assembled CSR, built on its first read (by the SGS smoother, dense
-    kappa, the matrix export, and ``product`` below the rule);
-    ``diagonal`` is A's diagonal, built without it."""
+    from, tau, and the load vector ``b``.  :meth:`apply_A` applies A
+    from the factored masses of ``setup``; ``A`` is the assembled CSR,
+    built on its first read (by the SGS smoother, dense kappa, the
+    matrix export, and ``product`` below the rule) from the setup's
+    ``stiffness``; ``diagonal`` is A's diagonal, built without it."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
-    apply_A: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     b: np.ndarray | None = field(repr=False, default=None)
+
+    def apply_A(self, x: np.ndarray) -> np.ndarray:
+        """A x = D^T (M_range (D x)) + tau M_D x for x of shape (N,) or
+        (N, k), with the masses applied by sum factorization."""
+        setup = self.setup
+        out = setup.M_D_op.apply(x)
+        out *= self.tau
+        out += setup.D_T @ setup.M_range_op.apply(setup.D_mat @ x)
+        return out
 
     @cached_property
     def A(self) -> sp.csr_matrix:
-        setup = self.setup
-        return drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
-                          + self.tau * setup.M_D)
+        return drop_small(self.setup.stiffness + self.tau * self.setup.M_D)
 
     @cached_property
     def diagonal(self) -> np.ndarray:
@@ -314,9 +320,9 @@ class SystemSetup:
     factor of the problem's space the Gauss nodes and transposed
     weighted basis values of the load vector.  The CSR ``M_D`` and
     ``M_range`` are assembled on first read (by the CSR A, the SGS
-    Q_curl and the matrix export); A's diagonal needs neither.  A sweep
-    builds the setup once per mesh and assembles each tau's system from
-    it."""
+    Q_curl and the matrix export), as is K = D^T M_range D (by the CSR
+    A); A's diagonal needs none.  A sweep builds the setup once per mesh
+    and assembles each tau's system from it."""
 
     operator: str
     dim: int
@@ -338,6 +344,14 @@ class SystemSetup:
     @cached_property
     def M_range(self) -> sp.csr_matrix:
         return self.M_range_op.tocsr()
+
+    @cached_property
+    def D_T(self) -> sp.csc_matrix:
+        return self.D_mat.T
+
+    @cached_property
+    def stiffness(self) -> sp.csr_matrix:
+        return self.D_T @ self.M_range @ self.D_mat
 
     @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
@@ -365,30 +379,15 @@ def system_setup(operator: str, dim: int, p, n_elems,
         _load_bases(space, disc))
 
 
-def _system_product(setup: SystemSetup, tau: float):
-    """x -> A x = D^T (M_range (D x)) + tau M_D x for x of shape (N,) or
-    (N, k), with the masses applied by sum factorization."""
-    D, DT = setup.D_mat, setup.D_mat.T
-    M_range, M_D = setup.M_range_op, setup.M_D_op
-
-    def apply(x: np.ndarray) -> np.ndarray:
-        out = M_D.apply(x)
-        out *= tau
-        out += DT @ M_range.apply(D @ x)
-        return out
-    return apply
-
-
 def system_matrix(setup: SystemSetup, tau: float,
                   rhs: FieldFunc | None = None) -> AssembledSystem:
     """The system A = D^T M_range D + tau M_D of ``setup``, plus the load
-    vector of ``rhs`` when given.  It carries ``apply_A``, the product
-    with A from the factored masses, which the composite cycle uses;
-    its CSR A is assembled only when something reads it."""
+    vector of ``rhs`` when given; all but tau and b is read from
+    ``setup``, and the CSR A is assembled only when something reads it."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     b = assemble_rhs(setup, rhs) if rhs is not None else None
-    return AssembledSystem(setup, tau, _system_product(setup, tau), b)
+    return AssembledSystem(setup, tau, b)
 
 
 # One product with A, factored (``apply_A``) against CSR, one vCPU: the
@@ -464,7 +463,8 @@ def field_coefficients(space: TensorSpace, funcs: FieldFunc,
     ``factor_pairs(component)`` the per-direction ``(x_k, T_k)``.
 
     ``funcs`` is a sequence of callables, one per component, each taking
-    d coordinate arrays (broadcastable) and returning values.
+    d coordinate arrays, the sparse (broadcastable) axes of the grid,
+    and returning values that broadcast to the grid's shape.
     """
     if callable(funcs):
         funcs = [funcs]
@@ -473,8 +473,11 @@ def field_coefficients(space: TensorSpace, funcs: FieldFunc,
     out = []
     for comp, fc in zip(space.components, funcs):
         pairs = factor_pairs(comp)
-        grids = np.meshgrid(*(x for x, _ in pairs), indexing="ij")
-        F = np.broadcast_to(np.asarray(fc(*grids), dtype=float), grids[0].shape)
+        grids = np.meshgrid(*(x for x, _ in pairs), indexing="ij", sparse=True)
+        # a contiguous copy of a broadcast sample keeps the products those
+        # of the dense grid, bit for bit
+        F = np.ascontiguousarray(np.broadcast_to(
+            np.asarray(fc(*grids), dtype=float), tuple(len(x) for x, _ in pairs)))
         out.append(kron_apply([T for _, T in pairs], F[None]).ravel())
     return np.concatenate(out)
 

@@ -34,7 +34,7 @@ from .krylov import (
     estimate_condition_number,
     pcg,
 )
-from .precond import AspPreconditioner, AspSetup, InnerSolver
+from .precond import AspPreconditioner, AspSetup
 from .transfer import function_projection_1d
 
 __all__ = [
@@ -209,6 +209,14 @@ class ExperimentSpec:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}")
+        if min(*self.p_values, *self.n_values, self.nu1, self.nu_asp,
+               self.max_iter) < 1:
+            raise ValueError("p, n, nu1, nu_asp and max_iter must be >= 1")
+        if self.nu2_rule not in ("psq", "pcube") and not (
+                type(self.nu2_rule) is int and self.nu2_rule >= 1):
+            raise ValueError("nu2 must be psq, pcube or an integer >= 1")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError("tol must be positive and finite")
         if not all(0.0 < t < math.inf for t in self.tau_values):
             raise ValueError("tau values must be positive and finite")
         bad = set(self.report) - {"iters", "cond", "errors"}
@@ -244,8 +252,9 @@ def _make_case(spec: ExperimentSpec, tau: float) -> ManufacturedCase:
 
 
 class _SharedSetup:
-    """The tau-independent setup of one (p, n) of a sweep.  Its first
-    cell builds each piece it needs; the other tau cells reuse it."""
+    """The tau-independent setups of one (p, n) of a sweep (the system's,
+    with K, and the ASP's, with the cycle's M_D inverse): its first cell
+    builds each piece it needs; the other tau cells reuse them."""
 
     def __init__(self, spec: ExperimentSpec, p: int, n: int) -> None:
         self.spec, self.p, self.n = spec, p, n
@@ -258,11 +267,6 @@ class _SharedSetup:
     @cached_property
     def asp(self) -> AspSetup:
         return AspSetup(self.system, self.spec.curl_smoother)
-
-    @cached_property
-    def mass_solver(self) -> InnerSolver:
-        """The composite cycle's M_D inverse."""
-        return InnerSolver(self.system.M_D_op)
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
@@ -278,7 +282,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         precond = asp
     if spec.precond == "asp-glt":
         cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
-        precond = GltPreconditioner(asp, cfg, shared.mass_solver)
+        precond = GltPreconditioner(asp, cfg)
         flexible = True
     x, rep = pcg(system.product, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter, flexible=flexible)

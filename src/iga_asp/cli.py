@@ -17,7 +17,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .assembly import export_matrix_market, system_matrix, system_setup
-from .bench import ExperimentSpec, emit, run_experiment
+from .bench import _CHOICES, ExperimentSpec, emit, run_experiment
 
 __all__ = ["main", "build_parser", "parse_int_values", "parse_tau_values"]
 
@@ -75,9 +75,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--n", help="elements per direction, e.g. 8,16,32,64")
     run.add_argument("--tau", help="tau values, e.g. 1e-4..1e4 (decade steps) "
                                    "or 1e-4,1e2")
-    run.add_argument("--precond", choices=["none", "asp", "asp-glt"])
-    run.add_argument("--smoother", choices=["jacobi", "gs"])
-    run.add_argument("--curl-smoother", choices=["diag", "sgs"],
+    run.add_argument("--precond", choices=_CHOICES["precond"])
+    run.add_argument("--smoother", choices=_CHOICES["smoother"])
+    run.add_argument("--curl-smoother", choices=_CHOICES["curl_smoother"],
                      help="second smoother of the 3-D div preconditioner")
     run.add_argument("--nu1", type=int)
     run.add_argument("--nu2", help="psq, pcube, or a fixed integer")
@@ -85,9 +85,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--tol", type=float)
     run.add_argument("--max-iter", type=int)
     run.add_argument("--report", help="comma list from iters,cond,errors")
-    run.add_argument("--variant", choices=["pure", "perturbed"],
+    run.add_argument("--variant", choices=_CHOICES["variant"],
                      help="2-D manufactured-solution variant")
-    run.add_argument("--cond-mode", choices=["auto", "dense", "lanczos"])
+    run.add_argument("--cond-mode", choices=_CHOICES["cond_mode"])
     run.add_argument("--format", choices=_FORMATS)
     run.add_argument("--out", type=Path, help="output file (default stdout)")
     run.add_argument("--dump-matrices", type=Path, metavar="DIR",
@@ -134,7 +134,7 @@ def _number(key: str, value, kind):
     if isinstance(value, bool) or not isinstance(value, (int, float, str)):
         raise ValueError(f"{key} must be a number, not {value!r}")
     out = kind(value)
-    if isinstance(value, float) and out != value:
+    if kind is int and isinstance(value, float) and out != value:
         raise ValueError(f"{key} must be an integer, not {value!r}")
     return out
 

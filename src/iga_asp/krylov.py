@@ -28,7 +28,7 @@ import numpy as np
 import scipy.linalg as sla
 import scipy.sparse.linalg as spla
 
-from .precond import AspPreconditioner, InnerSolver
+from .precond import AspPreconditioner
 
 __all__ = [
     "SolveReport",
@@ -161,28 +161,23 @@ class GltPreconditioner:
     is its ``apply_A``, which applies D^T M_range D + tau M_D from the
     factored 1-D masses (sum factorization), never the assembled CSR.
     M_D is per component a Kronecker product of 1-D masses; its inverse
-    is ``mass_solver``, the fast-diagonalization :class:`InnerSolver`
-    of the system setup's ``M_D_op``, built once per mesh.
+    is ``asp.setup.mass_solver``, the fast-diagonalization inverse of
+    the system setup's ``M_D_op``, built once per mesh.
 
     The truncated MINRES step makes the map nonlinear, so the outer
     solver must use the flexible direction update.
     """
 
-    def __init__(self, asp: AspPreconditioner, cfg: GltConfig,
-                 mass_solver: InnerSolver) -> None:
+    def __init__(self, asp: AspPreconditioner, cfg: GltConfig) -> None:
         self.system = asp.system
-        if mass_solver.op is not self.system.setup.M_D_op:
-            raise ValueError("mass solver was not built from the M_D_op "
-                             "of the system's setup")
         self.asp = asp
         self.cfg = cfg
         self.shape = asp.shape
         self._apply_A = self.system.apply_A
         self._A = spla.LinearOperator(self.shape, matvec=self._apply_A,
                                       dtype=float)
-        mass_solve = mass_solver.make()
         self._mass_inverse = spla.LinearOperator(
-            self.shape, matvec=mass_solve, dtype=float)
+            self.shape, matvec=asp.setup.mass_solver.make(), dtype=float)
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         A = self._apply_A

@@ -36,6 +36,8 @@ one mesh, and :class:`AspPreconditioner` adds the two per-tau pieces.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
@@ -197,9 +199,9 @@ def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
 
 class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
-    one problem on one mesh: the transfers, the eigenpairs of H, and the
-    potential-space solve B_T.  A sweep builds it once per mesh and
-    every tau's :class:`AspPreconditioner` reads it."""
+    one problem on one mesh: the transfers, the eigenpairs of H, B_T and
+    the composite cycle's M_D inverse (on first use).  A sweep builds it
+    once per mesh and every tau's :class:`AspPreconditioner` reads it."""
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
         if curl_smoother not in ("diag", "sgs"):
@@ -227,25 +229,29 @@ class AspSetup:
         self.solve_potential = (
             lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))
 
+    @cached_property
+    def mass_solver(self) -> InnerSolver:
+        """The composite cycle's M_D inverse, built on first use."""
+        return InnerSolver(self.system_setup.M_D_op)
+
 
 class AspPreconditioner:
     """Matrix-free application of the auxiliary-space preconditioner of
     ``system``, whose system setup ``setup`` was built from.  Only the
     smoother of A and the shift of H + tau M are built per tau; the
-    rest comes from ``setup``.  Jacobi reads ``system.diagonal``, so
-    only the SGS smoother assembles the CSR A."""
+    transfers and B_T are read through ``setup``.  Jacobi reads
+    ``system.diagonal``, so only the SGS smoother assembles the CSR A."""
 
     def __init__(self, setup: AspSetup, system: AssembledSystem,
                  smoother: str = "jacobi") -> None:
         if setup.system_setup is not system.setup:
             raise ValueError("setup was built for another system setup")
+        self.setup = setup
         self.system = system
         self.tau = system.tau
         self.smoother = (Smoother("gs", system.A) if smoother == "gs"
                          else Smoother(smoother, diagonal=system.diagonal))
-        self.transfers = setup.transfers
         self._solve_main = setup.h1.make(shift=self.tau)
-        self._solve_potential = setup.solve_potential
         n = system.setup.space.total_dim
         self.shape = (n, n)
 
@@ -259,7 +265,7 @@ class AspPreconditioner:
     def correction(self, r: np.ndarray) -> np.ndarray:
         """K r = (B - S^{-1}) r: the auxiliary-space terms alone."""
         r = np.asarray(r, dtype=float)
-        P = self.transfers.P_main
-        T = self.transfers.potential
+        P = self.setup.transfers.P_main
+        T = self.setup.transfers.potential
         out = P @ self._solve_main(P.T @ r)
-        return out + (T @ self._solve_potential(T.T @ r)) / self.tau
+        return out + (T @ self.setup.solve_potential(T.T @ r)) / self.tau

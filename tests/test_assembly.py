@@ -15,6 +15,7 @@ from iga_asp.assembly import (
     discretize,
     export_matrix_market,
     factored_product_wins,
+    field_coefficients,
     h1_vector_matrix,
     mass_matrix,
     mass_operator,
@@ -23,7 +24,7 @@ from iga_asp.assembly import (
     system_matrix,
     system_setup,
 )
-from iga_asp.derham import build_space, differential_matrix, kron_blocks
+from iga_asp.derham import build_space, differential_matrix, kron_apply, kron_blocks
 from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
 
 
@@ -344,6 +345,18 @@ class TestFactoredDiagonals:
                          curl_stiffness_matrix(C, mass_matrix(disc, "div")).diagonal())
 
 
+def dense_grid_coefficients(space, funcs, factor_pairs):
+    """Oracle of ``field_coefficients``: the callables sampled on full
+    ``np.meshgrid`` copies of the tensor grid."""
+    out = []
+    for comp, fc in zip(space.components, funcs):
+        pairs = factor_pairs(comp)
+        grids = np.meshgrid(*(x for x, _ in pairs), indexing="ij")
+        F = np.broadcast_to(np.asarray(fc(*grids), dtype=float), grids[0].shape)
+        out.append(kron_apply([T for _, T in pairs], F[None]).ravel())
+    return np.concatenate(out)
+
+
 class TestAssembleRhs:
     def test_constant_field_component_sums(self):
         # for f = 1, b_r = integral of the r-th basis function; B bases
@@ -373,6 +386,25 @@ class TestAssembleRhs:
         with pytest.raises(ValueError):
             assemble_rhs(system_setup("curl", 2, 2, 3, bc="natural"),
                          [lambda x, y: x])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_sparse_grid_matches_dense_grid(self, dim):
+        # the callables see the sparse axes of the grid; fields of one
+        # coordinate, e.g. (1, n)-shaped samples, and constants broadcast
+        # to the values of the dense grid, bit for bit
+        from iga_asp.bench import quasi_interpolant_coefficients
+        setup = system_setup("curl", dim, 2, 3)
+        space = setup.space
+        funcs = [lambda *xs, k=k: np.cos(3.0 * xs[k]) for k in range(dim)]
+        for fields in (funcs, funcs[::-1], [lambda *xs: 2.5] * dim):
+            pairs = {}
+            quasi_interpolant_coefficients(space, fields, pairs)
+            for factor_pairs in (
+                    lambda comp: [setup.load_bases[f] for f in comp],
+                    lambda comp: [pairs[f] for f in comp]):
+                got = field_coefficients(space, fields, factor_pairs)
+                ref = dense_grid_coefficients(space, fields, factor_pairs)
+                assert np.array_equal(got, ref)
 
 
 class TestManifestAndExport:

@@ -7,8 +7,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
-from iga_asp import assembly, derham, precond, splines1d, transfer
+from iga_asp import assembly, bench, derham, precond, splines1d, transfer
 from iga_asp.assembly import system_matrix, system_setup
 from iga_asp.bench import (
     COLUMNS,
@@ -23,7 +24,8 @@ from iga_asp.bench import (
 )
 from iga_asp.derham import build_space
 from iga_asp.krylov import GltConfig, GltPreconditioner, pcg
-from iga_asp.precond import AspPreconditioner, AspSetup, InnerSolver
+from iga_asp.precond import AspPreconditioner, AspSetup
+from iga_asp.splines1d import drop_small
 
 
 class TestAmplitudeConstants:
@@ -212,6 +214,17 @@ class TestExperimentSpec:
             ExperimentSpec("curl", 2, (1,), (8,), (1.0,), precond="amg")
         with pytest.raises(ValueError):
             ExperimentSpec("curl", 2, (1,), (8,), (1.0,), report=("time",))
+        # sweep values a cell would die on, or run to no purpose
+        for bad in (dict(p_values=(1, 0)), dict(n_values=(0,)),
+                    dict(nu1=0), dict(nu_asp=0), dict(nu2_rule=0),
+                    dict(nu2_rule=-2), dict(nu2_rule="p2"),
+                    dict(nu2_rule=2.0), dict(nu2_rule=True),
+                    dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf),
+                    dict(tol=math.nan), dict(max_iter=0)):
+            with pytest.raises(ValueError):
+                ExperimentSpec(**{"problem": "curl", "dim": 2, "p_values": (1,),
+                                  "n_values": (8,), "tau_values": (1.0,),
+                                  "precond": "asp-glt", **bad})
 
     def test_dense_kappa_past_its_limit_rejected(self):
         # 2-D curl p=1 n=110 has N = 23,980: rejected from the space
@@ -324,6 +337,14 @@ def without_wall_time(rows):
     return [{k: v for k, v in r.items() if k != "wall_ms"} for r in rows]
 
 
+def recorded(fn, out: list):
+    """``fn`` with each of its results appended to ``out``."""
+    def wrapper(*args, **kwargs):
+        out.append(fn(*args, **kwargs))
+        return out[-1]
+    return wrapper
+
+
 def assert_same_sparse(a, b):
     assert a.shape == b.shape
     for attr in ("indptr", "indices", "data"):
@@ -368,6 +389,34 @@ class TestSharedDiscretization:
         one = run(dataclasses.replace(spec, tau_values=spec.tau_values[:1]))
         assert run(spec) == one
 
+    def test_stiffness_formed_once_per_mesh(self, monkeypatch):
+        # three tau cells with dense kappa read three CSR A's, which all
+        # add their tau M_D to one D^T M_range D
+        setups, systems, formed = [], [], [0]
+        monkeypatch.setattr(bench, "system_setup", recorded(system_setup, setups))
+        monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
+        matmul = sp.csc_matrix.__matmul__
+
+        def counting_matmul(left, right):
+            # D^T @ M_range, the first product of D^T M_range D
+            formed[0] += any(right is vars(s).get("M_range") for s in setups)
+            return matmul(left, right)
+        monkeypatch.setattr(sp.csc_matrix, "__matmul__", counting_matmul)
+        spec = ExperimentSpec("curl", 2, (2,), (4,), (1e-4, 1.0, 1e4),
+                              precond="asp", report=("iters", "cond"),
+                              cond_mode="dense")
+        rows = run_experiment(spec)
+        assert all(r["converged"] and r["kappa2"] for r in rows)
+        assert len(setups) == 1 and len(systems) == 3
+        assert formed[0] == 1
+        monkeypatch.undo()
+        setup, = setups
+        for system in systems:
+            assert "A" in vars(system)
+            fresh = drop_small(setup.D_mat.T @ setup.M_range @ setup.D_mat
+                               + system.tau * setup.M_D)
+            assert_same_sparse(system.A, fresh)
+
     @each_path
     def test_sweep_rows_match_one_tau_at_a_time(self, spec):
         alone = [r for tau in spec.tau_values for r in run_experiment(
@@ -382,25 +431,25 @@ class TestSharedDiscretization:
 
         def setups():
             setup = system_setup(spec.problem, spec.dim, p, n)
-            return (setup, AspSetup(setup, spec.curl_smoother),
-                    InnerSolver(setup.M_D_op))
+            return setup, AspSetup(setup, spec.curl_smoother)
         shared = setups()
         rng = np.random.default_rng(5)
         for tau in spec.tau_values:
             case = (manufactured_2d(spec.problem, "perturbed", tau)
                     if spec.dim == 2 else rhs_3d(spec.problem, tau))
             built = []
-            for setup, asp_setup, mass_solver in (shared, setups()):
+            for setup, asp_setup in (shared, setups()):
                 system = system_matrix(setup, tau, case.rhs)
                 B = AspPreconditioner(asp_setup, system, spec.smoother)
-                glt = GltPreconditioner(B, GltConfig(1, 2, 1), mass_solver)
+                glt = GltPreconditioner(B, GltConfig(1, 2, 1))
                 built.append((system, B, glt))
             (shared_sys, B, glt), (alone, B_alone, glt_alone) = built
             assert_same_sparse(shared_sys.A, alone.A)
             assert np.array_equal(shared_sys.b, alone.b)
-            assert_same_sparse(B.transfers.P_main, B_alone.transfers.P_main)
-            assert_same_sparse(B.transfers.potential,
-                               B_alone.transfers.potential)
+            assert_same_sparse(B.setup.transfers.P_main,
+                               B_alone.setup.transfers.P_main)
+            assert_same_sparse(B.setup.transfers.potential,
+                               B_alone.setup.transfers.potential)
             X = rng.standard_normal((alone.A.shape[0], 5))
             assert np.array_equal(B.apply(X), B_alone.apply(X))
             if spec.precond == "asp-glt":

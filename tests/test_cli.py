@@ -116,7 +116,9 @@ class TestMain:
         # wrong JSON types
         ("report", 5), ("nu1", [1]), ("nu2", [2]), ("dim", None),
         ("max_iter", True), ("p", [[1]]), ("p", 2.5), ("n", {"8": 1}),
-        ("tau", [None])])
+        ("tau", [None]),
+        # values a cell would die on
+        ("p", 0), ("n", [8, 0]), ("nu2", 0), ("tol", -1), ("max_iter", 0)])
     def test_spec_file_bad_choice_exits_before_any_cell(
             self, tmp_path, monkeypatch, key, value):
         # values from --spec bypass argparse choices; they must still
@@ -129,6 +131,24 @@ class TestMain:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--spec", str(spec)])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("args", [
+        ["--p", "0"], ["--n", "0"], ["--p", "1,0"], ["--nu1", "0"],
+        ["--nu-asp", "0"], ["--nu2", "0", "--precond", "asp-glt"],
+        ["--nu2", "-1"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
+        ["--tol", "inf"], ["--max-iter", "0"]])
+    def test_bad_sweep_value_exits_before_any_cell(self, monkeypatch, capsys,
+                                                   args):
+        # exit 2 (usage), not a traceback in a cell or the exit 1 of a
+        # non-converged sweep
+        def no_sweep(spec):
+            raise AssertionError("run_experiment called")
+        monkeypatch.setattr("iga_asp.cli.run_experiment", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", *args])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "must be" in err and "integer, not" not in err
 
     def test_dense_kappa_past_its_limit_exits_before_any_cell(
             self, tmp_path, monkeypatch, capsys):
