@@ -121,9 +121,9 @@ class AssembledSystem:
     """System of one tau: the tau-independent ``setup`` it was built
     from, tau, and the load vector ``b``.  :meth:`apply_A` applies A
     from the factored masses of ``setup``; ``A`` is the assembled CSR,
-    built on its first read (by the SGS smoother, dense kappa, the
-    matrix export, and ``product`` below the rule) from the setup's
-    ``stiffness``; ``diagonal`` is A's diagonal, built without it."""
+    built on its first read (by the SGS smoother, the matrix export, and
+    ``product`` below the rule) from the setup's ``stiffness``;
+    ``diagonal`` is A's diagonal, built without it."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
@@ -152,9 +152,9 @@ class AssembledSystem:
 
     @cached_property
     def product(self):
-        """The product with A that CG and Lanczos are given: ``apply_A``
-        as an operator with ``shape`` where :func:`factored_product_wins`,
-        else the CSR ``A``."""
+        """The one product with A that CG and kappa (dense and Lanczos)
+        are given: ``apply_A`` as an operator with ``shape`` where
+        :func:`factored_product_wins`, else the CSR ``A``."""
         if not factored_product_wins(self.setup.space):
             return self.A
         n = self.setup.space.total_dim

@@ -222,16 +222,19 @@ class ExperimentSpec:
         bad = set(self.report) - {"iters", "cond", "errors"}
         if bad:
             raise ValueError(f"unknown report fields {sorted(bad)}")
-        if ("cond" in self.report and self.precond != "asp-glt"
-                and self.cond_mode == "dense"):
-            for p in self.p_values:
-                for n in self.n_values:
-                    N = build_space(self.problem, p, n, dim=self.dim,
-                                    bc="essential").total_dim
-                    if N > DENSE_MAX_DIM:
-                        raise ValueError(
-                            f"dense kappa is limited to N <= {DENSE_MAX_DIM}"
-                            f" unknowns; p={p} n={n} has N={N}")
+        dense = (self.cond_mode == "dense" and "cond" in self.report
+                 and self.precond != "asp-glt")
+        for p in self.p_values:
+            for n in self.n_values:
+                N = build_space(self.problem, p, n, dim=self.dim,
+                                bc="essential").total_dim
+                if N == 0:
+                    raise ValueError(f"the problem space must be non-empty;"
+                                     f" p={p} n={n} has N=0 unknowns")
+                if dense and N > DENSE_MAX_DIM:
+                    raise ValueError(
+                        f"dense kappa is limited to N <= {DENSE_MAX_DIM}"
+                        f" unknowns; p={p} n={n} has N={N}")
 
     def nu2(self, p: int) -> int:
         if self.nu2_rule == "psq":
@@ -270,6 +273,7 @@ class _SharedSetup:
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
+    """One row: CG and kappa both read ``system.product`` and the ASP."""
     t0 = time.perf_counter()
     p, n = shared.p, shared.n
     case = _make_case(spec, tau)
@@ -293,13 +297,8 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
     }
     if "cond" in spec.report and spec.precond != "asp-glt":
-        mode = spec.cond_mode
-        if mode == "auto":
-            mode = ("dense" if shared.system.space.total_dim <= 2500
-                    else "lanczos")
-        cond_op = asp if spec.precond == "asp" else None
-        A = system.A if mode == "dense" else system.product
-        _, _, kappa = estimate_condition_number(A, cond_op, mode=mode)
+        _, _, kappa = estimate_condition_number(system.product, asp,
+                                                mode=spec.cond_mode)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
         row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,
@@ -361,6 +360,13 @@ def emit(rows: list[dict], fmt: str = "csv") -> str:
     raise ValueError("format must be 'csv', 'json', or 'pretty'")
 
 
+def _tau_label(tau: float) -> str:
+    """The shortest e-notation of ``tau`` that reads back as the same
+    double: ``1e-04``, but ``1.4e-04`` for 1.4e-4."""
+    return next(label for digits in range(17)
+                if float(label := f"{tau:.{digits}e}") == tau)
+
+
 def _pretty(rows: list[dict]) -> str:
     """Per-(p, problem) blocks with tau rows and n columns, iteration
     counts (condition numbers appended in parentheses when present)."""
@@ -378,7 +384,7 @@ def _pretty(rows: list[dict]) -> str:
         head = ["tau\\n"] + [str(n) for n in ns]
         table = [head]
         for t in taus:
-            line = [f"{t:.0e}"]
+            line = [_tau_label(t)]
             for n in ns:
                 r = cells.get((t, n))
                 if r is None:

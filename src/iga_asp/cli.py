@@ -17,7 +17,7 @@ from decimal import Decimal
 from pathlib import Path
 
 from .assembly import export_matrix_market, system_matrix, system_setup
-from .bench import _CHOICES, ExperimentSpec, emit, run_experiment
+from .bench import _CHOICES, ExperimentSpec, _tau_label, emit, run_experiment
 
 __all__ = ["main", "build_parser", "parse_int_values", "parse_tau_values"]
 
@@ -170,13 +170,6 @@ def _experiment_spec(settings: dict) -> ExperimentSpec:
         max_iter=_number("max_iter", settings["max_iter"], int),
         report=tuple(report), variant=settings["variant"],
         cond_mode=settings["cond_mode"])
-
-
-def _tau_label(tau: float) -> str:
-    """The shortest e-notation of ``tau`` that reads back as the same
-    double: ``1e-04``, but ``1.4e-04`` for 1.4e-4."""
-    return next(label for digits in range(17)
-                if float(label := f"{tau:.{digits}e}") == tau)
 
 
 def _dump_matrices(spec: ExperimentSpec, root: Path) -> None:

@@ -165,8 +165,9 @@ def kron_blocks(rows) -> sp.csr_matrix:
     zero block) or a list of ``(coeff, factors)`` terms, and the block is
     the sum of ``coeff * factors[0] (x) factors[1] (x) ...`` in term
     order.  Every block row and column needs a non-``None`` entry, from
-    which the zero blocks take their shapes.  Returns CSR with sorted
-    indices."""
+    which the zero blocks take their shapes.  The products stay COO until
+    ``bmat`` (or the sum of a block's terms) converts them; returns CSR
+    with sorted indices."""
     def block(terms):
         if terms is None:
             return None
@@ -174,12 +175,11 @@ def kron_blocks(rows) -> sp.csr_matrix:
         for coeff, factors in terms:
             out = factors[0]
             for f in factors[1:]:
-                out = sp.kron(out, f, format="csr")
-            mats.append(coeff * sp.csr_matrix(out))
+                out = sp.kron(out, f, format="coo")
+            mats.append(coeff * out)
         return sum(mats[1:], mats[0])
 
-    out = sp.csr_matrix(sp.bmat([[block(t) for t in row] for row in rows],
-                                format="csr"))
+    out = sp.bmat([[block(t) for t in row] for row in rows], format="csr")
     out.sort_indices()
     return out
 

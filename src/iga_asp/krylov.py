@@ -13,9 +13,9 @@
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos.
 
-:func:`pcg` and Lanczos take any operator; the sweep gives them
-``AssembledSystem.product``, the factored product past a measured rule
-and the CSR A below it.  Dense kappa reads the CSR A.
+Every consumer takes one operator per system: the sweep gives CG and
+both kappa modes ``AssembledSystem.product``, the factored product past
+a measured rule and the CSR A below it.
 """
 
 from __future__ import annotations
@@ -37,10 +37,13 @@ __all__ = [
     "pcg",
     "estimate_condition_number",
     "DENSE_MAX_DIM",
+    "AUTO_DENSE_MAX_DIM",
 ]
 
 # largest dimension that dense kappa materializes
 DENSE_MAX_DIM = 20000
+# largest dimension at which mode="auto" picks dense kappa over Lanczos
+AUTO_DENSE_MAX_DIM = 2500
 
 
 @dataclass
@@ -64,17 +67,10 @@ class SolveReport:
             "residuals": self.residuals,
         })
 
-    def residuals_csv(self) -> str:
-        lines = ["iteration,relative_residual"]
-        lines += [f"{i},{r:.16e}" for i, r in enumerate(self.residuals)]
-        return "\n".join(lines) + "\n"
-
 
 def _as_matvec(op):
     if op is None:
         return lambda v: v
-    if callable(op) and not hasattr(op, "shape"):
-        return op
     if hasattr(op, "apply"):
         return op.apply
     return lambda v: op @ v
@@ -84,9 +80,9 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000,
         x0: np.ndarray | None = None, flexible: bool = False):
     """Preconditioned CG with true-residual stopping.
 
-    ``A`` and ``B`` may be sparse matrices, LinearOperators, objects
-    with ``apply``, or plain callables.  The convergence test uses the
-    recomputed residual ||b - A x||, not the recurrence residual.
+    ``A`` and ``B`` may be matrices, LinearOperators, or objects with
+    ``apply``.  The convergence test uses the recomputed residual
+    ||b - A x||, not the recurrence residual.
     """
     amat = _as_matvec(A)
     bmat = _as_matvec(B)
@@ -216,19 +212,22 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
 
     ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
     solves the generalized symmetric eigenproblem exactly; it applies
-    ``B`` to (n, 64) panels of the identity, so ``B`` must accept (n, k)
-    blocks as well as vectors.  ``lanczos`` runs ``k``
-    preconditioned-Lanczos steps with full reorthogonalization and
-    returns the extreme Ritz values.  Measured at k = 200 on four 2-D
-    curl Jacobi-ASP cells with N <= 2,244 (p = 3, n = 32, tau = 1e-4 and
-    1e4; p = 2, n = 32, tau = 1; p = 1, n = 16, tau = 1e-4), kappa was
-    within 4.6e-9 relative of dense.
+    ``B``, and ``A`` unless it has ``toarray()``, to (n, 64) panels of
+    the identity, so both must accept (n, k) blocks as well as vectors.
+    ``lanczos`` runs ``k`` preconditioned-Lanczos steps with full
+    reorthogonalization and returns the extreme Ritz values.  Measured
+    at k = 200 on four 2-D curl Jacobi-ASP cells with N <= 2,244 (p = 3,
+    n = 32, tau = 1e-4 and 1e4; p = 2, n = 32, tau = 1; p = 1, n = 16,
+    tau = 1e-4), kappa was within 4.6e-9 relative of dense.  ``auto`` is
+    ``dense`` up to ``AUTO_DENSE_MAX_DIM`` unknowns, else ``lanczos``.
     """
     n = A.shape[0]
+    if mode == "auto":
+        mode = "dense" if n <= AUTO_DENSE_MAX_DIM else "lanczos"
     if mode == "dense":
         if n > DENSE_MAX_DIM:
             raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
-        Ad = A.toarray() if hasattr(A, "toarray") else np.asarray(A)
+        Ad = A.toarray() if hasattr(A, "toarray") else _materialize(A, n)
         Ad = 0.5 * (Ad + Ad.T)
         if B is None:
             w = sla.eigvalsh(Ad)
@@ -241,7 +240,7 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     elif mode == "lanczos":
         lam_min, lam_max = _lanczos_extremes(A, B, min(k, n), seed)
     else:
-        raise ValueError("mode must be 'dense' or 'lanczos'")
+        raise ValueError("mode must be 'auto', 'dense' or 'lanczos'")
     if lam_min <= 0.0:
         raise ArithmeticError("non-positive extreme eigenvalue estimate; "
                               "operator pair is not SPD to working accuracy")

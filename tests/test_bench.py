@@ -23,7 +23,12 @@ from iga_asp.bench import (
     run_experiment,
 )
 from iga_asp.derham import build_space
-from iga_asp.krylov import GltConfig, GltPreconditioner, pcg
+from iga_asp.krylov import (
+    GltConfig,
+    GltPreconditioner,
+    estimate_condition_number,
+    pcg,
+)
 from iga_asp.precond import AspPreconditioner, AspSetup
 from iga_asp.splines1d import drop_small
 
@@ -220,7 +225,12 @@ class TestExperimentSpec:
                     dict(nu2_rule=-2), dict(nu2_rule="p2"),
                     dict(nu2_rule=2.0), dict(nu2_rule=True),
                     dict(tol=0.0), dict(tol=-1.0), dict(tol=math.inf),
-                    dict(tol=math.nan), dict(max_iter=0)):
+                    dict(tol=math.nan), dict(max_iter=0),
+                    # p = 1, n = 1 leaves no unknowns in any problem space
+                    dict(n_values=(1,)), dict(n_values=(1, 4)),
+                    dict(n_values=(1,), precond="asp", report=("cond",)),
+                    dict(n_values=(1,), precond="asp", report=("errors",)),
+                    dict(n_values=(1,), problem="div", dim=3, precond="asp")):
             with pytest.raises(ValueError):
                 ExperimentSpec(**{"problem": "curl", "dim": 2, "p_values": (1,),
                                   "n_values": (8,), "tau_values": (1.0,),
@@ -417,6 +427,24 @@ class TestSharedDiscretization:
                                + system.tau * setup.M_D)
             assert_same_sparse(system.A, fresh)
 
+    def test_dense_kappa_past_the_rule_assembles_no_csr_A(self, monkeypatch):
+        # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG and
+        # dense kappa both read the factored product, so no CSR A (and
+        # no K) is assembled, and kappa equals that of the CSR A
+        systems = []
+        monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
+        spec = ExperimentSpec("curl", 2, (3,), (27,), (1e-4,), precond="asp",
+                              report=("cond",), cond_mode="dense")
+        row, = run_experiment(spec)
+        monkeypatch.undo()
+        system, = systems
+        assert assembly.factored_product_wins(system.setup.space)
+        assert "A" not in vars(system)
+        assert "stiffness" not in vars(system.setup)
+        B = AspPreconditioner(AspSetup(system.setup), system)
+        _, _, oracle = estimate_condition_number(system.A, B, mode="dense")
+        assert row["kappa2"] == pytest.approx(oracle, rel=1e-12)
+
     @each_path
     def test_sweep_rows_match_one_tau_at_a_time(self, spec):
         alone = [r for tau in spec.tau_values for r in run_experiment(
@@ -486,6 +514,15 @@ class TestEmit:
         text = emit(rows, "pretty")
         assert "p=1" in text
         assert str(rows[0]["iters"]) in text
+
+    def test_pretty_labels_tau_losslessly(self):
+        # two tau values that round to one decade keep two labels;
+        # decades keep their short form
+        rows = run_experiment(ExperimentSpec("curl", 2, (1,), (4,),
+                                             (1e-4, 1.4e-4, 1.0)))
+        labels = [line.split()[0] for line in emit(rows, "pretty").splitlines()[2:]
+                  if line.strip()]
+        assert labels == ["1e-04", "1.4e-04", "1e+00"]
 
     def test_nonconverged_marker(self):
         row = {c: None for c in COLUMNS}

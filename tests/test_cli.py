@@ -136,7 +136,14 @@ class TestMain:
         ["--p", "0"], ["--n", "0"], ["--p", "1,0"], ["--nu1", "0"],
         ["--nu-asp", "0"], ["--nu2", "0", "--precond", "asp-glt"],
         ["--nu2", "-1"], ["--tol", "-1"], ["--tol", "0"], ["--tol", "nan"],
-        ["--tol", "inf"], ["--max-iter", "0"]])
+        ["--tol", "inf"], ["--max-iter", "0"],
+        # p = 1, n = 1: no unknowns, whatever the preconditioner or report
+        ["--n", "1"], ["--n", "1", "--precond", "asp-glt"],
+        ["--n", "1,4", "--precond", "asp", "--report", "cond"],
+        ["--n", "1", "--precond", "asp", "--report", "cond",
+         "--cond-mode", "lanczos"],
+        ["--n", "1", "--report", "errors"],
+        ["--n", "1", "--problem", "div", "--dim", "3", "--precond", "asp"]])
     def test_bad_sweep_value_exits_before_any_cell(self, monkeypatch, capsys,
                                                    args):
         # exit 2 (usage), not a traceback in a cell or the exit 1 of a

@@ -15,6 +15,7 @@ from iga_asp.assembly import (
 )
 from iga_asp.krylov import (
     _PANEL_WIDTH,
+    AUTO_DENSE_MAX_DIM,
     GltConfig,
     GltPreconditioner,
     SolveReport,
@@ -120,9 +121,7 @@ class TestPcg:
         data = json.loads(report.to_json())
         assert data["converged"] is True
         assert data["iterations"] == report.iterations
-        csv = report.residuals_csv()
-        assert csv.splitlines()[0] == "iteration,relative_residual"
-        assert len(csv.splitlines()) == len(report.residuals) + 1
+        assert data["residuals"] == report.residuals
 
 
 class TestGltPreconditioner:
@@ -266,6 +265,37 @@ class TestEstimateConditionNumber:
         _, _, lanczos = estimate_condition_number(system.A, B,
                                                   mode="lanczos", k=200)
         assert lanczos == pytest.approx(dense, rel=0.02)
+
+    def test_dense_takes_the_product_cg_takes(self):
+        # past the product rule the system's product is a LinearOperator
+        # with no toarray(): dense kappa materializes it from panels
+        system, B = asp_cell(3, 27, 1e-4)
+        assert system.setup.space.total_dim == 1624
+        assert factored_product_wins(system.setup.space)
+        assert not hasattr(system.product, "toarray")
+        _, _, kappa = estimate_condition_number(system.product, B, mode="dense")
+        assert "A" not in vars(system)
+        _, _, oracle = estimate_condition_number(system.A, B, mode="dense")
+        assert kappa == pytest.approx(oracle, rel=1e-12)
+
+    def test_auto_is_dense_up_to_its_limit_then_lanczos(self):
+        # diagonal pair: the eigenvalues of B A are the products of the
+        # diagonals; k = 20 Lanczos steps leave the Ritz extremes visibly
+        # inside that spectrum, so the modes give different results
+        assert AUTO_DENSE_MAX_DIM == 2500
+        for n in (2500, 2501):
+            a, m = np.linspace(1.0, 100.0, n), np.linspace(2.0, 1.0, n)
+            A, Minv = sp.diags(a, format="csr"), sp.diags(m)
+            exact = (a * m).max() / (a * m).min()
+            auto = estimate_condition_number(A, Minv, mode="auto", k=20)
+            lanczos = estimate_condition_number(A, Minv, mode="lanczos", k=20)
+            assert lanczos[2] < 0.99 * exact
+            if n <= 2500:
+                dense = estimate_condition_number(A, Minv, mode="dense")
+                assert dense[2] == pytest.approx(exact, rel=1e-12)
+                assert auto == dense
+            else:
+                assert auto == lanczos
 
     def test_dense_dimension_guard(self):
         A = sp.identity(20001, format="csr")
