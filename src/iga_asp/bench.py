@@ -273,7 +273,8 @@ class _SharedSetup:
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
-    """One row: CG and kappa both read ``system.product`` and the ASP."""
+    """One row: CG and kappa both read ``system.product`` and the ASP;
+    dense kappa also gets the space, for its reflection sectors."""
     t0 = time.perf_counter()
     p, n = shared.p, shared.n
     case = _make_case(spec, tau)
@@ -297,8 +298,8 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
     }
     if "cond" in spec.report and spec.precond != "asp-glt":
-        _, _, kappa = estimate_condition_number(system.product, asp,
-                                                mode=spec.cond_mode)
+        _, _, kappa = estimate_condition_number(
+            system.product, asp, mode=spec.cond_mode, space=shared.system.space)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
         row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,

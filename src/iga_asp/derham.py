@@ -24,11 +24,22 @@ coordinate index fastest, so a component's coefficients reshape to an
 array of shape ``(n_1, ..., n_d)`` and a Kronecker product
 ``F_1 (x) ... (x) F_d`` acts on it one axis at a time: ``kron_blocks``
 assembles such products, ``kron_apply`` applies them without assembly.
+
+With uniform open knots every factor basis is mirror-symmetric,
+b_i(1 - x) = b_{m-1-i}(x) with m its dimension (essential bc drops one
+function at each end), so the reflection x_k -> 1 - x_k reverses the
+indices of direction k.  Pulled back as a form it also negates every component
+whose factor k is 'D' (a difference image: d/dx changes sign under the
+reflection), and then commutes with every mass and every differential.
+``reflection_sectors`` spans the joint eigenspaces of the d
+reflections.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -49,6 +60,7 @@ __all__ = [
     "space_descriptor",
     "kron_blocks",
     "kron_apply",
+    "reflection_sectors",
 ]
 
 _FACTOR_TABLE = {
@@ -112,6 +124,12 @@ class TensorSpace:
 
     def component_offset(self, c: int) -> int:
         return sum(self.component_dims[:c])
+
+    @cached_property
+    def sectors(self) -> dict[tuple[int, ...], sp.csc_matrix]:
+        """:func:`reflection_sectors` of this space, built on first read
+        and kept with it."""
+        return reflection_sectors(self)
 
 
 def build_space(kind: str, p, n_elems, *, dim: int | None = None,
@@ -281,6 +299,38 @@ def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.cs
     if grad_space.kind.kind != "grad" or div_space.kind.kind != "div":
         raise ValueError("vector curl maps the grad space into the div space")
     return differential_matrix(grad_space, div_space)
+
+
+def _reversal_basis(n: int, odd: bool) -> sp.csr_matrix:
+    """Orthonormal basis of the vectors of length n that the reversal
+    i -> n-1-i maps to themselves (``odd`` False) or to their negatives:
+    columns (e_i +- e_{n-1-i}) / sqrt 2 for i < n // 2, then e_{n//2} in
+    the even basis when n is odd."""
+    half = n // 2
+    i = np.arange(half)
+    s = np.sqrt(0.5)
+    rows, cols = np.r_[i, n - 1 - i], np.r_[i, i]
+    vals = np.r_[np.full(half, s), np.full(half, -s if odd else s)]
+    if n % 2 and not odd:
+        rows, cols, vals = np.r_[rows, half], np.r_[cols, half], np.r_[vals, 1.0]
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, half if odd else n - half))
+
+
+def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matrix]:
+    """Per character chi in {0, 1}^d (in ``itertools.product`` order) the
+    orthonormal column block Q_chi spanning the coefficient vectors that
+    the reflection of direction k maps to (-1)^chi_k times themselves.
+    Q_chi is block-diagonal over components; a component's block is the
+    Kronecker product over directions of the reversal-even or -odd basis,
+    odd when chi_k XOR [factor k is 'D'].  The blocks are disjoint and
+    together span the space; with uniform knots every mass and every
+    differential maps sector chi of one space into sector chi of the
+    other.  ``TensorSpace.sectors`` keeps them with the space."""
+    return {chi: sp.block_diag(
+                [reduce(sp.kron, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
+                                  for c, f in zip(chi, comp)])
+                 for comp in space.components], format="csc")
+            for chi in itertools.product((0, 1), repeat=space.dim)}
 
 
 def space_descriptor(space: TensorSpace) -> dict:

@@ -11,11 +11,14 @@
   the masses applied by sum factorization).
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
-  or via preconditioned Lanczos.
+  or via preconditioned Lanczos.  Given the space of the unknowns,
+  dense mode splits A and B into the 2^d reflection sectors of the
+  unit square or cube (:func:`iga_asp.derham.reflection_sectors`) when
+  a probe shows that both keep them, and solves one pencil per sector.
 
 Every consumer takes one operator per system: the sweep gives CG and
 both kappa modes ``AssembledSystem.product``, the factored product past
-a measured rule and the CSR A below it.
+a measured rule and the CSR A below it, and dense kappa the space.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .precond import AspPreconditioner
@@ -38,6 +42,7 @@ __all__ = [
     "estimate_condition_number",
     "DENSE_MAX_DIM",
     "AUTO_DENSE_MAX_DIM",
+    "SECTOR_TOL",
 ]
 
 # largest dimension that dense kappa materializes
@@ -188,32 +193,88 @@ class GltPreconditioner:
         return x
 
 
-# columns of the identity per application of B in dense mode: one block
-# of n columns would hold a second n x n array at peak memory
+# columns per application of an operator in dense mode: one block of n
+# columns would hold a second n x n array at peak memory
 _PANEL_WIDTH = 64
+# largest relative out-of-sector part of a probe image that dense kappa
+# still takes for round-off of a reflection-equivariant operator
+SECTOR_TOL = 1e-10
 
 
-def _materialize(op, n: int) -> np.ndarray:
-    """Dense n x n matrix of ``op``, applied to (n, _PANEL_WIDTH) panels
-    of the identity."""
+def _compress(op, bases) -> list[np.ndarray]:
+    """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
+    for a sparse ``op``, else with ``op`` applied to (n, _PANEL_WIDTH)
+    panels of the bases side by side.  With the identity as the one
+    basis this is the dense matrix of ``op``, entry for entry."""
+    if sp.issparse(op):
+        return [(Q.T @ op @ Q).toarray() for Q in bases]
     mv = _as_matvec(op)
-    out = np.empty((n, n))
-    for lo in range(0, n, _PANEL_WIDTH):
-        hi = min(lo + _PANEL_WIDTH, n)
-        panel = np.zeros((n, hi - lo))
-        panel[np.arange(lo, hi), np.arange(hi - lo)] = 1.0
-        out[:, lo:hi] = mv(panel)
+    Q_all = sp.hstack(bases, format="csc")
+    starts = np.cumsum([0] + [Q.shape[1] for Q in bases])
+    out = [np.empty((Q.shape[1], Q.shape[1])) for Q in bases]
+    for lo in range(0, Q_all.shape[1], _PANEL_WIDTH):
+        hi = min(lo + _PANEL_WIDTH, Q_all.shape[1])
+        Y = mv(Q_all[:, lo:hi].toarray())
+        for Q, block, start, stop in zip(bases, out, starts, starts[1:]):
+            a, b = max(lo, start), min(hi, stop)
+            if a < b:
+                block[:, a - start:b - start] = Q.T @ Y[:, a - lo:b - lo]
     return out
 
 
+def _symmetrize(X: np.ndarray) -> np.ndarray:
+    """(X + X^T) / 2 in place of the dense X (numpy buffers the
+    overlapping operand)."""
+    X += X.T
+    X *= 0.5
+    return X
+
+
+def _pencil_eigenvalues(Ad, Bd) -> np.ndarray:
+    """Eigenvalues of B A (of A when ``Bd`` is None) from dense matrices,
+    which are symmetrized in place."""
+    Ad = _symmetrize(Ad)
+    if Bd is None:
+        return sla.eigvalsh(Ad)
+    # eigenvalues of B A via the symmetric pencil form
+    return sla.eigh(Ad, _symmetrize(Bd), type=3, eigvals_only=True)
+
+
+def _invariant_sectors(A, B, space, seed: int):
+    """The non-empty reflection sectors of ``space`` if A and B map a
+    random vector of each into that sector (to ``SECTOR_TOL`` relative),
+    else ``None``."""
+    sectors = [Q for Q in space.sectors.values() if Q.shape[1]]
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([Q @ rng.standard_normal(Q.shape[1]) for Q in sectors])
+    for op in (A, B):
+        if op is None:
+            continue
+        Y = _as_matvec(op)(X)
+        for y, Q in zip(Y.T, sectors):
+            if np.linalg.norm(y - Q @ (Q.T @ y)) > SECTOR_TOL * np.linalg.norm(y):
+                return None
+    return sectors
+
+
 def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
-                              seed: int = 0):
+                              seed: int = 0, space=None):
     """Extreme eigenvalues and condition number of B A (or A alone).
 
     ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
     solves the generalized symmetric eigenproblem exactly; it applies
-    ``B``, and ``A`` unless it has ``toarray()``, to (n, 64) panels of
+    each operator that is not a scipy sparse matrix to (n, 64) panels of
     the identity, so both must accept (n, k) blocks as well as vectors.
+    Given the ``space`` of A's unknowns, dense mode first applies A and
+    B to one random vector per reflection sector of the space
+    (``space.sectors``, see :func:`iga_asp.derham.reflection_sectors`;
+    2^d of them, as one block).  If every image stays in its sector, A
+    and B commute with the reflections, so B A is block-diagonal in the
+    sectors: it forms Q^T A Q and Q^T B Q per sector (applying B, and a
+    non-sparse A, to (n, 64) panels of the bases side by side) and
+    solves one pencil per block, 4^d times less ``eigh`` work.
+    Otherwise (the Gauss-Seidel smoother is not reflection-equivariant)
+    it takes the one-block path that ``space=None`` takes.
     ``lanczos`` runs ``k`` preconditioned-Lanczos steps with full
     reorthogonalization and returns the extreme Ritz values.  Measured
     at k = 200 on four 2-D curl Jacobi-ASP cells with N <= 2,244 (p = 3,
@@ -227,16 +288,15 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     if mode == "dense":
         if n > DENSE_MAX_DIM:
             raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
-        Ad = A.toarray() if hasattr(A, "toarray") else _materialize(A, n)
-        Ad = 0.5 * (Ad + Ad.T)
-        if B is None:
-            w = sla.eigvalsh(Ad)
-        else:
-            Bd = _materialize(B, n)
-            Bd = 0.5 * (Bd + Bd.T)
-            # eigenvalues of B A via the symmetric pencil form
-            w = sla.eigh(Ad, Bd, type=3, eigvals_only=True)
-        lam_min, lam_max = float(w[0]), float(w[-1])
+        if space is not None and space.total_dim != n:
+            raise ValueError("the space does not match the operator's dimension")
+        sectors = None if space is None else _invariant_sectors(A, B, space, seed)
+        bases = sectors or [sp.identity(n, format="csc")]
+        A_blocks = _compress(A, bases)
+        B_blocks = [None] * len(bases) if B is None else _compress(B, bases)
+        spectra = [_pencil_eigenvalues(Ad, Bd) for Ad, Bd in zip(A_blocks, B_blocks)]
+        lam_min = float(min(w[0] for w in spectra))
+        lam_max = float(max(w[-1] for w in spectra))
     elif mode == "lanczos":
         lam_min, lam_max = _lanczos_extremes(A, B, min(k, n), seed)
     else:

@@ -430,7 +430,9 @@ class TestSharedDiscretization:
     def test_dense_kappa_past_the_rule_assembles_no_csr_A(self, monkeypatch):
         # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG and
         # dense kappa both read the factored product, so no CSR A (and
-        # no K) is assembled, and kappa equals that of the CSR A
+        # no K) is assembled, and kappa equals that of the CSR A; the
+        # oracle gets the space too, so both sides take the sector path
+        # and differ only in the product
         systems = []
         monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
         spec = ExperimentSpec("curl", 2, (3,), (27,), (1e-4,), precond="asp",
@@ -442,7 +444,8 @@ class TestSharedDiscretization:
         assert "A" not in vars(system)
         assert "stiffness" not in vars(system.setup)
         B = AspPreconditioner(AspSetup(system.setup), system)
-        _, _, oracle = estimate_condition_number(system.A, B, mode="dense")
+        _, _, oracle = estimate_condition_number(system.A, B, mode="dense",
+                                                 space=system.setup.space)
         assert row["kappa2"] == pytest.approx(oracle, rel=1e-12)
 
     @each_path

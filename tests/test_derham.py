@@ -15,6 +15,7 @@ from iga_asp.derham import (
     gradient_matrix,
     kron_apply,
     kron_blocks,
+    reflection_sectors,
     scalar_curl_matrix,
     space_descriptor,
     vector_curl_matrix,
@@ -188,6 +189,67 @@ class TestDifferentialMatrices:
         curl_ess = build_space("curl", 2, 4, dim=2, bc="essential")
         with pytest.raises(ValueError):
             gradient_matrix(grad, curl_ess)
+
+
+# the de Rham differentials between neighbouring spaces, per dimension
+NEIGHBOURS = {2: [("grad", "curl"), ("curl", "l2"), ("grad", "div"), ("div", "l2")],
+              3: [("grad", "curl"), ("curl", "div"), ("div", "l2")]}
+
+
+def off_sector_part(X, Q_dst, Q_src) -> float:
+    """Largest entry of Q_chi(dst)^T X Q_chi'(src) over chi != chi',
+    relative to the largest entry of X."""
+    def stacked(Q):
+        labels = np.concatenate([np.full(q.shape[1], i)
+                                 for i, q in enumerate(Q.values())])
+        return sp.hstack(list(Q.values())), labels
+    (Qd, ld), (Qs, ls) = stacked(Q_dst), stacked(Q_src)
+    C = (Qd.T @ X @ Qs).toarray()
+    off = np.abs(C[ld[:, None] != ls[None, :]])
+    return off.max(initial=0.0) / max(abs(X).max(), 1e-300) if X.nnz else 0.0
+
+
+class TestReflectionSectors:
+    @given(st.sampled_from([2, 3]), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_orthonormal_complete_and_kept_by_masses_and_differentials(
+            self, dim, data):
+        from iga_asp.assembly import discretize, mass_operator
+        n_max = 5 if dim == 2 else 3
+        p = data.draw(st.tuples(*[st.integers(1, 3)] * dim), label="p")
+        n = data.draw(st.tuples(*[st.integers(1, n_max)] * dim), label="n")
+        bc = data.draw(st.sampled_from(["natural", "essential"]), label="bc")
+        disc = discretize(p, n, dim=dim, bc=bc)
+        sectors = {kind: reflection_sectors(space)
+                   for kind, space in disc.spaces.items()}
+        for kind, Q in sectors.items():
+            N = disc.spaces[kind].total_dim
+            assert len(Q) == 2 ** dim
+            assert sum(q.shape[1] for q in Q.values()) == N
+            # orthonormal within and across the blocks: the blocks are
+            # disjoint and, by the count above, complete
+            Q_all = sp.hstack(list(Q.values())).toarray()
+            np.testing.assert_allclose(Q_all.T @ Q_all, np.eye(N), atol=1e-15)
+            M = mass_operator(disc, kind).tocsr()
+            assert off_sector_part(M, Q, Q) <= 1e-13
+        for src, dst in NEIGHBOURS[dim]:
+            D = differential_matrix(disc.spaces[src], disc.spaces[dst])
+            assert off_sector_part(D, sectors[dst], sectors[src]) <= 1e-15
+
+    def test_parity_of_one_component(self):
+        # 2-D curl, p=1, n=2: component 0 is (D, B) with shapes (2, 1)
+        # under essential bc; chi = (0, 0) takes the reversal-odd D basis
+        # (e_0 - e_1)/sqrt 2 and the even B basis e_0
+        space = build_space("curl", 1, 2, dim=2, bc="essential")
+        assert space.component_shapes == ((2, 1), (1, 2))
+        Q = reflection_sectors(space)[(0, 0)].toarray()
+        np.testing.assert_allclose(Q[:, 0], [0.5 ** 0.5, -(0.5 ** 0.5), 0, 0])
+
+    def test_kept_with_the_space(self):
+        space = build_space("div", 2, 4, dim=3, bc="essential")
+        assert space.sectors is space.sectors
+        for chi, Q in reflection_sectors(space).items():
+            assert (space.sectors[chi] != Q).nnz == 0
 
 
 class TestDifferentialSemantics:

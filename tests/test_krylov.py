@@ -20,18 +20,21 @@ from iga_asp.krylov import (
     GltPreconditioner,
     SolveReport,
     _as_matvec,
-    _materialize,
+    _compress,
+    _invariant_sectors,
     estimate_condition_number,
     pcg,
 )
+from iga_asp.derham import reflection_sectors
 from iga_asp.precond import AspPreconditioner, AspSetup
 
 
-def asp_cell(p, n, tau):
-    """2-D curl system with its Jacobi ASP preconditioner."""
-    setup = system_setup("curl", 2, p, n)
+def asp_cell(p, n, tau, problem="curl", dim=2, smoother="jacobi"):
+    """System with its ASP preconditioner (2-D curl, Jacobi unless
+    given)."""
+    setup = system_setup(problem, dim, p, n)
     system = system_matrix(setup, tau)
-    return system, AspPreconditioner(AspSetup(setup), system)
+    return system, AspPreconditioner(AspSetup(setup), system, smoother)
 
 
 def replaced(system, A=None, apply_A=None):
@@ -226,15 +229,104 @@ class TestMaterialize:
         ref = materialize_by_columns(B, n)
         # a matvec-only LinearOperator takes blocks through its matmat
         for op in (B, spla.LinearOperator((n, n), matvec=lambda v: B @ v)):
-            np.testing.assert_array_equal(_materialize(op, n), ref)
+            dense, = _compress(op, [sp.identity(n, format="csc")])
+            np.testing.assert_array_equal(dense, ref)
 
     def test_preconditioner_matches_column_loop(self):
         _, B = asp_cell(2, 8, 1e-4)
         n = B.shape[0]
         assert n % _PANEL_WIDTH != 0
         ref = materialize_by_columns(B, n)
-        assert np.linalg.norm(_materialize(B, n) - ref) <= (
-            1e-14 * np.linalg.norm(ref))
+        dense, = _compress(B, [sp.identity(n, format="csc")])
+        assert np.linalg.norm(dense - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_sectors_give_the_compressed_blocks(self):
+        # the bases' columns side by side are cut into 64-column panels,
+        # some of which straddle two sectors
+        system, B = asp_cell(2, 16, 1.0)
+        n = B.shape[0]
+        sectors = list(reflection_sectors(system.setup.space).values())
+        assert any(Q.shape[1] % _PANEL_WIDTH for Q in sectors)
+        dense = materialize_by_columns(B, n)
+        for Q, block in zip(sectors, _compress(B, sectors)):
+            ref = Q.T @ dense @ Q
+            assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+        for Q, block in zip(sectors, _compress(system.A, sectors)):
+            ref = Q.T @ system.A.toarray() @ Q
+            assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+class OneReflectionB:
+    """``B`` plus v v^T with a unit v in sectors (0, 0) and (0, 1): it
+    commutes with the reflection of x_1 but not with that of x_2."""
+
+    def __init__(self, B, space):
+        Q = reflection_sectors(space)
+        rng = np.random.default_rng(3)
+        v = sum(Q[chi] @ rng.standard_normal(Q[chi].shape[1])
+                for chi in ((0, 0), (0, 1)))
+        self.B, self.v = B, v / np.linalg.norm(v)
+        self.shape = B.shape
+
+    def apply(self, r):
+        return self.B.apply(r) + np.multiply.outer(self.v, self.v @ r)
+
+
+# Jacobi-ASP cells: the reflection-equivariant B of the sweeps
+SECTOR_CELLS = [("curl", 2, 2, 8), ("div", 2, 2, 8),
+                ("curl", 3, 2, 3), ("div", 3, 2, 3)]
+
+
+class TestSectoredKappa:
+    @pytest.mark.parametrize("problem, dim, p, n", SECTOR_CELLS)
+    @pytest.mark.parametrize("tau", [1e-4, 1.0, 1e4])
+    def test_matches_the_one_block_oracle(self, problem, dim, p, n, tau):
+        # At tau >= 1 the two paths agree to round-off (measured <= 2e-14
+        # on these cells, <= 1.4e-13 on the README sweep's dense cells).
+        # At tau = 1e-4 (here <= 1.1e-10), B's tau^{-1} gradient term
+        # makes the pencil ill-conditioned: on 2-D curl p=3 (n = 16 and
+        # 27, one BLAS thread) a 1e-16 relative perturbation of B moves
+        # the one-block kappa by 9e-11 to 6e-10 and the sectored one by
+        # 2e-10 to 4e-10, and the paths differ by 5e-10 to 7e-10 (4.3e-9
+        # at n = 27 with two BLAS threads, 9.3e-9 on 2-D div p=3 n=32),
+        # so 1e-8 is the attainable agreement there.
+        system, B = asp_cell(p, n, tau, problem, dim)
+        space = system.setup.space
+        assert _invariant_sectors(system.product, B, space, 0) is not None
+        one = estimate_condition_number(system.product, B, mode="dense")
+        sectored = estimate_condition_number(system.product, B, mode="dense",
+                                             space=space)
+        rel = 1e-12 if tau >= 1.0 else 1e-8
+        assert sectored == pytest.approx(one, rel=rel)
+
+    def test_gauss_seidel_takes_the_one_block_path(self):
+        system, B = asp_cell(1, 8, 1e-4, smoother="gs")
+        space = system.setup.space
+        assert _invariant_sectors(system.product, B, space, 0) is None
+        assert estimate_condition_number(system.product, B, space=space) == (
+            estimate_condition_number(system.product, B))
+
+    def test_one_reflection_is_not_enough(self):
+        system, B = asp_cell(2, 8, 1.0)
+        space = system.setup.space
+        B1 = OneReflectionB(B, space)
+        assert _invariant_sectors(system.product, B, space, 0) is not None
+        assert _invariant_sectors(system.product, B1, space, 0) is None
+        assert estimate_condition_number(system.product, B1, space=space) == (
+            estimate_condition_number(system.product, B1))
+
+    def test_non_spd_pair_still_flagged(self):
+        system, B = asp_cell(2, 8, 1.0)
+        space = system.setup.space
+        assert _invariant_sectors(-system.A, B, space, 0) is not None
+        with pytest.raises(ArithmeticError):
+            estimate_condition_number(-system.A, B, space=space)
+
+    def test_space_must_match(self):
+        system, B = asp_cell(2, 8, 1.0)
+        other = system_setup("curl", 2, 2, 9).space
+        with pytest.raises(ValueError):
+            estimate_condition_number(system.product, B, space=other)
 
 
 class TestEstimateConditionNumber:
