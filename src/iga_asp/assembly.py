@@ -466,8 +466,6 @@ def field_coefficients(space: TensorSpace, funcs: FieldFunc,
     d coordinate arrays, the sparse (broadcastable) axes of the grid,
     and returning values that broadcast to the grid's shape.
     """
-    if callable(funcs):
-        funcs = [funcs]
     if len(funcs) != space.n_components:
         raise ValueError("need one callable per component")
     out = []

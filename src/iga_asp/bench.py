@@ -29,7 +29,6 @@ from .assembly import (
 from .derham import TensorSpace, build_space
 from .krylov import (
     DENSE_MAX_DIM,
-    GltConfig,
     GltPreconditioner,
     estimate_condition_number,
     pcg,
@@ -222,6 +221,7 @@ class ExperimentSpec:
         bad = set(self.report) - {"iters", "cond", "errors"}
         if bad:
             raise ValueError(f"unknown report fields {sorted(bad)}")
+        # the cycle has no kappa; no preconditioner exists yet to ask
         dense = (self.cond_mode == "dense" and "cond" in self.report
                  and self.precond != "asp-glt")
         for p in self.p_values:
@@ -273,33 +273,31 @@ class _SharedSetup:
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
-    """One row: CG and kappa both read ``system.product`` and the ASP;
-    dense kappa also gets the space, for its reflection sectors."""
+    """One row: CG and kappa both read ``system.product`` and the
+    preconditioner; dense kappa also gets the space, for its reflection
+    sectors.  A nonlinear preconditioner (the composite cycle) has no
+    kappa, so its row leaves ``kappa2`` empty."""
     t0 = time.perf_counter()
     p, n = shared.p, shared.n
     case = _make_case(spec, tau)
     system = system_matrix(shared.system, tau, case.rhs)
-    flexible = False
     precond = None
-    asp = None
     if spec.precond != "none":
-        asp = AspPreconditioner(shared.asp, system, spec.smoother)
-        precond = asp
+        precond = AspPreconditioner(shared.asp, system, spec.smoother)
     if spec.precond == "asp-glt":
-        cfg = GltConfig(nu1=spec.nu1, nu2=spec.nu2(p), nu_asp=spec.nu_asp)
-        precond = GltPreconditioner(asp, cfg)
-        flexible = True
+        precond = GltPreconditioner(precond, spec.nu1, spec.nu2(p), spec.nu_asp)
     x, rep = pcg(system.product, system.b, precond, tol=spec.tol,
-                 max_iter=spec.max_iter, flexible=flexible)
+                 max_iter=spec.max_iter)
     row = {
         "problem": spec.problem, "dim": spec.dim, "p": p, "n": n, "tau": tau,
         "precond": spec.precond, "smoother": spec.smoother,
         "iters": rep.iterations, "converged": rep.converged,
         "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
     }
-    if "cond" in spec.report and spec.precond != "asp-glt":
+    if "cond" in spec.report and not getattr(precond, "nonlinear", False):
         _, _, kappa = estimate_condition_number(
-            system.product, asp, mode=spec.cond_mode, space=shared.system.space)
+            system.product, precond, mode=spec.cond_mode,
+            space=shared.system.space)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
         row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,

@@ -132,23 +132,22 @@ class TensorSpace:
         return reflection_sectors(self)
 
 
-def build_space(kind: str, p, n_elems, *, dim: int | None = None,
+def build_space(kind: str, p, n_elems, *, dim: int,
                 bc: str = "natural") -> TensorSpace:
     """Build a tensor-product space from per-direction degrees and
     element counts (scalars broadcast)."""
     p = tuple(int(v) for v in np.atleast_1d(p))
     n_elems = tuple(int(v) for v in np.atleast_1d(n_elems))
-    d = dim if dim is not None else max(len(p), len(n_elems))
     if len(p) == 1:
-        p = p * d
+        p = p * dim
     if len(n_elems) == 1:
-        n_elems = n_elems * d
-    if len(p) != d or len(n_elems) != d:
+        n_elems = n_elems * dim
+    if len(p) != dim or len(n_elems) != dim:
         raise ValueError("degrees/elements do not match the dimension")
-    sk = SpaceKind(kind, d, bc)
+    sk = SpaceKind(kind, dim, bc)
     knots = tuple(make_uniform_open_knots(n, q) for n, q in zip(n_elems, p))
     comps = []
-    for letters in _FACTOR_TABLE[(kind, d)]:
+    for letters in _FACTOR_TABLE[(kind, dim)]:
         factors = []
         for direction, letter in enumerate(letters):
             if letter == "D":
@@ -267,8 +266,6 @@ def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_
 def curl_matrix(curl_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """Exact 3-D curl matrix C: V(curl) -> V(div), realizing
     (d2 u3 - d3 u2, d3 u1 - d1 u3, d1 u2 - d2 u1)."""
-    if curl_space.dim != 3:
-        raise ValueError("the vector curl matrix exists only in 3-D")
     if curl_space.kind.kind != "curl" or div_space.kind.kind != "div":
         raise ValueError("curl maps the curl space into the div space")
     return differential_matrix(curl_space, div_space)
@@ -284,8 +281,6 @@ def divergence_matrix(div_space: TensorSpace, l2_space: TensorSpace) -> sp.csr_m
 def scalar_curl_matrix(curl_space: TensorSpace, l2_space: TensorSpace) -> sp.csr_matrix:
     """2-D scalar curl matrix: curl u = d u1/d x2 - d u2/d x1,
     V(curl) -> V(L2)."""
-    if curl_space.dim != 2:
-        raise ValueError("the scalar curl exists only in 2-D")
     if curl_space.kind.kind != "curl" or l2_space.kind.kind != "l2":
         raise ValueError("scalar curl maps the curl space into the L2 space")
     return differential_matrix(curl_space, l2_space)
@@ -294,8 +289,6 @@ def scalar_curl_matrix(curl_space: TensorSpace, l2_space: TensorSpace) -> sp.csr
 def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """2-D vector curl (rotated gradient) R: V(grad) -> V(div),
     curl u = (d u/d x2, -d u/d x1)."""
-    if grad_space.dim != 2:
-        raise ValueError("the vector curl exists only in 2-D")
     if grad_space.kind.kind != "grad" or div_space.kind.kind != "div":
         raise ValueError("vector curl maps the grad space into the div space")
     return differential_matrix(grad_space, div_space)

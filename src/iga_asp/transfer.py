@@ -68,7 +68,8 @@ def _factor_transfer(src: Space1D, dst: Space1D,
     return histopolations[src]
 
 
-def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_matrix:
+def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace,
+                         histopolations: dict[Space1D, sp.csr_matrix]) -> sp.csr_matrix:
     if xh_space.kind.kind != "vector":
         raise ValueError("transfers act on the auxiliary vector space")
     if xh_space.knots != target.knots or xh_space.kind.bc != target.kind.bc:
@@ -76,7 +77,6 @@ def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace) -> sp.csr_m
     if xh_space.n_components != target.n_components:
         raise ValueError("component count mismatch")
     rows = [[None] * target.n_components for _ in target.components]
-    histopolations: dict[Space1D, sp.csr_matrix] = {}
     for c, (src_comp, dst_comp) in enumerate(zip(xh_space.components,
                                                  target.components)):
         facs = [_factor_transfer(s, d, histopolations)
@@ -89,14 +89,14 @@ def build_p_curl(xh_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matri
     """Transfer matrix from the auxiliary vector space onto V(curl)."""
     if curl_space.kind.kind != "curl":
         raise ValueError("target must be a curl space")
-    return _block_diag_transfer(xh_space, curl_space)
+    return _block_diag_transfer(xh_space, curl_space, {})
 
 
 def build_p_div(xh_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(div)."""
     if div_space.kind.kind != "div":
         raise ValueError("target must be a div space")
-    return _block_diag_transfer(xh_space, div_space)
+    return _block_diag_transfer(xh_space, div_space, {})
 
 
 def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
@@ -126,17 +126,20 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
     """Assemble the complete transfer-matrix set of the problem of
-    ``setup`` on ``setup.disc`` (tau does not enter)."""
+    ``setup`` on ``setup.disc`` (tau does not enter).  Its transfers
+    share one histopolation per 1-D factor: 3-D div builds P_div and
+    P_curl from the same Q."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces = setup.disc.spaces
     xh, grad, curl, div = (spaces[k] for k in ("vector", "grad", "curl", "div"))
+    histopolations: dict[Space1D, sp.csr_matrix] = {}
     if setup.operator == "curl":
-        return TransferSet(P_main=build_p_curl(xh, curl),
+        return TransferSet(P_main=_block_diag_transfer(xh, curl, histopolations),
                            potential=derham.gradient_matrix(grad, curl))
-    P_div = build_p_div(xh, div)
+    P_div = _block_diag_transfer(xh, div, histopolations)
     if setup.dim == 2:
         return TransferSet(P_main=P_div,
                            potential=derham.vector_curl_matrix(grad, div))
     return TransferSet(P_main=P_div, potential=derham.curl_matrix(curl, div),
-                       P_curl=build_p_curl(xh, curl))
+                       P_curl=_block_diag_transfer(xh, curl, histopolations))

@@ -181,6 +181,18 @@ class TestDifferentialMatrices:
         with pytest.raises(ValueError):
             differential_matrix(curl, grad)
 
+    @pytest.mark.parametrize("matrix, src, dst, dim", [
+        (curl_matrix, "curl", "div", 2),
+        (scalar_curl_matrix, "curl", "l2", 3),
+        (vector_curl_matrix, "grad", "div", 3),
+    ])
+    def test_wrong_dimension_rejected_by_the_table(self, matrix, src, dst, dim):
+        # the de Rham table has no such differential; its error names
+        # both spaces
+        with pytest.raises(ValueError, match="no differential between") as err:
+            matrix(build_space(src, 2, 3, dim=dim), build_space(dst, 2, 3, dim=dim))
+        assert str(err.value).count(f"dim={dim}") == 2
+
     def test_incompatible_spaces_rejected(self):
         grad = build_space("grad", 2, 4, dim=2)
         curl = build_space("curl", 2, 8, dim=2)

@@ -16,7 +16,6 @@ from iga_asp.assembly import (
 from iga_asp.krylov import (
     _PANEL_WIDTH,
     AUTO_DENSE_MAX_DIM,
-    GltConfig,
     GltPreconditioner,
     SolveReport,
     _as_matvec,
@@ -58,6 +57,29 @@ class ProductCountingCsr(sp.csr_matrix):
     def _matmul_dispatch(self, other):
         self.products += 1
         return super()._matmul_dispatch(other)
+
+
+class Declared:
+    """``M`` as a preconditioner object that declares ``nonlinear``."""
+
+    def __init__(self, M, nonlinear):
+        self.M, self.nonlinear = M, nonlinear
+
+    def apply(self, r):
+        return self.M @ r
+
+
+class Rescaling(Declared):
+    """``M`` followed by a positive diagonal scaling that changes from
+    call to call: a preconditioner that is no fixed linear map (a
+    scalar rescaling would leave CG's iterates unchanged)."""
+
+    calls = 0
+
+    def apply(self, r):
+        self.calls += 1
+        scale = 1.0 + 0.5 * np.sin(self.calls + np.arange(r.shape[0]))
+        return scale * (self.M @ r)
 
 
 def random_spd(n, seed=0, shift=None):
@@ -109,9 +131,38 @@ class TestPcg:
         b = np.sin(np.arange(40.0))
         M = sp.diags(1.0 / A.diagonal())
         xs, rs = pcg(A, b, M, tol=1e-10, max_iter=300)
-        xf, rf = pcg(A, b, M, tol=1e-10, max_iter=300, flexible=True)
+        xf, rf = pcg(A, b, Declared(M, nonlinear=True), tol=1e-10, max_iter=300)
         assert rs.iterations == rf.iterations
         np.testing.assert_allclose(xs, xf, atol=1e-12 * np.abs(xs).max())
+
+    def test_nonlinear_preconditioner_takes_the_flexible_update(self):
+        # a Jacobi preconditioner whose scaling changes from call to
+        # call: the standard and flexible updates give different iterates,
+        # and pcg must give the flexible (Polak-Ribiere) one
+        A = random_spd(40, 6)
+        b = np.cos(np.arange(40.0))
+        M = sp.diags(1.0 / A.diagonal())
+        steps = 6
+
+        def reference(B):
+            x, r = np.zeros_like(b), b.copy()
+            z = B.apply(r)
+            p, rz = z.copy(), r @ z
+            for _ in range(steps):
+                Ap = A @ p
+                alpha = rz / (p @ Ap)
+                x, r_old, r = x + alpha * p, r, r - alpha * Ap
+                z = B.apply(r)
+                beta = z @ (r - r_old) / rz
+                rz = r @ z
+                p = z + beta * p
+            return x
+        x, _ = pcg(A, b, Rescaling(M, nonlinear=True), tol=0.0, max_iter=steps)
+        x_ref = reference(Rescaling(M, nonlinear=True))
+        np.testing.assert_allclose(x, x_ref, rtol=0, atol=1e-13 * np.abs(x_ref).max())
+        x_std, _ = pcg(A, b, Rescaling(M, nonlinear=False), tol=0.0,
+                       max_iter=steps)
+        assert np.linalg.norm(x_std - x_ref) > 1e-6 * np.linalg.norm(x_ref)
 
     def test_indefinite_breakdown_flagged(self):
         A = sp.diags([1.0, -1.0, 2.0])
@@ -129,10 +180,22 @@ class TestPcg:
 
 class TestGltPreconditioner:
     def test_config_validation(self):
+        _, asp = asp_cell(1, 4, 1.0)
         with pytest.raises(ValueError):
-            GltConfig(nu1=0)
+            GltPreconditioner(asp, nu1=0)
         with pytest.raises(ValueError):
-            GltConfig(nu_asp=-1)
+            GltPreconditioner(asp, nu_asp=-1)
+
+    @pytest.mark.parametrize("mode", ["dense", "lanczos", "auto"])
+    def test_kappa_refuses_the_cycle(self, mode):
+        system, asp = asp_cell(2, 4, 1e-2)
+        glt = GltPreconditioner(asp, 1, 4, 3)
+
+        def never(_):
+            raise AssertionError("the cycle was applied")
+        glt.apply = never
+        with pytest.raises(ValueError, match="nonlinear"):
+            estimate_condition_number(system.product, glt, mode=mode)
 
     def test_pure_mass_system_one_cycle_exact(self):
         # when A is itself the mass matrix, the mass-preconditioned
@@ -142,7 +205,7 @@ class TestGltPreconditioner:
         mass_system = replaced(system_matrix(setup, 1.0), A=setup.M_D,
                                apply_A=setup.M_D_op.apply)
         asp = AspPreconditioner(AspSetup(setup), mass_system)
-        glt = GltPreconditioner(asp, GltConfig(1, 2, 1))
+        glt = GltPreconditioner(asp, 1, 2, 1)
         b = np.linspace(-1.0, 1.0, setup.M_D.shape[0])
         x = glt.apply(b)
         np.testing.assert_allclose(setup.M_D @ x, b,
@@ -150,10 +213,9 @@ class TestGltPreconditioner:
 
     def test_outer_flexible_cg_converges(self):
         system, asp = asp_cell(2, 8, 1e-4)
-        glt = GltPreconditioner(asp, GltConfig(1, 4, 3))
+        glt = GltPreconditioner(asp, 1, 4, 3)
         b = np.ones(system.A.shape[0])
-        _, report = pcg(system.A, b, glt, tol=1e-6, max_iter=60,
-                        flexible=True)
+        _, report = pcg(system.A, b, glt, tol=1e-6, max_iter=60)
         assert report.converged
         assert report.iterations <= 15
 
@@ -161,9 +223,8 @@ class TestGltPreconditioner:
         system, asp = asp_cell(3, 8, 1e-4)
         b = np.ones(system.A.shape[0])
         _, plain = pcg(system.A, b, asp, tol=1e-6, max_iter=300)
-        glt = GltPreconditioner(asp, GltConfig(1, 9, 3))
-        _, composite = pcg(system.A, b, glt, tol=1e-6, max_iter=300,
-                           flexible=True)
+        glt = GltPreconditioner(asp, 1, 9, 3)
+        _, composite = pcg(system.A, b, glt, tol=1e-6, max_iter=300)
         assert composite.iterations < plain.iterations
 
     @pytest.mark.parametrize("tau, nu_asp", [(1e-4, 1), (1.0, 3)])
@@ -177,10 +238,9 @@ class TestGltPreconditioner:
         asp_setup = AspSetup(setup)
         system = system_matrix(setup, tau)
         csr_system = replaced(system, apply_A=lambda x: system.A @ x)
-        cfg = GltConfig(1, 8, nu_asp)
         b = np.random.default_rng(3).standard_normal(system.A.shape[0])
         x, x_csr = (GltPreconditioner(AspPreconditioner(asp_setup, s),
-                                      cfg).apply(b)
+                                      1, 8, nu_asp).apply(b)
                     for s in (system, csr_system))
         assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
 
@@ -189,11 +249,11 @@ class TestGltPreconditioner:
         system = system_matrix(setup, 1e-4)
         counted = replaced(system, A=ProductCountingCsr(system.A))
         asp = AspPreconditioner(AspSetup(setup), counted)
-        glt = GltPreconditioner(asp, GltConfig(1, 8, 3))
+        glt = GltPreconditioner(asp, 1, 8, 3)
         b = np.ones(system.A.shape[0])
         glt.apply(b)
         assert counted.A.products == 0
-        pcg(counted.A, b, glt, tol=1e-6, max_iter=2, flexible=True)
+        pcg(counted.A, b, glt, tol=1e-6, max_iter=2)
         assert counted.A.products > 0      # the counter sees CG's products
 
         # a Jacobi ASP cell past the product rule: CG with the system's
