@@ -64,6 +64,7 @@ import scipy.sparse.linalg as spla
 from . import derham
 from .derham import (
     TensorSpace,
+    block_diagonal,
     build_space,
     differential_blocks,
     differential_matrix,
@@ -113,7 +114,7 @@ def _range_kind(operator: str, dim: int) -> str:
         raise ValueError("operator must be 'curl' or 'div'")
     if dim not in (2, 3):
         raise ValueError("dimension must be 2 or 3")
-    return "div" if (operator, dim) == ("curl", 3) else "l2"
+    return derham.potential_and_range(operator, dim)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,13 +220,7 @@ class KronSum:
         return out
 
     def tocsr(self) -> sp.csr_matrix:
-        blocks = self._terms()
-        return kron_blocks([[terms if c == j else None
-                             for j in range(len(blocks))]
-                            for c, terms in enumerate(blocks)])
-
-    def toarray(self) -> np.ndarray:
-        return self.tocsr().toarray()
+        return kron_blocks(block_diagonal(self._terms()))
 
     def diagonal(self) -> np.ndarray:
         """The diagonal, from the 1-D factors: per component and term

@@ -201,6 +201,12 @@ class ExperimentSpec:
     def __post_init__(self) -> None:
         if not (self.p_values and self.n_values and self.tau_values):
             raise ValueError("p, n, and tau ranges must be non-empty")
+        for name in ("p", "n", "tau"):
+            values = getattr(self, f"{name}_values")
+            repeated = [v for i, v in enumerate(values) if v in values[:i]]
+            if repeated:
+                raise ValueError(f"{name} values must be distinct;"
+                                 f" {repeated[0]!r} is repeated")
         if self.problem not in ("curl", "div"):
             raise ValueError("problem must be 'curl' or 'div'")
         if self.dim not in (2, 3):

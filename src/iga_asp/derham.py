@@ -15,9 +15,12 @@ degree-(p-1) Curry-Schoenberg space ('D'):
 Essential boundary conditions constrain B factors only (first/last
 B-spline dropped per constrained direction).
 
-The grad/curl/div matrices between neighbouring spaces are exact
-integer Kronecker products of bidiagonal difference factors; their
-compositions vanish with exactly zero stored entries.
+Every map of the diagram follows one per-factor rule: the identity
+between factors of one kind, a 1-D B -> D map onto a D factor.  With the
+difference matrix and the signs of ``_DIFFERENTIALS`` it gives the exact
+integer differentials, whose compositions vanish with zero stored
+entries; with the histopolation and diagonal signs, the transfers.  A
+problem's potential and range are read from the ``_DIFFERENTIALS`` keys.
 
 DOF numbering is component-major, then lexicographic with the *last*
 coordinate index fastest, so a component's coefficients reshape to an
@@ -39,7 +42,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -57,6 +60,9 @@ __all__ = [
     "vector_curl_matrix",
     "differential_blocks",
     "differential_matrix",
+    "transfer_matrix",
+    "potential_and_range",
+    "block_diagonal",
     "space_descriptor",
     "kron_blocks",
     "kron_apply",
@@ -159,22 +165,15 @@ def build_space(kind: str, p, n_elems, *, dim: int,
     return TensorSpace(sk, knots, tuple(comps))
 
 
-def _check_compatible(src: TensorSpace, dst: TensorSpace) -> None:
-    if src.knots != dst.knots or src.kind.bc != dst.kind.bc or src.dim != dst.dim:
-        raise ValueError("spaces must share knots, bc, and dimension")
-
-
-def _factor_block(src_factor: Space1D, dst_factor: Space1D) -> sp.csr_matrix:
-    """Identity (B->B or D->D) or the bc-restricted difference matrix
-    (B->D) between matching 1-D factors."""
+def _factor_block(src_factor: Space1D, dst_factor: Space1D, b_to_d) -> sp.csr_matrix:
+    """The per-factor rule of every map in the diagram: the identity
+    between factors of one kind; B -> D, the 1-D map ``b_to_d(knot)`` of
+    the full B-spline space on the columns the source factor keeps."""
     if src_factor.kind == dst_factor.kind:
-        if src_factor.dim != dst_factor.dim:
-            raise ValueError("identity factor dimension mismatch")
         return sp.identity(src_factor.dim, format="csr")
     if (src_factor.kind, dst_factor.kind) != ("B", "D"):
-        raise ValueError("differential factors only map B to D")
-    diff = difference_matrix_1d(src_factor.knot.n)
-    return sp.csr_matrix(diff[:, src_factor.indices()])
+        raise ValueError("factors of the diagram only map B to D")
+    return sp.csr_matrix(b_to_d(src_factor.knot)[:, src_factor.indices()])
 
 
 def kron_blocks(rows) -> sp.csr_matrix:
@@ -199,6 +198,13 @@ def kron_blocks(rows) -> sp.csr_matrix:
     out = sp.bmat([[block(t) for t in row] for row in rows], format="csr")
     out.sort_indices()
     return out
+
+
+def block_diagonal(blocks: list) -> list[list]:
+    """Block rows with ``blocks[c]`` on the diagonal and ``None`` off it:
+    the block-diagonal layout of :func:`kron_blocks` and :func:`_blocks`."""
+    return [[entry if c == j else None for j in range(len(blocks))]
+            for c, entry in enumerate(blocks)]
 
 
 def kron_apply(factors, X: np.ndarray) -> np.ndarray:
@@ -233,26 +239,51 @@ _DIFFERENTIALS = {
 }
 
 
+def potential_and_range(kind: str, dim: int) -> tuple[str, str]:
+    """The potential and the range of the problem on the space ``kind``:
+    the source of the differential into it and the target of the one out."""
+    (potential,) = [s for s, t, d in _DIFFERENTIALS if (t, d) == (kind, dim)]
+    (range_kind,) = [t for s, t, d in _DIFFERENTIALS if (s, d) == (kind, dim)]
+    return potential, range_kind
+
+
+def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d) -> list[list]:
+    """The map from ``src`` into ``dst`` with the block signs ``signs`` as
+    the block terms :func:`kron_blocks` takes: block [i][j] is ``None`` or
+    the one term ``(sign, factors)``, its factors by :func:`_factor_block`."""
+    if src.knots != dst.knots or src.kind.bc != dst.kind.bc or src.dim != dst.dim:
+        raise ValueError("spaces must share knots, bc, and dimension")
+    return [[None if sign is None else
+             [(sign, [_factor_block(sf, df, b_to_d)
+                      for sf, df in zip(src_comp, dst_comp)])]
+             for sign, src_comp in zip(row, src.components)]
+            for row, dst_comp in zip(signs, dst.components)]
+
+
 def differential_blocks(src: TensorSpace, dst: TensorSpace) -> list[list]:
-    """The de Rham differential between two neighbouring spaces as the
-    block terms :func:`kron_blocks` takes: block [i][j] is ``None`` or
-    the one term ``(sign, factors)``, with per direction the identity or
-    the bc-restricted difference factor.  The assembled matrix and the
-    diagonals computed from the 1-D factors both read these terms."""
+    """The differential between two neighbouring spaces as block terms,
+    with the signs of ``_DIFFERENTIALS`` and the difference matrix as the
+    1-D map; the assembled matrix and the 1-D diagonals read them."""
     key = (src.kind.kind, dst.kind.kind, src.dim)
     if key not in _DIFFERENTIALS:
         raise ValueError(f"no differential between {src.kind} and {dst.kind}")
-    _check_compatible(src, dst)
-    return [[None if sign is None else
-             [(sign, [_factor_block(sf, df) for sf, df in zip(src_comp, dst_comp)])]
-             for sign, src_comp in zip(signs, src.components)]
-            for signs, dst_comp in zip(_DIFFERENTIALS[key], dst.components)]
+    return _blocks(src, dst, _DIFFERENTIALS[key],
+                   lambda knot: difference_matrix_1d(knot.n))
 
 
 def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
     """The de Rham differential between two neighbouring spaces,
     assembled from :func:`differential_blocks`."""
     return kron_blocks(differential_blocks(src, dst))
+
+
+def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix:
+    """The assembled transfer from the auxiliary vector space onto a curl
+    or div space: diagonal signs, and ``b_to_d`` the histopolation."""
+    if aux.kind.kind != "vector" or dst.kind.kind not in ("curl", "div"):
+        raise ValueError("transfers map the auxiliary space into curl or div")
+    signs = block_diagonal([1.0] * dst.n_components)
+    return kron_blocks(_blocks(aux, dst, signs, b_to_d))
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
@@ -319,10 +350,10 @@ def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matri
     together span the space; with uniform knots every mass and every
     differential maps sector chi of one space into sector chi of the
     other.  ``TensorSpace.sectors`` keeps them with the space."""
-    return {chi: sp.block_diag(
-                [reduce(sp.kron, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
-                                  for c, f in zip(chi, comp)])
-                 for comp in space.components], format="csc")
+    return {chi: kron_blocks(block_diagonal(
+                [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
+                         for c, f in zip(chi, comp)])]
+                 for comp in space.components])).tocsc()
             for chi in itertools.product((0, 1), repeat=space.dim)}
 
 

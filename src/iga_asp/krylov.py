@@ -82,8 +82,7 @@ def _as_matvec(op):
     return lambda v: op @ v
 
 
-def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000,
-        x0: np.ndarray | None = None):
+def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
     """Preconditioned CG with true-residual stopping.
 
     ``A`` and ``B`` may be matrices, LinearOperators, or objects with
@@ -97,13 +96,12 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000,
     bmat = _as_matvec(B)
     flexible = getattr(B, "nonlinear", False)
     b = np.asarray(b, dtype=float)
-    n = b.shape[0]
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=float)
+    x = np.zeros(b.shape[0])
     t0 = time.perf_counter()
     nb = np.linalg.norm(b)
     if nb == 0.0:
         return x, SolveReport(0, True, [0.0], time.perf_counter() - t0, max_iter)
-    r = b - amat(x)
+    r = b.copy()  # the residual of x = 0
     residuals = [float(np.linalg.norm(r) / nb)]
     if residuals[-1] <= tol:
         return x, SolveReport(0, True, residuals, time.perf_counter() - t0, max_iter)

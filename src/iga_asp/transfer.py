@@ -1,30 +1,29 @@
 """Auxiliary-space transfer matrices.
 
-The quasi-interpolation operators onto the curl/div spaces are tensor
-products of the 1-D Greville interpolation P and histopolation Q.
-Restricted to spline inputs (the auxiliary space is a vector of scalar
-spline spaces), P is the identity on its own space, so each transfer
-block is a Kronecker product of identities and 1-D histopolation
-matrices:
+Restricted to the spline inputs of the auxiliary vector space, the
+quasi-interpolation onto the curl/div spaces is block-diagonal with
+Kronecker products of identities (Greville interpolation reproduces its
+own space) and bc-restricted 1-D histopolations Q per block:
 
     P_curl = diag(Q1 x I x I,  I x Q2 x I,  I x I x Q3)
     P_div  = diag(I x Q2 x Q3, Q1 x I x Q3, Q1 x Q2 x I)   (3-D)
     P_div  = diag(I x Q2,      Q1 x I)                     (2-D)
 
-Essential boundary conditions restrict rows/columns of the 1-D factors
-to interior indices.
+:func:`iga_asp.derham.transfer_matrix` builds them by the differentials'
+per-factor rule with Q in place of the difference matrix.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 
 import numpy as np
 import scipy.sparse as sp
 
-from . import derham
 from .assembly import SystemSetup
-from .derham import TensorSpace, kron_blocks
+from .derham import (TensorSpace, differential_matrix, potential_and_range,
+                     transfer_matrix)
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .splines1d import (
     Space1D,
@@ -53,50 +52,24 @@ class TransferSet:
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
 
 
-def _factor_transfer(src: Space1D, dst: Space1D,
-                     histopolations: dict[Space1D, sp.csr_matrix]) -> sp.csr_matrix:
-    """1-D transfer from a B factor of the auxiliary space onto the
-    matching factor (same knots and bc) of the target space: identity
-    for B targets (Greville interpolation reproduces its own space),
-    bc-restricted histopolation for D targets, computed once per
-    ``src`` into ``histopolations``."""
-    if dst.kind == "B":
-        return sp.identity(src.dim, format="csr")
-    if src not in histopolations:
-        Q = histopolation_matrix_1d(Space1D(src.knot))
-        histopolations[src] = Q[:, src.indices()]
-    return histopolations[src]
-
-
-def _block_diag_transfer(xh_space: TensorSpace, target: TensorSpace,
-                         histopolations: dict[Space1D, sp.csr_matrix]) -> sp.csr_matrix:
-    if xh_space.kind.kind != "vector":
-        raise ValueError("transfers act on the auxiliary vector space")
-    if xh_space.knots != target.knots or xh_space.kind.bc != target.kind.bc:
-        raise ValueError("spaces must share knots and bc")
-    if xh_space.n_components != target.n_components:
-        raise ValueError("component count mismatch")
-    rows = [[None] * target.n_components for _ in target.components]
-    for c, (src_comp, dst_comp) in enumerate(zip(xh_space.components,
-                                                 target.components)):
-        facs = [_factor_transfer(s, d, histopolations)
-                for s, d in zip(src_comp, dst_comp)]
-        rows[c][c] = [(1.0, facs)]
-    return kron_blocks(rows)
+def _histopolation():
+    """The transfers' 1-D B -> D map: the histopolation of a knot
+    vector's full B-spline space, built once per knot vector."""
+    return cache(lambda knot: histopolation_matrix_1d(Space1D(knot)))
 
 
 def build_p_curl(xh_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(curl)."""
     if curl_space.kind.kind != "curl":
         raise ValueError("target must be a curl space")
-    return _block_diag_transfer(xh_space, curl_space, {})
+    return transfer_matrix(xh_space, curl_space, _histopolation())
 
 
 def build_p_div(xh_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(div)."""
     if div_space.kind.kind != "div":
         raise ValueError("target must be a div space")
-    return _block_diag_transfer(xh_space, div_space, {})
+    return transfer_matrix(xh_space, div_space, _histopolation())
 
 
 def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
@@ -125,21 +98,17 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
-    """Assemble the complete transfer-matrix set of the problem of
-    ``setup`` on ``setup.disc`` (tau does not enter).  Its transfers
-    share one histopolation per 1-D factor: 3-D div builds P_div and
-    P_curl from the same Q."""
+    """The transfer-matrix set of the problem of ``setup`` (tau does not
+    enter): the transfers onto its space and, unless that is the scalar
+    grad space, onto its potential space, sharing one histopolation per
+    knot vector, and the differential from the potential space."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces = setup.disc.spaces
-    xh, grad, curl, div = (spaces[k] for k in ("vector", "grad", "curl", "div"))
-    histopolations: dict[Space1D, sp.csr_matrix] = {}
-    if setup.operator == "curl":
-        return TransferSet(P_main=_block_diag_transfer(xh, curl, histopolations),
-                           potential=derham.gradient_matrix(grad, curl))
-    P_div = _block_diag_transfer(xh, div, histopolations)
-    if setup.dim == 2:
-        return TransferSet(P_main=P_div,
-                           potential=derham.vector_curl_matrix(grad, div))
-    return TransferSet(P_main=P_div, potential=derham.curl_matrix(curl, div),
-                       P_curl=_block_diag_transfer(xh, curl, histopolations))
+    potential, _ = potential_and_range(setup.operator, setup.dim)
+    xh, Q = spaces["vector"], _histopolation()
+    return TransferSet(
+        P_main=transfer_matrix(xh, setup.space, Q),
+        potential=differential_matrix(spaces[potential], setup.space),
+        P_curl=None if potential == "grad" else
+        transfer_matrix(xh, spaces[potential], Q))

@@ -125,7 +125,7 @@ class TestScalarLaplacian:
     def test_single_hat_2d(self):
         # exact integral of |grad(hat x hat)|^2 on a 2x2 mesh: 8/3
         L = scalar_laplacian_matrix(
-            discretize(1, 2, dim=2, bc="essential")).toarray()
+            discretize(1, 2, dim=2, bc="essential")).tocsr().toarray()
         np.testing.assert_allclose(L, [[8.0 / 3.0]], atol=1e-14)
 
     def test_matches_gradient_route(self):
@@ -136,7 +136,7 @@ class TestScalarLaplacian:
         disc = discretize(2, 4, dim=2, bc="essential")
         L = scalar_laplacian_matrix(disc)
         M_curl = mass_matrix(disc, "curl")
-        np.testing.assert_allclose(L.toarray(), (G.T @ M_curl @ G).toarray(),
+        np.testing.assert_allclose(L.tocsr().toarray(), (G.T @ M_curl @ G).toarray(),
                                    atol=1e-12)
 
     def test_natural_bc_rejected(self):
@@ -147,8 +147,8 @@ class TestScalarLaplacian:
 class TestH1VectorMatrix:
     def test_block_diagonal_of_scalar_h1(self):
         disc = discretize(2, 3, dim=2, bc="essential")
-        H = h1_vector_matrix(disc).toarray()
-        L = scalar_laplacian_matrix(disc).toarray()
+        H = h1_vector_matrix(disc).tocsr().toarray()
+        L = scalar_laplacian_matrix(disc).tocsr().toarray()
         M = mass_matrix(disc, "grad").toarray()
         block = L + M
         n = block.shape[0]

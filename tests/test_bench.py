@@ -247,6 +247,18 @@ class TestExperimentSpec:
             ExperimentSpec("curl", 2, (1,), (8, 110), (1e-4,), precond="asp",
                            **{"report": ("cond",), **kw})
 
+    @pytest.mark.parametrize("field, values, shown", [
+        ("p_values", (1, 2, 1), "p values must be distinct; 1 is repeated"),
+        ("n_values", (2, 2), "n values must be distinct; 2 is repeated"),
+        ("tau_values", (1e-4, 1.0, 1e-4), "tau values must be distinct; 0.0001")])
+    def test_repeated_values_rejected(self, field, values, shown):
+        # a repeated value would run its cells twice and share one
+        # pretty-table cell
+        base = dict(problem="curl", dim=2, p_values=(1,), n_values=(4,),
+                    tau_values=(1.0,))
+        with pytest.raises(ValueError, match=shown):
+            ExperimentSpec(**{**base, field: values})
+
     def test_nu2_rules(self):
         base = dict(problem="curl", dim=2, p_values=(1,), n_values=(4,),
                     tau_values=(1.0,))

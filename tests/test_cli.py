@@ -172,6 +172,16 @@ class TestMain:
         assert "p=1 n=110 has N=23980" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_repeated_sweep_value_exits_before_any_cell(self, monkeypatch,
+                                                        capsys):
+        def no_sweep(spec):
+            raise AssertionError("run_experiment called")
+        monkeypatch.setattr("iga_asp.cli.run_experiment", no_sweep)
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--p", "1,1", "--n", "2", "--tau", "1e-4,1e-4"])
+        assert exc.value.code == 2
+        assert "p values must be distinct; 1 is repeated" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key, value, field, expected", [
         ("p", 2, "p_values", (2,)), ("n", 8, "n_values", (8,)),
         ("tau", 0.01, "tau_values", (0.01,))])

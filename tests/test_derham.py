@@ -1,5 +1,7 @@
 """Tensor-product de Rham spaces and exact difference matrices."""
 
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -256,6 +258,35 @@ class TestReflectionSectors:
         assert space.component_shapes == ((2, 1), (1, 2))
         Q = reflection_sectors(space)[(0, 0)].toarray()
         np.testing.assert_allclose(Q[:, 0], [0.5 ** 0.5, -(0.5 ** 0.5), 0, 0])
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("bc", ["natural", "essential"])
+    def test_blocks_equal_the_per_component_kronecker_oracle(self, dim, bc):
+        # per component the Kronecker product over directions of the
+        # reversal-even or -odd bases, as a dense oracle; values are
+        # compared, since sp.kron of tiny factors stores explicit zeros
+        def reversal(n, odd):
+            V = np.zeros((n, n // 2 if odd else n - n // 2))
+            s = np.sqrt(0.5)
+            for i in range(n // 2):
+                V[i, i], V[n - 1 - i, i] = s, -s if odd else s
+            if n % 2 and not odd:
+                V[n // 2, n // 2] = 1.0
+            return V
+
+        for kind, p, n in itertools.product(
+                ("grad", "curl", "div", "l2", "vector"), (1, 2, 3), (2, 3, 5)):
+            space = build_space(kind, p, n, dim=dim, bc=bc)
+            for chi, Q in reflection_sectors(space).items():
+                oracle = []
+                for comp in space.components:
+                    block = np.ones((1, 1))
+                    for c, f in zip(chi, comp):
+                        block = np.kron(block, reversal(f.dim, bool(c) != (f.kind == "D")))
+                    oracle.append(block)
+                oracle = sp.block_diag(oracle, format="csc")
+                assert Q.shape == oracle.shape
+                assert (Q != oracle).nnz == 0, (kind, p, n, chi)
 
     def test_kept_with_the_space(self):
         space = build_space("div", 2, 4, dim=3, bc="essential")

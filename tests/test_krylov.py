@@ -117,11 +117,10 @@ class TestPcg:
         x_ref = np.arange(25.0)
         b = A @ x_ref
         errors = []
-        x = np.zeros(25)
-        # run one iteration at a time from the previous iterate to
-        # sample the error; CG restarts are still monotone in A-norm
-        for _ in range(15):
-            x, _ = pcg(A, b, tol=0.0, max_iter=1, x0=x)
+        # the k-th CG iterate from zero minimizes the A-norm error over
+        # the k-th Krylov space, so the error cannot grow with k
+        for k in range(1, 16):
+            x, _ = pcg(A, b, tol=0.0, max_iter=k)
             e = x - x_ref
             errors.append(float(e @ (A @ e)))
         assert all(b <= a * (1 + 1e-12) for a, b in zip(errors, errors[1:]))

@@ -162,7 +162,7 @@ def dense_correction(system, smoother="jacobi", curl_smoother="diag"):
     disc = setup.disc
     ts = build_transfer_set(setup)
     P, T = ts.P_main.toarray(), ts.potential.toarray()
-    H = h1_vector_matrix(disc).toarray()
+    H = h1_vector_matrix(disc).tocsr().toarray()
     main = P @ np.linalg.inv(H + tau * mass_matrix(disc, "vector").toarray()) @ P.T
     if (setup.operator, setup.dim) == ("div", 3):
         Q = curl_stiffness_matrix(ts.potential, setup.M_D).toarray()
@@ -173,7 +173,7 @@ def dense_correction(system, smoother="jacobi", curl_smoother="diag"):
         P_curl = ts.P_curl.toarray()
         B_T = np.linalg.inv(W) + P_curl @ np.linalg.inv(H) @ P_curl.T
     else:
-        B_T = np.linalg.inv(scalar_laplacian_matrix(disc).toarray())
+        B_T = np.linalg.inv(scalar_laplacian_matrix(disc).tocsr().toarray())
     return main + T @ B_T @ T.T / tau
 
 

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from iga_asp.assembly import system_setup
+from iga_asp import derham
+from iga_asp.assembly import _range_kind, system_setup
 from iga_asp.bench import quasi_interpolant_coefficients
 from iga_asp.derham import build_space, differential_matrix, gradient_matrix
 from iga_asp.splines1d import (
@@ -184,6 +185,28 @@ class TestBuildTransferSet:
     def test_natural_bc_rejected(self):
         with pytest.raises(ValueError):
             build_transfer_set(system_setup("curl", 2, 2, 4, bc="natural"))
+
+
+# per problem: the named differential from its potential space, the kind
+# of that space, and the kind of its range space
+DIAGRAM = {("curl", 2): (derham.gradient_matrix, "grad", "l2"),
+           ("curl", 3): (derham.gradient_matrix, "grad", "div"),
+           ("div", 2): (derham.vector_curl_matrix, "grad", "l2"),
+           ("div", 3): (derham.curl_matrix, "curl", "l2")}
+
+
+@pytest.mark.parametrize("operator, dim", sorted(DIAGRAM))
+def test_potential_and_range_follow_the_diagram(operator, dim):
+    setup = system_setup(operator, dim, 2, 3)
+    spaces = setup.disc.spaces
+    named, potential, range_kind = DIAGRAM[(operator, dim)]
+    ts = build_transfer_set(setup)
+    assert (ts.potential != named(spaces[potential], setup.space)).nnz == 0
+    assert (ts.P_curl is not None) == (potential == "curl")
+    if ts.P_curl is not None:
+        assert (ts.P_curl != build_p_curl(spaces["vector"], spaces["curl"])).nnz == 0
+    assert _range_kind(operator, dim) == range_kind
+    assert setup.range_space is spaces[range_kind]
 
 
 class TestFunctionProjection1d:
