@@ -67,7 +67,13 @@ __all__ = [
     "kron_blocks",
     "kron_apply",
     "reflection_sectors",
+    "SECTOR_TOL",
 ]
+
+# largest relative out-of-sector part that is still taken for round-off
+# of a reflection-equivariant operator: dense kappa's probe of A and B,
+# and the rows of B's Gram factors that a sector keeps
+SECTOR_TOL = 1e-10
 
 _FACTOR_TABLE = {
     ("grad", 2): [("B", "B")],

@@ -16,7 +16,10 @@
   Given the space of the unknowns, dense mode splits A and B into the
   2^d reflection sectors of the unit square or cube
   (:func:`iga_asp.derham.reflection_sectors`) when a probe shows that
-  both keep them, and solves one pencil per sector.
+  both keep them, and solves one pencil per sector.  It forms the
+  blocks of a Jacobi ASP from the Gram terms of B
+  (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`) and applies
+  every other operator to panels.
 
 Every consumer takes one operator per system: the sweep gives CG and
 both kappa modes ``AssembledSystem.product``, the factored product past
@@ -34,7 +37,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .precond import AspPreconditioner
+from .derham import SECTOR_TOL
+from .precond import _PANEL_WIDTH, AspPreconditioner
 
 __all__ = [
     "SolveReport",
@@ -187,21 +191,20 @@ class GltPreconditioner:
         return x
 
 
-# columns per application of an operator in dense mode: one block of n
-# columns would hold a second n x n array at peak memory
-_PANEL_WIDTH = 64
-# largest relative out-of-sector part of a probe image that dense kappa
-# still takes for round-off of a reflection-equivariant operator
-SECTOR_TOL = 1e-10
-
-
 def _compress(op, bases) -> list[np.ndarray]:
     """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
-    for a sparse ``op``, else with ``op`` applied to (n, _PANEL_WIDTH)
-    panels of the bases side by side.  With the identity as the one
-    basis this is the dense matrix of ``op``, entry for entry."""
+    for a sparse ``op``; from its terms for an ``op`` whose
+    ``sector_blocks`` gives them (the Jacobi ASP, see
+    :meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); else with
+    ``op`` applied to (n, _PANEL_WIDTH) panels of the bases side by
+    side.  With the identity as the one basis this is the dense matrix
+    of ``op``, entry for entry on the panel path."""
     if sp.issparse(op):
         return [(Q.T @ op @ Q).toarray() for Q in bases]
+    sector_blocks = getattr(op, "sector_blocks", None)
+    blocks = None if sector_blocks is None else sector_blocks(bases)
+    if blocks is not None:
+        return blocks
     mv = _as_matvec(op)
     Q_all = sp.hstack(bases, format="csc")
     starts = np.cumsum([0] + [Q.shape[1] for Q in bases])
@@ -256,19 +259,28 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     """Extreme eigenvalues and condition number of B A (or A alone).
 
     ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
-    solves the generalized symmetric eigenproblem exactly; it applies
-    each operator that is not a scipy sparse matrix to (n, 64) panels of
-    the identity, so both must accept (n, k) blocks as well as vectors.
-    Given the ``space`` of A's unknowns, dense mode first applies A and
-    B to one random vector per reflection sector of the space
-    (``space.sectors``, see :func:`iga_asp.derham.reflection_sectors`;
-    2^d of them, as one block).  If every image stays in its sector, A
-    and B commute with the reflections, so B A is block-diagonal in the
-    sectors: it forms Q^T A Q and Q^T B Q per sector (applying B, and a
-    non-sparse A, to (n, 64) panels of the bases side by side) and
-    solves one pencil per block, 4^d times less ``eigh`` work.
-    Otherwise (the Gauss-Seidel smoother is not reflection-equivariant)
-    it takes the one-block path that ``space=None`` takes.
+    solves the generalized symmetric eigenproblem exactly.  An operator
+    whose ``sector_blocks`` gives its blocks (the Jacobi ASP: from the
+    Gram terms of B, with the tau-independent factors built once per
+    mesh) is not applied; every other operator that is not a scipy
+    sparse matrix is applied to (n, 64) panels of the identity, so it
+    must accept (n, k) blocks as well as vectors.  Given the ``space``
+    of A's unknowns, dense mode first applies A and B to one random
+    vector per reflection sector of the space (``space.sectors``, see
+    :func:`iga_asp.derham.reflection_sectors`; 2^d of them, as one
+    block).  If every image stays in its sector, A and B commute with
+    the reflections, so B A is block-diagonal in the sectors: it forms
+    Q^T A Q and Q^T B Q per sector (by the same routes, with panels of
+    the bases side by side) and solves one pencil per block, 4^d times
+    less ``eigh`` work.  Otherwise (the Gauss-Seidel smoother is not
+    reflection-equivariant) it takes the one-block path that
+    ``space=None`` takes.  The term and panel routes agree to 1e-14
+    relative per block.  On the README sweep's dense cells (2-D curl,
+    N <= 2,244) kappa agrees to 2.6e-13 at tau >= 1; below, B's
+    tau^{-1} gradient term makes the pencil ill-conditioned, and the
+    routes differ by up to 1.1e-12 (tau = 0.1), 1.1e-11 (1e-2), 4.1e-10
+    (1e-3) and 1.8e-9 (1e-4), which is the order by which the one-block
+    and sectored kappa differ there (3.6e-9).
     ``lanczos`` runs ``k`` preconditioned-Lanczos steps with full
     reorthogonalization and returns the extreme Ritz values.  Measured
     at k = 200 on four 2-D curl Jacobi-ASP cells with N <= 2,244 (p = 3,

@@ -23,20 +23,33 @@ H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`).
 :class:`InnerSolver` inverts them exactly by fast diagonalization
 (Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
-K_k U_k = M_k U_k Lambda_k, computed once per mesh, turn every inverse
-into dense 1-D matrix products and a pointwise division.  The Jacobi
-smoothers read diagonals built from the 1-D factors; the SGS smoothers
-of A and Q_curl, which are not Kronecker, assemble their matrix and
-keep sparse triangular solves.
+K_k U_k = M_k U_k Lambda_k, computed once per mesh, give
+U = (x)U_k and the eigenvalue sums Lambda, and every solve is forward
+(U^T, dense 1-D matrix products), scale (by 1/(Lambda + shift)) and
+backward (U).  The Jacobi smoothers read diagonals built from the 1-D
+factors; the SGS smoothers of A and Q_curl, which are not Kronecker,
+assemble their matrix and keep sparse triangular solves.
+
+With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
+
+    (I, 1/diag A),  (P U_H, 1/(Lambda_H + tau)),  (T U_L, 1/(tau Lambda_L))
+
+and for 3-D div, in place of the last, (C, 1/(tau diag Q_curl)) and
+(C P_curl U_H, 1/(tau Lambda_H)).  Dense kappa forms its sector blocks
+Q^T B Q from them (:meth:`AspPreconditioner.sector_blocks`) instead of
+applying B; the SGS smoothers have no such form.
 
 Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
-holds everything else (P, T, P_curl, the eigenpairs of H and B_T) for
-one mesh, and :class:`AspPreconditioner` adds the two per-tau pieces.
+holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
+on the first dense kappa the Gram factors of the reflection sectors)
+for one mesh, and :class:`AspPreconditioner` adds the two per-tau
+pieces.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+import math
+from functools import cached_property, partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -54,7 +67,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import kron_apply
+from .derham import SECTOR_TOL, kron_apply
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -102,7 +115,7 @@ class Smoother:
             diagonal = A.diagonal()
         if np.any(diagonal == 0.0):
             raise ArithmeticError("matrix has a zero diagonal entry")
-        self._diag = diagonal
+        self.diagonal = diagonal
         if kind == "gs":
             self._A = A
             L, U = _lower_upper(A)
@@ -111,7 +124,7 @@ class Smoother:
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         if self.kind == "jacobi":
-            return r / self._diag.reshape((-1,) + (1,) * (r.ndim - 1))
+            return r / self.diagonal.reshape((-1,) + (1,) * (r.ndim - 1))
         x = self._solve_u(r)
         return x + self._solve_l(r - self._A @ x)
 
@@ -140,8 +153,12 @@ def _runs(op: KronSum) -> list[list]:
 
 class InnerSolver:
     """Exact inverse of the :class:`KronSum` ``op`` by fast
-    diagonalization.  The 1-D generalized eigenpairs are computed once,
-    here; :meth:`make` builds the solve for one shift from them."""
+    diagonalization.  With U = (x)U_k the 1-D eigenbases (U^T M U = I)
+    and Lambda the sums of the 1-D eigenvalues plus the mass
+    coefficient, (op + shift (x)M)^{-1} = U diag(1/(Lambda + shift)) U^T.
+    The 1-D eigenpairs are computed once, here; :meth:`forward` applies
+    U^T, :meth:`eigenvalues` gives Lambda + shift, and :meth:`make`
+    builds the solve for one shift: forward, scale, backward."""
 
     def __init__(self, op: KronSum) -> None:
         self.op = op
@@ -158,32 +175,54 @@ class InnerSolver:
             self._blocks.append((count, [w for w, _ in pairs], forward,
                                  backward))
 
+    def _sums(self, shift: float) -> list[np.ndarray]:
+        """Per block Lambda + shift, shaped as one component."""
+        sums = [sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
+                for _, eigenvalues, _, _ in self._blocks]
+        if any(np.any(lam <= 0.0) for lam in sums):
+            raise ArithmeticError("Kronecker-sum operator is not SPD")
+        return sums
+
+    def _blockwise(self, b: np.ndarray, steps) -> np.ndarray:
+        """x with x_c = steps[c](b_c) per block c, for b of shape (N,) or
+        (N, k); the k columns and the ``count`` identical components of a
+        block reach its step as one (k * count, n_1, ..., n_d) batch."""
+        b = np.asarray(b, dtype=float)
+        rows = b.T.reshape(-1, b.shape[0])    # one row per column of b
+        k = rows.shape[0]
+        parts = []
+        lo = 0
+        for (count, eigenvalues, _, _), step in zip(self._blocks, steps):
+            shape = tuple(len(w) for w in eigenvalues)
+            hi = lo + count * math.prod(shape)
+            parts.append(step(rows[:, lo:hi].reshape(k * count, *shape))
+                         .reshape(k, -1))
+            lo = hi
+        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+        return x.T.reshape(b.shape)
+
+    def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
+        """Lambda + shift, one entry per eigen-coefficient, in the order
+        of :meth:`forward`."""
+        return np.concatenate([np.tile(lam.ravel(), count) for lam, (count, *_)
+                               in zip(self._sums(shift), self._blocks)])
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """The eigen-coefficients U^T b of b of shape (N,) or (N, k)."""
+        return self._blockwise(b, [partial(kron_apply, forward)
+                                   for _, _, forward, _ in self._blocks])
+
     def make(self, shift: float = 0.0):
         """Solve with ``op + shift * (x)M``.  The shift adds to the mass
         coefficient, so H + tau M is never formed; identical components,
         and the k columns of an (N, k) right-hand side, are solved as one
         batch."""
-        blocks = []
-        for count, eigenvalues, forward, backward in self._blocks:
-            lam = sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
-            if np.any(lam <= 0.0):
-                raise ArithmeticError("Kronecker-sum operator is not SPD")
-            blocks.append((count, lam.shape, forward, backward, 1.0 / lam))
-
-        def solve(b: np.ndarray) -> np.ndarray:
-            b = np.asarray(b, dtype=float)
-            rows = b.T.reshape(-1, b.shape[0])    # one row per column of b
-            k = rows.shape[0]
-            parts = []
-            lo = 0
-            for count, shape, forward, backward, inv_lam in blocks:
-                hi = lo + count * inv_lam.size
-                Y = kron_apply(forward, rows[:, lo:hi].reshape(k * count, *shape))
-                parts.append(kron_apply(backward, Y * inv_lam).reshape(k, -1))
-                lo = hi
-            x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-            return x.T.reshape(b.shape)
-        return solve
+        steps = [
+            lambda X, forward=forward, backward=backward, inv=1.0 / lam:
+                kron_apply(backward, kron_apply(forward, X) * inv)
+            for lam, (_, _, forward, backward) in zip(self._sums(shift),
+                                                      self._blocks)]
+        return lambda b: self._blockwise(b, steps)
 
 
 def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
@@ -197,11 +236,52 @@ def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
     return diagonal
 
 
+# columns per product when dense kappa builds blocks: one block of n
+# columns would hold a second n x n array at peak memory
+_PANEL_WIDTH = 64
+
+
+def _significant_forward(solver: InnerSolver, X: sp.spmatrix):
+    """``(rows, F)``: the rows of U^T X (``solver.forward`` of the sparse
+    X) whose norm exceeds ``SECTOR_TOL`` times the largest, and their
+    indices.  In a reflection sector the other rows are round-off of the
+    1-D eigenvectors' parity.  The forward transform runs on panels of
+    ``_PANEL_WIDTH`` columns, twice (norms, then rows), so that the full
+    U^T X is never held."""
+    X = sp.csc_matrix(X)
+    starts = range(0, X.shape[1], _PANEL_WIDTH)
+    norms2 = np.zeros(X.shape[0])
+    for lo in starts:
+        Y = solver.forward(X[:, lo:lo + _PANEL_WIDTH].toarray())
+        norms2 += np.einsum("ij,ij->i", Y, Y)
+    rows = np.flatnonzero(norms2 > SECTOR_TOL**2 * norms2.max(initial=0.0))
+    F = np.empty((rows.size, X.shape[1]))
+    for lo in starts:
+        Y = solver.forward(X[:, lo:lo + _PANEL_WIDTH].toarray())
+        F[:, lo:lo + _PANEL_WIDTH] = Y[rows]
+    return rows, F
+
+
+def _add_gram(block: np.ndarray, F, w: np.ndarray) -> None:
+    """block += F^T diag(w) F for a sparse or dense F and w > 0."""
+    if sp.issparse(F):
+        G = (F.T @ sp.diags(w) @ F).tocoo()
+        np.add.at(block, (G.row, G.col), G.data)
+    else:
+        F = F * np.sqrt(w)[:, None]
+        block += F.T @ F
+
+
 class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
     one problem on one mesh: the transfers, the eigenpairs of H, B_T and
     the composite cycle's M_D inverse (on first use).  A sweep builds it
-    once per mesh and every tau's :class:`AspPreconditioner` reads it."""
+    once per mesh and every tau's :class:`AspPreconditioner` reads it.
+
+    ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
+    ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
+    Q_curl (3-D div only); ``solve_potential`` applies B_T from them.
+    """
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
         if curl_smoother not in ("diag", "sgs"):
@@ -211,11 +291,14 @@ class AspSetup:
         self.system_setup = setup
         self.transfers: TransferSet = build_transfer_set(setup)
         self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
+        self.potential: InnerSolver | None = None
+        self.curl_smoother: Smoother | None = None
+        self._sector_factors: list[tuple] | None = None
         P_curl = self.transfers.P_curl
         if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
-            self.solve_potential = InnerSolver(
-                scalar_laplacian_matrix(setup.disc)).make()
+            self.potential = InnerSolver(scalar_laplacian_matrix(setup.disc))
+            self.solve_potential = self.potential.make()
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
         if curl_smoother == "diag":
@@ -225,14 +308,63 @@ class AspSetup:
             Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
             _checked_q_curl_diagonal(Q_curl.diagonal())
             W = Smoother("gs", Q_curl)
+        self.curl_smoother = W
         solve_h = self.h1.make()
+        P_curl_T = self.transfers.P_curl_T
         self.solve_potential = (
-            lambda y: W.apply(y) + P_curl @ solve_h(P_curl.T @ y))
+            lambda y: W.apply(y) + P_curl @ solve_h(P_curl_T @ y))
 
     @cached_property
     def mass_solver(self) -> InnerSolver:
         """The composite cycle's M_D inverse, built on first use."""
         return InnerSolver(self.system_setup.M_D_op)
+
+    def gram_factors(self, bases) -> list[tuple] | None:
+        """Per basis Q of ``bases`` (sparse, its columns with disjoint
+        supports, as the reflection sectors and the identity have) the
+        tau-independent factors of Q^T B Q: ``(squares, rows, W, G)``
+        with ``squares`` = (Q o Q)^T, so that Q^T diag(w) Q =
+        diag(squares @ w); W = U_H^T P^T Q kept on its ``rows``
+        (:func:`_significant_forward`); and the Gram block
+        G = Q^T T B_T T^T Q.  ``None`` when B_T has no term form
+        (the sgs curl smoother).  The factors of the space's reflection
+        sectors are built on the first call and kept; those of other
+        bases are built per call (the identity keeps every row of W,
+        N_aux x N doubles)."""
+        sectors = [Q for Q in self.system_setup.space.sectors.values()
+                   if Q.shape[1]]
+        if [id(Q) for Q in bases] != [id(Q) for Q in sectors]:
+            return self._gram_factors(bases)
+        if self._sector_factors is None:
+            self._sector_factors = self._gram_factors(sectors)
+        return self._sector_factors
+
+    def _gram_factors(self, bases) -> list[tuple] | None:
+        if self.curl_smoother is not None and self.curl_smoother.kind != "jacobi":
+            return None
+        ts = self.transfers
+        out = []
+        for Q in bases:
+            Q = sp.csc_matrix(Q)
+            if np.unique(Q.indices).size != Q.nnz:
+                raise ValueError("the columns of a basis must have disjoint supports")
+            rows, W = _significant_forward(self.h1, ts.P_main_T @ Q)
+            G = np.zeros((Q.shape[1], Q.shape[1]))
+            for F, w in self._potential_terms(ts.potential_T @ Q):
+                _add_gram(G, F, w)
+            out.append((Q.multiply(Q).T.tocsr(), rows, W, G))
+        return out
+
+    def _potential_terms(self, X: sp.spmatrix) -> list[tuple]:
+        """The pairs (F, w) with X^T B_T X = sum F^T diag(w) F, for X =
+        T^T Q: (U_L^T X, 1/Lambda_L); for 3-D div (X, 1/diag Q_curl) and
+        (U_H^T P_curl^T X, 1/Lambda_H)."""
+        if self.potential is not None:
+            rows, F = _significant_forward(self.potential, X)
+            return [(F, 1.0 / self.potential.eigenvalues()[rows])]
+        rows, F = _significant_forward(self.h1, self.transfers.P_curl_T @ X)
+        return [(X, 1.0 / self.curl_smoother.diagonal),
+                (F, 1.0 / self.h1.eigenvalues()[rows])]
 
 
 class AspPreconditioner:
@@ -265,7 +397,30 @@ class AspPreconditioner:
     def correction(self, r: np.ndarray) -> np.ndarray:
         """K r = (B - S^{-1}) r: the auxiliary-space terms alone."""
         r = np.asarray(r, dtype=float)
-        P = self.setup.transfers.P_main
-        T = self.setup.transfers.potential
-        out = P @ self._solve_main(P.T @ r)
-        return out + (T @ self.setup.solve_potential(T.T @ r)) / self.tau
+        ts = self.setup.transfers
+        out = ts.P_main @ self._solve_main(ts.P_main_T @ r)
+        return out + (ts.potential @ self.setup.solve_potential(
+            ts.potential_T @ r)) / self.tau
+
+    def sector_blocks(self, bases) -> list[np.ndarray] | None:
+        """Q^T B Q for each sparse basis Q of ``bases``, from the terms
+        of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
+
+            diag(squares @ (1/diag A)) + W^T diag(1/(Lambda_H + tau)) W + G / tau
+
+        ``None`` when the smoother (Gauss-Seidel) or B_T (the sgs curl
+        smoother) has no term form; dense kappa then applies B to panels."""
+        if self.smoother.kind != "jacobi":
+            return None
+        factors = self.setup.gram_factors(bases)
+        if factors is None:
+            return None
+        inv_diag = 1.0 / self.smoother.diagonal
+        inv_lam = 1.0 / self.setup.h1.eigenvalues(self.tau)
+        blocks = []
+        for squares, rows, W, G in factors:
+            block = G / self.tau
+            _add_gram(block, W, inv_lam[rows])
+            block.flat[::block.shape[0] + 1] += squares @ inv_diag
+            blocks.append(block)
+        return blocks

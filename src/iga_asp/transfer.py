@@ -45,11 +45,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TransferSet:
-    """All matrices one ASP formula needs besides the smoother."""
+    """All matrices one ASP formula needs besides the smoother, and the
+    transposes its apply reads: the CSC views ``.T`` returns, which
+    share the arrays of the CSR matrices, stored once."""
 
     P_main: sp.csr_matrix = field(repr=False)
     potential: sp.csr_matrix = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
+    P_main_T: sp.csc_matrix = field(init=False, repr=False)
+    potential_T: sp.csc_matrix = field(init=False, repr=False)
+    P_curl_T: sp.csc_matrix | None = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in ("P_main", "potential", "P_curl"):
+            M = getattr(self, name)
+            object.__setattr__(self, f"{name}_T", None if M is None else M.T)
 
 
 def _histopolation():

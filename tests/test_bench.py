@@ -336,6 +336,19 @@ def count_calls(monkeypatch, fn) -> list[int]:
     return counter
 
 
+def count_forward_transforms(monkeypatch) -> list[int]:
+    """Count the calls of ``InnerSolver.forward`` (the solves of the
+    preconditioner do not call it); returns the one-element counter."""
+    counter = [0]
+    forward = precond.InnerSolver.forward
+
+    def counted(self, b):
+        counter[0] += 1
+        return forward(self, b)
+    monkeypatch.setattr(precond.InnerSolver, "forward", counted)
+    return counter
+
+
 # one small (p, n) with three tau values per path through the setup: 2-D
 # curl with kappa and errors, 2-D div, 3-D curl, 3-D div with the
 # composite cycle and SGS
@@ -396,11 +409,13 @@ class TestSharedDiscretization:
     @each_path
     def test_tau_cells_add_no_setup(self, monkeypatch, spec):
         # every tau-independent builder runs as often for three tau
-        # values as for one: eigenpairs, basis values, projections
+        # values as for one: eigenpairs, basis values, projections, and
+        # the forward transforms that build dense kappa's Gram factors
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
             precond._m_orthonormal_eigenpairs, splines1d.basis_values,
             transfer.function_projection_1d, assembly.differential_matrix,
             assembly.mass_operator)}
+        counts["forward"] = count_forward_transforms(monkeypatch)
 
         def run(s):
             for c in counts.values():
@@ -409,6 +424,20 @@ class TestSharedDiscretization:
             return {name: c[0] for name, c in counts.items()}
         one = run(dataclasses.replace(spec, tau_values=spec.tau_values[:1]))
         assert run(spec) == one
+
+    def test_gram_factors_only_for_dense_kappa(self, monkeypatch):
+        # the Gram factors are built by a dense kappa (once per mesh, see
+        # test_tau_cells_add_no_setup), and not at all in a sweep that
+        # reports no kappa
+        forward = count_forward_transforms(monkeypatch)
+        spec = ExperimentSpec("curl", 2, (2,), (4,), TAUS, precond="asp",
+                              report=("iters", "cond"), cond_mode="dense")
+        run_experiment(spec)
+        assert forward[0] > 0
+        forward[0] = 0
+        rows = run_experiment(dataclasses.replace(spec, report=("iters",)))
+        assert all(r["converged"] for r in rows)
+        assert forward[0] == 0
 
     def test_stiffness_formed_once_per_mesh(self, monkeypatch):
         # three tau cells with dense kappa read three CSR A's, which all

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from iga_asp.assembly import (
     AssembledSystem,
@@ -386,6 +388,93 @@ class TestSectoredKappa:
         other = system_setup("curl", 2, 2, 9).space
         with pytest.raises(ValueError):
             estimate_condition_number(system.product, B, space=other)
+
+
+class Panels:
+    """``B`` without its ``sector_blocks``: dense kappa applies it to
+    panels, the path that stays as the oracle of the term blocks."""
+
+    def __init__(self, B):
+        self.apply, self.shape = B.apply, B.shape
+
+
+def space_sectors(space):
+    """The non-empty sectors in the order dense kappa's probe lists them."""
+    return [Q for Q in space.sectors.values() if Q.shape[1]]
+
+
+class TestTermBlocks:
+    @given(st.sampled_from(["curl", "div"]), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=6),
+           st.floats(min_value=-4.0, max_value=4.0))
+    @settings(max_examples=25, deadline=None)
+    def test_match_the_panels(self, problem, dim, p, n, log_tau):
+        # Jacobi ASP (3-D div with the diag curl smoother): the blocks
+        # from B's terms equal B applied to panels, per reflection sector
+        # and for the identity as the one basis
+        n = n if dim == 2 else min(n, 3)
+        system, B = asp_cell(p, n, 10.0 ** log_tau, problem, dim)
+        space = system.setup.space
+        for bases in (space_sectors(space),
+                      [sp.identity(space.total_dim, format="csc")]):
+            for block, ref in zip(B.sector_blocks(bases),
+                                  _compress(Panels(B), bases)):
+                assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_empty_sectors_give_empty_blocks(self, dim):
+        # p = 1, n = 2: the essential-bc B factors have one function, so
+        # some sectors are empty; the term path returns (0, 0) blocks
+        # for them, as the panel path does
+        system, B = asp_cell(1, 2, 1.0, "curl", dim)
+        sectors = list(system.setup.space.sectors.values())
+        assert any(Q.shape[1] == 0 for Q in sectors)
+        for block, ref in zip(B.sector_blocks(sectors),
+                              _compress(Panels(B), sectors)):
+            assert block.shape == ref.shape
+            assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_sector_factors_are_built_once_per_mesh(self):
+        system, B = asp_cell(2, 8, 1.0)
+        space = system.setup.space
+        first = B.setup.gram_factors(space_sectors(space))
+        other = AspPreconditioner(B.setup, system_matrix(system.setup, 1e-2))
+        assert other.setup.gram_factors(space_sectors(space)) is first
+        identity = [sp.identity(space.total_dim, format="csc")]
+        assert B.setup.gram_factors(identity) is not B.setup.gram_factors(identity)
+
+    def test_dense_kappa_applies_b_to_the_probe_only(self):
+        system, B = asp_cell(2, 8, 1.0)
+        applied = []
+        apply = B.apply
+        B.apply = lambda r: applied.append(r.shape) or apply(r)
+        ours = estimate_condition_number(system.product, B, space=system.setup.space)
+        assert applied == [(system.setup.space.total_dim, 4)]
+        panels = estimate_condition_number(system.product, Panels(B),
+                                           space=system.setup.space)
+        assert ours == pytest.approx(panels, rel=1e-12)
+
+    @pytest.mark.parametrize("problem, dim, smoother, curl_smoother", [
+        ("curl", 2, "gs", "diag"), ("div", 2, "gs", "diag"),
+        ("div", 3, "jacobi", "sgs")])
+    def test_no_term_form_takes_the_panels(self, problem, dim, smoother,
+                                           curl_smoother):
+        # the Gauss-Seidel smoother of A and the sgs curl smoother have
+        # no term form: kappa is the panel path's, bit for bit
+        setup = system_setup(problem, dim, 2, 3)
+        system = system_matrix(setup, 1e-2)
+        B = AspPreconditioner(AspSetup(setup, curl_smoother), system, smoother)
+        space = setup.space
+        assert B.sector_blocks(space_sectors(space)) is None
+        assert estimate_condition_number(system.product, B, space=space) == (
+            estimate_condition_number(system.product, Panels(B), space=space))
+
+    def test_bases_must_have_disjoint_columns(self):
+        system, B = asp_cell(1, 4, 1.0)
+        n = system.setup.space.total_dim
+        with pytest.raises(ValueError):
+            B.sector_blocks([sp.csc_matrix(np.ones((n, 2)))])
 
 
 class TestEstimateConditionNumber:

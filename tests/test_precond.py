@@ -134,6 +134,28 @@ class TestInnerSolver:
             assert np.linalg.norm(Y - ref) <= 1e-12 * np.linalg.norm(ref), name
             assert solve(X[:, 0]).shape == (oracle.shape[0],), name
 
+    @given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=4),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=20, deadline=None)
+    def test_solve_is_the_gram_of_the_forward_transform(self, dim, p, n,
+                                                        log_tau, seed):
+        # c^T (op + shift M)^{-1} b = (U^T c)^T diag(1/(Lambda + shift)) U^T b,
+        # the identity dense kappa's term blocks rest on
+        rng = np.random.default_rng(seed)
+        for name, (op, shift, oracle) in kronecker_cases(
+                dim, p, n, 10.0 ** log_tau).items():
+            solver = InnerSolver(op)
+            X = rng.standard_normal((oracle.shape[0], 3))
+            F = solver.forward(X)
+            assert F.shape == X.shape, name
+            gram = F.T @ (F / solver.eigenvalues(shift)[:, None])
+            ref = X.T @ solver.make(shift)(X)
+            assert np.linalg.norm(gram - ref) <= 1e-12 * np.linalg.norm(ref), name
+            f = solver.forward(X[:, 0])
+            assert np.linalg.norm(f - F[:, 0]) <= 1e-13 * np.linalg.norm(f), name
+
     def test_indefinite_shift_rejected(self):
         with pytest.raises(ArithmeticError):
             InnerSolver(h1_vector_matrix(

@@ -186,6 +186,24 @@ class TestBuildTransferSet:
         with pytest.raises(ValueError):
             build_transfer_set(system_setup("curl", 2, 2, 4, bc="natural"))
 
+    @pytest.mark.parametrize("operator", ["curl", "div"])
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_stored_transposes_give_the_bits_of_a_fresh_transpose(
+            self, operator, dim):
+        # the stored views share the CSR arrays and give M.T @ x bit for
+        # bit, for vectors and blocks
+        ts = build_transfer_set(system_setup(operator, dim, 2, 3))
+        rng = np.random.default_rng(0)
+        for name in ("P_main", "potential", "P_curl"):
+            M, M_T = getattr(ts, name), getattr(ts, f"{name}_T")
+            if M is None:
+                assert M_T is None and (operator, dim) != ("div", 3)
+                continue
+            assert np.shares_memory(M_T.data, M.data)
+            for shape in ((M.shape[0],), (M.shape[0], 5)):
+                x = rng.standard_normal(shape)
+                assert np.array_equal(M_T @ x, M.T @ x), name
+
 
 # per problem: the named differential from its potential space, the kind
 # of that space, and the kind of its range space
