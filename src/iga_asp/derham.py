@@ -134,14 +134,12 @@ class TensorSpace:
     def total_dim(self) -> int:
         return sum(self.component_dims)
 
-    def component_offset(self, c: int) -> int:
-        return sum(self.component_dims[:c])
-
     @cached_property
-    def sectors(self) -> dict[tuple[int, ...], sp.csc_matrix]:
-        """:func:`reflection_sectors` of this space, built on first read
-        and kept with it."""
-        return reflection_sectors(self)
+    def sectors(self) -> tuple[sp.csc_matrix, ...]:
+        """The non-empty blocks of :func:`reflection_sectors` in chi
+        order, built on first read and kept with the space: the bases of
+        dense kappa's probe and of the Gram factors of B."""
+        return tuple(Q for Q in reflection_sectors(self).values() if Q.shape[1])
 
 
 def build_space(kind: str, p, n_elems, *, dim: int,
@@ -355,7 +353,8 @@ def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matri
     odd when chi_k XOR [factor k is 'D'].  The blocks are disjoint and
     together span the space; with uniform knots every mass and every
     differential maps sector chi of one space into sector chi of the
-    other.  ``TensorSpace.sectors`` keeps them with the space."""
+    other.  ``TensorSpace.sectors`` keeps the non-empty ones with the
+    space."""
     return {chi: kron_blocks(block_diagonal(
                 [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
                          for c, f in zip(chi, comp)])]

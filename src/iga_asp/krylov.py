@@ -16,10 +16,11 @@
   Given the space of the unknowns, dense mode splits A and B into the
   2^d reflection sectors of the unit square or cube
   (:func:`iga_asp.derham.reflection_sectors`) when a probe shows that
-  both keep them, and solves one pencil per sector.  It forms the
+  both keep them, and solves one pencil per sector.  There it forms the
   blocks of a Jacobi ASP from the Gram terms of B
-  (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`) and applies
-  every other operator to panels.
+  (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); it applies
+  every other operator that is not sparse to panels, as the one-block
+  path does with every such operator, the Jacobi ASP included.
 
 Every consumer takes one operator per system: the sweep gives CG and
 both kappa modes ``AssembledSystem.product``, the factored product past
@@ -28,7 +29,6 @@ a measured rule and the CSR A below it, and dense kappa the space.
 
 from __future__ import annotations
 
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -47,7 +47,6 @@ __all__ = [
     "estimate_condition_number",
     "DENSE_MAX_DIM",
     "AUTO_DENSE_MAX_DIM",
-    "SECTOR_TOL",
 ]
 
 # largest dimension that dense kappa materializes
@@ -66,16 +65,6 @@ class SolveReport:
     wall_time: float = 0.0
     max_iter: int = 0
     breakdown: bool = False
-
-    def to_json(self) -> str:
-        return json.dumps({
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "breakdown": self.breakdown,
-            "max_iter": self.max_iter,
-            "wall_time": self.wall_time,
-            "residuals": self.residuals,
-        })
 
 
 def _as_matvec(op):
@@ -194,7 +183,8 @@ class GltPreconditioner:
 def _compress(op, bases) -> list[np.ndarray]:
     """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
     for a sparse ``op``; from its terms for an ``op`` whose
-    ``sector_blocks`` gives them (the Jacobi ASP, see
+    ``sector_blocks`` gives them (the Jacobi ASP, when ``bases`` is its
+    space's ``sectors``, see
     :meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); else with
     ``op`` applied to (n, _PANEL_WIDTH) panels of the bases side by
     side.  With the identity as the one basis this is the dense matrix
@@ -238,10 +228,9 @@ def _pencil_eigenvalues(Ad, Bd) -> np.ndarray:
 
 
 def _invariant_sectors(A, B, space, seed: int):
-    """The non-empty reflection sectors of ``space`` if A and B map a
-    random vector of each into that sector (to ``SECTOR_TOL`` relative),
-    else ``None``."""
-    sectors = [Q for Q in space.sectors.values() if Q.shape[1]]
+    """``space.sectors`` itself if A and B map a random vector of each
+    sector into that sector (to ``SECTOR_TOL`` relative), else ``None``."""
+    sectors = space.sectors
     rng = np.random.default_rng(seed)
     X = np.column_stack([Q @ rng.standard_normal(Q.shape[1]) for Q in sectors])
     for op in (A, B):
@@ -259,19 +248,19 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     """Extreme eigenvalues and condition number of B A (or A alone).
 
     ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
-    solves the generalized symmetric eigenproblem exactly.  An operator
-    whose ``sector_blocks`` gives its blocks (the Jacobi ASP: from the
-    Gram terms of B, with the tau-independent factors built once per
-    mesh) is not applied; every other operator that is not a scipy
-    sparse matrix is applied to (n, 64) panels of the identity, so it
-    must accept (n, k) blocks as well as vectors.  Given the ``space``
-    of A's unknowns, dense mode first applies A and B to one random
-    vector per reflection sector of the space (``space.sectors``, see
-    :func:`iga_asp.derham.reflection_sectors`; 2^d of them, as one
+    solves the generalized symmetric eigenproblem exactly.  Every
+    operator that is not a scipy sparse matrix is applied to (n, 64)
+    panels of the identity, so it must accept (n, k) blocks as well as
+    vectors.  Given the ``space`` of A's unknowns, dense mode first
+    applies A and B to one random vector per non-empty reflection sector
+    of the space (``space.sectors``, see
+    :func:`iga_asp.derham.reflection_sectors`; up to 2^d of them, as one
     block).  If every image stays in its sector, A and B commute with
     the reflections, so B A is block-diagonal in the sectors: it forms
     Q^T A Q and Q^T B Q per sector (by the same routes, with panels of
-    the bases side by side) and solves one pencil per block, 4^d times
+    the bases side by side; a Jacobi ASP's blocks come from the Gram
+    terms of B, whose tau-independent factors are built once per mesh,
+    and B is not applied) and solves one pencil per block, 4^d times
     less ``eigh`` work.  Otherwise (the Gauss-Seidel smoother is not
     reflection-equivariant) it takes the one-block path that
     ``space=None`` takes.  The term and panel routes agree to 1e-14

@@ -274,9 +274,11 @@ def _add_gram(block: np.ndarray, F, w: np.ndarray) -> None:
 
 class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
-    one problem on one mesh: the transfers, the eigenpairs of H, B_T and
-    the composite cycle's M_D inverse (on first use).  A sweep builds it
-    once per mesh and every tau's :class:`AspPreconditioner` reads it.
+    one problem on one mesh: the transfers, the eigenpairs of H, B_T,
+    the composite cycle's M_D inverse (on first use) and the Gram factors
+    of the space's reflection sectors (on the first dense kappa, see
+    :meth:`gram_factors`).  A sweep builds it once per mesh and every
+    tau's :class:`AspPreconditioner` reads it.
 
     ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
     ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
@@ -319,41 +321,27 @@ class AspSetup:
         """The composite cycle's M_D inverse, built on first use."""
         return InnerSolver(self.system_setup.M_D_op)
 
-    def gram_factors(self, bases) -> list[tuple] | None:
-        """Per basis Q of ``bases`` (sparse, its columns with disjoint
-        supports, as the reflection sectors and the identity have) the
-        tau-independent factors of Q^T B Q: ``(squares, rows, W, G)``
-        with ``squares`` = (Q o Q)^T, so that Q^T diag(w) Q =
-        diag(squares @ w); W = U_H^T P^T Q kept on its ``rows``
-        (:func:`_significant_forward`); and the Gram block
-        G = Q^T T B_T T^T Q.  ``None`` when B_T has no term form
-        (the sgs curl smoother).  The factors of the space's reflection
-        sectors are built on the first call and kept; those of other
-        bases are built per call (the identity keeps every row of W,
-        N_aux x N doubles)."""
-        sectors = [Q for Q in self.system_setup.space.sectors.values()
-                   if Q.shape[1]]
-        if [id(Q) for Q in bases] != [id(Q) for Q in sectors]:
-            return self._gram_factors(bases)
-        if self._sector_factors is None:
-            self._sector_factors = self._gram_factors(sectors)
-        return self._sector_factors
-
-    def _gram_factors(self, bases) -> list[tuple] | None:
+    def gram_factors(self) -> list[tuple] | None:
+        """Per reflection sector Q of the space (``space.sectors``, whose
+        columns have disjoint supports) the tau-independent factors of
+        Q^T B Q: ``(squares, rows, W, G)`` with ``squares`` = (Q o Q)^T,
+        so that Q^T diag(w) Q = diag(squares @ w); W = U_H^T P^T Q kept
+        on its ``rows`` (:func:`_significant_forward`); and the Gram
+        block G = Q^T T B_T T^T Q.  Built on the first call and kept;
+        ``None`` when B_T has no term form (the sgs curl smoother)."""
         if self.curl_smoother is not None and self.curl_smoother.kind != "jacobi":
             return None
-        ts = self.transfers
-        out = []
-        for Q in bases:
-            Q = sp.csc_matrix(Q)
-            if np.unique(Q.indices).size != Q.nnz:
-                raise ValueError("the columns of a basis must have disjoint supports")
-            rows, W = _significant_forward(self.h1, ts.P_main_T @ Q)
-            G = np.zeros((Q.shape[1], Q.shape[1]))
-            for F, w in self._potential_terms(ts.potential_T @ Q):
-                _add_gram(G, F, w)
-            out.append((Q.multiply(Q).T.tocsr(), rows, W, G))
-        return out
+        if self._sector_factors is None:
+            ts = self.transfers
+            factors = []
+            for Q in self.system_setup.space.sectors:
+                rows, W = _significant_forward(self.h1, ts.P_main_T @ Q)
+                G = np.zeros((Q.shape[1], Q.shape[1]))
+                for F, w in self._potential_terms(ts.potential_T @ Q):
+                    _add_gram(G, F, w)
+                factors.append((Q.multiply(Q).T.tocsr(), rows, W, G))
+            self._sector_factors = factors
+        return self._sector_factors
 
     def _potential_terms(self, X: sp.spmatrix) -> list[tuple]:
         """The pairs (F, w) with X^T B_T X = sum F^T diag(w) F, for X =
@@ -403,16 +391,18 @@ class AspPreconditioner:
             ts.potential_T @ r)) / self.tau
 
     def sector_blocks(self, bases) -> list[np.ndarray] | None:
-        """Q^T B Q for each sparse basis Q of ``bases``, from the terms
-        of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
+        """Q^T B Q for each reflection sector Q of the space, from the
+        terms of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
 
             diag(squares @ (1/diag A)) + W^T diag(1/(Lambda_H + tau)) W + G / tau
 
-        ``None`` when the smoother (Gauss-Seidel) or B_T (the sgs curl
-        smoother) has no term form; dense kappa then applies B to panels."""
-        if self.smoother.kind != "jacobi":
+        ``None`` unless ``bases`` is ``space.sectors`` itself, and when
+        the smoother (Gauss-Seidel) or B_T (the sgs curl smoother) has no
+        term form; dense kappa then applies B to panels."""
+        if (self.smoother.kind != "jacobi"
+                or bases is not self.system.setup.space.sectors):
             return None
-        factors = self.setup.gram_factors(bases)
+        factors = self.setup.gram_factors()
         if factors is None:
             return None
         inv_diag = 1.0 / self.smoother.diagonal

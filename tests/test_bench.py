@@ -170,7 +170,7 @@ class TestQuasiInterpolant:
         pts = (np.array([0.23, 0.71]), np.array([0.4, 0.9]))
         for k, f in enumerate(funcs):
             comp = space.components[k]
-            off = space.component_offset(k)
+            off = sum(space.component_dims[:k])
             C = c[off: off + space.component_dims[k]].reshape(
                 space.component_shapes[k])
             V0 = basis_values(comp[0], pts[0])
