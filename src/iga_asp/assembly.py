@@ -151,16 +151,43 @@ class AssembledSystem:
         diag[np.abs(diag) < DROP_TOL] = 0.0
         return diag
 
-    @cached_property
-    def product(self):
+    @property
+    def product(self) -> _SystemProduct:
         """The one product with A that CG and kappa (dense and Lanczos)
-        are given: ``apply_A`` as an operator with ``shape`` where
-        :func:`factored_product_wins`, else the CSR ``A``."""
-        if not factored_product_wins(self.setup.space):
-            return self.A
-        n = self.setup.space.total_dim
-        return spla.LinearOperator((n, n), matvec=self.apply_A,
-                                   matmat=self.apply_A, dtype=float)
+        are given: an operator whose ``apply`` is ``apply_A`` where
+        :func:`factored_product_wins`, else the CSR ``A``'s product, and
+        whose ``sector_blocks`` gives dense kappa A's sector blocks.  A
+        new one on each read: the system keeps none, so that no
+        reference cycle holds a finished system until garbage
+        collection."""
+        return _SystemProduct(self)
+
+
+class _SystemProduct(spla.LinearOperator):
+    """``AssembledSystem.product``: ``apply`` takes x of shape (N,) or
+    (N, k), and :meth:`sector_blocks` forms Q^T A Q from the setup's
+    per-mesh :attr:`SystemSetup.sector_factors`."""
+
+    def __init__(self, system: AssembledSystem) -> None:
+        space = system.setup.space
+        super().__init__(float, (space.total_dim,) * 2)
+        self.system = system
+        self.apply = (system.apply_A if factored_product_wins(space)
+                      else system.A.dot)
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+    _matmat = _matvec
+
+    def sector_blocks(self, bases) -> list[np.ndarray] | None:
+        """Q^T A Q = Q^T K Q + tau Q^T M_D Q for each basis Q of the
+        space's sectors; ``None`` unless ``bases`` is ``space.sectors``
+        itself (dense kappa then applies the product to panels)."""
+        setup, tau = self.system.setup, self.system.tau
+        if bases is not setup.space.sectors:
+            return None
+        return [K + tau * M for K, M in setup.sector_factors]
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,11 +376,45 @@ class SystemSetup:
         return self.D_T @ self.M_range @ self.D_mat
 
     @cached_property
+    def sector_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Per basis Q of ``space.sectors`` the tau-independent factors
+        (Q^T K Q, Q^T M_D Q) of A's sector block, built on the mesh's
+        first dense kappa and kept.  Where :func:`factored_product_wins`
+        they are (D Q)^T M_range (D Q) and Q^T M_D Q from the factored
+        masses (:func:`_congruence`), and no CSR A, K or M_D is
+        assembled; below it, sparse products with the CSR K and M_D that
+        the CSR A is built from."""
+        if factored_product_wins(self.space):
+            return tuple((_congruence(self.M_range_op, self.D_mat @ Q),
+                          _congruence(self.M_D_op, Q))
+                         for Q in self.space.sectors)
+        return tuple(((Q.T @ self.stiffness @ Q).toarray(),
+                      (Q.T @ self.M_D @ Q).toarray())
+                     for Q in self.space.sectors)
+
+    @cached_property
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(D^T M_range D), the tau-independent part of A's diagonal,
         from the 1-D factors of D and M_range."""
         return congruence_diagonal(
             differential_blocks(self.space, self.range_space), self.M_range_op)
+
+
+# columns per product when dense kappa builds blocks: one block of n
+# columns would hold a second n x n array at peak memory
+_PANEL_WIDTH = 64
+
+
+def _congruence(op: KronSum, F: sp.spmatrix) -> np.ndarray:
+    """F^T op F for a sparse F, with ``op`` applied by sum factorization
+    to panels of ``_PANEL_WIDTH`` columns of F."""
+    F = sp.csc_matrix(F)
+    F_T = F.T
+    out = np.empty((F.shape[1], F.shape[1]))
+    for lo in range(0, F.shape[1], _PANEL_WIDTH):
+        out[:, lo:lo + _PANEL_WIDTH] = F_T @ op.apply(
+            F[:, lo:lo + _PANEL_WIDTH].toarray())
+    return out
 
 
 def system_setup(operator: str, dim: int, p, n_elems,

@@ -280,8 +280,8 @@ class _SharedSetup:
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
     """One row: CG and kappa both read ``system.product`` and the
-    preconditioner; dense kappa also gets the space, for its reflection
-    sectors.  A nonlinear preconditioner (the composite cycle) has no
+    preconditioner; dense kappa also gets the space, for its
+    symmetry-adapted bases.  A nonlinear preconditioner (the composite cycle) has no
     kappa, so its row leaves ``kappa2`` empty."""
     t0 = time.perf_counter()
     p, n = shared.p, shared.n

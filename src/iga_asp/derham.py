@@ -35,7 +35,9 @@ indices of direction k.  Pulled back as a form it also negates every component
 whose factor k is 'D' (a difference image: d/dx changes sign under the
 reflection), and then commutes with every mass and every differential.
 ``reflection_sectors`` spans the joint eigenspaces of the d
-reflections.
+reflections.  With equal knots in x_0 and x_1, the swap of those two
+coordinates (``TensorSpace.swap``) commutes with them too, and
+``TensorSpace.sectors`` adapts the bases to both.
 """
 
 from __future__ import annotations
@@ -130,16 +132,56 @@ class TensorSpace:
     def component_dims(self) -> tuple[int, ...]:
         return tuple(int(np.prod(s)) for s in self.component_shapes)
 
-    @property
+    @cached_property
     def total_dim(self) -> int:
         return sum(self.component_dims)
 
     @cached_property
+    def swap(self) -> np.ndarray | None:
+        """The swap x_0 <-> x_1 as an index permutation (the swapped
+        coefficient vector of c is ``c[swap]``), or ``None`` unless the
+        first two knot vectors are equal.  It maps component c to
+        component (1, 0, 2)[c] (a scalar space to itself) with the first
+        two index axes exchanged; every mass and every differential
+        commutes with it up to one sign per space."""
+        if self.knots[0] != self.knots[1]:
+            return None
+        targets = (1, 0, 2) if self.n_components > 1 else (0,)
+        offsets = np.cumsum((0,) + self.component_dims)
+        blocks = [None] * self.n_components
+        for c, shape in enumerate(self.component_shapes):
+            index = np.arange(offsets[c], offsets[c + 1]).reshape(shape)
+            blocks[targets[c]] = np.swapaxes(index, 0, 1).ravel()
+        return np.concatenate(blocks)
+
+    @cached_property
     def sectors(self) -> tuple[sp.csc_matrix, ...]:
-        """The non-empty blocks of :func:`reflection_sectors` in chi
-        order, built on first read and kept with the space: the bases of
-        dense kappa's probe and of the Gram factors of B."""
-        return tuple(Q for Q in reflection_sectors(self).values() if Q.shape[1])
+        """The bases of dense kappa's probe and of the sector blocks of A
+        and B: the non-empty blocks of :func:`reflection_sectors` in chi
+        order.  With a :attr:`swap`, which maps sector chi onto its twin
+        with chi_0 and chi_1 exchanged (B A has the same spectrum on
+        both), only the twin with chi_0 < chi_1 is kept, and a sector
+        with chi_0 = chi_1 gives its swap-even and swap-odd halves
+        instead (:func:`_swap_halves`).  The columns of each block have
+        disjoint supports.  Built on first read and kept."""
+        out = []
+        for chi in itertools.product((0, 1), repeat=self.dim):
+            if self.swap is not None and chi[0] > chi[1]:
+                continue
+            Q = _reflection_sector(self, chi)
+            if not Q.shape[1]:
+                continue
+            if self.swap is None or chi[0] < chi[1]:
+                out.append(Q)
+            else:
+                out += [H for H in _swap_halves(Q, self.swap) if H.shape[1]]
+        return tuple(out)
+
+    @cached_property
+    def sectors_T(self) -> sp.csr_matrix:
+        """The transposes Q^T of the blocks of :attr:`sectors` stacked in
+        their order, stored once for the probe's projections."""
+        return sp.vstack([Q.T for Q in self.sectors], format="csr")
 
 
 def build_space(kind: str, p, n_elems, *, dim: int,
@@ -344,6 +386,29 @@ def _reversal_basis(n: int, odd: bool) -> sp.csr_matrix:
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, half if odd else n - half))
 
 
+def _swap_halves(Q: sp.csc_matrix, swap: np.ndarray) -> list[sp.csc_matrix]:
+    """The swap-even and swap-odd halves of a reflection sector Q that the
+    swap maps onto itself.  Each column of Q lives on one orbit of the
+    reflections, and the swap maps orbits onto orbits, so S Q = Q C with C
+    a signed permutation: S q_j = s_j q_pi(j).  The half of sign +-1 takes
+    (q_j +- s_j q_pi(j)) / sqrt 2 per pair j < pi(j), and q_j where pi(j)
+    = j and s_j = +-1; its columns keep disjoint supports."""
+    C = (Q.T @ Q[swap]).tocsc()
+    j, pi, s = np.arange(Q.shape[1]), C.indices, np.rint(C.data)
+    pair = j < pi
+    r = np.sqrt(0.5)
+    halves = []
+    for sign in (1.0, -1.0):
+        keep = pair | (j == pi) & (s == sign)
+        col = np.cumsum(keep) - 1
+        Z = sp.csc_matrix(
+            (np.r_[np.where(pair[keep], r, 1.0), sign * r * s[pair]],
+             (np.r_[j[keep], pi[pair]], np.r_[col[keep], col[pair]])),
+            shape=(Q.shape[1], int(keep.sum())))
+        halves.append((Q @ Z).tocsc())
+    return halves
+
+
 def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matrix]:
     """Per character chi in {0, 1}^d (in ``itertools.product`` order) the
     orthonormal column block Q_chi spanning the coefficient vectors that
@@ -353,13 +418,18 @@ def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matri
     odd when chi_k XOR [factor k is 'D'].  The blocks are disjoint and
     together span the space; with uniform knots every mass and every
     differential maps sector chi of one space into sector chi of the
-    other.  ``TensorSpace.sectors`` keeps the non-empty ones with the
-    space."""
-    return {chi: kron_blocks(block_diagonal(
-                [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
-                         for c, f in zip(chi, comp)])]
-                 for comp in space.components])).tocsc()
+    other.  ``TensorSpace.sectors`` builds dense kappa's bases from
+    them."""
+    return {chi: _reflection_sector(space, chi)
             for chi in itertools.product((0, 1), repeat=space.dim)}
+
+
+def _reflection_sector(space: TensorSpace, chi: tuple[int, ...]) -> sp.csc_matrix:
+    """The block Q_chi of :func:`reflection_sectors`."""
+    return kron_blocks(block_diagonal(
+        [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
+                 for c, f in zip(chi, comp)])]
+         for comp in space.components])).tocsc()
 
 
 def space_descriptor(space: TensorSpace) -> dict:

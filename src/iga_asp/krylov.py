@@ -14,17 +14,20 @@
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos; it refuses a nonlinear preconditioner.
   Given the space of the unknowns, dense mode splits A and B into the
-  2^d reflection sectors of the unit square or cube
-  (:func:`iga_asp.derham.reflection_sectors`) when a probe shows that
-  both keep them, and solves one pencil per sector.  There it forms the
-  blocks of a Jacobi ASP from the Gram terms of B
+  space's bases adapted to the symmetries of the unit square or cube
+  (``TensorSpace.sectors``) when a probe shows that both keep the
+  reflection sectors and commute with the swap of x_0 and x_1, and
+  solves one pencil per basis.  There it forms A's blocks from
+  per-mesh factors (``AssembledSystem.product``'s ``sector_blocks``)
+  and a Jacobi ASP's from the Gram terms of B
   (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); it applies
   every other operator that is not sparse to panels, as the one-block
   path does with every such operator, the Jacobi ASP included.
 
 Every consumer takes one operator per system: the sweep gives CG and
-both kappa modes ``AssembledSystem.product``, the factored product past
-a measured rule and the CSR A below it, and dense kappa the space.
+both kappa modes ``AssembledSystem.product``, which applies the factored
+product past a measured rule and the CSR A below it, and dense kappa the
+space.
 """
 
 from __future__ import annotations
@@ -38,7 +41,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .derham import SECTOR_TOL
-from .precond import _PANEL_WIDTH, AspPreconditioner
+from .assembly import _PANEL_WIDTH
+from .precond import AspPreconditioner
 
 __all__ = [
     "SolveReport",
@@ -183,8 +187,8 @@ class GltPreconditioner:
 def _compress(op, bases) -> list[np.ndarray]:
     """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
     for a sparse ``op``; from its terms for an ``op`` whose
-    ``sector_blocks`` gives them (the Jacobi ASP, when ``bases`` is its
-    space's ``sectors``, see
+    ``sector_blocks`` gives them (the system's product and the Jacobi
+    ASP, when ``bases`` is their space's ``sectors``, see
     :meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); else with
     ``op`` applied to (n, _PANEL_WIDTH) panels of the bases side by
     side.  With the identity as the one basis this is the dense matrix
@@ -228,18 +232,32 @@ def _pencil_eigenvalues(Ad, Bd) -> np.ndarray:
 
 
 def _invariant_sectors(A, B, space, seed: int):
-    """``space.sectors`` itself if A and B map a random vector of each
-    sector into that sector (to ``SECTOR_TOL`` relative), else ``None``."""
-    sectors = space.sectors
+    """``space.sectors`` itself if A and B keep them and commute with the
+    space's swap, else ``None``.  A random vector x of each sector and,
+    when the space has a swap, its swapped copy S x go through each
+    operator as one block; each image y of an x must stay in its sector
+    and the image of S x must be S y, both to ``SECTOR_TOL`` relative.
+    The projections read the stored ``space.sectors_T``."""
+    sectors, swap, sectors_T = space.sectors, space.swap, space.sectors_T
+    m = len(sectors)
     rng = np.random.default_rng(seed)
     X = np.column_stack([Q @ rng.standard_normal(Q.shape[1]) for Q in sectors])
+    if swap is not None:
+        X = np.hstack([X, X[swap]])
+    # row i of sectors_T belongs to sector own[i]
+    own = np.repeat(np.arange(m), [Q.shape[1] for Q in sectors])
     for op in (A, B):
         if op is None:
             continue
         Y = _as_matvec(op)(X)
-        for y, Q in zip(Y.T, sectors):
-            if np.linalg.norm(y - Q @ (Q.T @ y)) > SECTOR_TOL * np.linalg.norm(y):
-                return None
+        C = sectors_T @ Y[:, :m]
+        C[own[:, None] != np.arange(m)] = 0.0
+        tol = SECTOR_TOL * np.linalg.norm(Y[:, :m], axis=0)
+        if np.any(np.linalg.norm(Y[:, :m] - sectors_T.T @ C, axis=0) > tol):
+            return None
+        if swap is not None and np.any(
+                np.linalg.norm(Y[:, m:] - Y[swap, :m], axis=0) > tol):
+            return None
     return sectors
 
 
@@ -252,24 +270,25 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     operator that is not a scipy sparse matrix is applied to (n, 64)
     panels of the identity, so it must accept (n, k) blocks as well as
     vectors.  Given the ``space`` of A's unknowns, dense mode first
-    applies A and B to one random vector per non-empty reflection sector
-    of the space (``space.sectors``, see
-    :func:`iga_asp.derham.reflection_sectors`; up to 2^d of them, as one
-    block).  If every image stays in its sector, A and B commute with
-    the reflections, so B A is block-diagonal in the sectors: it forms
-    Q^T A Q and Q^T B Q per sector (by the same routes, with panels of
-    the bases side by side; a Jacobi ASP's blocks come from the Gram
-    terms of B, whose tau-independent factors are built once per mesh,
-    and B is not applied) and solves one pencil per block, 4^d times
-    less ``eigh`` work.  Otherwise (the Gauss-Seidel smoother is not
-    reflection-equivariant) it takes the one-block path that
-    ``space=None`` takes.  The term and panel routes agree to 1e-14
-    relative per block.  On the README sweep's dense cells (2-D curl,
-    N <= 2,244) kappa agrees to 2.6e-13 at tau >= 1; below, B's
-    tau^{-1} gradient term makes the pencil ill-conditioned, and the
-    routes differ by up to 1.1e-12 (tau = 0.1), 1.1e-11 (1e-2), 4.1e-10
-    (1e-3) and 1.8e-9 (1e-4), which is the order by which the one-block
-    and sectored kappa differ there (3.6e-9).
+    applies A and B, as one block, to one random vector x per basis Q of
+    ``space.sectors`` and, when the space has a ``swap`` S (equal knots
+    in x_0 and x_1), to each S x.  If every image of an x stays in span Q
+    and the image of S x is the swapped image of x, A and B commute with
+    the reflections and with the swap, so B A is block-diagonal in the
+    reflection sectors and has the same spectrum on the two sectors of
+    each pair that the swap exchanges: it forms Q^T A Q and Q^T B Q per
+    basis (A's from per-mesh factors, a Jacobi ASP's from the Gram terms
+    of B, so B is not applied; else by the same routes, with panels of
+    the bases side by side) and solves one pencil per basis, which
+    together keep about 3/4 of the unknowns.  Otherwise (the
+    Gauss-Seidel smoother is not reflection-equivariant) it takes the
+    one-block path that ``space=None`` takes.  The term and panel routes
+    agree to 1e-14 relative per block.  On the README sweep's dense
+    cells (2-D curl, N <= 2,244) the sectored kappa is within 2.3e-13
+    relative of the one-block kappa at tau >= 1; below, B's tau^{-1}
+    gradient term makes the pencil ill-conditioned, and they differ by
+    up to 1.8e-12 (tau = 0.1), 3.3e-11 (1e-2), 1.6e-10 (1e-3) and
+    4.5e-9 (1e-4), as the reflection sectors alone do (3.2e-9 there).
     ``lanczos`` runs ``k`` preconditioned-Lanczos steps with full
     reorthogonalization and returns the extreme Ritz values.  Measured
     at k = 200 on four 2-D curl Jacobi-ASP cells with N <= 2,244 (p = 3,
@@ -281,20 +300,21 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     to 2.3e-4 relative (p = 1, tau = 1e-4), all of it in lambda_max.
 
     A ``B`` with a true ``nonlinear`` attribute (the composite cycle)
-    is no linear operator, so B A has no spectrum: it raises
-    ``ValueError`` in every mode, before any work.
+    is no linear operator, so B A has no spectrum, and a ``space`` of
+    another dimension than A's does not describe A's unknowns: both
+    raise ``ValueError`` in every mode, before any work.
     """
     if getattr(B, "nonlinear", False):
         raise ValueError(f"{type(B).__name__} is a nonlinear preconditioner;"
                          " B A has no condition number")
     n = A.shape[0]
+    if space is not None and space.total_dim != n:
+        raise ValueError("the space does not match the operator's dimension")
     if mode == "auto":
         mode = "dense" if n <= AUTO_DENSE_MAX_DIM else "lanczos"
     if mode == "dense":
         if n > DENSE_MAX_DIM:
             raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
-        if space is not None and space.total_dim != n:
-            raise ValueError("the space does not match the operator's dimension")
         sectors = None if space is None else _invariant_sectors(A, B, space, seed)
         bases = sectors or [sp.identity(n, format="csc")]
         A_blocks = _compress(A, bases)

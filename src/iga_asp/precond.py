@@ -41,7 +41,7 @@ applying B; the SGS smoothers have no such form.
 
 Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
-on the first dense kappa the Gram factors of the reflection sectors)
+on the first dense kappa the Gram factors of the space's sectors)
 for one mesh, and :class:`AspPreconditioner` adds the two per-tau
 pieces.
 """
@@ -57,6 +57,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
+    _PANEL_WIDTH,
     AssembledSystem,
     KronSum,
     SystemSetup,
@@ -236,11 +237,6 @@ def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
     return diagonal
 
 
-# columns per product when dense kappa builds blocks: one block of n
-# columns would hold a second n x n array at peak memory
-_PANEL_WIDTH = 64
-
-
 def _significant_forward(solver: InnerSolver, X: sp.spmatrix):
     """``(rows, F)``: the rows of U^T X (``solver.forward`` of the sparse
     X) whose norm exceeds ``SECTOR_TOL`` times the largest, and their
@@ -276,7 +272,7 @@ class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
     one problem on one mesh: the transfers, the eigenpairs of H, B_T,
     the composite cycle's M_D inverse (on first use) and the Gram factors
-    of the space's reflection sectors (on the first dense kappa, see
+    of the space's sectors (on the first dense kappa, see
     :meth:`gram_factors`).  A sweep builds it once per mesh and every
     tau's :class:`AspPreconditioner` reads it.
 
@@ -322,7 +318,7 @@ class AspSetup:
         return InnerSolver(self.system_setup.M_D_op)
 
     def gram_factors(self) -> list[tuple] | None:
-        """Per reflection sector Q of the space (``space.sectors``, whose
+        """Per basis Q of the space's sectors (``space.sectors``, whose
         columns have disjoint supports) the tau-independent factors of
         Q^T B Q: ``(squares, rows, W, G)`` with ``squares`` = (Q o Q)^T,
         so that Q^T diag(w) Q = diag(squares @ w); W = U_H^T P^T Q kept
@@ -391,7 +387,7 @@ class AspPreconditioner:
             ts.potential_T @ r)) / self.tau
 
     def sector_blocks(self, bases) -> list[np.ndarray] | None:
-        """Q^T B Q for each reflection sector Q of the space, from the
+        """Q^T B Q for each basis Q of the space's sectors, from the
         terms of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
 
             diag(squares @ (1/diag A)) + W^T diag(1/(Lambda_H + tau)) W + G / tau

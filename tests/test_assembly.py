@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iga_asp import assembly
 from iga_asp.assembly import (
     assemble_rhs,
     curl_stiffness_diagonal,
@@ -310,11 +311,51 @@ class TestCsrOnDemand:
 
     def test_product_follows_the_rule(self):
         below = system_matrix(system_setup("curl", 2, 2, 8), 1e-2)
-        assert below.product is below.A
+        assert below.product.apply == below.A.dot    # the CSR A's product
         past = system_matrix(system_setup("curl", 3, 2, 8), 1e-2)
         x = np.random.default_rng(0).standard_normal(past.product.shape[0])
         assert "A" not in vars(past)
         assert relative_error(past.product @ x, past.A @ x) <= 1e-13
+
+
+class TestSectorFactors:
+    """A's blocks in the space's sectors from the per-mesh factors of the
+    setup, against the sparse products with the CSR A (the oracle)."""
+
+    @pytest.mark.parametrize("operator, dim, p, n", [
+        ("curl", 2, 2, 8), ("div", 2, 3, 8), ("div", 3, 2, 3),     # CSR A
+        ("curl", 2, 3, 27), ("div", 3, 2, 8)])                     # factored
+    def test_blocks_match_the_sparse_products(self, operator, dim, p, n,
+                                              monkeypatch):
+        setup = system_setup(operator, dim, p, n)
+        sectors = setup.space.sectors
+        factored = factored_product_wins(setup.space)
+        builds = []
+        congruence = assembly._congruence
+        monkeypatch.setattr(assembly, "_congruence",
+                            lambda *a: builds.append(1) or congruence(*a))
+        systems = [system_matrix(setup, tau) for tau in (1e-4, 1.0, 1e4)]
+        blocks = [s.product.sector_blocks(sectors) for s in systems]
+        factors = setup.sector_factors
+        # built once per mesh: the later taus read the first one's factors
+        assert len(builds) == (2 * len(sectors) if factored else 0)
+        assert setup.sector_factors is factors
+        if factored:
+            assert "A" not in vars(systems[0])
+            assert not {"stiffness", "M_D", "M_range"} & set(vars(setup))
+        for system, per_tau in zip(systems, blocks):
+            assert len(per_tau) == len(sectors)
+            for Q, block in zip(sectors, per_tau):
+                ref = (Q.T @ system.A @ Q).toarray()
+                assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_other_bases_get_none(self):
+        system = system_matrix(system_setup("curl", 2, 2, 8), 1.0)
+        space = system.setup.space
+        assert system.product.sector_blocks(
+            [sp.identity(space.total_dim, format="csc")]) is None
+        assert system.product.sector_blocks(list(space.sectors)) is None
+        assert "sector_factors" not in vars(system.setup)
 
 
 class TestFactoredDiagonals:

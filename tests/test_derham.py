@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from iga_asp.derham import (
@@ -289,26 +289,99 @@ class TestReflectionSectors:
                 assert (Q != oracle).nnz == 0, (kind, p, n, chi)
 
     def test_kept_with_the_space(self):
-        # the non-empty blocks, in chi order
+        # equal knots: per chi in order, the sector itself where chi_0 <
+        # chi_1 (its twin chi_0 > chi_1 is left out) and its swap-even
+        # and swap-odd halves where chi_0 = chi_1; empty blocks dropped
         space = build_space("div", 1, 2, dim=3, bc="essential")
         assert space.sectors is space.sectors
+        ref = reflection_sectors(space)
+        assert sum(not Q.shape[1] for Q in ref.values()) > 0
+        expected = []
+        for chi, Q in ref.items():
+            if chi[0] < chi[1]:
+                expected.append(Q.shape[1])
+            elif chi[0] == chi[1]:
+                S = sp.identity(space.total_dim, format="csr")[space.swap]
+                Q = Q.toarray()
+                rank = np.linalg.matrix_rank(Q + S @ Q) if Q.shape[1] else 0
+                expected += [rank, Q.shape[1] - rank]
+        assert [Q.shape[1] for Q in space.sectors] == [m for m in expected if m]
+        # unequal knots in directions 0 and 1: the non-empty sectors
+        space = build_space("div", 1, (2, 3, 2), dim=3, bc="essential")
+        assert space.swap is None
         ref = [Q for Q in reflection_sectors(space).values() if Q.shape[1]]
-        assert len(ref) < 8
         assert len(space.sectors) == len(ref)
         for Q, R in zip(space.sectors, ref):
             assert Q.shape == R.shape and (Q != R).nnz == 0
+
+    def test_block_sizes_of_the_square(self):
+        # 2-D curl p=3 n=16: reflection sectors 162/153/153/144
+        space = build_space("curl", 3, 16, dim=2, bc="essential")
+        assert [Q.shape[1] for Q in reflection_sectors(space).values()] == [
+            162, 153, 153, 144]
+        assert [Q.shape[1] for Q in space.sectors] == [81, 81, 153, 72, 72]
 
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("kind", ["grad", "curl", "div"])
     def test_columns_have_disjoint_supports(self, kind, dim):
         # the Gram factors read Q^T diag(w) Q as diag((Q o Q)^T w), which
-        # holds because no two columns of a block share a row
+        # holds because no two columns of a block share a row; with the
+        # twins left out (chi_0 > chi_1) the blocks count N columns
         for p, n in [(1, 2), (1, 3), (2, 3), (3, 4)]:
             space = build_space(kind, p, n, dim=dim, bc="essential")
-            assert sum(Q.shape[1] for Q in space.sectors) == space.total_dim
+            twins = sum(Q.shape[1] for chi, Q in reflection_sectors(space).items()
+                        if chi[0] > chi[1])
+            assert sum(Q.shape[1] for Q in space.sectors) + twins == space.total_dim
             for Q in space.sectors:
                 assert Q.shape[1] > 0
                 assert np.unique(Q.indices).size == Q.nnz, (kind, p, n)
+
+    @given(st.sampled_from(["grad", "curl", "div"]), st.sampled_from([2, 3]),
+           st.sampled_from(["natural", "essential"]), st.booleans(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_symmetry_adapted_bases(self, kind, dim, bc, equal, data):
+        # each basis is orthonormal with disjoint column supports, the
+        # bases are mutually orthogonal, and with the swapped twins of
+        # the representatives they span the space; the swap commutes with
+        # the mass.  Unequal knots in directions 0 and 1 keep the plain
+        # reflection sectors.
+        from iga_asp.assembly import discretize, mass_operator
+        n_max = 5 if dim == 2 else 3
+        p = data.draw(st.tuples(*[st.integers(1, 3)] * dim), label="p")
+        n = data.draw(st.tuples(*[st.integers(1, n_max)] * dim), label="n")
+        if equal:
+            p, n = (p[0], p[0]) + p[2:], (n[0], n[0]) + n[2:]
+        elif (p[0], n[0]) == (p[1], n[1]):
+            n = (n[0], n[0] + 1) + n[2:]
+        disc = discretize(p, n, dim=dim, bc=bc)
+        space = disc.spaces[kind]
+        N = space.total_dim
+        assume(N > 0)
+        bases = list(space.sectors)
+        for Q in bases:
+            assert np.unique(Q.indices).size == Q.nnz
+        if not equal:
+            assert space.swap is None
+            ref = [Q for Q in reflection_sectors(space).values() if Q.shape[1]]
+            assert all((Q != R).nnz == 0 for Q, R in zip(bases, ref))
+            assert len(bases) == len(ref)
+        else:
+            swap = space.swap
+            assert np.array_equal(np.sort(swap), np.arange(N))
+            S = sp.identity(N, format="csr")[swap]
+            M = mass_operator(disc, kind).tocsr()
+            assert abs(S @ M @ S.T - M).max() <= 1e-14 * abs(M).max()
+            # the swap maps each half onto itself (+-1) and each
+            # representative onto its twin, orthogonal to it
+            for Q in bases:
+                P = (Q.T @ Q[swap]).toarray()
+                I = np.eye(Q.shape[1])
+                assert min(abs(P - I).max(), abs(P + I).max(), abs(P).max()) <= 1e-14
+            bases += [Q[swap] for chi, Q in reflection_sectors(space).items()
+                      if chi[0] < chi[1] and Q.shape[1]]
+        Q_all = sp.hstack(bases).toarray()
+        assert Q_all.shape == (N, N)
+        np.testing.assert_allclose(Q_all.T @ Q_all, np.eye(N), atol=1e-15)
 
 
 class TestDifferentialSemantics:

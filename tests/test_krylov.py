@@ -323,9 +323,26 @@ class OneReflectionB:
         return self.B.apply(r) + np.multiply.outer(self.v, self.v @ r)
 
 
-# Jacobi-ASP cells: the reflection-equivariant B of the sweeps
+class SwapBreakingB:
+    """``B`` plus v v^T with a unit v in one reflection sector, by default
+    (0, 0), even under both reflections, but not under the swap of x_0
+    and x_1."""
+
+    def __init__(self, B, space, chi=(0, 0)):
+        Q = reflection_sectors(space)[chi]
+        v = Q @ np.random.default_rng(4).standard_normal(Q.shape[1])
+        assert np.linalg.norm(v[space.swap] - v) > 0.1 * np.linalg.norm(v)
+        self.B, self.v = B, v / np.linalg.norm(v)
+        self.shape = B.shape
+
+    def apply(self, r):
+        return self.B.apply(r) + np.multiply.outer(self.v, self.v @ r)
+
+
+# Jacobi-ASP cells: the reflection-equivariant B of the sweeps; the last
+# has unequal knots in x_0 and x_1, so no swap and the plain sectors
 SECTOR_CELLS = [("curl", 2, 2, 8), ("div", 2, 2, 8),
-                ("curl", 3, 2, 3), ("div", 3, 2, 3)]
+                ("curl", 3, 2, 3), ("div", 3, 2, 3), ("curl", 2, 2, (8, 9))]
 
 
 class TestSectoredKappa:
@@ -361,6 +378,20 @@ class TestSectoredKappa:
         system, B = asp_cell(2, 8, 1.0)
         space = system.setup.space
         B1 = OneReflectionB(B, space)
+        assert _invariant_sectors(system.product, B, space, 0) is not None
+        assert _invariant_sectors(system.product, B1, space, 0) is None
+        assert estimate_condition_number(system.product, B1, space=space) == (
+            estimate_condition_number(system.product, B1))
+
+    @pytest.mark.parametrize("chi", [(0, 0), (0, 1)])
+    def test_the_swap_is_probed_too(self, chi):
+        # B + v v^T keeps every reflection sector but breaks the swap:
+        # the probe fails and kappa is the one-block path's, bit for bit.
+        # With v in sector (0, 1), B keeps each of the space's bases too,
+        # and only the probe's [X, S X] comparison sees the break.
+        system, B = asp_cell(2, 8, 1.0)
+        space = system.setup.space
+        B1 = SwapBreakingB(B, space, chi)
         assert _invariant_sectors(system.product, B, space, 0) is not None
         assert _invariant_sectors(system.product, B1, space, 0) is None
         assert estimate_condition_number(system.product, B1, space=space) == (
@@ -427,8 +458,10 @@ class TestTermBlocks:
         applied = []
         apply = B.apply
         B.apply = lambda r: applied.append(r.shape) or apply(r)
-        ours = estimate_condition_number(system.product, B, space=system.setup.space)
-        assert applied == [(system.setup.space.total_dim, 4)]
+        space = system.setup.space
+        ours = estimate_condition_number(system.product, B, space=space)
+        # one random vector per basis and its swapped copy, as one block
+        assert applied == [(space.total_dim, 2 * len(space.sectors))]
         panels = estimate_condition_number(system.product, Panels(B),
                                            space=system.setup.space)
         assert ours == pytest.approx(panels, rel=1e-12)
@@ -526,6 +559,20 @@ class TestEstimateConditionNumber:
         A = sp.identity(20001, format="csr")
         with pytest.raises(ValueError):
             estimate_condition_number(A, mode="dense")
+
+    @pytest.mark.parametrize("mode", ["dense", "lanczos", "auto"])
+    def test_space_is_checked_before_any_work(self, mode):
+        # a space of another size raises in every mode, before A or B is
+        # applied
+        system, B = asp_cell(1, 8, 1.0)
+        applied = []
+        A = spla.LinearOperator(system.product.shape, dtype=float,
+                                matvec=lambda x: applied.append(x) or x)
+        B.apply = lambda r: applied.append(r) or r
+        other = system_setup("curl", 2, 1, 9).space
+        with pytest.raises(ValueError, match="space"):
+            estimate_condition_number(A, B, mode=mode, space=other)
+        assert applied == []
 
     def test_bad_mode(self):
         with pytest.raises(ValueError):
