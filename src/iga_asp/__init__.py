@@ -5,8 +5,8 @@ Subpackage map:
 
 - ``splines1d``: univariate B-spline / Curry-Schoenberg machinery and
   1-D matrix factories.
-- ``derham``: tensor-product discrete de Rham spaces and the exact
-  grad/curl/div difference matrices.
+- ``derham``: tensor-product discrete de Rham spaces, their exact
+  difference matrices and ``KronBlocks``, the block-Kronecker operator.
 - ``assembly``: Kronecker-structured global matrices (mass, system,
   auxiliary H/L/Q matrices) and right-hand sides.
 - ``transfer``: auxiliary-space transfer matrices built from 1-D

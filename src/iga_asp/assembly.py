@@ -9,13 +9,11 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                (stiffness) per distinct (B) factor space,
                                which every function below looks up,
 * ``KronSum``               -- block-diagonal Kronecker sums of 1-D
-                               stiffness and mass factors, kept factored,
-                               applied by sum factorization, with their
-                               diagonal from the 1-D diagonals,
-* ``congruence_diagonal``   -- diag(B^T op B) for a block Kronecker B
-                               (a differential) and a KronSum op, from
-                               the 1-D factors: the Jacobi diagonals of
-                               D^T M_range D and Q_curl,
+                               stiffness and mass factors: the square
+                               block-diagonal case of
+                               :class:`iga_asp.derham.KronBlocks`, kept
+                               factored, applied by sum factorization,
+                               with their diagonal from the 1-D diagonals,
 * ``mass_operator``         -- L2 mass of any of the five spaces as a
                                KronSum,
 * ``mass_matrix``           -- the same, assembled,
@@ -27,11 +25,13 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                vector's weighted 1-D bases, built once
                                per mesh,
 * ``system_matrix``         -- the ``AssembledSystem(setup, tau, b)`` of
-                               one tau: A = K + tau M_D as a product
-                               from the factored masses, its diagonal
-                               from the 1-D factors, and its CSR
-                               assembled from K only when read,
-* ``factored_product_wins`` -- the measured rule on which spaces that
+                               one tau, the one operator of A = K + tau
+                               M_D that CG and kappa read: its product,
+                               factored from the masses or by the CSR
+                               assembled from K only when read, its
+                               diagonal from the 1-D factors, and its
+                               sector blocks for dense kappa,
+* ``factored_product_wins`` -- the measured rule on which spaces the
                                factored product is faster than CSR,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
@@ -42,6 +42,9 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                smoother of 3-D div),
 * ``curl_stiffness_diagonal`` -- its diagonal from the 1-D factors (the
                                ``diag`` curl smoother),
+* ``column_panels``         -- a sparse matrix as dense panels of 64
+                               columns, the one walk of dense kappa's
+                               products,
 * ``assemble_rhs``          -- load vector from an analytic field,
 * ``field_coefficients``    -- the Kronecker apply of per-direction
                                (nodes, matrix) pairs to a sampled field
@@ -54,22 +57,20 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from typing import Callable, Sequence
+from functools import cached_property
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from . import derham
 from .derham import (
+    KronBlocks,
     TensorSpace,
-    block_diagonal,
     build_space,
     differential_blocks,
     differential_matrix,
     kron_apply,
-    kron_blocks,
 )
 from .splines1d import (
     DROP_TOL,
@@ -91,13 +92,13 @@ __all__ = [
     "system_setup",
     "mass_operator",
     "mass_matrix",
-    "congruence_diagonal",
     "system_matrix",
     "factored_product_wins",
     "h1_vector_matrix",
     "scalar_laplacian_matrix",
     "curl_stiffness_matrix",
     "curl_stiffness_diagonal",
+    "column_panels",
     "assemble_rhs",
     "field_coefficients",
     "system_manifest",
@@ -120,15 +121,25 @@ def _range_kind(operator: str, dim: int) -> str:
 @dataclass(frozen=True, eq=False)
 class AssembledSystem:
     """System of one tau: the tau-independent ``setup`` it was built
-    from, tau, and the load vector ``b``.  :meth:`apply_A` applies A
+    from, tau, and the load vector ``b``; the one operator of A that CG
+    and kappa (dense and Lanczos) are given.  :meth:`apply_A` applies A
     from the factored masses of ``setup``; ``A`` is the assembled CSR,
     built on its first read (by the SGS smoother, the matrix export, and
-    ``product`` below the rule) from the setup's ``stiffness``;
+    :meth:`apply` below the rule) from the setup's ``stiffness``;
     ``diagonal`` is A's diagonal, built without it."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
     b: np.ndarray | None = field(repr=False, default=None)
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return (self.setup.space.total_dim,) * 2
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A x for x of shape (N,) or (N, k): :meth:`apply_A` where the
+        setup's ``factored_product_wins``, else the CSR ``A``'s product."""
+        return self.apply_A(x) if self.setup.factored_product_wins else self.A @ x
 
     def apply_A(self, x: np.ndarray) -> np.ndarray:
         """A x = D^T (M_range (D x)) + tau M_D x for x of shape (N,) or
@@ -151,43 +162,10 @@ class AssembledSystem:
         diag[np.abs(diag) < DROP_TOL] = 0.0
         return diag
 
-    @property
-    def product(self) -> _SystemProduct:
-        """The one product with A that CG and kappa (dense and Lanczos)
-        are given: an operator whose ``apply`` is ``apply_A`` where
-        :func:`factored_product_wins`, else the CSR ``A``'s product, and
-        whose ``sector_blocks`` gives dense kappa A's sector blocks.  A
-        new one on each read: the system keeps none, so that no
-        reference cycle holds a finished system until garbage
-        collection."""
-        return _SystemProduct(self)
-
-
-class _SystemProduct(spla.LinearOperator):
-    """``AssembledSystem.product``: ``apply`` takes x of shape (N,) or
-    (N, k), and :meth:`sector_blocks` forms Q^T A Q from the setup's
-    per-mesh :attr:`SystemSetup.sector_factors`."""
-
-    def __init__(self, system: AssembledSystem) -> None:
-        space = system.setup.space
-        super().__init__(float, (space.total_dim,) * 2)
-        self.system = system
-        self.apply = (system.apply_A if factored_product_wins(space)
-                      else system.A.dot)
-
-    def _matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
-
-    _matmat = _matvec
-
-    def sector_blocks(self, bases) -> list[np.ndarray] | None:
-        """Q^T A Q = Q^T K Q + tau Q^T M_D Q for each basis Q of the
-        space's sectors; ``None`` unless ``bases`` is ``space.sectors``
-        itself (dense kappa then applies the product to panels)."""
-        setup, tau = self.system.setup, self.system.tau
-        if bases is not setup.space.sectors:
-            return None
-        return [K + tau * M for K, M in setup.sector_factors]
+    def sector_blocks(self) -> list[np.ndarray]:
+        """Q^T A Q = Q^T K Q + tau Q^T M_D Q for each basis Q of
+        ``space.sectors``, from :attr:`SystemSetup.sector_factors`."""
+        return [K + self.tau * M for K, M in self.setup.sector_factors]
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,109 +194,28 @@ def discretize(p, n_elems, *, dim: int, bc: str) -> Discretization:
         {f: stiffness_matrix_1d(f, q) for f, q in rules.items() if f.kind == "B"})
 
 
-@dataclass(frozen=True, eq=False)
-class KronSum:
+class KronSum(KronBlocks):
     """Block-diagonal matrix kept as its 1-D factors.  Block ``c`` is
 
         sum_k  K_k (x) (x)_{j != k} M_j  +  mass_coeff * (x)_j M_j
 
     with ``masses[c]`` the per-direction factors M_j and
     ``stiffnesses[c]`` the K_k (``None``: no stiffness terms, a pure
-    mass).  Components whose factor tuples are the same objects are
-    identical blocks, which the fast-diagonalization solve of
-    :class:`iga_asp.precond.InnerSolver` treats as one batch.
+    mass); these stay for the eigenpairs of
+    :class:`iga_asp.precond.InnerSolver`.  Components whose factor tuples
+    are the same objects share one term list: identical blocks, which
+    :meth:`iga_asp.derham.KronBlocks.apply` batches.
     """
 
-    masses: tuple[tuple[sp.csr_matrix, ...], ...] = field(repr=False)
-    stiffnesses: tuple[tuple[sp.csr_matrix, ...], ...] | None = field(
-        repr=False, default=None)
-    mass_coeff: float = 1.0
-
-    def _terms(self) -> list[list[tuple[float, tuple]]]:
-        """Per component, the ``(coeff, factors)`` terms of its block in
-        the form :func:`iga_asp.derham.kron_blocks` takes."""
-        out = []
-        for c, masses in enumerate(self.masses):
-            terms = [(self.mass_coeff, masses)] if self.mass_coeff else []
-            if self.stiffnesses is not None:
-                terms += [(1.0, masses[:k] + (K,) + masses[k + 1:])
-                          for k, K in enumerate(self.stiffnesses[c])]
-            out.append(terms)
-        return out
-
-    def tocsr(self) -> sp.csr_matrix:
-        return kron_blocks(block_diagonal(self._terms()))
-
-    def diagonal(self) -> np.ndarray:
-        """The diagonal, from the 1-D factors: per component and term
-        ``coeff * (x)_k diag(F_k)``."""
-        return np.concatenate([
-            sum(coeff * _kron_vectors([F.diagonal() for F in factors])
-                for coeff, factors in terms)
-            for terms in self._terms()])
-
-    @cached_property
-    def _dense_terms(self) -> list[tuple[tuple[int, ...], list]]:
-        """Per component its shape and its terms with dense factors,
-        built on the first :meth:`apply` and kept with the operator."""
-        return [(tuple(M.shape[0] for M in masses),
-                 [(coeff, [F.toarray() for F in factors])
-                  for coeff, factors in terms])
-                for masses, terms in zip(self.masses, self._terms())]
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        """The matrix times x of shape (N,) or (N, k), without assembly:
-        per component and term one :func:`iga_asp.derham.kron_apply` of
-        the dense 1-D factors (sum factorization)."""
-        x = np.asarray(x, dtype=float)
-        rows = x.T.reshape(-1, x.shape[0])    # one row per column of x
-        k = rows.shape[0]
-        out = np.empty_like(rows)
-        lo = 0
-        for shape, terms in self._dense_terms:
-            hi = lo + math.prod(shape)
-            X = rows[:, lo:hi].reshape(k, *shape)
-            block = out[:, lo:hi]
-            for i, (coeff, factors) in enumerate(terms):
-                Y = kron_apply(factors, X).reshape(k, -1)
-                if coeff != 1.0:
-                    Y *= coeff
-                if i:
-                    block += Y
-                else:
-                    block[...] = Y
-            lo = hi
-        return out.T.reshape(x.shape)
-
-
-def _kron_vectors(vectors) -> np.ndarray:
-    """(x)_k v_k of 1-D vectors, last index fastest as in ``sp.kron``."""
-    return reduce(np.multiply.outer, vectors).ravel()
-
-
-def congruence_diagonal(blocks, op: KronSum) -> np.ndarray:
-    """diag(B^T op B) from the 1-D factors, with B given as the block
-    terms of :func:`iga_asp.derham.kron_blocks`, one term (a, F) per
-    block as a differential has, whose block rows are the components of
-    the block-diagonal ``op``.  Block column c is the sum over block
-    rows r and over the terms (m, M) of op's component r of
-
-        a^2 m (x)_k diag(F_k^T M_k F_k)."""
-    out = []
-    for c in range(len(blocks[0])):
-        total = 0.0
-        for row, op_terms in zip(blocks, op._terms()):
-            if row[c] is None:
-                continue
-            (a, factors), = row[c]
-            for m, masses in op_terms:
-                diags = []
-                for F, M in zip(factors, masses):
-                    F = F.toarray()
-                    diags.append(np.einsum("ij,ij->j", F, M @ F))
-                total = total + a * a * m * _kron_vectors(diags)
-        out.append(total)
-    return np.concatenate(out)
+    def __init__(self, masses: tuple[tuple], stiffnesses: tuple[tuple] | None = None,
+                 mass_coeff: float = 1.0) -> None:
+        self.masses, self.stiffnesses, self.mass_coeff = masses, stiffnesses, mass_coeff
+        shared, blocks = {}, []
+        for M, K in zip(masses, stiffnesses or (None,) * len(masses)):
+            terms = [(mass_coeff, M)] if mass_coeff else []
+            terms += [(1.0, M[:k] + (S,) + M[k + 1:]) for k, S in enumerate(K or ())]
+            blocks.append(shared.setdefault((id(M), id(K)), terms))
+        super().__init__(KronBlocks.block_diagonal(blocks).rows)
 
 
 def mass_operator(disc: Discretization, kind: str) -> KronSum:
@@ -338,9 +235,10 @@ class SystemSetup:
     """Everything in the system of one problem on one mesh that does not
     depend on tau: the discretization, the differential D from the
     problem's space onto its range space, the masses M_D and M_range
-    factored as ``M_D_op`` and ``M_range_op``, and per distinct 1-D
-    factor of the problem's space the Gauss nodes and transposed
-    weighted basis values of the load vector.  The CSR ``M_D`` and
+    factored as ``M_D_op`` and ``M_range_op``, per distinct 1-D factor
+    of the problem's space the Gauss nodes and transposed weighted basis
+    values of the load vector, and :func:`factored_product_wins` of the
+    space, which :meth:`AssembledSystem.apply` reads.  The CSR ``M_D`` and
     ``M_range`` are assembled on first read (by the CSR A, the SGS
     Q_curl and the matrix export), as is K = D^T M_range D (by the CSR
     A); A's diagonal needs none.  A sweep builds the setup once per mesh
@@ -358,6 +256,7 @@ class SystemSetup:
     M_D_op: KronSum = field(repr=False)
     M_range_op: KronSum = field(repr=False)
     load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    factored_product_wins: bool
 
     @cached_property
     def M_D(self) -> sp.csr_matrix:
@@ -384,7 +283,7 @@ class SystemSetup:
         masses (:func:`_congruence`), and no CSR A, K or M_D is
         assembled; below it, sparse products with the CSR K and M_D that
         the CSR A is built from."""
-        if factored_product_wins(self.space):
+        if self.factored_product_wins:
             return tuple((_congruence(self.M_range_op, self.D_mat @ Q),
                           _congruence(self.M_D_op, Q))
                          for Q in self.space.sectors)
@@ -396,8 +295,8 @@ class SystemSetup:
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(D^T M_range D), the tau-independent part of A's diagonal,
         from the 1-D factors of D and M_range."""
-        return congruence_diagonal(
-            differential_blocks(self.space, self.range_space), self.M_range_op)
+        return differential_blocks(self.space, self.range_space).congruence_diagonal(
+            self.M_range_op)
 
 
 # columns per product when dense kappa builds blocks: one block of n
@@ -405,15 +304,22 @@ class SystemSetup:
 _PANEL_WIDTH = 64
 
 
+def column_panels(F: sp.spmatrix) -> Iterator[tuple[slice, np.ndarray]]:
+    """``(columns, panel)``: the sparse F as dense panels of
+    ``_PANEL_WIDTH`` columns, left to right, with their column slice."""
+    F = sp.csc_matrix(F)
+    for lo in range(0, F.shape[1], _PANEL_WIDTH):
+        columns = slice(lo, min(lo + _PANEL_WIDTH, F.shape[1]))
+        yield columns, F[:, columns].toarray()
+
+
 def _congruence(op: KronSum, F: sp.spmatrix) -> np.ndarray:
     """F^T op F for a sparse F, with ``op`` applied by sum factorization
-    to panels of ``_PANEL_WIDTH`` columns of F."""
-    F = sp.csc_matrix(F)
-    F_T = F.T
+    to the :func:`column_panels` of F."""
+    F_T = sp.csc_matrix(F).T
     out = np.empty((F.shape[1], F.shape[1]))
-    for lo in range(0, F.shape[1], _PANEL_WIDTH):
-        out[:, lo:lo + _PANEL_WIDTH] = F_T @ op.apply(
-            F[:, lo:lo + _PANEL_WIDTH].toarray())
+    for columns, panel in column_panels(F):
+        out[:, columns] = F_T @ op.apply(panel)
     return out
 
 
@@ -432,7 +338,7 @@ def system_setup(operator: str, dim: int, p, n_elems,
     return SystemSetup(
         operator, dim, p, n_elems, bc, disc, space, range_space,
         differential_matrix(space, range_space), M_D_op, M_range_op,
-        _load_bases(space, disc))
+        _load_bases(space, disc), factored_product_wins(space))
 
 
 def system_matrix(setup: SystemSetup, tau: float,
@@ -508,8 +414,8 @@ def curl_stiffness_diagonal(disc: Discretization) -> np.ndarray:
     factors of the curl matrix and the div mass, without assembling
     either (the ``diag`` curl smoother of the div problem)."""
     spaces = disc.spaces
-    return congruence_diagonal(differential_blocks(spaces["curl"], spaces["div"]),
-                               mass_operator(disc, "div"))
+    return differential_blocks(spaces["curl"], spaces["div"]).congruence_diagonal(
+        mass_operator(disc, "div"))
 
 
 def field_coefficients(space: TensorSpace, funcs: FieldFunc,

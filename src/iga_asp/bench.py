@@ -279,7 +279,7 @@ class _SharedSetup:
 
 
 def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
-    """One row: CG and kappa both read ``system.product`` and the
+    """One row: CG and kappa both read the system and the
     preconditioner; dense kappa also gets the space, for its
     symmetry-adapted bases.  A nonlinear preconditioner (the composite cycle) has no
     kappa, so its row leaves ``kappa2`` empty."""
@@ -292,7 +292,9 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         precond = AspPreconditioner(shared.asp, system, spec.smoother)
     if spec.precond == "asp-glt":
         precond = GltPreconditioner(precond, spec.nu1, spec.nu2(p), spec.nu_asp)
-    x, rep = pcg(system.product, system.b, precond, tol=spec.tol,
+    if not shared.system.factored_product_wins:
+        system.A    # CG's product below the rule: assembled here, not in the solve
+    x, rep = pcg(system, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter)
     row = {
         "problem": spec.problem, "dim": spec.dim, "p": p, "n": n, "tau": tau,
@@ -302,7 +304,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
     }
     if "cond" in spec.report and not getattr(precond, "nonlinear", False):
         _, _, kappa = estimate_condition_number(
-            system.product, precond, mode=spec.cond_mode,
+            system, precond, mode=spec.cond_mode,
             space=shared.system.space)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:

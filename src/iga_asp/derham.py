@@ -25,8 +25,10 @@ problem's potential and range are read from the ``_DIFFERENTIALS`` keys.
 DOF numbering is component-major, then lexicographic with the *last*
 coordinate index fastest, so a component's coefficients reshape to an
 array of shape ``(n_1, ..., n_d)`` and a Kronecker product
-``F_1 (x) ... (x) F_d`` acts on it one axis at a time: ``kron_blocks``
-assembles such products, ``kron_apply`` applies them without assembly.
+``F_1 (x) ... (x) F_d`` acts on it one axis at a time.  Every matrix of
+the diagram is a :class:`KronBlocks`, a block matrix of sums of such
+products: ``tocsr`` assembles it, ``apply`` applies it without assembly
+by :func:`kron_apply`.
 
 With uniform open knots every factor basis is mirror-symmetric,
 b_i(1 - x) = b_{m-1-i}(x) with m its dimension (essential bc drops one
@@ -43,8 +45,9 @@ coordinates (``TensorSpace.swap``) commutes with them too, and
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 import numpy as np
 import scipy.sparse as sp
@@ -64,9 +67,8 @@ __all__ = [
     "differential_matrix",
     "transfer_matrix",
     "potential_and_range",
-    "block_diagonal",
     "space_descriptor",
-    "kron_blocks",
+    "KronBlocks",
     "kron_apply",
     "reflection_sectors",
     "SECTOR_TOL",
@@ -222,35 +224,159 @@ def _factor_block(src_factor: Space1D, dst_factor: Space1D, b_to_d) -> sp.csr_ma
     return sp.csr_matrix(b_to_d(src_factor.knot)[:, src_factor.indices()])
 
 
-def kron_blocks(rows) -> sp.csr_matrix:
+@dataclass(eq=False)
+class _Run:
+    """``count`` blocks of a :class:`KronBlocks` from block (row, col)
+    down the diagonal that are one term list, with their row and column
+    slices ``out`` and ``inp``, one block's input ``shape`` and the terms
+    with ``dense`` factors; ``first`` when it opens its block rows.
+    Called on a batch, it applies the dense terms."""
+
+    row: int
+    col: int
+    terms: list
+    first: bool
+    count: int = 1
+    out: slice | None = None
+    inp: slice | None = None
+    shape: tuple[int, ...] = ()
+    dense: list | None = None
+
+    def __call__(self, X: np.ndarray) -> np.ndarray:
+        out = None
+        for coeff, factors in self.dense:
+            Y = kron_apply(factors, X)
+            if coeff != 1.0:
+                Y *= coeff
+            out = Y if out is None else np.add(out, Y, out=out)
+        return out
+
+
+class KronBlocks:
     """Block matrix of Kronecker products.  ``rows[i][j]`` is ``None`` (a
     zero block) or a list of ``(coeff, factors)`` terms, and the block is
     the sum of ``coeff * factors[0] (x) factors[1] (x) ...`` in term
-    order.  Every block row and column needs a non-``None`` entry, from
-    which the zero blocks take their shapes.  The products stay COO until
-    ``bmat`` (or the sum of a block's terms) converts them; returns CSR
-    with sorted indices."""
-    def block(terms):
-        if terms is None:
-            return None
-        mats = []
-        for coeff, factors in terms:
-            out = factors[0]
-            for f in factors[1:]:
-                out = sp.kron(out, f, format="coo")
-            mats.append(coeff * out)
-        return sum(mats[1:], mats[0])
+    order, with factors of any shape.  Every block row and column needs a
+    non-``None`` entry, from which the zero blocks take their shapes.
+    Blocks that are the same term list object are identical, which
+    :meth:`apply` batches; :meth:`tocsr` assembles the matrix."""
 
-    out = sp.bmat([[block(t) for t in row] for row in rows], format="csr")
-    out.sort_indices()
-    return out
+    def __init__(self, rows) -> None:
+        self.rows = rows
+
+    @classmethod
+    def block_diagonal(cls, blocks: list) -> KronBlocks:
+        """``blocks[c]`` on the diagonal and ``None`` off it."""
+        return cls([[terms if c == j else None for j in range(len(blocks))]
+                    for c, terms in enumerate(blocks)])
+
+    @cached_property
+    def _offsets(self) -> tuple[np.ndarray, np.ndarray]:
+        """Where each block row and each block column starts, and ends."""
+        def offsets(lines, axis):
+            return np.cumsum([0] + [math.prod(F.shape[axis] for F in next(
+                t for t in line if t is not None)[0][1]) for line in lines])
+        return offsets(self.rows, 0), offsets(zip(*self.rows), 1)
+
+    @cached_property
+    def shape(self) -> tuple[int, int]:
+        return tuple(int(at[-1]) for at in self._offsets)
+
+    def tocsr(self) -> sp.csr_matrix:
+        """The assembled matrix.  The products stay COO until ``bmat`` (or
+        the sum of a block's terms) converts them; CSR with sorted
+        indices."""
+        def block(terms):
+            if terms is None:
+                return None
+            mats = []
+            for coeff, factors in terms:
+                out = factors[0]
+                for f in factors[1:]:
+                    out = sp.kron(out, f, format="coo")
+                mats.append(coeff * out)
+            return sum(mats[1:], mats[0])
+
+        out = sp.bmat([[block(t) for t in row] for row in self.rows], format="csr")
+        out.sort_indices()
+        return out
+
+    def diagonal(self) -> np.ndarray:
+        """The diagonal of a square block-diagonal matrix, from the 1-D
+        factors: per block and term ``coeff * (x)_k diag(F_k)``."""
+        return np.concatenate([
+            sum(coeff * _outer([F.diagonal() for F in factors])
+                for coeff, factors in row[c])
+            for c, row in enumerate(self.rows)])
+
+    def congruence_diagonal(self, op: KronBlocks) -> np.ndarray:
+        """diag(B^T op B) of this B from the 1-D factors, with ``op``
+        square and block-diagonal over B's block rows.  Block column c is
+        the sum over block rows r, over pairs of terms (a, F), (b, G) of
+        block (r, c) and over the terms (m, M) of op's block r of
+
+            a b m (x)_k diag(F_k^T M_k G_k)."""
+        out = []
+        for c, col in enumerate(zip(*self.rows)):
+            total = 0.0
+            for r, terms in enumerate(col):
+                for (a, F), (b, G) in itertools.product(terms or (), repeat=2):
+                    for m, masses in op.rows[r][r]:
+                        diags = [np.einsum("ij,ij->j", f.toarray(), M @ g.toarray())
+                                 for f, g, M in zip(F, G, masses)]
+                        total = total + a * b * m * _outer(diags)
+            out.append(total)
+        return np.concatenate(out)
+
+    @cached_property
+    def runs(self) -> list[_Run]:
+        """The walk of :meth:`apply`: the blocks row by row, each run of
+        consecutive diagonal blocks that are alone in their block rows and
+        one term list as one :class:`_Run` (a run that opens its rows and
+        is the last of the rows before is alone in them)."""
+        row_at, col_at = self._offsets
+        runs: list[_Run] = []
+        for i, row in enumerate(self.rows):
+            blocks = [(j, terms) for j, terms in enumerate(row) if terms is not None]
+            for j, terms in blocks:
+                last = runs[-1] if runs else None
+                if (len(blocks) == 1 and last is not None and last.first
+                        and last.terms is terms
+                        and (last.row + last.count, last.col + last.count) == (i, j)):
+                    last.count += 1
+                else:
+                    runs.append(_Run(i, j, terms, j == blocks[0][0]))
+        for run in runs:
+            run.out = slice(row_at[run.row], row_at[run.row + run.count])
+            run.inp = slice(col_at[run.col], col_at[run.col + run.count])
+            run.shape = tuple(F.shape[1] for F in run.terms[0][1])
+            run.dense = [(coeff, [F.toarray() if sp.issparse(F) else F for F in factors])
+                         for coeff, factors in run.terms]
+        return runs
+
+    def apply(self, x: np.ndarray, steps=None) -> np.ndarray:
+        """The matrix times x of shape (N,) or (N, k), without assembly:
+        one walk over :attr:`runs`, in which each run applies its terms by
+        :func:`kron_apply` of the dense 1-D factors (sum factorization),
+        or ``steps[i]`` in place of run i.  The k columns and the
+        ``count`` blocks of a run reach it as one (k * count, n_1, ...,
+        n_d) batch."""
+        x = np.asarray(x, dtype=float)
+        cols = x.T.reshape(-1, x.shape[0])    # one row per column of x
+        k = cols.shape[0]
+        out = np.empty((k, self.shape[0]))
+        for run, step in zip(self.runs, steps or self.runs):
+            Y = step(cols[:, run.inp].reshape(k * run.count, *run.shape)).reshape(k, -1)
+            if run.first:
+                out[:, run.out] = Y
+            else:
+                out[:, run.out] += Y
+        return out.T.reshape(out.shape[1], *x.shape[1:])
 
 
-def block_diagonal(blocks: list) -> list[list]:
-    """Block rows with ``blocks[c]`` on the diagonal and ``None`` off it:
-    the block-diagonal layout of :func:`kron_blocks` and :func:`_blocks`."""
-    return [[entry if c == j else None for j in range(len(blocks))]
-            for c, entry in enumerate(blocks)]
+def _outer(vectors) -> np.ndarray:
+    """(x)_k v_k of 1-D vectors, last index fastest as in ``sp.kron``."""
+    return reduce(np.multiply.outer, vectors).ravel()
 
 
 def kron_apply(factors, X: np.ndarray) -> np.ndarray:
@@ -293,23 +419,23 @@ def potential_and_range(kind: str, dim: int) -> tuple[str, str]:
     return potential, range_kind
 
 
-def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d) -> list[list]:
-    """The map from ``src`` into ``dst`` with the block signs ``signs`` as
-    the block terms :func:`kron_blocks` takes: block [i][j] is ``None`` or
-    the one term ``(sign, factors)``, its factors by :func:`_factor_block`."""
+def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d) -> KronBlocks:
+    """The map from ``src`` into ``dst`` with the block signs ``signs``:
+    block [i][j] is ``None`` or the one term ``(sign, factors)``, its
+    factors by :func:`_factor_block`."""
     if src.knots != dst.knots or src.kind.bc != dst.kind.bc or src.dim != dst.dim:
         raise ValueError("spaces must share knots, bc, and dimension")
-    return [[None if sign is None else
-             [(sign, [_factor_block(sf, df, b_to_d)
-                      for sf, df in zip(src_comp, dst_comp)])]
-             for sign, src_comp in zip(row, src.components)]
-            for row, dst_comp in zip(signs, dst.components)]
+    return KronBlocks([[None if sign is None else
+                        [(sign, [_factor_block(sf, df, b_to_d)
+                                 for sf, df in zip(src_comp, dst_comp)])]
+                        for sign, src_comp in zip(row, src.components)]
+                       for row, dst_comp in zip(signs, dst.components)])
 
 
-def differential_blocks(src: TensorSpace, dst: TensorSpace) -> list[list]:
-    """The differential between two neighbouring spaces as block terms,
-    with the signs of ``_DIFFERENTIALS`` and the difference matrix as the
-    1-D map; the assembled matrix and the 1-D diagonals read them."""
+def differential_blocks(src: TensorSpace, dst: TensorSpace) -> KronBlocks:
+    """The differential between two neighbouring spaces, with the signs
+    of ``_DIFFERENTIALS`` and the difference matrix as the 1-D map; the
+    assembled matrix and the 1-D diagonals read it."""
     key = (src.kind.kind, dst.kind.kind, src.dim)
     if key not in _DIFFERENTIALS:
         raise ValueError(f"no differential between {src.kind} and {dst.kind}")
@@ -320,7 +446,7 @@ def differential_blocks(src: TensorSpace, dst: TensorSpace) -> list[list]:
 def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
     """The de Rham differential between two neighbouring spaces,
     assembled from :func:`differential_blocks`."""
-    return kron_blocks(differential_blocks(src, dst))
+    return differential_blocks(src, dst).tocsr()
 
 
 def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix:
@@ -328,8 +454,8 @@ def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix
     or div space: diagonal signs, and ``b_to_d`` the histopolation."""
     if aux.kind.kind != "vector" or dst.kind.kind not in ("curl", "div"):
         raise ValueError("transfers map the auxiliary space into curl or div")
-    signs = block_diagonal([1.0] * dst.n_components)
-    return kron_blocks(_blocks(aux, dst, signs, b_to_d))
+    signs = np.where(np.eye(dst.n_components), 1.0, None).tolist()
+    return _blocks(aux, dst, signs, b_to_d).tocsr()
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
@@ -426,10 +552,10 @@ def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matri
 
 def _reflection_sector(space: TensorSpace, chi: tuple[int, ...]) -> sp.csc_matrix:
     """The block Q_chi of :func:`reflection_sectors`."""
-    return kron_blocks(block_diagonal(
+    return KronBlocks.block_diagonal(
         [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
                  for c, f in zip(chi, comp)])]
-         for comp in space.components])).tocsc()
+         for comp in space.components]).tocsr().tocsc()
 
 
 def space_descriptor(space: TensorSpace) -> dict:

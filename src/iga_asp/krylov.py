@@ -18,16 +18,16 @@
   (``TensorSpace.sectors``) when a probe shows that both keep the
   reflection sectors and commute with the swap of x_0 and x_1, and
   solves one pencil per basis.  There it forms A's blocks from
-  per-mesh factors (``AssembledSystem.product``'s ``sector_blocks``)
+  per-mesh factors (:meth:`iga_asp.assembly.AssembledSystem.sector_blocks`)
   and a Jacobi ASP's from the Gram terms of B
   (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); it applies
   every other operator that is not sparse to panels, as the one-block
   path does with every such operator, the Jacobi ASP included.
 
 Every consumer takes one operator per system: the sweep gives CG and
-both kappa modes ``AssembledSystem.product``, which applies the factored
-product past a measured rule and the CSR A below it, and dense kappa the
-space.
+both kappa modes the ``AssembledSystem`` itself, whose ``apply`` is the
+factored product past a measured rule and the CSR A's below it, and
+dense kappa the space.
 """
 
 from __future__ import annotations
@@ -40,8 +40,8 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .assembly import column_panels
 from .derham import SECTOR_TOL
-from .assembly import _PANEL_WIDTH
 from .precond import AspPreconditioner
 
 __all__ = [
@@ -184,28 +184,26 @@ class GltPreconditioner:
         return x
 
 
-def _compress(op, bases) -> list[np.ndarray]:
+def _compress(op, bases, sectored: bool) -> list[np.ndarray]:
     """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
-    for a sparse ``op``; from its terms for an ``op`` whose
-    ``sector_blocks`` gives them (the system's product and the Jacobi
-    ASP, when ``bases`` is their space's ``sectors``, see
+    for a sparse ``op``; on the ``sectored`` path, whose bases are the
+    space's ``sectors``, from its terms for an ``op`` whose
+    ``sector_blocks()`` gives them (the system and the Jacobi ASP, see
     :meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); else with
-    ``op`` applied to (n, _PANEL_WIDTH) panels of the bases side by
-    side.  With the identity as the one basis this is the dense matrix
-    of ``op``, entry for entry on the panel path."""
+    ``op`` applied to the :func:`iga_asp.assembly.column_panels` of the
+    bases side by side.  With the identity as the one basis this is the
+    dense matrix of ``op``, entry for entry on the panel path."""
     if sp.issparse(op):
         return [(Q.T @ op @ Q).toarray() for Q in bases]
-    sector_blocks = getattr(op, "sector_blocks", None)
-    blocks = None if sector_blocks is None else sector_blocks(bases)
-    if blocks is not None:
+    blocks = sectored and getattr(op, "sector_blocks", lambda: None)()
+    if blocks:
         return blocks
     mv = _as_matvec(op)
-    Q_all = sp.hstack(bases, format="csc")
     starts = np.cumsum([0] + [Q.shape[1] for Q in bases])
     out = [np.empty((Q.shape[1], Q.shape[1])) for Q in bases]
-    for lo in range(0, Q_all.shape[1], _PANEL_WIDTH):
-        hi = min(lo + _PANEL_WIDTH, Q_all.shape[1])
-        Y = mv(Q_all[:, lo:hi].toarray())
+    for columns, panel in column_panels(sp.hstack(bases, format="csc")):
+        lo, hi = columns.start, columns.stop
+        Y = mv(panel)
         for Q, block, start, stop in zip(bases, out, starts, starts[1:]):
             a, b = max(lo, start), min(hi, stop)
             if a < b:
@@ -317,8 +315,9 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
             raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
         sectors = None if space is None else _invariant_sectors(A, B, space, seed)
         bases = sectors or [sp.identity(n, format="csc")]
-        A_blocks = _compress(A, bases)
-        B_blocks = [None] * len(bases) if B is None else _compress(B, bases)
+        A_blocks = _compress(A, bases, sectors is not None)
+        B_blocks = ([None] * len(bases) if B is None
+                    else _compress(B, bases, sectors is not None))
         spectra = [_pencil_eigenvalues(Ad, Bd) for Ad, Bd in zip(A_blocks, B_blocks)]
         lam_min = float(min(w[0] for w in spectra))
         lam_max = float(max(w[-1] for w in spectra))

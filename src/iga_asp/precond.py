@@ -20,15 +20,16 @@ without assembling Q_curl, or its symmetric Gauss-Seidel matrix, and
 P_curl the transfer onto V(curl).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
-and mass matrices (:class:`iga_asp.assembly.KronSum`).
+and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
 :class:`InnerSolver` inverts them exactly by fast diagonalization
 (Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
-K_k U_k = M_k U_k Lambda_k, computed once per mesh, give
-U = (x)U_k and the eigenvalue sums Lambda, and every solve is forward
-(U^T, dense 1-D matrix products), scale (by 1/(Lambda + shift)) and
-backward (U).  The Jacobi smoothers read diagonals built from the 1-D
-factors; the SGS smoothers of A and Q_curl, which are not Kronecker,
-assemble their matrix and keep sparse triangular solves.
+K_k U_k = M_k U_k Lambda_k, computed once per mesh, give U = (x)U_k and
+the eigenvalue sums Lambda, and every solve is forward (U^T, dense 1-D
+matrix products), scale (by 1/(Lambda + shift)) and backward (U), in
+one step per run of identical components.  The Jacobi smoothers read
+diagonals built from the 1-D factors; the SGS smoothers of A and
+Q_curl, which are not Kronecker, assemble their matrix and keep sparse
+triangular solves.
 
 With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
 
@@ -48,7 +49,6 @@ pieces.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property, partial
 
 import numpy as np
@@ -57,10 +57,10 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import (
-    _PANEL_WIDTH,
     AssembledSystem,
     KronSum,
     SystemSetup,
+    column_panels,
     curl_stiffness_diagonal,
     curl_stiffness_matrix,
     h1_vector_matrix,
@@ -68,7 +68,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import SECTOR_TOL, kron_apply
+from .derham import SECTOR_TOL, KronBlocks, kron_apply
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -139,91 +139,64 @@ def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
     return sla.eigh(K.toarray(), M.toarray())
 
 
-def _runs(op: KronSum) -> list[list]:
-    """[masses, stiffnesses, count] of each run of consecutive components
-    sharing their factor tuples (identical blocks)."""
-    stiffnesses = op.stiffnesses or (None,) * len(op.masses)
-    runs: list[list] = []
-    for masses, stiffs in zip(op.masses, stiffnesses):
-        if runs and runs[-1][0] is masses and runs[-1][1] is stiffs:
-            runs[-1][2] += 1
-        else:
-            runs.append([masses, stiffs, 1])
-    return runs
-
-
 class InnerSolver:
     """Exact inverse of the :class:`KronSum` ``op`` by fast
     diagonalization.  With U = (x)U_k the 1-D eigenbases (U^T M U = I)
     and Lambda the sums of the 1-D eigenvalues plus the mass
     coefficient, (op + shift (x)M)^{-1} = U diag(1/(Lambda + shift)) U^T.
-    The 1-D eigenpairs are computed once, here; :meth:`forward` applies
-    U^T, :meth:`eigenvalues` gives Lambda + shift, and :meth:`make`
-    builds the solve for one shift: forward, scale, backward."""
+    The 1-D eigenpairs are computed once, here, per run of identical
+    components of ``op`` (:attr:`iga_asp.derham.KronBlocks.runs`), and U^T
+    is kept as the :class:`iga_asp.derham.KronBlocks` ``U_T`` with the
+    same runs; :meth:`forward` applies it, :meth:`eigenvalues` gives
+    Lambda + shift, and :meth:`make` builds the solve for one shift."""
 
     def __init__(self, op: KronSum) -> None:
         self.op = op
-        self._blocks = []
-        for masses, stiffs, count in _runs(op):
-            pairs = [_m_orthonormal_eigenpairs(K, M)
-                     for K, M in zip(stiffs or (None,) * len(masses), masses)]
+        self._inverse = []      # per run: 1-D eigenvalues, forward, backward
+        blocks = []
+        for run in op.runs:
+            masses = op.masses[run.row]
+            stiffs = op.stiffnesses[run.row] if op.stiffnesses else [None] * len(masses)
+            pairs = [_m_orthonormal_eigenpairs(K, M) for K, M in zip(stiffs, masses)]
             # forward applies (x) U_k^T, backward (x) U_k; kron_apply
             # multiplies by the last factor's transpose, which the Fortran
             # copy turns into a C-ordered operand
             Us = [U for _, U in pairs]
             forward = [np.ascontiguousarray(U.T) for U in Us[:-1]] + [Us[-1].T]
-            backward = Us[:-1] + [np.asfortranarray(Us[-1])]
-            self._blocks.append((count, [w for w, _ in pairs], forward,
-                                 backward))
+            blocks += [[(1.0, forward)]] * run.count
+            self._inverse.append(([w for w, _ in pairs], forward,
+                                  Us[:-1] + [np.asfortranarray(Us[-1])]))
+        self.U_T = KronBlocks.block_diagonal(blocks)
 
     def _sums(self, shift: float) -> list[np.ndarray]:
-        """Per block Lambda + shift, shaped as one component."""
+        """Per run Lambda + shift, shaped as one component."""
         sums = [sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
-                for _, eigenvalues, _, _ in self._blocks]
+                for eigenvalues, _, _ in self._inverse]
         if any(np.any(lam <= 0.0) for lam in sums):
             raise ArithmeticError("Kronecker-sum operator is not SPD")
         return sums
 
-    def _blockwise(self, b: np.ndarray, steps) -> np.ndarray:
-        """x with x_c = steps[c](b_c) per block c, for b of shape (N,) or
-        (N, k); the k columns and the ``count`` identical components of a
-        block reach its step as one (k * count, n_1, ..., n_d) batch."""
-        b = np.asarray(b, dtype=float)
-        rows = b.T.reshape(-1, b.shape[0])    # one row per column of b
-        k = rows.shape[0]
-        parts = []
-        lo = 0
-        for (count, eigenvalues, _, _), step in zip(self._blocks, steps):
-            shape = tuple(len(w) for w in eigenvalues)
-            hi = lo + count * math.prod(shape)
-            parts.append(step(rows[:, lo:hi].reshape(k * count, *shape))
-                         .reshape(k, -1))
-            lo = hi
-        x = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-        return x.T.reshape(b.shape)
-
     def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
         """Lambda + shift, one entry per eigen-coefficient, in the order
         of :meth:`forward`."""
-        return np.concatenate([np.tile(lam.ravel(), count) for lam, (count, *_)
-                               in zip(self._sums(shift), self._blocks)])
+        return np.concatenate([np.tile(lam.ravel(), run.count) for lam, run
+                               in zip(self._sums(shift), self.U_T.runs)])
 
     def forward(self, b: np.ndarray) -> np.ndarray:
         """The eigen-coefficients U^T b of b of shape (N,) or (N, k)."""
-        return self._blockwise(b, [partial(kron_apply, forward)
-                                   for _, _, forward, _ in self._blocks])
+        return self.U_T.apply(b)
 
     def make(self, shift: float = 0.0):
-        """Solve with ``op + shift * (x)M``.  The shift adds to the mass
+        """Solve with ``op + shift * (x)M``: the walk of ``U_T.apply`` with
+        one forward-scale-backward step per run.  The shift adds to the mass
         coefficient, so H + tau M is never formed; identical components,
         and the k columns of an (N, k) right-hand side, are solved as one
         batch."""
         steps = [
             lambda X, forward=forward, backward=backward, inv=1.0 / lam:
                 kron_apply(backward, kron_apply(forward, X) * inv)
-            for lam, (_, _, forward, backward) in zip(self._sums(shift),
-                                                      self._blocks)]
-        return lambda b: self._blockwise(b, steps)
+            for (_, forward, backward), lam in zip(self._inverse, self._sums(shift))]
+        return partial(self.U_T.apply, steps=steps)
 
 
 def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
@@ -241,20 +214,17 @@ def _significant_forward(solver: InnerSolver, X: sp.spmatrix):
     """``(rows, F)``: the rows of U^T X (``solver.forward`` of the sparse
     X) whose norm exceeds ``SECTOR_TOL`` times the largest, and their
     indices.  In a reflection sector the other rows are round-off of the
-    1-D eigenvectors' parity.  The forward transform runs on panels of
-    ``_PANEL_WIDTH`` columns, twice (norms, then rows), so that the full
-    U^T X is never held."""
-    X = sp.csc_matrix(X)
-    starts = range(0, X.shape[1], _PANEL_WIDTH)
+    1-D eigenvectors' parity.  The forward transform runs on the
+    :func:`iga_asp.assembly.column_panels` of X, twice (norms, then
+    rows), so that the full U^T X is never held."""
     norms2 = np.zeros(X.shape[0])
-    for lo in starts:
-        Y = solver.forward(X[:, lo:lo + _PANEL_WIDTH].toarray())
+    for _, panel in column_panels(X):
+        Y = solver.forward(panel)
         norms2 += np.einsum("ij,ij->i", Y, Y)
     rows = np.flatnonzero(norms2 > SECTOR_TOL**2 * norms2.max(initial=0.0))
     F = np.empty((rows.size, X.shape[1]))
-    for lo in starts:
-        Y = solver.forward(X[:, lo:lo + _PANEL_WIDTH].toarray())
-        F[:, lo:lo + _PANEL_WIDTH] = Y[rows]
+    for columns, panel in column_panels(X):
+        F[:, columns] = solver.forward(panel)[rows]
     return rows, F
 
 
@@ -368,8 +338,7 @@ class AspPreconditioner:
         self.smoother = (Smoother("gs", system.A) if smoother == "gs"
                          else Smoother(smoother, diagonal=system.diagonal))
         self._solve_main = setup.h1.make(shift=self.tau)
-        n = system.setup.space.total_dim
-        self.shape = (n, n)
+        self.shape = system.shape
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """B r: smoother + auxiliary-space correction terms.  Like
@@ -386,20 +355,17 @@ class AspPreconditioner:
         return out + (ts.potential @ self.setup.solve_potential(
             ts.potential_T @ r)) / self.tau
 
-    def sector_blocks(self, bases) -> list[np.ndarray] | None:
-        """Q^T B Q for each basis Q of the space's sectors, from the
-        terms of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
+    def sector_blocks(self) -> list[np.ndarray] | None:
+        """Q^T B Q for each basis Q of ``space.sectors``, from the terms
+        of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
 
             diag(squares @ (1/diag A)) + W^T diag(1/(Lambda_H + tau)) W + G / tau
 
-        ``None`` unless ``bases`` is ``space.sectors`` itself, and when
-        the smoother (Gauss-Seidel) or B_T (the sgs curl smoother) has no
-        term form; dense kappa then applies B to panels."""
-        if (self.smoother.kind != "jacobi"
-                or bases is not self.system.setup.space.sectors):
-            return None
-        factors = self.setup.gram_factors()
-        if factors is None:
+        ``None`` when the smoother (Gauss-Seidel) or B_T (the sgs curl
+        smoother) has no term form; dense kappa then applies B to
+        panels."""
+        factors = self.smoother.kind == "jacobi" and self.setup.gram_factors()
+        if not factors:
             return None
         inv_diag = 1.0 / self.smoother.diagonal
         inv_lam = 1.0 / self.setup.h1.eigenvalues(self.tau)

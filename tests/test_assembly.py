@@ -25,7 +25,8 @@ from iga_asp.assembly import (
     system_matrix,
     system_setup,
 )
-from iga_asp.derham import build_space, differential_matrix, kron_apply, kron_blocks
+from iga_asp.derham import KronBlocks, build_space, differential_matrix, kron_apply
+from iga_asp.krylov import _compress
 from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
 
 
@@ -182,7 +183,7 @@ def factor_route(space, stiffness_only=False, with_stiffness=False):
             terms += [(1.0, Ms[:k] + [stiffness_matrix_1d(f, q)] + Ms[k + 1:])
                       for k, (f, q) in enumerate(zip(comp, quads))]
         rows[c][c] = terms
-    return kron_blocks(rows)
+    return KronBlocks(rows).tocsr()
 
 
 def assert_bit_equal(a, b):
@@ -264,10 +265,11 @@ class TestFactoredApply:
         setup = system_setup("curl", 3, 2, 3)
         x = np.ones(setup.M_D.shape[0])
         system_matrix(setup, 1.0).apply_A(x)
-        dense = setup.M_D_op._dense_terms, setup.M_range_op._dense_terms
+        ops = setup.M_D_op, setup.M_range_op
+        dense = [run.dense for op in ops for run in op.runs]
         system_matrix(setup, 1e-4).apply_A(x)
-        assert setup.M_D_op._dense_terms is dense[0]
-        assert setup.M_range_op._dense_terms is dense[1]
+        assert all(a is b for a, b in zip(
+            [run.dense for op in ops for run in op.runs], dense))
 
 
 class TestCsrOnDemand:
@@ -310,12 +312,17 @@ class TestCsrOnDemand:
         assert factored_product_wins(space) is factored
 
     def test_product_follows_the_rule(self):
+        rng = np.random.default_rng(0)
         below = system_matrix(system_setup("curl", 2, 2, 8), 1e-2)
-        assert below.product.apply == below.A.dot    # the CSR A's product
+        assert not below.setup.factored_product_wins
+        x = rng.standard_normal((below.shape[0], 3))
+        assert np.array_equal(below.apply(x), below.A @ x)    # the CSR A's
         past = system_matrix(system_setup("curl", 3, 2, 8), 1e-2)
-        x = np.random.default_rng(0).standard_normal(past.product.shape[0])
+        assert past.setup.factored_product_wins
+        x = rng.standard_normal(past.shape[0])
+        y = past.apply(x)
         assert "A" not in vars(past)
-        assert relative_error(past.product @ x, past.A @ x) <= 1e-13
+        assert relative_error(y, past.A @ x) <= 1e-13
 
 
 class TestSectorFactors:
@@ -335,7 +342,7 @@ class TestSectorFactors:
         monkeypatch.setattr(assembly, "_congruence",
                             lambda *a: builds.append(1) or congruence(*a))
         systems = [system_matrix(setup, tau) for tau in (1e-4, 1.0, 1e4)]
-        blocks = [s.product.sector_blocks(sectors) for s in systems]
+        blocks = [s.sector_blocks() for s in systems]
         factors = setup.sector_factors
         # built once per mesh: the later taus read the first one's factors
         assert len(builds) == (2 * len(sectors) if factored else 0)
@@ -349,12 +356,13 @@ class TestSectorFactors:
                 ref = (Q.T @ system.A @ Q).toarray()
                 assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_other_bases_get_none(self):
+    def test_one_block_path_takes_the_panels(self):
+        # off the sectored path dense kappa compresses A on the identity
+        # by panels: the CSR A entry for entry, with no sector factors
         system = system_matrix(system_setup("curl", 2, 2, 8), 1.0)
-        space = system.setup.space
-        assert system.product.sector_blocks(
-            [sp.identity(space.total_dim, format="csc")]) is None
-        assert system.product.sector_blocks(list(space.sectors)) is None
+        identity = sp.identity(system.shape[0], format="csc")
+        dense, = _compress(system, [identity], False)
+        assert np.array_equal(dense, system.A.toarray())
         assert "sector_factors" not in vars(system.setup)
 
 

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from iga_asp.assembly import discretize, h1_vector_matrix
 from iga_asp.derham import (
     SpaceKind,
     build_space,
@@ -15,13 +16,15 @@ from iga_asp.derham import (
     differential_matrix,
     divergence_matrix,
     gradient_matrix,
+    KronBlocks,
+    differential_blocks,
     kron_apply,
-    kron_blocks,
     reflection_sectors,
     scalar_curl_matrix,
     space_descriptor,
     vector_curl_matrix,
 )
+from iga_asp.precond import InnerSolver
 
 
 class TestBuildSpace:
@@ -107,10 +110,123 @@ class TestKronBlocks:
                 row.append(terms)
             rows.append(row)
             dense.append(dense_row)
-        out = kron_blocks(rows)
+        out = KronBlocks(rows).tocsr()
         assert isinstance(out, sp.csr_matrix) and out.has_sorted_indices
         np.testing.assert_allclose(out.toarray(), np.block(dense),
                                    rtol=1e-13, atol=1e-13)
+
+
+def random_kron_blocks(rng, n_rows, n_cols, n_factors):
+    """A random KronBlocks of small sparse non-square factors: ``None``,
+    multi-term and off-diagonal blocks, and diagonal blocks that are the
+    term list of the block before them (runs of identical blocks), most
+    of them alone in their block rows."""
+    row_dims = rng.integers(1, 4, size=(n_rows, n_factors))
+    col_dims = rng.integers(1, 4, size=(n_cols, n_factors))
+    present = rng.random((n_rows, n_cols)) < 0.4
+    shared = [i for i in range(1, min(n_rows, n_cols)) if rng.random() < 0.5]
+    for i in shared:
+        row_dims[i], col_dims[i] = row_dims[i - 1], col_dims[i - 1]
+        if rng.random() < 0.8:      # alone in their rows: a run
+            present[[i - 1, i]] = False
+        present[i - 1, i - 1] = present[i, i] = True
+    in_runs = {r for i in shared for r in (i - 1, i)}
+    free = [r for r in range(n_rows) if r not in in_runs] or range(n_rows)
+    for j in np.flatnonzero(~present.any(axis=0)):
+        present[rng.choice(free), j] = True
+    for i in np.flatnonzero(~present.any(axis=1)):
+        present[i, i % n_cols] = True
+
+    def terms(i, j):
+        out = []
+        for _ in range(rng.integers(1, 4)):
+            coeff = 1.0 if rng.random() < 0.3 else rng.standard_normal()
+            out.append((coeff, [sp.csr_matrix(rng.standard_normal((r, c))
+                                              * (rng.random((r, c)) < 0.6))
+                                for r, c in zip(row_dims[i], col_dims[j])]))
+        return out
+
+    rows = [[terms(i, j) if present[i, j] else None for j in range(n_cols)]
+            for i in range(n_rows)]
+    for i in shared:
+        rows[i][i] = rows[i - 1][i - 1]
+    return KronBlocks(rows)
+
+
+class TestKronBlocksOperator:
+    """apply, diagonal and congruence_diagonal against ``tocsr()``."""
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([None, 1, 3]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_apply_matches_assembled(self, n_rows, n_cols, n_factors, k, seed):
+        rng = np.random.default_rng(seed)
+        B = random_kron_blocks(rng, n_rows, n_cols, n_factors)
+        A = B.tocsr()
+        assert B.shape == A.shape
+        x = rng.standard_normal((A.shape[1],) if k is None else (A.shape[1], k))
+        y, ref = B.apply(x), A @ x
+        assert y.shape == ref.shape
+        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_diagonals_match_assembled(self, n_rows, n_cols, n_factors, seed):
+        # diag(B^T op B) for a random B and a random block-diagonal op on
+        # B's block rows, and op's own diagonal
+        rng = np.random.default_rng(seed)
+        B = random_kron_blocks(rng, n_rows, n_cols, n_factors)
+        dims = [[F.shape[0] for F in next(t for t in row if t)[0][1]]
+                for row in B.rows]
+        op = KronBlocks.block_diagonal([
+            [(rng.standard_normal(), [sp.csr_matrix(rng.standard_normal((m, m)))
+                                      for m in d])
+             for _ in range(rng.integers(1, 3))] for d in dims])
+        Bd, opd = B.tocsr().toarray(), op.tocsr().toarray()
+        ref = np.einsum("ij,ij->j", Bd, opd @ Bd)
+        scale = np.abs(Bd).T @ np.abs(opd) @ np.abs(Bd)
+        assert np.all(np.abs(B.congruence_diagonal(op) - ref)
+                      <= 1e-13 * scale.diagonal())
+        np.testing.assert_array_equal(op.diagonal(), np.diagonal(opd))
+
+    def test_identical_components_are_one_run(self):
+        # H's components share one term list: the walk batches them, and
+        # U^T of its inverse keeps the same runs
+        for dim in (2, 3):
+            H = h1_vector_matrix(discretize(2, 4, dim=dim, bc="essential"))
+            assert [(run.row, run.count) for run in H.runs] == [(0, dim)]
+            assert [run.count for run in InnerSolver(H).U_T.runs] == [dim]
+
+    def test_runs_batch_only_blocks_alone_in_their_rows(self):
+        # S on the diagonal of block rows 1 and 2, but row 1 also holds X:
+        # S of row 1 adds to X, so it cannot open a batch with row 2
+        rng = np.random.default_rng(0)
+        S = [(2.0, [sp.csr_matrix(rng.standard_normal((2, 3)))] * 2)]
+        X = [(1.0, [sp.csr_matrix(rng.standard_normal((2, 1)))] * 2)]
+        B = KronBlocks([[X, None, None], [X, S, None], [None, None, S]])
+        assert [(r.row, r.col, r.count, r.first) for r in B.runs] == [
+            (0, 0, 1, True), (1, 0, 1, True), (1, 1, 1, False), (2, 2, 1, True)]
+        x = rng.standard_normal((B.shape[1], 2))
+        np.testing.assert_allclose(B.apply(x), B.tocsr() @ x, rtol=1e-14)
+        B = KronBlocks([[X, None, None], [None, S, None], [None, None, S]])
+        assert [r.count for r in B.runs] == [1, 2]
+        np.testing.assert_allclose(B.apply(x), B.tocsr() @ x, rtol=1e-14)
+
+    def test_runs_of_a_differential(self):
+        # 3-D curl: two blocks per block row, so every block is its own
+        # run, and the second of each row adds to the first
+        curl = build_space("curl", 2, 3, dim=3, bc="essential")
+        div = build_space("div", 2, 3, dim=3, bc="essential")
+        runs = differential_blocks(curl, div).runs
+        assert [(r.row, r.col, r.count, r.first) for r in runs] == [
+            (0, 1, 1, True), (0, 2, 1, False), (1, 0, 1, True),
+            (1, 2, 1, False), (2, 0, 1, True), (2, 1, 1, False)]
 
 
 class TestKronApply:

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iga_asp.assembly import (
+    _PANEL_WIDTH,
     AssembledSystem,
     factored_product_wins,
     system_matrix,
     system_setup,
 )
 from iga_asp.krylov import (
-    _PANEL_WIDTH,
     AUTO_DENSE_MAX_DIM,
     GltPreconditioner,
     SolveReport,
@@ -186,7 +186,7 @@ class TestGltPreconditioner:
             raise AssertionError("the cycle was applied")
         glt.apply = never
         with pytest.raises(ValueError, match="nonlinear"):
-            estimate_condition_number(system.product, glt, mode=mode)
+            estimate_condition_number(system, glt, mode=mode)
 
     def test_pure_mass_system_one_cycle_exact(self):
         # when A is itself the mass matrix, the mass-preconditioned
@@ -254,13 +254,13 @@ class TestGltPreconditioner:
         asp_setup = AspSetup(setup)
         b = np.ones(setup.space.total_dim)
         system = system_matrix(setup, 1e-4)
-        _, report = pcg(system.product, b, AspPreconditioner(asp_setup, system),
+        _, report = pcg(system, b, AspPreconditioner(asp_setup, system),
                         tol=1e-6, max_iter=100)
         assert report.converged
         assert "A" not in system.__dict__
         counted = replaced(system,
                            A=ProductCountingCsr(system_matrix(setup, 1e-4).A))
-        _, counted_report = pcg(counted.product, b,
+        _, counted_report = pcg(counted, b,
                                 AspPreconditioner(asp_setup, counted),
                                 tol=1e-6, max_iter=100)
         assert counted.A.products == 0
@@ -280,7 +280,7 @@ class TestMaterialize:
         ref = materialize_by_columns(B, n)
         # a matvec-only LinearOperator takes blocks through its matmat
         for op in (B, spla.LinearOperator((n, n), matvec=lambda v: B @ v)):
-            dense, = _compress(op, [sp.identity(n, format="csc")])
+            dense, = _compress(op, [sp.identity(n, format="csc")], False)
             np.testing.assert_array_equal(dense, ref)
 
     def test_preconditioner_matches_column_loop(self):
@@ -288,7 +288,7 @@ class TestMaterialize:
         n = B.shape[0]
         assert n % _PANEL_WIDTH != 0
         ref = materialize_by_columns(B, n)
-        dense, = _compress(B, [sp.identity(n, format="csc")])
+        dense, = _compress(B, [sp.identity(n, format="csc")], False)
         assert np.linalg.norm(dense - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_sectors_give_the_compressed_blocks(self):
@@ -299,10 +299,10 @@ class TestMaterialize:
         sectors = list(reflection_sectors(system.setup.space).values())
         assert any(Q.shape[1] % _PANEL_WIDTH for Q in sectors)
         dense = materialize_by_columns(B, n)
-        for Q, block in zip(sectors, _compress(B, sectors)):
+        for Q, block in zip(sectors, _compress(B, sectors, False)):
             ref = Q.T @ dense @ Q
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
-        for Q, block in zip(sectors, _compress(system.A, sectors)):
+        for Q, block in zip(sectors, _compress(system.A, sectors, False)):
             ref = Q.T @ system.A.toarray() @ Q
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
@@ -360,9 +360,9 @@ class TestSectoredKappa:
         # so 1e-8 is the attainable agreement there.
         system, B = asp_cell(p, n, tau, problem, dim)
         space = system.setup.space
-        assert _invariant_sectors(system.product, B, space, 0) is not None
-        one = estimate_condition_number(system.product, B, mode="dense")
-        sectored = estimate_condition_number(system.product, B, mode="dense",
+        assert _invariant_sectors(system, B, space, 0) is not None
+        one = estimate_condition_number(system, B, mode="dense")
+        sectored = estimate_condition_number(system, B, mode="dense",
                                              space=space)
         rel = 1e-12 if tau >= 1.0 else 1e-8
         assert sectored == pytest.approx(one, rel=rel)
@@ -370,18 +370,18 @@ class TestSectoredKappa:
     def test_gauss_seidel_takes_the_one_block_path(self):
         system, B = asp_cell(1, 8, 1e-4, smoother="gs")
         space = system.setup.space
-        assert _invariant_sectors(system.product, B, space, 0) is None
-        assert estimate_condition_number(system.product, B, space=space) == (
-            estimate_condition_number(system.product, B))
+        assert _invariant_sectors(system, B, space, 0) is None
+        assert estimate_condition_number(system, B, space=space) == (
+            estimate_condition_number(system, B))
 
     def test_one_reflection_is_not_enough(self):
         system, B = asp_cell(2, 8, 1.0)
         space = system.setup.space
         B1 = OneReflectionB(B, space)
-        assert _invariant_sectors(system.product, B, space, 0) is not None
-        assert _invariant_sectors(system.product, B1, space, 0) is None
-        assert estimate_condition_number(system.product, B1, space=space) == (
-            estimate_condition_number(system.product, B1))
+        assert _invariant_sectors(system, B, space, 0) is not None
+        assert _invariant_sectors(system, B1, space, 0) is None
+        assert estimate_condition_number(system, B1, space=space) == (
+            estimate_condition_number(system, B1))
 
     @pytest.mark.parametrize("chi", [(0, 0), (0, 1)])
     def test_the_swap_is_probed_too(self, chi):
@@ -392,10 +392,10 @@ class TestSectoredKappa:
         system, B = asp_cell(2, 8, 1.0)
         space = system.setup.space
         B1 = SwapBreakingB(B, space, chi)
-        assert _invariant_sectors(system.product, B, space, 0) is not None
-        assert _invariant_sectors(system.product, B1, space, 0) is None
-        assert estimate_condition_number(system.product, B1, space=space) == (
-            estimate_condition_number(system.product, B1))
+        assert _invariant_sectors(system, B, space, 0) is not None
+        assert _invariant_sectors(system, B1, space, 0) is None
+        assert estimate_condition_number(system, B1, space=space) == (
+            estimate_condition_number(system, B1))
 
     def test_non_spd_pair_still_flagged(self):
         system, B = asp_cell(2, 8, 1.0)
@@ -408,7 +408,7 @@ class TestSectoredKappa:
         system, B = asp_cell(2, 8, 1.0)
         other = system_setup("curl", 2, 2, 9).space
         with pytest.raises(ValueError):
-            estimate_condition_number(system.product, B, space=other)
+            estimate_condition_number(system, B, space=other)
 
 
 class Panels:
@@ -431,8 +431,8 @@ class TestTermBlocks:
         n = n if dim == 2 else min(n, 3)
         system, B = asp_cell(p, n, 10.0 ** log_tau, problem, dim)
         sectors = system.setup.space.sectors
-        for block, ref in zip(B.sector_blocks(sectors),
-                              _compress(Panels(B), sectors)):
+        for block, ref in zip(B.sector_blocks(),
+                              _compress(Panels(B), sectors, True)):
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -442,9 +442,9 @@ class TestTermBlocks:
         system, B = asp_cell(1, 2, 1.0, "curl", dim)
         sectors = system.setup.space.sectors
         assert len(sectors) < 2 ** dim
-        blocks = B.sector_blocks(sectors)
+        blocks = B.sector_blocks()
         assert len(blocks) == len(sectors)
-        for block, ref in zip(blocks, _compress(Panels(B), sectors)):
+        for block, ref in zip(blocks, _compress(Panels(B), sectors, True)):
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_sector_factors_are_built_once_per_mesh(self):
@@ -459,10 +459,10 @@ class TestTermBlocks:
         apply = B.apply
         B.apply = lambda r: applied.append(r.shape) or apply(r)
         space = system.setup.space
-        ours = estimate_condition_number(system.product, B, space=space)
+        ours = estimate_condition_number(system, B, space=space)
         # one random vector per basis and its swapped copy, as one block
         assert applied == [(space.total_dim, 2 * len(space.sectors))]
-        panels = estimate_condition_number(system.product, Panels(B),
+        panels = estimate_condition_number(system, Panels(B),
                                            space=system.setup.space)
         assert ours == pytest.approx(panels, rel=1e-12)
 
@@ -477,22 +477,24 @@ class TestTermBlocks:
         system = system_matrix(setup, 1e-2)
         B = AspPreconditioner(AspSetup(setup, curl_smoother), system, smoother)
         space = setup.space
-        assert B.sector_blocks(space.sectors) is None
-        assert estimate_condition_number(system.product, B, space=space) == (
-            estimate_condition_number(system.product, Panels(B), space=space))
+        assert B.sector_blocks() is None
+        assert estimate_condition_number(system, B, space=space) == (
+            estimate_condition_number(system, Panels(B), space=space))
 
-    def test_other_bases_take_the_panels(self):
-        # only the space's own sectors have term blocks: the identity and
-        # a freshly built copy of the sectors get None, and the one-block
-        # kappa of a Jacobi ASP is the panel path's, bit for bit
+    def test_one_block_path_takes_the_panels(self):
+        # without the space, dense kappa compresses on the identity and
+        # asks neither operator for term blocks: the one-block kappa of a
+        # Jacobi ASP is the panel path's, bit for bit, and no per-mesh
+        # sector factors are built
         system, B = asp_cell(2, 8, 1e-2)
-        space = system.setup.space
-        assert B.sector_blocks([sp.identity(space.total_dim, format="csc")]) is None
-        fresh = [Q for Q in reflection_sectors(space).values() if Q.shape[1]]
-        assert B.sector_blocks(fresh) is None
-        assert B.sector_blocks(tuple(fresh)) is None
-        assert estimate_condition_number(system.product, B) == (
-            estimate_condition_number(system.product, Panels(B)))
+        asked = []
+        B.sector_blocks = lambda: asked.append("B")
+        vars(system)["sector_blocks"] = lambda: asked.append("A")
+        assert estimate_condition_number(system, B) == (
+            estimate_condition_number(system, Panels(B)))
+        assert asked == []
+        assert "sector_factors" not in vars(system.setup)
+        assert B.setup._sector_factors is None
 
 
 class TestEstimateConditionNumber:
@@ -530,8 +532,8 @@ class TestEstimateConditionNumber:
         system, B = asp_cell(3, 27, 1e-4)
         assert system.setup.space.total_dim == 1624
         assert factored_product_wins(system.setup.space)
-        assert not hasattr(system.product, "toarray")
-        _, _, kappa = estimate_condition_number(system.product, B, mode="dense")
+        assert not hasattr(system, "toarray")
+        _, _, kappa = estimate_condition_number(system, B, mode="dense")
         assert "A" not in vars(system)
         _, _, oracle = estimate_condition_number(system.A, B, mode="dense")
         assert kappa == pytest.approx(oracle, rel=1e-12)
@@ -566,7 +568,7 @@ class TestEstimateConditionNumber:
         # applied
         system, B = asp_cell(1, 8, 1.0)
         applied = []
-        A = spla.LinearOperator(system.product.shape, dtype=float,
+        A = spla.LinearOperator(system.shape, dtype=float,
                                 matvec=lambda x: applied.append(x) or x)
         B.apply = lambda r: applied.append(r) or r
         other = system_setup("curl", 2, 1, 9).space

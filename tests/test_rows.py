@@ -1,0 +1,97 @@
+"""The README sweep's rows as a checked contract, and the rules of
+``scripts/rows_diff.py`` that check it.
+
+``tests/data/readme_sweep_n16.json`` holds the README sweep's n <= 16
+cells (54 cells, dense kappa) as written by ``SWEEP`` with
+``--out``.  A change that moves a row rewrites the file and says in
+CHANGES.md which rows moved and why.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+from iga_asp.cli import main
+
+ROOT = Path(__file__).resolve().parents[1]
+PINNED = ROOT / "tests" / "data" / "readme_sweep_n16.json"
+SWEEP = ["run", "--problem", "curl", "--dim", "2", "--p", "1..3",
+         "--n", "8,16", "--tau", "1e-4..1e4", "--precond", "asp",
+         "--smoother", "jacobi", "--report", "iters,cond,errors",
+         "--format", "json"]
+
+_spec = importlib.util.spec_from_file_location(
+    "rows_diff", ROOT / "scripts" / "rows_diff.py")
+rows_diff = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(rows_diff)
+
+
+def test_readme_sweep_rows_match_the_pinned_table(tmp_path):
+    out = tmp_path / "rows.json"
+    assert main(SWEEP + ["--out", str(out)]) == 0
+    pinned, rows = json.loads(PINNED.read_text()), json.loads(out.read_text())
+    assert len(pinned) == len(rows) == 54
+    problems, _ = rows_diff.compare(pinned, rows)
+    assert problems == []
+
+
+def row(**changes) -> dict:
+    out = {"problem": "curl", "dim": 2, "p": 2, "n": 8, "tau": 1.0,
+           "precond": "asp", "smoother": "jacobi", "iters": 12,
+           "converged": True, "kappa2": 9.5, "res_err": 4.0e-7,
+           "l2_err": 2.0e-5, "wall_ms": 3.0}
+    out.update(changes)
+    return out
+
+
+class TestRowsDiff:
+    def test_equal_rows_match_whatever_their_wall_time(self):
+        problems, worst = rows_diff.compare([row(), row(tau=10.0)],
+                                            [row(tau=10.0, wall_ms=9.0), row()])
+        assert problems == []
+        assert worst == {"kappa2": 0.0, "res_err": 0.0, "l2_err": 0.0}
+
+    @pytest.mark.parametrize("changes", [
+        dict(iters=13), dict(converged=False, iters=None),
+        dict(kappa2=9.5 * (1 + 1e-5)), dict(kappa2=None),
+        dict(res_err=4.0e-7 * (1 + 1e-3)), dict(l2_err=2.1e-5),
+        dict(l2_err=None), dict(error="MemoryError")])
+    def test_a_moved_column_is_a_mismatch(self, changes):
+        problems, _ = rows_diff.compare([row()], [row(**changes)])
+        assert [c for c in changes if any(f" {c}: " in p for p in problems)] == (
+            list(changes))
+        assert len(problems) == len(changes)
+
+    def test_tolerances_and_floors(self):
+        # kappa2 within 1e-6 relative; l2_err and res_err below their
+        # floors are round-off whatever their relative change
+        new = row(kappa2=9.5 * (1 + 5e-7), l2_err=2.0e-5 * (1 + 5e-5),
+                  res_err=4.0e-7 * (1 + 5e-5))
+        problems, worst = rows_diff.compare([row()], [new])
+        assert problems == []
+        assert worst["kappa2"] == pytest.approx(5e-7, rel=1e-3)
+        problems, _ = rows_diff.compare([row(l2_err=1e-9, res_err=1e-13)],
+                                        [row(l2_err=5e-9, res_err=5e-13)])
+        assert problems == []
+
+    def test_missing_and_extra_rows(self):
+        problems, _ = rows_diff.compare([row(), row(n=16)], [row(), row(p=3)])
+        assert sorted(p.split(" ")[0] for p in problems) == ["extra", "missing"]
+
+    def test_rows_with_equal_keys_match_in_order(self):
+        # two specs that differ only in an option the table does not show
+        old = [row(iters=5), row(iters=7)]
+        assert rows_diff.compare(old, [row(iters=5), row(iters=7)])[0] == []
+        assert len(rows_diff.compare(old, [row(iters=7), row(iters=5)])[0]) == 2
+
+    def test_exit_codes(self, tmp_path, capsys):
+        old, same, moved = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
+        old.write_text(json.dumps([row()]))
+        same.write_text(json.dumps([row(wall_ms=1.0)]))
+        moved.write_text(json.dumps([row(iters=11)]))
+        assert rows_diff.main([str(old), str(same)]) == 0
+        assert rows_diff.main([str(old), str(moved)]) == 1
+        assert "MISMATCH" in capsys.readouterr().out
+        assert rows_diff.main([str(old)]) == 2
