@@ -303,9 +303,8 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
     }
     if "cond" in spec.report and not getattr(precond, "nonlinear", False):
-        _, _, kappa = estimate_condition_number(
-            system, precond, mode=spec.cond_mode,
-            space=shared.system.space)
+        _, _, kappa = estimate_condition_number(system, precond,
+                                                mode=spec.cond_mode)
         row["kappa2"] = kappa
     if "errors" in spec.report and case.solution is not None:
         row["l2_err"] = l2_coefficient_error(x, case, shared.system.space,

@@ -36,9 +36,9 @@ function at each end), so the reflection x_k -> 1 - x_k reverses the
 indices of direction k.  Pulled back as a form it also negates every component
 whose factor k is 'D' (a difference image: d/dx changes sign under the
 reflection), and then commutes with every mass and every differential.
-``reflection_sectors`` spans the joint eigenspaces of the d
-reflections.  With equal knots in x_0 and x_1, the swap of those two
-coordinates (``TensorSpace.swap``) commutes with them too, and
+The reflection sectors span the joint eigenspaces of the d reflections.
+With equal knots in x_0 and x_1, the swap of those two coordinates
+(``TensorSpace.swap``) commutes with them too, and
 ``TensorSpace.sectors`` adapts the bases to both.
 """
 
@@ -70,14 +70,7 @@ __all__ = [
     "space_descriptor",
     "KronBlocks",
     "kron_apply",
-    "reflection_sectors",
-    "SECTOR_TOL",
 ]
-
-# largest relative out-of-sector part that is still taken for round-off
-# of a reflection-equivariant operator: dense kappa's probe of A and B,
-# and the rows of B's Gram factors that a sector keeps
-SECTOR_TOL = 1e-10
 
 _FACTOR_TABLE = {
     ("grad", 2): [("B", "B")],
@@ -158,14 +151,17 @@ class TensorSpace:
 
     @cached_property
     def sectors(self) -> tuple[sp.csc_matrix, ...]:
-        """The bases of dense kappa's probe and of the sector blocks of A
-        and B: the non-empty blocks of :func:`reflection_sectors` in chi
-        order.  With a :attr:`swap`, which maps sector chi onto its twin
-        with chi_0 and chi_1 exchanged (B A has the same spectrum on
-        both), only the twin with chi_0 < chi_1 is kept, and a sector
-        with chi_0 = chi_1 gives its swap-even and swap-odd halves
-        instead (:func:`_swap_halves`).  The columns of each block have
-        disjoint supports.  Built on first read and kept."""
+        """The bases in which dense kappa splits A and B, and in which
+        :meth:`iga_asp.assembly.AssembledSystem.sector_blocks` and
+        :meth:`iga_asp.precond.AspPreconditioner.sector_blocks` form
+        their blocks: the non-empty reflection sectors
+        (:func:`_reflection_sector`) in chi order.  With a :attr:`swap`,
+        which maps sector chi onto its twin with chi_0 and chi_1
+        exchanged (B A has the same spectrum on both), only the twin
+        with chi_0 < chi_1 is kept, and a sector with chi_0 = chi_1
+        gives its swap-even and swap-odd halves instead
+        (:func:`_swap_halves`).  The columns of each block have disjoint
+        supports.  Built on the first term-block build and kept."""
         out = []
         for chi in itertools.product((0, 1), repeat=self.dim):
             if self.swap is not None and chi[0] > chi[1]:
@@ -178,12 +174,6 @@ class TensorSpace:
             else:
                 out += [H for H in _swap_halves(Q, self.swap) if H.shape[1]]
         return tuple(out)
-
-    @cached_property
-    def sectors_T(self) -> sp.csr_matrix:
-        """The transposes Q^T of the blocks of :attr:`sectors` stacked in
-        their order, stored once for the probe's projections."""
-        return sp.vstack([Q.T for Q in self.sectors], format="csr")
 
 
 def build_space(kind: str, p, n_elems, *, dim: int,
@@ -360,8 +350,12 @@ class KronBlocks:
         :func:`kron_apply` of the dense 1-D factors (sum factorization),
         or ``steps[i]`` in place of run i.  The k columns and the
         ``count`` blocks of a run reach it as one (k * count, n_1, ...,
-        n_d) batch."""
+        n_d) batch.  An x whose N is not the matrix's column count raises
+        ``ValueError``."""
         x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"x has {x.shape[0]} rows; the matrix has "
+                             f"{self.shape[1]} columns")
         cols = x.T.reshape(-1, x.shape[0])    # one row per column of x
         k = cols.shape[0]
         out = np.empty((k, self.shape[0]))
@@ -535,23 +529,16 @@ def _swap_halves(Q: sp.csc_matrix, swap: np.ndarray) -> list[sp.csc_matrix]:
     return halves
 
 
-def reflection_sectors(space: TensorSpace) -> dict[tuple[int, ...], sp.csc_matrix]:
-    """Per character chi in {0, 1}^d (in ``itertools.product`` order) the
+def _reflection_sector(space: TensorSpace, chi: tuple[int, ...]) -> sp.csc_matrix:
+    """The reflection sector of the character chi in {0, 1}^d: the
     orthonormal column block Q_chi spanning the coefficient vectors that
     the reflection of direction k maps to (-1)^chi_k times themselves.
     Q_chi is block-diagonal over components; a component's block is the
     Kronecker product over directions of the reversal-even or -odd basis,
-    odd when chi_k XOR [factor k is 'D'].  The blocks are disjoint and
-    together span the space; with uniform knots every mass and every
+    odd when chi_k XOR [factor k is 'D'].  The 2^d blocks are disjoint
+    and together span the space; with uniform knots every mass and every
     differential maps sector chi of one space into sector chi of the
-    other.  ``TensorSpace.sectors`` builds dense kappa's bases from
-    them."""
-    return {chi: _reflection_sector(space, chi)
-            for chi in itertools.product((0, 1), repeat=space.dim)}
-
-
-def _reflection_sector(space: TensorSpace, chi: tuple[int, ...]) -> sp.csc_matrix:
-    """The block Q_chi of :func:`reflection_sectors`."""
+    other."""
     return KronBlocks.block_diagonal(
         [[(1.0, [_reversal_basis(f.dim, bool(c) != (f.kind == "D"))
                  for c, f in zip(chi, comp)])]

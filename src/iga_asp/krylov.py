@@ -13,21 +13,18 @@
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos; it refuses a nonlinear preconditioner.
-  Given the space of the unknowns, dense mode splits A and B into the
-  space's bases adapted to the symmetries of the unit square or cube
-  (``TensorSpace.sectors``) when a probe shows that both keep the
-  reflection sectors and commute with the swap of x_0 and x_1, and
-  solves one pencil per basis.  There it forms A's blocks from
-  per-mesh factors (:meth:`iga_asp.assembly.AssembledSystem.sector_blocks`)
-  and a Jacobi ASP's from the Gram terms of B
-  (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); it applies
-  every other operator that is not sparse to panels, as the one-block
-  path does with every such operator, the Jacobi ASP included.
+  Dense mode solves one pencil per basis of the space's bases adapted
+  to the symmetries of the unit square or cube (``TensorSpace.sectors``)
+  when the operators supply their blocks there: A's from per-mesh
+  factors (:meth:`iga_asp.assembly.AssembledSystem.sector_blocks`) and,
+  for a Jacobi ASP of that system, B's from the Gram terms of B
+  (:meth:`iga_asp.precond.AspPreconditioner.sector_blocks`).  Every
+  other pair takes the one-block path, which applies each operator that
+  is not sparse to panels of the identity.
 
 Every consumer takes one operator per system: the sweep gives CG and
 both kappa modes the ``AssembledSystem`` itself, whose ``apply`` is the
-factored product past a measured rule and the CSR A's below it, and
-dense kappa the space.
+factored product past a measured rule and the CSR A's below it.
 """
 
 from __future__ import annotations
@@ -41,7 +38,6 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .assembly import column_panels
-from .derham import SECTOR_TOL
 from .precond import AspPreconditioner
 
 __all__ = [
@@ -184,31 +180,35 @@ class GltPreconditioner:
         return x
 
 
-def _compress(op, bases, sectored: bool) -> list[np.ndarray]:
-    """Q^T op Q for each sparse basis Q of ``bases``: by sparse products
-    for a sparse ``op``; on the ``sectored`` path, whose bases are the
-    space's ``sectors``, from its terms for an ``op`` whose
-    ``sector_blocks()`` gives them (the system and the Jacobi ASP, see
-    :meth:`iga_asp.precond.AspPreconditioner.sector_blocks`); else with
+def _dense(op) -> np.ndarray:
+    """The dense matrix of ``op``: ``toarray()`` of a sparse ``op``, else
     ``op`` applied to the :func:`iga_asp.assembly.column_panels` of the
-    bases side by side.  With the identity as the one basis this is the
-    dense matrix of ``op``, entry for entry on the panel path."""
+    identity, entry for entry."""
     if sp.issparse(op):
-        return [(Q.T @ op @ Q).toarray() for Q in bases]
-    blocks = sectored and getattr(op, "sector_blocks", lambda: None)()
-    if blocks:
-        return blocks
+        return op.toarray()
+    n = op.shape[0]
     mv = _as_matvec(op)
-    starts = np.cumsum([0] + [Q.shape[1] for Q in bases])
-    out = [np.empty((Q.shape[1], Q.shape[1])) for Q in bases]
-    for columns, panel in column_panels(sp.hstack(bases, format="csc")):
-        lo, hi = columns.start, columns.stop
-        Y = mv(panel)
-        for Q, block, start, stop in zip(bases, out, starts, starts[1:]):
-            a, b = max(lo, start), min(hi, stop)
-            if a < b:
-                block[:, a - start:b - start] = Q.T @ Y[:, a - lo:b - lo]
+    out = np.empty((n, n))
+    for columns, panel in column_panels(sp.identity(n, format="csc")):
+        out[:, columns] = mv(panel)
     return out
+
+
+def _sector_pairs(A, B) -> list[tuple] | None:
+    """(Q^T A Q, Q^T B Q) per basis Q of ``space.sectors`` of A's space,
+    from the operators' ``sector_blocks()``, or ``None`` when they do not
+    supply them: A has none, or B is neither ``None`` nor a preconditioner
+    of A itself (``B.system is A``) whose ``sector_blocks()`` gives blocks.
+    B is asked first, so a B without a term form (the Gauss-Seidel or the
+    sgs curl smoother) builds neither the sectors nor A's factors."""
+    if not hasattr(A, "sector_blocks"):
+        return None
+    if B is None:
+        return [(Ad, None) for Ad in A.sector_blocks()]
+    if getattr(B, "system", None) is not A or not hasattr(B, "sector_blocks"):
+        return None
+    B_blocks = B.sector_blocks()
+    return list(zip(A.sector_blocks(), B_blocks)) if B_blocks else None
 
 
 def _symmetrize(X: np.ndarray) -> np.ndarray:
@@ -229,59 +229,26 @@ def _pencil_eigenvalues(Ad, Bd) -> np.ndarray:
     return sla.eigh(Ad, _symmetrize(Bd), type=3, eigvals_only=True)
 
 
-def _invariant_sectors(A, B, space, seed: int):
-    """``space.sectors`` itself if A and B keep them and commute with the
-    space's swap, else ``None``.  A random vector x of each sector and,
-    when the space has a swap, its swapped copy S x go through each
-    operator as one block; each image y of an x must stay in its sector
-    and the image of S x must be S y, both to ``SECTOR_TOL`` relative.
-    The projections read the stored ``space.sectors_T``."""
-    sectors, swap, sectors_T = space.sectors, space.swap, space.sectors_T
-    m = len(sectors)
-    rng = np.random.default_rng(seed)
-    X = np.column_stack([Q @ rng.standard_normal(Q.shape[1]) for Q in sectors])
-    if swap is not None:
-        X = np.hstack([X, X[swap]])
-    # row i of sectors_T belongs to sector own[i]
-    own = np.repeat(np.arange(m), [Q.shape[1] for Q in sectors])
-    for op in (A, B):
-        if op is None:
-            continue
-        Y = _as_matvec(op)(X)
-        C = sectors_T @ Y[:, :m]
-        C[own[:, None] != np.arange(m)] = 0.0
-        tol = SECTOR_TOL * np.linalg.norm(Y[:, :m], axis=0)
-        if np.any(np.linalg.norm(Y[:, :m] - sectors_T.T @ C, axis=0) > tol):
-            return None
-        if swap is not None and np.any(
-                np.linalg.norm(Y[:, m:] - Y[swap, :m], axis=0) > tol):
-            return None
-    return sectors
-
-
 def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
-                              seed: int = 0, space=None):
+                              seed: int = 0):
     """Extreme eigenvalues and condition number of B A (or A alone).
 
     ``dense`` materializes the operators (dim <= ``DENSE_MAX_DIM``) and
-    solves the generalized symmetric eigenproblem exactly.  Every
-    operator that is not a scipy sparse matrix is applied to (n, 64)
-    panels of the identity, so it must accept (n, k) blocks as well as
-    vectors.  Given the ``space`` of A's unknowns, dense mode first
-    applies A and B, as one block, to one random vector x per basis Q of
-    ``space.sectors`` and, when the space has a ``swap`` S (equal knots
-    in x_0 and x_1), to each S x.  If every image of an x stays in span Q
-    and the image of S x is the swapped image of x, A and B commute with
-    the reflections and with the swap, so B A is block-diagonal in the
-    reflection sectors and has the same spectrum on the two sectors of
-    each pair that the swap exchanges: it forms Q^T A Q and Q^T B Q per
-    basis (A's from per-mesh factors, a Jacobi ASP's from the Gram terms
-    of B, so B is not applied; else by the same routes, with panels of
-    the bases side by side) and solves one pencil per basis, which
-    together keep about 3/4 of the unknowns.  Otherwise (the
-    Gauss-Seidel smoother is not reflection-equivariant) it takes the
-    one-block path that ``space=None`` takes.  The term and panel routes
-    agree to 1e-14 relative per block.  On the README sweep's dense
+    solves the generalized symmetric eigenproblem exactly.  When A is an
+    :class:`iga_asp.assembly.AssembledSystem` and B is ``None`` or a
+    Jacobi ASP of that very system, both supply their blocks Q^T A Q and
+    Q^T B Q per basis Q of ``space.sectors`` (A's from per-mesh factors,
+    B's from the Gram terms of B, so B is not applied): both commute with
+    the reflections of the square or cube and with the swap of x_0 and
+    x_1 by construction, so B A is block-diagonal in the reflection
+    sectors and has the same spectrum on the two sectors of each pair
+    that the swap exchanges, and dense mode solves one pencil per basis,
+    which together keep about 3/4 of the unknowns.  Every other pair
+    (the Gauss-Seidel smoother is not reflection-equivariant) takes the
+    one-block path: an operator that is not a scipy sparse matrix is
+    applied to (n, 64) panels of the identity, so it must accept (n, k)
+    blocks as well as vectors.  The term blocks agree with B applied to
+    the bases to 1e-14 relative per block.  On the README sweep's dense
     cells (2-D curl, N <= 2,244) the sectored kappa is within 2.3e-13
     relative of the one-block kappa at tau >= 1; below, B's tau^{-1}
     gradient term makes the pencil ill-conditioned, and they differ by
@@ -298,27 +265,24 @@ def estimate_condition_number(A, B=None, mode: str = "dense", k: int = 200,
     to 2.3e-4 relative (p = 1, tau = 1e-4), all of it in lambda_max.
 
     A ``B`` with a true ``nonlinear`` attribute (the composite cycle)
-    is no linear operator, so B A has no spectrum, and a ``space`` of
-    another dimension than A's does not describe A's unknowns: both
-    raise ``ValueError`` in every mode, before any work.
+    is no linear operator, so B A has no spectrum, and ``k < 1`` leaves
+    no Lanczos step: both raise ``ValueError`` in every mode, before any
+    work.
     """
     if getattr(B, "nonlinear", False):
         raise ValueError(f"{type(B).__name__} is a nonlinear preconditioner;"
                          " B A has no condition number")
+    if k < 1:
+        raise ValueError(f"k = {k} Lanczos steps; k must be at least 1")
     n = A.shape[0]
-    if space is not None and space.total_dim != n:
-        raise ValueError("the space does not match the operator's dimension")
     if mode == "auto":
         mode = "dense" if n <= AUTO_DENSE_MAX_DIM else "lanczos"
     if mode == "dense":
         if n > DENSE_MAX_DIM:
             raise ValueError(f"dense mode limited to dimension {DENSE_MAX_DIM}")
-        sectors = None if space is None else _invariant_sectors(A, B, space, seed)
-        bases = sectors or [sp.identity(n, format="csc")]
-        A_blocks = _compress(A, bases, sectors is not None)
-        B_blocks = ([None] * len(bases) if B is None
-                    else _compress(B, bases, sectors is not None))
-        spectra = [_pencil_eigenvalues(Ad, Bd) for Ad, Bd in zip(A_blocks, B_blocks)]
+        pairs = _sector_pairs(A, B) or [
+            (_dense(A), None if B is None else _dense(B))]
+        spectra = [_pencil_eigenvalues(Ad, Bd) for Ad, Bd in pairs]
         lam_min = float(min(w[0] for w in spectra))
         lam_max = float(max(w[-1] for w in spectra))
     elif mode == "lanczos":

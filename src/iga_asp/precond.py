@@ -68,7 +68,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import SECTOR_TOL, KronBlocks, kron_apply
+from .derham import KronBlocks, kron_apply
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -78,6 +78,11 @@ __all__ = [
     "AspSetup",
     "AspPreconditioner",
 ]
+
+# largest relative row norm of U^T X that a reflection sector X still
+# takes for round-off of the 1-D eigenvectors' parity (the rows of B's
+# Gram factors that a sector drops)
+SECTOR_TOL = 1e-10
 
 
 def _lower_upper(A: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csc_matrix]:

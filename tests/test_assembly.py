@@ -26,7 +26,7 @@ from iga_asp.assembly import (
     system_setup,
 )
 from iga_asp.derham import KronBlocks, build_space, differential_matrix, kron_apply
-from iga_asp.krylov import _compress
+from iga_asp.krylov import _dense
 from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
 
 
@@ -357,12 +357,10 @@ class TestSectorFactors:
                 assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_one_block_path_takes_the_panels(self):
-        # off the sectored path dense kappa compresses A on the identity
-        # by panels: the CSR A entry for entry, with no sector factors
+        # off the sectored path dense kappa materializes A from panels of
+        # the identity: the CSR A entry for entry, with no sector factors
         system = system_matrix(system_setup("curl", 2, 2, 8), 1.0)
-        identity = sp.identity(system.shape[0], format="csc")
-        dense, = _compress(system, [identity], False)
-        assert np.array_equal(dense, system.A.toarray())
+        assert np.array_equal(_dense(system), system.A.toarray())
         assert "sector_factors" not in vars(system.setup)
 
 

@@ -468,11 +468,13 @@ class TestSharedDiscretization:
             assert_same_sparse(system.A, fresh)
 
     def test_dense_kappa_past_the_rule_assembles_no_csr_A(self, monkeypatch):
-        # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG and
-        # dense kappa both read the factored product, so no CSR A (and
-        # no K) is assembled, and kappa equals that of the CSR A; the
-        # oracle gets the space too, so both sides take the sector path
-        # and differ only in the product
+        # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG
+        # reads the factored product and dense kappa A's sector factors
+        # from the factored masses, so no CSR A (and no K) is assembled,
+        # and kappa equals that of the CSR A: the oracle is the same
+        # system on a setup below the rule, whose sector factors are
+        # sparse products with the CSR K and M_D, so both sides take the
+        # sector path and differ only in A's blocks
         systems = []
         monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
         spec = ExperimentSpec("curl", 2, (3,), (27,), (1e-4,), precond="asp",
@@ -483,9 +485,11 @@ class TestSharedDiscretization:
         assert assembly.factored_product_wins(system.setup.space)
         assert "A" not in vars(system)
         assert "stiffness" not in vars(system.setup)
-        B = AspPreconditioner(AspSetup(system.setup), system)
-        _, _, oracle = estimate_condition_number(system.A, B, mode="dense",
-                                                 space=system.setup.space)
+        setup = dataclasses.replace(system.setup, factored_product_wins=False)
+        csr = system_matrix(setup, system.tau)
+        B = AspPreconditioner(AspSetup(setup), csr)
+        _, _, oracle = estimate_condition_number(csr, B, mode="dense")
+        assert "stiffness" in vars(setup)
         assert row["kappa2"] == pytest.approx(oracle, rel=1e-12)
 
     @each_path

@@ -19,11 +19,11 @@ from iga_asp.derham import (
     KronBlocks,
     differential_blocks,
     kron_apply,
-    reflection_sectors,
     scalar_curl_matrix,
     space_descriptor,
     vector_curl_matrix,
 )
+from iga_asp.derham import _reflection_sector
 from iga_asp.precond import InnerSolver
 
 
@@ -201,7 +201,15 @@ class TestKronBlocksOperator:
         for dim in (2, 3):
             H = h1_vector_matrix(discretize(2, 4, dim=dim, bc="essential"))
             assert [(run.row, run.count) for run in H.runs] == [(0, dim)]
-            assert [run.count for run in InnerSolver(H).U_T.runs] == [dim]
+            solver = InnerSolver(H)
+            assert [run.count for run in solver.U_T.runs] == [dim]
+            # an input of any other length raises, naming both sizes
+            N = H.shape[1]
+            for shape in ((N - 1,), (N + 1,), (N + 1, 3)):
+                for apply in (H.apply, solver.make()):
+                    with pytest.raises(ValueError,
+                                       match=f"{shape[0]} rows.*{N} columns"):
+                        apply(np.ones(shape))
 
     def test_runs_batch_only_blocks_alone_in_their_rows(self):
         # S on the diagonal of block rows 1 and 2, but row 1 also holds X:
@@ -339,6 +347,37 @@ def off_sector_part(X, Q_dst, Q_src) -> float:
     return off.max(initial=0.0) / max(abs(X).max(), 1e-300) if X.nnz else 0.0
 
 
+def reversal(n, odd):
+    """Dense orthonormal basis of the length-n vectors that the reversal
+    i -> n-1-i maps to themselves (``odd`` False) or to their negatives."""
+    V = np.zeros((n, n // 2 if odd else n - n // 2))
+    s = np.sqrt(0.5)
+    for i in range(n // 2):
+        V[i, i], V[n - 1 - i, i] = s, -s if odd else s
+    if n % 2 and not odd:
+        V[n // 2, n // 2] = 1.0
+    return V
+
+
+def reflection_sectors(space):
+    """Oracle of the reflection sectors: per character chi in {0, 1}^d
+    (``itertools.product`` order) the block Q_chi spanning the vectors
+    that the reflection of direction k maps to (-1)^chi_k times
+    themselves, block-diagonal over components, a component's block the
+    dense Kronecker product over directions of the reversal-even or -odd
+    basis, odd when chi_k XOR [factor k is 'D']."""
+    sectors = {}
+    for chi in itertools.product((0, 1), repeat=space.dim):
+        blocks = []
+        for comp in space.components:
+            block = np.ones((1, 1))
+            for c, f in zip(chi, comp):
+                block = np.kron(block, reversal(f.dim, bool(c) != (f.kind == "D")))
+            blocks.append(block)
+        sectors[chi] = sp.block_diag(blocks, format="csc")
+    return sectors
+
+
 class TestReflectionSectors:
     @given(st.sampled_from([2, 3]), st.data())
     @settings(max_examples=30, deadline=None)
@@ -378,29 +417,14 @@ class TestReflectionSectors:
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("bc", ["natural", "essential"])
     def test_blocks_equal_the_per_component_kronecker_oracle(self, dim, bc):
-        # per component the Kronecker product over directions of the
-        # reversal-even or -odd bases, as a dense oracle; values are
-        # compared, since sp.kron of tiny factors stores explicit zeros
-        def reversal(n, odd):
-            V = np.zeros((n, n // 2 if odd else n - n // 2))
-            s = np.sqrt(0.5)
-            for i in range(n // 2):
-                V[i, i], V[n - 1 - i, i] = s, -s if odd else s
-            if n % 2 and not odd:
-                V[n // 2, n // 2] = 1.0
-            return V
-
+        # the sectors that TensorSpace.sectors builds against the dense
+        # per-component Kronecker oracle; values are compared, since
+        # sp.kron of tiny factors stores explicit zeros
         for kind, p, n in itertools.product(
                 ("grad", "curl", "div", "l2", "vector"), (1, 2, 3), (2, 3, 5)):
             space = build_space(kind, p, n, dim=dim, bc=bc)
-            for chi, Q in reflection_sectors(space).items():
-                oracle = []
-                for comp in space.components:
-                    block = np.ones((1, 1))
-                    for c, f in zip(chi, comp):
-                        block = np.kron(block, reversal(f.dim, bool(c) != (f.kind == "D")))
-                    oracle.append(block)
-                oracle = sp.block_diag(oracle, format="csc")
+            for chi, oracle in reflection_sectors(space).items():
+                Q = _reflection_sector(space, chi)
                 assert Q.shape == oracle.shape
                 assert (Q != oracle).nnz == 0, (kind, p, n, chi)
 

@@ -19,12 +19,10 @@ from iga_asp.krylov import (
     GltPreconditioner,
     SolveReport,
     _as_matvec,
-    _compress,
-    _invariant_sectors,
+    _dense,
     estimate_condition_number,
     pcg,
 )
-from iga_asp.derham import reflection_sectors
 from iga_asp.precond import AspPreconditioner, AspSetup
 
 
@@ -280,143 +278,84 @@ class TestMaterialize:
         ref = materialize_by_columns(B, n)
         # a matvec-only LinearOperator takes blocks through its matmat
         for op in (B, spla.LinearOperator((n, n), matvec=lambda v: B @ v)):
-            dense, = _compress(op, [sp.identity(n, format="csc")], False)
-            np.testing.assert_array_equal(dense, ref)
+            np.testing.assert_array_equal(_dense(op), ref)
 
     def test_preconditioner_matches_column_loop(self):
         _, B = asp_cell(2, 8, 1e-4)
         n = B.shape[0]
         assert n % _PANEL_WIDTH != 0
         ref = materialize_by_columns(B, n)
-        dense, = _compress(B, [sp.identity(n, format="csc")], False)
+        dense = _dense(B)
         assert np.linalg.norm(dense - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_sectors_give_the_compressed_blocks(self):
-        # the bases' columns side by side are cut into 64-column panels,
-        # some of which straddle two sectors
-        system, B = asp_cell(2, 16, 1.0)
-        n = B.shape[0]
-        sectors = list(reflection_sectors(system.setup.space).values())
-        assert any(Q.shape[1] % _PANEL_WIDTH for Q in sectors)
-        dense = materialize_by_columns(B, n)
-        for Q, block in zip(sectors, _compress(B, sectors, False)):
-            ref = Q.T @ dense @ Q
-            assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
-        for Q, block in zip(sectors, _compress(system.A, sectors, False)):
-            ref = Q.T @ system.A.toarray() @ Q
-            assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
+
+class Panels:
+    """``B`` without its ``sector_blocks``: dense kappa applies it to
+    panels, the one-block path that stays as the oracle of the term
+    blocks."""
+
+    def __init__(self, B):
+        self.apply, self.shape = B.apply, B.shape
 
 
-class OneReflectionB:
-    """``B`` plus v v^T with a unit v in sectors (0, 0) and (0, 1): it
-    commutes with the reflection of x_1 but not with that of x_2."""
-
-    def __init__(self, B, space):
-        Q = reflection_sectors(space)
-        rng = np.random.default_rng(3)
-        v = sum(Q[chi] @ rng.standard_normal(Q[chi].shape[1])
-                for chi in ((0, 0), (0, 1)))
-        self.B, self.v = B, v / np.linalg.norm(v)
-        self.shape = B.shape
-
-    def apply(self, r):
-        return self.B.apply(r) + np.multiply.outer(self.v, self.v @ r)
-
-
-class SwapBreakingB:
-    """``B`` plus v v^T with a unit v in one reflection sector, by default
-    (0, 0), even under both reflections, but not under the swap of x_0
-    and x_1."""
-
-    def __init__(self, B, space, chi=(0, 0)):
-        Q = reflection_sectors(space)[chi]
-        v = Q @ np.random.default_rng(4).standard_normal(Q.shape[1])
-        assert np.linalg.norm(v[space.swap] - v) > 0.1 * np.linalg.norm(v)
-        self.B, self.v = B, v / np.linalg.norm(v)
-        self.shape = B.shape
-
-    def apply(self, r):
-        return self.B.apply(r) + np.multiply.outer(self.v, self.v @ r)
-
-
-# Jacobi-ASP cells: the reflection-equivariant B of the sweeps; the last
-# has unequal knots in x_0 and x_1, so no swap and the plain sectors
-SECTOR_CELLS = [("curl", 2, 2, 8), ("div", 2, 2, 8),
-                ("curl", 3, 2, 3), ("div", 3, 2, 3), ("curl", 2, 2, (8, 9))]
+# (problem, dim, p, n, precond): Jacobi-ASP cells, the B of the sweeps;
+# n = (8, 9) and p = (2, 3) differ in x_0 and x_1, so no swap and the
+# plain reflection sectors; n = (3, 3, 4) keeps the swap with x_2
+# unequal; "none" is A alone, on natural bc.  The ids keep the names the
+# first five cells had as four-field tuples
+SECTOR_CELLS = [
+    pytest.param("curl", 2, 2, 8, "asp", id="curl-2-2-8"),
+    pytest.param("div", 2, 2, 8, "asp", id="div-2-2-8"),
+    pytest.param("curl", 3, 2, 3, "asp", id="curl-3-2-3"),
+    pytest.param("div", 3, 2, 3, "asp", id="div-3-2-3"),
+    pytest.param("curl", 2, 2, (8, 9), "asp", id="curl-2-2-n4"),
+    pytest.param("curl", 2, (2, 3), 8, "asp", id="curl-2-p23-8"),
+    pytest.param("curl", 3, 2, (3, 3, 4), "asp", id="curl-3-2-n334"),
+    pytest.param("curl", 2, 2, 8, "none", id="curl-2-2-8-natural-none"),
+]
 
 
 class TestSectoredKappa:
-    @pytest.mark.parametrize("problem, dim, p, n", SECTOR_CELLS)
+    @pytest.mark.parametrize("problem, dim, p, n, precond", SECTOR_CELLS)
     @pytest.mark.parametrize("tau", [1e-4, 1.0, 1e4])
-    def test_matches_the_one_block_oracle(self, problem, dim, p, n, tau):
-        # At tau >= 1 the two paths agree to round-off (measured <= 2e-14
-        # on these cells, <= 1.4e-13 on the README sweep's dense cells).
-        # At tau = 1e-4 (here <= 1.1e-10), B's tau^{-1} gradient term
-        # makes the pencil ill-conditioned: on 2-D curl p=3 (n = 16 and
-        # 27, one BLAS thread) a 1e-16 relative perturbation of B moves
-        # the one-block kappa by 9e-11 to 6e-10 and the sectored one by
-        # 2e-10 to 4e-10, and the paths differ by 5e-10 to 7e-10 (4.3e-9
-        # at n = 27 with two BLAS threads, 9.3e-9 on 2-D div p=3 n=32),
-        # so 1e-8 is the attainable agreement there.
-        system, B = asp_cell(p, n, tau, problem, dim)
-        space = system.setup.space
-        assert _invariant_sectors(system, B, space, 0) is not None
-        one = estimate_condition_number(system, B, mode="dense")
-        sectored = estimate_condition_number(system, B, mode="dense",
-                                             space=space)
+    def test_matches_the_one_block_oracle(self, problem, dim, p, n, precond,
+                                          tau):
+        # The system and its Jacobi ASP (or the system alone) take the
+        # sector path; the oracle is the one-block kappa through
+        # operators without term blocks.  At tau >= 1 the two paths agree
+        # to round-off (measured <= 4.4e-14 on the ASP cells, 3.6e-13 on
+        # A alone, whose kappa is 9.1e3 at tau = 1, and <= 1.4e-13 on the
+        # README sweep's dense cells).  At tau = 1e-4 (here <= 2.4e-10),
+        # B's tau^{-1} gradient term makes the pencil ill-conditioned: on
+        # 2-D curl p=3 (n = 16 and 27, one BLAS thread) a 1e-16 relative
+        # perturbation of B moves the one-block kappa by 9e-11 to 6e-10
+        # and the sectored one by 2e-10 to 4e-10, and the paths differ by
+        # 5e-10 to 7e-10 (4.3e-9 at n = 27 with two BLAS threads, 9.3e-9
+        # on 2-D div p=3 n=32), so 1e-8 is the attainable agreement there.
+        if precond == "asp":
+            system, B = asp_cell(p, n, tau, problem, dim)
+            oracle_B = Panels(B)
+        else:
+            setup = system_setup(problem, dim, p, n, bc="natural")
+            system, B, oracle_B = system_matrix(setup, tau), None, None
+        sectored = estimate_condition_number(system, B, mode="dense")
+        assert "sector_factors" in vars(system.setup)
+        one = estimate_condition_number(system.A, oracle_B, mode="dense")
         rel = 1e-12 if tau >= 1.0 else 1e-8
         assert sectored == pytest.approx(one, rel=rel)
 
     def test_gauss_seidel_takes_the_one_block_path(self):
         system, B = asp_cell(1, 8, 1e-4, smoother="gs")
-        space = system.setup.space
-        assert _invariant_sectors(system, B, space, 0) is None
-        assert estimate_condition_number(system, B, space=space) == (
-            estimate_condition_number(system, B))
-
-    def test_one_reflection_is_not_enough(self):
-        system, B = asp_cell(2, 8, 1.0)
-        space = system.setup.space
-        B1 = OneReflectionB(B, space)
-        assert _invariant_sectors(system, B, space, 0) is not None
-        assert _invariant_sectors(system, B1, space, 0) is None
-        assert estimate_condition_number(system, B1, space=space) == (
-            estimate_condition_number(system, B1))
-
-    @pytest.mark.parametrize("chi", [(0, 0), (0, 1)])
-    def test_the_swap_is_probed_too(self, chi):
-        # B + v v^T keeps every reflection sector but breaks the swap:
-        # the probe fails and kappa is the one-block path's, bit for bit.
-        # With v in sector (0, 1), B keeps each of the space's bases too,
-        # and only the probe's [X, S X] comparison sees the break.
-        system, B = asp_cell(2, 8, 1.0)
-        space = system.setup.space
-        B1 = SwapBreakingB(B, space, chi)
-        assert _invariant_sectors(system, B, space, 0) is not None
-        assert _invariant_sectors(system, B1, space, 0) is None
-        assert estimate_condition_number(system, B1, space=space) == (
-            estimate_condition_number(system, B1))
+        assert estimate_condition_number(system, B) == (
+            estimate_condition_number(system, Panels(B)))
 
     def test_non_spd_pair_still_flagged(self):
-        system, B = asp_cell(2, 8, 1.0)
-        space = system.setup.space
-        assert _invariant_sectors(-system.A, B, space, 0) is not None
+        # A = K - M (tau = -1, which system_matrix refuses) is indefinite:
+        # its sector blocks carry the negative eigenvalues
+        setup = system_setup("curl", 2, 2, 8)
         with pytest.raises(ArithmeticError):
-            estimate_condition_number(-system.A, B, space=space)
-
-    def test_space_must_match(self):
-        system, B = asp_cell(2, 8, 1.0)
-        other = system_setup("curl", 2, 2, 9).space
-        with pytest.raises(ValueError):
-            estimate_condition_number(system, B, space=other)
-
-
-class Panels:
-    """``B`` without its ``sector_blocks``: dense kappa applies it to
-    panels, the path that stays as the oracle of the term blocks."""
-
-    def __init__(self, B):
-        self.apply, self.shape = B.apply, B.shape
+            estimate_condition_number(AssembledSystem(setup, -1.0))
+        assert "sector_factors" in vars(setup)
 
 
 class TestTermBlocks:
@@ -431,8 +370,8 @@ class TestTermBlocks:
         n = n if dim == 2 else min(n, 3)
         system, B = asp_cell(p, n, 10.0 ** log_tau, problem, dim)
         sectors = system.setup.space.sectors
-        for block, ref in zip(B.sector_blocks(),
-                              _compress(Panels(B), sectors, True)):
+        for Q, block in zip(sectors, B.sector_blocks()):
+            ref = Q.T @ B.apply(Q.toarray())
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("dim", [2, 3])
@@ -444,7 +383,8 @@ class TestTermBlocks:
         assert len(sectors) < 2 ** dim
         blocks = B.sector_blocks()
         assert len(blocks) == len(sectors)
-        for block, ref in zip(blocks, _compress(Panels(B), sectors, True)):
+        for Q, block in zip(sectors, blocks):
+            ref = Q.T @ B.apply(Q.toarray())
             assert np.linalg.norm(block - ref) <= 1e-14 * np.linalg.norm(ref)
 
     def test_sector_factors_are_built_once_per_mesh(self):
@@ -453,17 +393,14 @@ class TestTermBlocks:
         other = AspPreconditioner(B.setup, system_matrix(system.setup, 1e-2))
         assert other.setup.gram_factors() is first
 
-    def test_dense_kappa_applies_b_to_the_probe_only(self):
+    def test_dense_kappa_does_not_apply_b(self):
         system, B = asp_cell(2, 8, 1.0)
         applied = []
         apply = B.apply
         B.apply = lambda r: applied.append(r.shape) or apply(r)
-        space = system.setup.space
-        ours = estimate_condition_number(system, B, space=space)
-        # one random vector per basis and its swapped copy, as one block
-        assert applied == [(space.total_dim, 2 * len(space.sectors))]
-        panels = estimate_condition_number(system, Panels(B),
-                                           space=system.setup.space)
+        ours = estimate_condition_number(system, B)
+        assert applied == []
+        panels = estimate_condition_number(system, Panels(B))
         assert ours == pytest.approx(panels, rel=1e-12)
 
     @pytest.mark.parametrize("problem, dim, smoother, curl_smoother", [
@@ -472,27 +409,41 @@ class TestTermBlocks:
     def test_no_term_form_takes_the_panels(self, problem, dim, smoother,
                                            curl_smoother):
         # the Gauss-Seidel smoother of A and the sgs curl smoother have
-        # no term form: kappa is the panel path's, bit for bit
+        # no term form: kappa is the panel path's, bit for bit, and since
+        # B is asked first, neither the space's bases nor A's sector
+        # factors are built
         setup = system_setup(problem, dim, 2, 3)
         system = system_matrix(setup, 1e-2)
         B = AspPreconditioner(AspSetup(setup, curl_smoother), system, smoother)
-        space = setup.space
+        assert estimate_condition_number(system, B) == (
+            estimate_condition_number(system, Panels(B)))
         assert B.sector_blocks() is None
-        assert estimate_condition_number(system, B, space=space) == (
-            estimate_condition_number(system, Panels(B), space=space))
+        assert "sectors" not in vars(setup.space)
+        assert "sector_factors" not in vars(setup)
 
     def test_one_block_path_takes_the_panels(self):
-        # without the space, dense kappa compresses on the identity and
-        # asks neither operator for term blocks: the one-block kappa of a
-        # Jacobi ASP is the panel path's, bit for bit, and no per-mesh
-        # sector factors are built
+        # an A without term blocks (the CSR A) takes the one-block path
+        # and asks B for none: the kappa of a Jacobi ASP is the panel
+        # path's, bit for bit, and nothing of the sector path is built
         system, B = asp_cell(2, 8, 1e-2)
         asked = []
         B.sector_blocks = lambda: asked.append("B")
-        vars(system)["sector_blocks"] = lambda: asked.append("A")
-        assert estimate_condition_number(system, B) == (
-            estimate_condition_number(system, Panels(B)))
+        assert estimate_condition_number(system.A, B) == (
+            estimate_condition_number(system.A, Panels(B)))
         assert asked == []
+        assert "sectors" not in vars(system.setup.space)
+        assert "sector_factors" not in vars(system.setup)
+        assert B.setup._sector_factors is None
+
+    def test_preconditioner_of_another_system_takes_the_one_block_path(self):
+        # a Jacobi ASP built on another system of the same mesh has term
+        # blocks, but only a preconditioner of A itself is read by them:
+        # kappa is the panel path's, bit for bit, with no sector build
+        system, B = asp_cell(2, 8, 1e-2)
+        other = AspPreconditioner(B.setup, system_matrix(system.setup, 1.0))
+        assert other.system is not system
+        assert estimate_condition_number(system, other) == (
+            estimate_condition_number(system, Panels(other)))
         assert "sector_factors" not in vars(system.setup)
         assert B.setup._sector_factors is None
 
@@ -528,14 +479,16 @@ class TestEstimateConditionNumber:
 
     def test_dense_takes_the_product_cg_takes(self):
         # past the product rule the system's product is a LinearOperator
-        # with no toarray(): dense kappa materializes it from panels
+        # with no toarray(): on the one-block path (B without term
+        # blocks) dense kappa materializes it from panels
         system, B = asp_cell(3, 27, 1e-4)
         assert system.setup.space.total_dim == 1624
         assert factored_product_wins(system.setup.space)
         assert not hasattr(system, "toarray")
-        _, _, kappa = estimate_condition_number(system, B, mode="dense")
+        _, _, kappa = estimate_condition_number(system, Panels(B), mode="dense")
         assert "A" not in vars(system)
-        _, _, oracle = estimate_condition_number(system.A, B, mode="dense")
+        _, _, oracle = estimate_condition_number(system.A, Panels(B),
+                                                 mode="dense")
         assert kappa == pytest.approx(oracle, rel=1e-12)
 
     def test_auto_is_dense_up_to_its_limit_then_lanczos(self):
@@ -562,18 +515,17 @@ class TestEstimateConditionNumber:
         with pytest.raises(ValueError):
             estimate_condition_number(A, mode="dense")
 
-    @pytest.mark.parametrize("mode", ["dense", "lanczos", "auto"])
-    def test_space_is_checked_before_any_work(self, mode):
-        # a space of another size raises in every mode, before A or B is
-        # applied
+    @pytest.mark.parametrize("mode", ["lanczos", "auto"])
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_k_is_checked_before_any_work(self, mode, k):
+        # k < 1 raises, naming k, before A or B is applied
         system, B = asp_cell(1, 8, 1.0)
         applied = []
         A = spla.LinearOperator(system.shape, dtype=float,
                                 matvec=lambda x: applied.append(x) or x)
         B.apply = lambda r: applied.append(r) or r
-        other = system_setup("curl", 2, 1, 9).space
-        with pytest.raises(ValueError, match="space"):
-            estimate_condition_number(A, B, mode=mode, space=other)
+        with pytest.raises(ValueError, match=f"k = {k}"):
+            estimate_condition_number(A, B, mode=mode, k=k)
         assert applied == []
 
     def test_bad_mode(self):
