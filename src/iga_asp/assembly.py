@@ -24,6 +24,11 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                assembled only when read) and the load
                                vector's weighted 1-D bases, built once
                                per mesh,
+* ``mass_basis``            -- the ``MassBasis`` of a system setup: the
+                               mass-orthonormal basis in which
+                               C^T A C = W^T W + tau I, with W one dense
+                               1-D matrix on one axis per block (the
+                               composite cycle's smoothing step),
 * ``system_matrix``         -- the ``AssembledSystem(setup, tau, b)`` of
                                one tau, the one operator of A = K + tau
                                M_D that CG and kappa read: its product,
@@ -61,6 +66,7 @@ from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import derham
@@ -90,6 +96,8 @@ __all__ = [
     "discretize",
     "SystemSetup",
     "system_setup",
+    "MassBasis",
+    "mass_basis",
     "mass_operator",
     "mass_matrix",
     "system_matrix",
@@ -241,7 +249,8 @@ class SystemSetup:
     space, which :meth:`AssembledSystem.apply` reads.  The CSR ``M_D`` and
     ``M_range`` are assembled on first read (by the CSR A, the SGS
     Q_curl and the matrix export), as is K = D^T M_range D (by the CSR
-    A); A's diagonal needs none.  A sweep builds the setup once per mesh
+    A); A's diagonal needs none.  So is :attr:`mass_basis` (by the
+    composite cycle).  A sweep builds the setup once per mesh
     and assembles each tau's system from it."""
 
     operator: str
@@ -297,6 +306,91 @@ class SystemSetup:
         from the 1-D factors of D and M_range."""
         return differential_blocks(self.space, self.range_space).congruence_diagonal(
             self.M_range_op)
+
+    @cached_property
+    def mass_basis(self) -> MassBasis:
+        """The :func:`mass_basis` of this setup, built on first read (by
+        the composite cycle's constructor) and kept."""
+        return mass_basis(self)
+
+
+@dataclass(frozen=True, eq=False)
+class MassBasis:
+    """A basis of the problem's space and of its range space that is
+    orthonormal in their L2 masses, from one basis per distinct 1-D
+    factor space: with M_k = V_k diag(w_k) V_k^T, ``factors[f]`` is
+    (C_k, R_k) = (V_k diag(w_k)^{-1/2}, V_k diag(w_k)^{1/2}), so that
+    C_k^T M_k C_k = I and R_k = C_k^{-T}, R_k R_k^T = M_k.  Per component
+    C = (x)_k C_k, so C C^T = M_D^{-1}, and on the range M_range = R R^T;
+    in this basis A = D^T M_range D + tau M_D becomes
+
+        C^T A C = W^T W + tau I,    W = R^T D C.
+
+    Every identity factor of D cancels (R_k^T C_k = I), so a block of W is
+    its block of D with the 1-D difference map delta of its one
+    differentiated direction replaced by the dense R_D^T delta C_B, and
+    :func:`iga_asp.derham.kron_apply` skips the identities.  ``forward``
+    (C^T), ``backward`` (C), ``W`` and ``W_T`` (W^T) are
+    :class:`iga_asp.derham.KronBlocks`, their dense factors laid out for
+    :func:`iga_asp.derham.kron_apply`."""
+
+    factors: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
+    forward: KronBlocks = field(repr=False)
+    backward: KronBlocks = field(repr=False)
+    W: KronBlocks = field(repr=False)
+    W_T: KronBlocks = field(repr=False)
+
+
+def _laid_out(terms: list | None, transpose: bool = False) -> list | None:
+    """``terms``, ``None`` or ``(coeff, factors)`` pairs, with the factors
+    (transposed when asked) as :func:`iga_asp.derham.kron_apply`
+    multiplies them fastest: dense ones C-ordered, the last (applied by
+    its transpose) Fortran-ordered; sparse ones as they are."""
+    if terms is None:
+        return None
+    out = []
+    for coeff, factors in terms:
+        *left, last = [F.T if transpose else F for F in factors]
+        out.append((coeff, [F if sp.issparse(F) else np.ascontiguousarray(F)
+                            for F in left]
+                    + [last if sp.issparse(last) else np.asfortranarray(last)]))
+    return out
+
+
+def mass_basis(setup: SystemSetup) -> MassBasis:
+    """The :class:`MassBasis` of ``setup``: one eigendecomposition per
+    distinct 1-D factor space of the space and the range space, and the
+    dense 1-D factors of W from D's blocks."""
+    factors = {}
+    for space in (setup.space, setup.range_space):
+        for f in {f for comp in space.components for f in comp} - factors.keys():
+            w, V = sla.eigh(setup.disc.masses[f].toarray())
+            factors[f] = (V / np.sqrt(w), V * np.sqrt(w))
+
+    def per_component(pick) -> KronBlocks:
+        shared = {}     # identical components share one term list
+        return KronBlocks.block_diagonal([
+            shared.setdefault(comp, _laid_out([(1.0, [pick(f) for f in comp])]))
+            for comp in setup.space.components])
+
+    def in_basis(terms, src, dst) -> list | None:
+        """A block of D with its 1-D maps delta from a 'B' onto a 'D'
+        factor replaced by R_D^T delta C_B; the identities stay."""
+        if terms is None:
+            return None
+        return [(coeff, [F if s.kind == t.kind else factors[t][1].T @ (F @ factors[s][0])
+                         for F, s, t in zip(Fs, src, dst)])
+                for coeff, Fs in terms]
+
+    D = differential_blocks(setup.space, setup.range_space)
+    blocks = [[in_basis(terms, src, dst)
+               for terms, src in zip(row, setup.space.components)]
+              for row, dst in zip(D.rows, setup.range_space.components)]
+    return MassBasis(factors, per_component(lambda f: factors[f][0].T),
+                     per_component(lambda f: factors[f][0]),
+                     KronBlocks([[_laid_out(t) for t in row] for row in blocks]),
+                     KronBlocks([[_laid_out(t, transpose=True) for t in col]
+                                 for col in zip(*blocks)]))
 
 
 # columns per product when dense kappa builds blocks: one block of n

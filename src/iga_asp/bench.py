@@ -262,8 +262,9 @@ def _make_case(spec: ExperimentSpec, tau: float) -> ManufacturedCase:
 
 class _SharedSetup:
     """The tau-independent setups of one (p, n) of a sweep (the system's,
-    with K, and the ASP's, with the cycle's M_D inverse): its first cell
-    builds each piece it needs; the other tau cells reuse them."""
+    with K and the composite cycle's mass basis, and the ASP's): its
+    first cell builds each piece it needs; the other tau cells reuse
+    them."""
 
     def __init__(self, spec: ExperimentSpec, p: int, n: int) -> None:
         self.spec, self.p, self.n = spec, p, n

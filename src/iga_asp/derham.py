@@ -323,7 +323,9 @@ class KronBlocks:
         """The walk of :meth:`apply`: the blocks row by row, each run of
         consecutive diagonal blocks that are alone in their block rows and
         one term list as one :class:`_Run` (a run that opens its rows and
-        is the last of the rows before is alone in them)."""
+        is the last of the rows before is alone in them).  Its ``dense``
+        factors are dense copies of the sparse ones, ``None`` for a sparse
+        identity (:func:`kron_apply` skips that axis)."""
         row_at, col_at = self._offsets
         runs: list[_Run] = []
         for i, row in enumerate(self.rows):
@@ -340,7 +342,9 @@ class KronBlocks:
             run.out = slice(row_at[run.row], row_at[run.row + run.count])
             run.inp = slice(col_at[run.col], col_at[run.col + run.count])
             run.shape = tuple(F.shape[1] for F in run.terms[0][1])
-            run.dense = [(coeff, [F.toarray() if sp.issparse(F) else F for F in factors])
+            run.dense = [(coeff, [None if _is_identity(F) else
+                                  F.toarray() if sp.issparse(F) else F
+                                  for F in factors])
                          for coeff, factors in run.terms]
         return runs
 
@@ -379,15 +383,32 @@ def kron_apply(factors, X: np.ndarray) -> np.ndarray:
     array with ``F_k`` of shape ``(m_k, n_k)``; returns shape ``(count,
     m_1, ..., m_d)``.  ``F_1 .. F_{d-1}`` multiply their axes from the
     left and ``F_d`` the last axis from the right (as ``F_d.T``); every
-    step is one (batched) matmul on a reshaped view."""
-    count = X.shape[0]
-    *left, last = factors
-    lead = count
-    for F in left:
-        X = F @ X.reshape(lead, F.shape[1], -1)
-        lead *= F.shape[0]
-    out = X.reshape(-1, last.shape[1]) @ last.T
-    return out.reshape(count, *(F.shape[0] for F in factors))
+    step is one (batched) matmul on a reshaped view.  A factor ``None``
+    is the identity of its axis, which is skipped; ``X`` then has the
+    shape ``(count, n_1, ..., n_d)``.  The result never shares memory
+    with ``X``."""
+    count, Y = X.shape[0], X
+    if X.ndim == len(factors) + 1:
+        sizes = X.shape[1:]
+    else:
+        sizes = [F.shape[1] for F in factors]
+    last = len(factors) - 1
+    out, lead = [], count
+    for k, (F, n) in enumerate(zip(factors, sizes)):
+        if F is None:
+            out.append(n)
+        else:
+            Y = F @ Y.reshape(lead, n, -1) if k < last else Y.reshape(-1, n) @ F.T
+            out.append(F.shape[0])
+        lead *= out[-1]
+    return (Y.copy() if Y is X else Y).reshape(count, *out)
+
+
+def _is_identity(F) -> bool:
+    """Whether F is a sparse identity matrix (the factor of a block
+    between factor spaces of one kind), which :func:`kron_apply` skips."""
+    return (sp.issparse(F) and F.shape[0] == F.shape[1] and F.nnz == F.shape[0]
+            and bool(np.all(F.diagonal() == 1.0)))
 
 
 # The sign of each block of the differentials between neighbouring

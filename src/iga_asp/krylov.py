@@ -6,10 +6,15 @@
   update exactly when the preconditioner declares ``nonlinear = True``.
 * :class:`GltPreconditioner` -- the composite cycle: relaxation sweeps,
   a fixed number of mass-preconditioned MINRES iterations on the
-  system itself, then the auxiliary-space correction.  It applies A
-  factored (``AssembledSystem.apply_A``: D^T M_range D + tau M_D with
-  the masses applied by sum factorization).  Its truncated MINRES step
+  system itself, then the auxiliary-space correction.  Its residuals
+  apply A factored (``AssembledSystem.apply_A``: D^T M_range D + tau M_D
+  with the masses applied by sum factorization); its MINRES runs in the
+  mass-orthonormal basis of the system setup
+  (:class:`iga_asp.assembly.MassBasis`), where the mass preconditioner
+  is the identity and A is W^T W + tau I.  Its truncated MINRES step
   makes it nonlinear, and it says so.
+* :func:`minres` -- unpreconditioned MINRES from zero for a fixed
+  number of steps, the cycle's smoothing step.
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos; it refuses a nonlinear preconditioner.
@@ -29,13 +34,13 @@ factored product past a measured rule and the CSR A's below it.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .assembly import column_panels
 from .precond import AspPreconditioner
@@ -43,6 +48,7 @@ from .precond import AspPreconditioner
 __all__ = [
     "SolveReport",
     "GltPreconditioner",
+    "minres",
     "pcg",
     "estimate_condition_number",
     "DENSE_MAX_DIM",
@@ -135,18 +141,69 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
     return x, report
 
 
+def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
+    """``steps`` iterations of MINRES (Paige & Saunders, SIAM J. Numer.
+    Anal. 12, 1975) on the symmetric operator ``matvec`` from x = 0,
+    unpreconditioned: the Lanczos recurrence with the QR factorization of
+    its tridiagonal matrix updated by one Givens rotation per step, so
+    that x minimizes ||b - A x|| over the Krylov space of b.  The
+    recurrences and their order of operations are those of scipy's
+    ``minres``.  It stops early only on a Lanczos breakdown, beta_{k+1}
+    <= 10 eps beta_1, where that space is invariant and x solves the
+    system (scipy's ``istop = -1``); it makes no residual test."""
+    b = np.asarray(b, dtype=float)
+    x = np.zeros_like(b)
+    beta1 = math.sqrt(b @ b)
+    if beta1 == 0.0:
+        return x
+    eps = np.finfo(float).eps
+    # r1, r2: the last two Lanczos vectors times their norms oldb, beta
+    r1 = r2 = y = b
+    oldb, beta = 0.0, beta1
+    cs, sn, dbar, epsln, phibar = -1.0, 0.0, 0.0, 0.0, beta1
+    w = w2 = np.zeros_like(b)
+    for k in range(steps):
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if k:
+            y = y - (beta / oldb) * r1
+        alpha = float(v @ y)
+        y = y - (alpha / beta) * r2
+        r1, r2 = r2, y
+        oldb, beta = beta, math.sqrt(y @ y)
+        # the last rotation on the new column of the tridiagonal matrix,
+        # then the rotation that annihilates its subdiagonal entry beta
+        oldeps, epsln = epsln, sn * beta
+        delta = cs * dbar + sn * alpha
+        gbar = sn * dbar - cs * alpha
+        dbar = -cs * beta
+        gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
+        cs, sn = gbar / gamma, beta / gamma
+        phi, phibar = cs * phibar, sn * phibar
+        # the next search direction, and x along it
+        w1, w2 = w2, w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x += phi * w
+        if beta <= 10.0 * eps * beta1:
+            break
+    return x
+
+
 class GltPreconditioner:
     """Composite preconditioner: per cycle, nu1 relaxation sweeps, then
     nu2 iterations of MINRES on the system preconditioned by the exact
     inverse mass matrix (the degree-robust "GLT" smoothing step), then
     the auxiliary-space correction; nu_asp cycles per application.
 
-    The system is ``asp.system``.  Every product with A inside the cycle
-    is its ``apply_A``, which applies D^T M_range D + tau M_D from the
-    factored 1-D masses (sum factorization), never the assembled CSR.
-    M_D is per component a Kronecker product of 1-D masses; its inverse
-    is ``asp.setup.mass_solver``, the fast-diagonalization inverse of
-    the system setup's ``M_D_op``, built once per mesh.
+    The system is ``asp.system``.  The relaxation residuals and the
+    residual before the correction are its ``apply_A`` (A factored, never
+    the assembled CSR).  The MINRES step runs in the mass-orthonormal
+    basis of the system setup (:class:`iga_asp.assembly.MassBasis`, built
+    once per mesh, here): preconditioning by M_D^{-1} = C C^T gives, in
+    exact arithmetic, the iterates of plain MINRES on C^T A C = W^T W +
+    tau I, so each cycle transforms once, r = C^T (b - A x), runs
+    :func:`minres` with W and W^T (one dense 1-D matrix per block, on one
+    axis) and adds C y to x; no mass solve is made.
     """
 
     # MINRES truncated at nu2 steps is not a fixed linear map of b: pcg
@@ -161,20 +218,24 @@ class GltPreconditioner:
         self.asp = asp
         self.nu1, self.nu2, self.nu_asp = nu1, nu2, nu_asp
         self.shape = asp.shape
-        self._apply_A = self.system.apply_A
-        self._A = spla.LinearOperator(self.shape, matvec=self._apply_A,
-                                      dtype=float)
-        self._mass_inverse = spla.LinearOperator(
-            self.shape, matvec=asp.setup.mass_solver.make(), dtype=float)
+        self._basis = self.system.setup.mass_basis
+
+    def _transformed_A(self, y: np.ndarray) -> np.ndarray:
+        """C^T A C y = W^T (W y) + tau y."""
+        basis = self._basis
+        out = basis.W_T.apply(basis.W.apply(y))
+        out += self.system.tau * y
+        return out
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        A = self._apply_A
+        A = self.system.apply_A
+        basis = self._basis
         x = np.zeros_like(np.asarray(b, dtype=float))
         for _ in range(self.nu_asp):
             for _ in range(self.nu1):
                 x = x + self.asp.smoother.apply(b - A(x))
-            x, _ = spla.minres(self._A, b, x0=x, M=self._mass_inverse,
-                               maxiter=self.nu2, rtol=1e-14)
+            r = basis.forward.apply(b - A(x))
+            x = x + basis.backward.apply(minres(self._transformed_A, r, self.nu2))
             d = b - A(x)
             x = x + self.asp.correction(d)
         return x

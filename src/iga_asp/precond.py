@@ -49,7 +49,7 @@ pieces.
 
 from __future__ import annotations
 
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -129,6 +129,12 @@ class Smoother:
             self._solve_u = _triangular_factor(U).solve
 
     def apply(self, r: np.ndarray) -> np.ndarray:
+        """S^{-1} r; an r whose length is not the matrix's raises
+        ``ValueError``."""
+        r = np.asarray(r, dtype=float)
+        if r.shape[0] != self.diagonal.shape[0]:
+            raise ValueError(f"r has {r.shape[0]} rows; the matrix has "
+                             f"{self.diagonal.shape[0]} columns")
         if self.kind == "jacobi":
             return r / self.diagonal.reshape((-1,) + (1,) * (r.ndim - 1))
         x = self._solve_u(r)
@@ -136,17 +142,13 @@ class Smoother:
 
 
 def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, U) with K U = M U diag(lam) and U^T M U = I; without K,
-    lam = 0 and U U^T = M^{-1}."""
-    if K is None:
-        w, V = sla.eigh(M.toarray())
-        return np.zeros_like(w), V / np.sqrt(w)
+    """(lam, U) with K U = M U diag(lam) and U^T M U = I."""
     return sla.eigh(K.toarray(), M.toarray())
 
 
 class InnerSolver:
-    """Exact inverse of the :class:`KronSum` ``op`` by fast
-    diagonalization.  With U = (x)U_k the 1-D eigenbases (U^T M U = I)
+    """Exact inverse of the :class:`KronSum` ``op``, which has stiffness
+    factors (H, H + tau M or L), by fast diagonalization.  With U = (x)U_k the 1-D eigenbases (U^T M U = I)
     and Lambda the sums of the 1-D eigenvalues plus the mass
     coefficient, (op + shift (x)M)^{-1} = U diag(1/(Lambda + shift)) U^T.
     The 1-D eigenpairs are computed once, here, per run of identical
@@ -159,10 +161,11 @@ class InnerSolver:
         self.op = op
         self._inverse = []      # per run: 1-D eigenvalues, forward, backward
         blocks = []
+        if not op.stiffnesses:
+            raise ValueError("fast diagonalization needs the stiffness factors")
         for run in op.runs:
-            masses = op.masses[run.row]
-            stiffs = op.stiffnesses[run.row] if op.stiffnesses else [None] * len(masses)
-            pairs = [_m_orthonormal_eigenpairs(K, M) for K, M in zip(stiffs, masses)]
+            pairs = [_m_orthonormal_eigenpairs(K, M) for K, M
+                     in zip(op.stiffnesses[run.row], op.masses[run.row])]
             # forward applies (x) U_k^T, backward (x) U_k; kron_apply
             # multiplies by the last factor's transpose, which the Fortran
             # copy turns into a C-ordered operand
@@ -245,9 +248,9 @@ def _add_gram(block: np.ndarray, F, w: np.ndarray) -> None:
 
 class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
-    one problem on one mesh: the transfers, the eigenpairs of H, B_T,
-    the composite cycle's M_D inverse (on first use) and the Gram factors
-    of the space's sectors (on the first dense kappa, see
+    one problem on one mesh: the transfers, the eigenpairs of H, B_T
+    and the Gram factors of the space's sectors (on the first dense
+    kappa, see
     :meth:`gram_factors`).  A sweep builds it once per mesh and every
     tau's :class:`AspPreconditioner` reads it.
 
@@ -286,11 +289,6 @@ class AspSetup:
         P_curl_T = self.transfers.P_curl_T
         self.solve_potential = (
             lambda y: W.apply(y) + P_curl @ solve_h(P_curl_T @ y))
-
-    @cached_property
-    def mass_solver(self) -> InnerSolver:
-        """The composite cycle's M_D inverse, built on first use."""
-        return InnerSolver(self.system_setup.M_D_op)
 
     def gram_factors(self) -> list[tuple] | None:
         """Per basis Q of the space's sectors (``space.sectors``, whose

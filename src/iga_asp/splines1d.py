@@ -32,7 +32,6 @@ __all__ = [
     "find_span",
     "eval_bspline",
     "eval_nonzero_row",
-    "curry_schoenberg",
     "greville_points",
     "make_quadrature",
     "basis_values",
@@ -204,22 +203,6 @@ def eval_nonzero_row(kv: KnotVector, t: float) -> tuple[int, np.ndarray, np.ndar
                 d -= N_prev[r] / den
         ders[r] = p * d
     return span - p, N.copy(), ders
-
-
-def curry_schoenberg(kv: KnotVector, j: int, t: float) -> float:
-    """Value of the Curry-Schoenberg function D_{j,p-1}(t).
-
-    ``D_{j,p-1} = p / (t_{j+p+1} - t_{j+1}) * B_{j+1,p-1}`` over the
-    parent knots; each D function has unit integral.
-    """
-    p = kv.degree
-    if p < 1:
-        raise ValueError("Curry-Schoenberg basis needs degree >= 1")
-    if not 0 <= j < kv.n - 1:
-        raise IndexError(f"index {j} out of range [0, {kv.n - 1})")
-    knots = np.asarray(kv.knots)
-    scale = p / (knots[j + p + 1] - knots[j + 1])
-    return scale * eval_bspline(kv.reduced(), j, t)
 
 
 def cs_scales(kv: KnotVector) -> np.ndarray:

@@ -272,6 +272,60 @@ class TestFactoredApply:
             [run.dense for op in ops for run in op.runs], dense))
 
 
+class TestMassBasis:
+    """The composite cycle's mass-orthonormal basis against the assembled
+    matrices it stands for."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("operator", ["curl", "div"])
+    def test_basis_transforms_the_system(self, operator, dim, p, n):
+        setup = system_setup(operator, dim, p, n)
+        basis = setup.mass_basis
+        C = basis.backward.tocsr().toarray()
+        N = C.shape[0]
+        rng = np.random.default_rng(8)
+        X = rng.standard_normal((N, 3))
+        # per factor space C_k^T M_k C_k = I and R_k^T C_k = I
+        for f, (C_k, R_k) in basis.factors.items():
+            I = np.eye(f.dim)
+            M_k = setup.disc.masses[f].toarray()
+            np.testing.assert_allclose(C_k.T @ M_k @ C_k, I, atol=1e-12)
+            np.testing.assert_allclose(R_k.T @ C_k, I, atol=1e-12)
+        # C C^T = M_D^{-1}
+        assert relative_error(C @ (C.T @ (setup.M_D @ X)), X) <= 1e-12
+        # C^T A C = W^T W + tau I, densely
+        W = basis.W.tocsr()
+        WtW = (W.T @ W).toarray()
+        for tau in (1e-4, 1.0):
+            ref = C.T @ system_matrix(setup, tau).A.toarray() @ C
+            got = WtW + tau * np.eye(N)
+            assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        # the four operators' applies (identity factors skipped) against
+        # their assembled matrices
+        Y = rng.standard_normal((W.shape[0], 3))
+        for op, ref, x in ((basis.forward, C.T, X), (basis.backward, C, X),
+                           (basis.W, W, X), (basis.W_T, W.T, Y)):
+            assert relative_error(op.apply(x), ref @ x) <= 1e-13
+            assert relative_error(op.apply(x[:, 0]), ref @ x[:, 0]) <= 1e-13
+
+    def test_one_single_axis_factor_per_block(self):
+        # every block of W differentiates in one direction: its other
+        # factors are identities, which the dense walk skips
+        for operator, dim, blocks in (("curl", 2, 2), ("div", 2, 2),
+                                      ("curl", 3, 6), ("div", 3, 3)):
+            basis = system_setup(operator, dim, 2, 3).mass_basis
+            for op in (basis.W, basis.W_T):
+                factors = [Fs for run in op.runs for _, Fs in run.dense]
+                assert len(factors) == blocks
+                assert all(sum(F is not None for F in Fs) == 1 for Fs in factors)
+
+    def test_built_once_per_mesh(self):
+        setup = system_setup("div", 3, 2, 3)
+        assert setup.mass_basis is setup.mass_basis
+
+
 class TestCsrOnDemand:
     """A without assembly: its diagonal from the setup, its product by
     the measured rule, and its CSR only when read."""

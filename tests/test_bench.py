@@ -409,12 +409,13 @@ class TestSharedDiscretization:
     @each_path
     def test_tau_cells_add_no_setup(self, monkeypatch, spec):
         # every tau-independent builder runs as often for three tau
-        # values as for one: eigenpairs, basis values, projections, and
-        # the forward transforms that build dense kappa's Gram factors
+        # values as for one: eigenpairs, basis values, projections, the
+        # composite cycle's mass basis, and the forward transforms that
+        # build dense kappa's Gram factors
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
             precond._m_orthonormal_eigenpairs, splines1d.basis_values,
             transfer.function_projection_1d, assembly.differential_matrix,
-            assembly.mass_operator)}
+            assembly.mass_operator, assembly.mass_basis)}
         counts["forward"] = count_forward_transforms(monkeypatch)
 
         def run(s):
@@ -423,6 +424,7 @@ class TestSharedDiscretization:
             run_experiment(s)
             return {name: c[0] for name, c in counts.items()}
         one = run(dataclasses.replace(spec, tau_values=spec.tau_values[:1]))
+        assert one["mass_basis"] == (spec.precond == "asp-glt")
         assert run(spec) == one
 
     def test_gram_factors_only_for_dense_kappa(self, monkeypatch):

@@ -257,6 +257,31 @@ class TestKronApply:
         np.testing.assert_allclose(out.reshape(count, -1), X @ product.T,
                                    rtol=1e-13, atol=1e-13)
 
+    @given(st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_none_is_the_identity(self, n_factors, count, seed):
+        # a None factor skips its axis; the oracle puts the identity there.
+        # The result is never a view of X, not even when every factor is
+        # None
+        rng = np.random.default_rng(seed)
+        shapes = rng.integers(1, 5, size=(n_factors, 2))
+        skip = rng.random(n_factors) < 0.5
+        shapes[skip, 0] = shapes[skip, 1]
+        factors = [None if s else rng.standard_normal((m, n))
+                   for s, (m, n) in zip(skip, shapes)]
+        X = rng.standard_normal((count, *shapes[:, 1]))
+        product = np.ones((1, 1))
+        for f, n in zip(factors, shapes[:, 1]):
+            product = np.kron(product, np.eye(n) if f is None else f)
+        out = kron_apply(factors, X)
+        assert out.shape == (count, *shapes[:, 0])
+        assert not np.shares_memory(out, X)
+        np.testing.assert_allclose(out.reshape(count, -1),
+                                   X.reshape(count, -1) @ product.T,
+                                   rtol=1e-13, atol=1e-13)
+
 
 class TestDifferentialMatrices:
     def test_gradient_entries_are_exact_integers(self):

@@ -21,6 +21,7 @@ from iga_asp.krylov import (
     _as_matvec,
     _dense,
     estimate_condition_number,
+    minres,
     pcg,
 )
 from iga_asp.precond import AspPreconditioner, AspSetup
@@ -34,16 +35,78 @@ def asp_cell(p, n, tau, problem="curl", dim=2, smoother="jacobi"):
     return system, AspPreconditioner(AspSetup(setup), system, smoother)
 
 
-def replaced(system, A=None, apply_A=None):
-    """A copy of ``system`` with, when given, ``apply_A`` and the CSR
-    ``A`` and its diagonal put in place; the copy's cached ``A`` is set
-    before anything reads it."""
+def replaced(system, A):
+    """A copy of ``system`` with the CSR ``A`` and its diagonal put in
+    place; the copy's cached ``A`` is set before anything reads it."""
     out = AssembledSystem(system.setup, system.tau, system.b)
-    if apply_A is not None:
-        vars(out)["apply_A"] = apply_A
-    if A is not None:
-        vars(out).update(A=A, diagonal=A.diagonal())
+    vars(out).update(A=A, diagonal=A.diagonal())
     return out
+
+
+def csr_cycle(glt, b):
+    """The oracle of one application of the composite cycle ``glt``: the
+    cycle as it was before its MINRES moved into the mass-orthonormal
+    basis, on the assembled matrices.  Every product with A is the CSR
+    A's, and the MINRES step is scipy's, preconditioned by the exact
+    inverse of the assembled M_D (SuperLU) and started from the iterate
+    of the relaxation sweeps."""
+    system, asp = glt.system, glt.asp
+    A = system.A
+    mass_solve = spla.splu(sp.csc_matrix(system.setup.M_D)).solve
+    M_inv = spla.LinearOperator(A.shape, matvec=mass_solve, dtype=float)
+    x = np.zeros_like(b)
+    for _ in range(glt.nu_asp):
+        for _ in range(glt.nu1):
+            x = x + asp.smoother.apply(b - A @ x)
+        x, _ = spla.minres(A, b, x0=x, M=M_inv, maxiter=glt.nu2, rtol=1e-14)
+        x = x + asp.correction(b - A @ x)
+    return x
+
+
+def random_symmetric(rng, n, definite):
+    """Q diag(lam) Q^T with Q a random orthogonal matrix and |lam| in
+    [0.1, 10]: positive when ``definite``, else of random signs with both
+    signs present."""
+    Q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = 10.0 ** rng.uniform(-1.0, 1.0, n)
+    if not definite:
+        lam *= rng.choice([-1.0, 1.0], n)
+        lam[:2] = abs(lam[:2]) * [1.0, -1.0]
+    return (Q * lam) @ Q.T
+
+
+class TestMinres:
+    @given(st.integers(min_value=2, max_value=30), st.booleans(),
+           st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_scipy(self, n, definite, steps, seed):
+        # oracle: scipy's MINRES from x0 = 0 with rtol 1e-14, for steps
+        # below n and at or past n (where the Lanczos process breaks down)
+        rng = np.random.default_rng(seed)
+        A = random_symmetric(rng, n, definite)
+        b = rng.standard_normal(n)
+        x = minres(lambda v: A @ v, b, steps)
+        ref, _ = spla.minres(A, b, x0=np.zeros(n), maxiter=steps, rtol=1e-14)
+        assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    def test_one_step_solves_a_multiple_of_the_identity(self):
+        # b spans an invariant subspace of c I: the first step solves
+        # exactly, and the breakdown ends the run there
+        b = np.linspace(-1.0, 2.0, 9)
+        for c in (1.0, 1e-4, -3.5):
+            products = []
+
+            def scaled(v):
+                products.append(v)
+                return c * v
+            x = minres(scaled, b, 5)
+            np.testing.assert_allclose(c * x, b, rtol=1e-15, atol=1e-15)
+            assert len(products) == 1
+
+    def test_zero_right_hand_side(self):
+        x = minres(lambda v: 2.0 * v, np.zeros(4), 3)
+        assert np.array_equal(x, np.zeros(4))
 
 
 class ProductCountingCsr(sp.csr_matrix):
@@ -187,18 +250,17 @@ class TestGltPreconditioner:
             estimate_condition_number(system, glt, mode=mode)
 
     def test_pure_mass_system_one_cycle_exact(self):
-        # when A is itself the mass matrix, the mass-preconditioned
-        # inner iteration converges immediately and one cycle is an
-        # exact solve
+        # when A is the mass matrix c M_D, the cycle's MINRES runs on c I
+        # (C^T M_D C = I in the mass-orthonormal basis), where its first
+        # step is exact: forward, one step and backward solve c M_D x = b
         setup = system_setup("curl", 2, 2, 4)
-        mass_system = replaced(system_matrix(setup, 1.0), A=setup.M_D,
-                               apply_A=setup.M_D_op.apply)
-        asp = AspPreconditioner(AspSetup(setup), mass_system)
-        glt = GltPreconditioner(asp, 1, 2, 1)
+        basis = setup.mass_basis
         b = np.linspace(-1.0, 1.0, setup.M_D.shape[0])
-        x = glt.apply(b)
-        np.testing.assert_allclose(setup.M_D @ x, b,
-                                   atol=1e-9 * np.abs(b).max())
+        for c in (1.0, 1e-4):
+            y = minres(lambda v: c * v, basis.forward.apply(b), 2)
+            x = basis.backward.apply(y)
+            np.testing.assert_allclose(c * (setup.M_D @ x), b,
+                                       atol=1e-12 * np.abs(b).max())
 
     def test_outer_flexible_cg_converges(self):
         system, asp = asp_cell(2, 8, 1e-4)
@@ -218,19 +280,32 @@ class TestGltPreconditioner:
 
     @pytest.mark.parametrize("tau, nu_asp", [(1e-4, 1), (1.0, 3)])
     def test_factored_cycle_matches_csr_cycle(self, tau, nu_asp):
-        # 3-D div, p = 2, nu2 = p^3: one application with the factored A
-        # and with the assembled A put in its place.  At tau = 1e-4 the
-        # later cycles' residuals b - A x cancel so far that a 1e-16
-        # relative change of b alone moves three cycles by 3e-10, so
-        # that tau is held to one cycle
+        # 3-D div, p = 2, nu2 = p^3: one application against the oracle
+        # csr_cycle.  At tau = 1e-4 the later cycles' residuals b - A x
+        # cancel so far that the two paths' round-off moves three cycles
+        # apart by 3.2e-10 (one cycle: 1.8e-15), so that tau is held to
+        # one cycle
         setup = system_setup("div", 3, 2, 4)
-        asp_setup = AspSetup(setup)
         system = system_matrix(setup, tau)
-        csr_system = replaced(system, apply_A=lambda x: system.A @ x)
+        glt = GltPreconditioner(AspPreconditioner(AspSetup(setup), system),
+                                1, 8, nu_asp)
         b = np.random.default_rng(3).standard_normal(system.A.shape[0])
-        x, x_csr = (GltPreconditioner(AspPreconditioner(asp_setup, s),
-                                      1, 8, nu_asp).apply(b)
-                    for s in (system, csr_system))
+        x, x_csr = glt.apply(b), csr_cycle(glt, b)
+        assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
+
+    @pytest.mark.parametrize("problem, dim, p, n, tau, nu2", [
+        ("curl", 2, 3, 6, 1e-2, 9), ("div", 2, 2, 5, 1.0, 4),
+        ("curl", 3, 2, 3, 1e-4, 8)])
+    def test_cycle_matches_csr_cycle_on_each_problem(self, problem, dim, p, n,
+                                                     tau, nu2):
+        # the other three problems, one cycle: W has one block row in 2-D
+        # and 3 x 3 blocks (two per row) on 3-D curl
+        setup = system_setup(problem, dim, p, n)
+        system = system_matrix(setup, tau)
+        glt = GltPreconditioner(AspPreconditioner(AspSetup(setup), system),
+                                1, nu2, 1)
+        b = np.random.default_rng(4).standard_normal(system.A.shape[0])
+        x, x_csr = glt.apply(b), csr_cycle(glt, b)
         assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
 
     def test_cycle_makes_no_csr_product_with_A(self):

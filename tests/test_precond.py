@@ -84,6 +84,17 @@ class TestSmoother:
             with pytest.raises(ValueError):
                 Smoother("jacobi", **kw)
 
+    def test_wrong_length_rejected(self):
+        # Jacobi's division would broadcast a length-1 input to length N;
+        # every input whose length is not N raises, naming both sizes
+        A = random_spd(6, 5)
+        for smoother in (Smoother("jacobi", diagonal=A.diagonal()),
+                         Smoother("jacobi", A), Smoother("gs", A)):
+            for shape in ((1,), (7,), (1, 3)):
+                with pytest.raises(ValueError,
+                                   match=f"{shape[0]} rows.*6 columns"):
+                    smoother.apply(np.ones(shape))
+
 
 def kronecker_cases(dim, p, n, tau):
     """name -> (Kronecker operator, shift, assembled matrix the solve
@@ -94,9 +105,6 @@ def kronecker_cases(dim, p, n, tau):
     cases = {"H + tau M": (H, tau, H.tocsr() + tau * mass_matrix(disc, "vector")),
              "H": (H, 0.0, H.tocsr()),
              "L": (L, 0.0, L.tocsr())}
-    for kind in ("curl", "div"):
-        cases[f"M_D {kind}"] = (mass_operator(disc, kind), 0.0,
-                                mass_matrix(disc, kind))
     return cases
 
 
@@ -155,6 +163,13 @@ class TestInnerSolver:
             assert np.linalg.norm(gram - ref) <= 1e-12 * np.linalg.norm(ref), name
             f = solver.forward(X[:, 0])
             assert np.linalg.norm(f - F[:, 0]) <= 1e-13 * np.linalg.norm(f), name
+
+    def test_pure_mass_rejected(self):
+        # fast diagonalization needs the stiffness factors; the composite
+        # cycle's mass basis is assembly.MassBasis
+        with pytest.raises(ValueError, match="stiffness"):
+            InnerSolver(mass_operator(discretize(2, 4, dim=2, bc="essential"),
+                                      "curl"))
 
     def test_indefinite_shift_rejected(self):
         with pytest.raises(ArithmeticError):

@@ -9,7 +9,6 @@ from iga_asp.splines1d import (
     KnotVector,
     Space1D,
     basis_values,
-    curry_schoenberg,
     difference_matrix_1d,
     eval_bspline,
     eval_nonzero_row,
@@ -21,6 +20,21 @@ from iga_asp.splines1d import (
     mass_matrix_1d,
     stiffness_matrix_1d,
 )
+
+
+def curry_schoenberg(kv: KnotVector, j: int, t: float) -> float:
+    """Oracle of the 'D' basis: the value of the Curry-Schoenberg function
+    D_{j,p-1}(t) = p / (t_{j+p+1} - t_{j+1}) * B_{j+1,p-1}(t) over the
+    parent knots, point by point from ``eval_bspline`` of the reduced
+    knot vector; each D function has unit integral."""
+    p = kv.degree
+    if p < 1:
+        raise ValueError("Curry-Schoenberg basis needs degree >= 1")
+    if not 0 <= j < kv.n - 1:
+        raise IndexError(f"index {j} out of range [0, {kv.n - 1})")
+    knots = np.asarray(kv.knots)
+    scale = p / (knots[j + p + 1] - knots[j + 1])
+    return scale * eval_bspline(kv.reduced(), j, t)
 
 
 class TestKnotVector:
