@@ -2,9 +2,10 @@
 
     python scripts/rows_diff.py OLD.json NEW.json
 
-Rows are matched on their key columns (``KEYS``; rows with equal keys,
-such as two specs that differ only in an option the table does not
-show, are matched in their order).  ``iters`` and ``converged`` must be
+Rows are matched on their key columns (``KEYS``, a key that a row lacks,
+as in a table written before it was added, reads ``None``; rows with
+equal keys, such as two specs that differ only in an option the table
+does not show, are matched in their order).  ``iters`` and ``converged`` must be
 equal.  ``kappa2``, ``res_err`` and ``l2_err`` match when they differ by
 at most ``max(floor, rtol * max(|old|, |new|))`` with the per-column
 ``(rtol, floor)`` of ``TOLERANCES``; ``None`` matches only ``None``.
@@ -20,7 +21,8 @@ import sys
 from collections import Counter
 from pathlib import Path
 
-KEYS = ("problem", "dim", "p", "n", "tau", "precond", "smoother")
+KEYS = ("problem", "dim", "p", "n", "tau", "precond", "smoother",
+        "curl_smoother", "nu1", "nu2", "nu_asp")
 IGNORED = ("wall_ms",)
 # (rtol, floor) per column.  kappa2 has moved by up to 6.2e-9 relative
 # under round-off (the BLAS thread count moves it too); res_err and

@@ -329,10 +329,11 @@ class MassBasis:
     Every identity factor of D cancels (R_k^T C_k = I), so a block of W is
     its block of D with the 1-D difference map delta of its one
     differentiated direction replaced by the dense R_D^T delta C_B, and
-    :func:`iga_asp.derham.kron_apply` skips the identities.  ``forward``
-    (C^T), ``backward`` (C), ``W`` and ``W_T`` (W^T) are
-    :class:`iga_asp.derham.KronBlocks`, their dense factors laid out for
-    :func:`iga_asp.derham.kron_apply`."""
+    the plan of its apply skips the identities.  ``forward`` (C^T),
+    ``backward`` (C), ``W`` and ``W_T`` (W^T, W's
+    :meth:`iga_asp.derham.KronBlocks.transpose`) are
+    :class:`iga_asp.derham.KronBlocks` with their dense factors laid out
+    by :func:`_laid_out`."""
 
     factors: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
     forward: KronBlocks = field(repr=False)
@@ -341,26 +342,27 @@ class MassBasis:
     W_T: KronBlocks = field(repr=False)
 
 
-def _laid_out(terms: list | None, transpose: bool = False) -> list | None:
-    """``terms``, ``None`` or ``(coeff, factors)`` pairs, with the factors
-    (transposed when asked) as :func:`iga_asp.derham.kron_apply`
-    multiplies them fastest: dense ones C-ordered, the last (applied by
-    its transpose) Fortran-ordered; sparse ones as they are."""
-    if terms is None:
-        return None
-    out = []
-    for coeff, factors in terms:
-        *left, last = [F.T if transpose else F for F in factors]
-        out.append((coeff, [F if sp.issparse(F) else np.ascontiguousarray(F)
-                            for F in left]
-                    + [last if sp.issparse(last) else np.asfortranarray(last)]))
-    return out
+def _laid_out(op: KronBlocks) -> KronBlocks:
+    """``op`` with its dense factors copied C-ordered, and the last
+    (applied by its transpose, from the right) Fortran-ordered, so that
+    every operand of the planned matmuls is C-ordered; sparse ones as they
+    are.  The plan takes dense factors as given, and their layout picks
+    the BLAS calls and with them the round-off.  Blocks that share one
+    term list still do."""
+    def laid_out(factors):
+        *left, last = [F if sp.issparse(F) else np.ascontiguousarray(F)
+                       for F in factors]
+        return left + [last if sp.issparse(last) else np.asfortranarray(last)]
+    memo = {}
+    return KronBlocks([[None if terms is None else memo.setdefault(
+        id(terms), [(coeff, laid_out(factors)) for coeff, factors in terms])
+        for terms in row] for row in op.rows])
 
 
 def mass_basis(setup: SystemSetup) -> MassBasis:
     """The :class:`MassBasis` of ``setup``: one eigendecomposition per
-    distinct 1-D factor space of the space and the range space, and the
-    dense 1-D factors of W from D's blocks."""
+    distinct 1-D factor space of the space and the range space, the
+    dense 1-D factors of W from D's blocks, and W^T as W's transpose."""
     factors = {}
     for space in (setup.space, setup.range_space):
         for f in {f for comp in space.components for f in comp} - factors.keys():
@@ -370,7 +372,7 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
     def per_component(pick) -> KronBlocks:
         shared = {}     # identical components share one term list
         return KronBlocks.block_diagonal([
-            shared.setdefault(comp, _laid_out([(1.0, [pick(f) for f in comp])]))
+            shared.setdefault(comp, [(1.0, [pick(f) for f in comp])])
             for comp in setup.space.components])
 
     def in_basis(terms, src, dst) -> list | None:
@@ -383,14 +385,12 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
                 for coeff, Fs in terms]
 
     D = differential_blocks(setup.space, setup.range_space)
-    blocks = [[in_basis(terms, src, dst)
-               for terms, src in zip(row, setup.space.components)]
-              for row, dst in zip(D.rows, setup.range_space.components)]
-    return MassBasis(factors, per_component(lambda f: factors[f][0].T),
-                     per_component(lambda f: factors[f][0]),
-                     KronBlocks([[_laid_out(t) for t in row] for row in blocks]),
-                     KronBlocks([[_laid_out(t, transpose=True) for t in col]
-                                 for col in zip(*blocks)]))
+    W = KronBlocks([[in_basis(terms, src, dst)
+                     for terms, src in zip(row, setup.space.components)]
+                    for row, dst in zip(D.rows, setup.range_space.components)])
+    return MassBasis(factors, _laid_out(per_component(lambda f: factors[f][0].T)),
+                     _laid_out(per_component(lambda f: factors[f][0])),
+                     _laid_out(W), _laid_out(W.transpose()))
 
 
 # columns per product when dense kappa builds blocks: one block of n

@@ -297,9 +297,14 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         system.A    # CG's product below the rule: assembled here, not in the solve
     x, rep = pcg(system, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter)
+    glt = spec.precond == "asp-glt"
     row = {
         "problem": spec.problem, "dim": spec.dim, "p": p, "n": n, "tau": tau,
         "precond": spec.precond, "smoother": spec.smoother,
+        "curl_smoother": spec.curl_smoother if precond is not None
+        and (spec.problem, spec.dim) == ("div", 3) else None,
+        "nu1": spec.nu1 if glt else None, "nu2": spec.nu2(p) if glt else None,
+        "nu_asp": spec.nu_asp if glt else None,
         "iters": rep.iterations, "converged": rep.converged,
         "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
     }
@@ -355,9 +360,14 @@ def emit(rows: list[dict], fmt: str = "csv") -> str:
         lines += [",".join(_row_cells(r)) for r in rows]
         return "\n".join(lines) + "\n"
     if fmt == "json":
+        # JSON rows also name the options that tell specs apart: the curl
+        # smoother of a 3-D div preconditioner and the composite cycle's
+        # counts (None where they do not apply)
+        at = COLUMNS.index("iters")
+        keys = COLUMNS[:at] + ["curl_smoother", "nu1", "nu2", "nu_asp"] + COLUMNS[at:]
         out = []
         for r in rows:
-            rec = {c: r.get(c) for c in COLUMNS}
+            rec = {c: r.get(c) for c in keys}
             if not rec["converged"]:
                 rec["iters"] = None
             out.append(rec)

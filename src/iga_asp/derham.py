@@ -27,8 +27,12 @@ coordinate index fastest, so a component's coefficients reshape to an
 array of shape ``(n_1, ..., n_d)`` and a Kronecker product
 ``F_1 (x) ... (x) F_d`` acts on it one axis at a time.  Every matrix of
 the diagram is a :class:`KronBlocks`, a block matrix of sums of such
-products: ``tocsr`` assembles it, ``apply`` applies it without assembly
-by :func:`kron_apply`.
+products: ``tocsr`` assembles it, ``transpose`` transposes it factored,
+and ``apply`` applies it without assembly through its :class:`KronPlan`,
+compiled once per operator: per run of identical blocks and per term the
+list of (batched) matmuls with their view shapes, which one walk takes
+for (N,) and (N, k) inputs alike.  :func:`kron_apply` compiles and runs
+the steps of one product.
 
 With uniform open knots every factor basis is mirror-symmetric,
 b_i(1 - x) = b_{m-1-i}(x) with m its dimension (essential bc drops one
@@ -69,7 +73,9 @@ __all__ = [
     "potential_and_range",
     "space_descriptor",
     "KronBlocks",
+    "KronPlan",
     "kron_apply",
+    "transfer_blocks",
 ]
 
 _FACTOR_TABLE = {
@@ -218,9 +224,8 @@ def _factor_block(src_factor: Space1D, dst_factor: Space1D, b_to_d) -> sp.csr_ma
 class _Run:
     """``count`` blocks of a :class:`KronBlocks` from block (row, col)
     down the diagonal that are one term list, with their row and column
-    slices ``out`` and ``inp``, one block's input ``shape`` and the terms
-    with ``dense`` factors; ``first`` when it opens its block rows.
-    Called on a batch, it applies the dense terms."""
+    slices ``out`` and ``inp`` and one block's input ``shape``; ``first``
+    when it opens its block rows."""
 
     row: int
     col: int
@@ -230,16 +235,59 @@ class _Run:
     out: slice | None = None
     inp: slice | None = None
     shape: tuple[int, ...] = ()
-    dense: list | None = None
 
-    def __call__(self, X: np.ndarray) -> np.ndarray:
-        out = None
-        for coeff, factors in self.dense:
-            Y = kron_apply(factors, X)
-            if coeff != 1.0:
-                Y *= coeff
-            out = Y if out is None else np.add(out, Y, out=out)
-        return out
+
+class KronPlan:
+    """A compiled block-Kronecker product: the matrix ``shape`` and per
+    run ``(inp, out, first, terms)``, its column and row slices, whether
+    it opens its block rows, and per term ``(coeff, steps)`` with the
+    steps of :func:`_compile`.  Called on x of shape (N,) or (N, k), it
+    walks the runs once; this is the one walk of every Kronecker product
+    here.  A run's k columns (and its ``count`` blocks) are one batch
+    that each term's steps take in turn, the terms are scaled by coeff
+    != 1 and summed in order, and the sum is written into the run's
+    output rows, or added to them after the run that opened them.  An x
+    whose N is not the matrix's column count raises ``ValueError``."""
+
+    def __init__(self, shape: tuple[int, int], runs: list) -> None:
+        self.shape, self.runs = shape, runs
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if x.shape[0] != self.shape[1]:
+            raise ValueError(f"x has {x.shape[0]} rows; the matrix has "
+                             f"{self.shape[1]} columns")
+        cols = x.reshape(x.shape[0], -1).T    # one row per column of x
+        k = cols.shape[0]
+        out = np.empty((k, self.shape[0]))
+        for inp, rows, first, terms in self.runs:
+            total = None
+            for coeff, steps in terms:
+                Y = cols[:, inp]
+                for func, M, shape, left in steps:
+                    Y = func(M, Y.reshape(shape)) if left else func(Y.reshape(shape), M)
+                Y = Y.reshape(k, -1)
+                if coeff != 1.0:
+                    Y *= coeff
+                total = Y if total is None else np.add(total, Y, out=total)
+            if first:
+                out[:, rows] = total
+            else:
+                out[:, rows] += total
+        return out[0] if x.ndim == 1 else out.T
+
+    def compose(self, scales: list, after: KronPlan) -> KronPlan:
+        """The plan of ``after`` diag(s) ``self``, for two plans of one
+        term per run on the same runs (a block-diagonal operator and its
+        transpose): per run the steps of this plan's term, the product
+        with ``scales[i]``, an array of one block's outputs that every
+        block of run i shares, then the steps of ``after``'s term."""
+        return KronPlan((after.shape[0], self.shape[1]), [
+            (inp, rows, first,
+             [(1.0, steps + [(np.multiply, s.ravel(), (-1, s.size), False)]
+               + then)])
+            for (inp, rows, first, [(_, steps)]), (*_, [(_, then)]), s
+            in zip(self.runs, after.runs, scales)])
 
 
 class KronBlocks:
@@ -249,7 +297,8 @@ class KronBlocks:
     order, with factors of any shape.  Every block row and column needs a
     non-``None`` entry, from which the zero blocks take their shapes.
     Blocks that are the same term list object are identical, which
-    :meth:`apply` batches; :meth:`tocsr` assembles the matrix."""
+    :meth:`apply` batches; :meth:`tocsr` assembles the matrix and
+    :meth:`transpose` gives the transpose, factored."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
@@ -281,7 +330,7 @@ class KronBlocks:
                 return None
             mats = []
             for coeff, factors in terms:
-                out = factors[0]
+                out = sp.coo_matrix(factors[0])     # a dense factor too
                 for f in factors[1:]:
                     out = sp.kron(out, f, format="coo")
                 mats.append(coeff * out)
@@ -320,12 +369,10 @@ class KronBlocks:
 
     @cached_property
     def runs(self) -> list[_Run]:
-        """The walk of :meth:`apply`: the blocks row by row, each run of
+        """The runs of :meth:`apply`: the blocks row by row, each run of
         consecutive diagonal blocks that are alone in their block rows and
         one term list as one :class:`_Run` (a run that opens its rows and
-        is the last of the rows before is alone in them).  Its ``dense``
-        factors are dense copies of the sparse ones, ``None`` for a sparse
-        identity (:func:`kron_apply` skips that axis)."""
+        is the last of the rows before is alone in them)."""
         row_at, col_at = self._offsets
         runs: list[_Run] = []
         for i, row in enumerate(self.rows):
@@ -342,34 +389,41 @@ class KronBlocks:
             run.out = slice(row_at[run.row], row_at[run.row + run.count])
             run.inp = slice(col_at[run.col], col_at[run.col + run.count])
             run.shape = tuple(F.shape[1] for F in run.terms[0][1])
-            run.dense = [(coeff, [None if _is_identity(F) else
-                                  F.toarray() if sp.issparse(F) else F
-                                  for F in factors])
-                         for coeff, factors in run.terms]
         return runs
 
-    def apply(self, x: np.ndarray, steps=None) -> np.ndarray:
-        """The matrix times x of shape (N,) or (N, k), without assembly:
-        one walk over :attr:`runs`, in which each run applies its terms by
-        :func:`kron_apply` of the dense 1-D factors (sum factorization),
-        or ``steps[i]`` in place of run i.  The k columns and the
-        ``count`` blocks of a run reach it as one (k * count, n_1, ...,
-        n_d) batch.  An x whose N is not the matrix's column count raises
-        ``ValueError``."""
-        x = np.asarray(x, dtype=float)
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(f"x has {x.shape[0]} rows; the matrix has "
-                             f"{self.shape[1]} columns")
-        cols = x.T.reshape(-1, x.shape[0])    # one row per column of x
-        k = cols.shape[0]
-        out = np.empty((k, self.shape[0]))
-        for run, step in zip(self.runs, steps or self.runs):
-            Y = step(cols[:, run.inp].reshape(k * run.count, *run.shape)).reshape(k, -1)
-            if run.first:
-                out[:, run.out] = Y
-            else:
-                out[:, run.out] += Y
-        return out.T.reshape(out.shape[1], *x.shape[1:])
+    @cached_property
+    def plan(self) -> KronPlan:
+        """:attr:`runs` compiled once: each term's steps (:func:`_compile`)
+        on dense copies of its factors, ``None`` for a sparse identity
+        (its axis is skipped), ``toarray()`` of any other sparse factor
+        and a dense factor as it is given.  The layout of a dense factor
+        is its builder's: it fixes the BLAS calls of the steps, and with
+        them the round-off."""
+        return KronPlan(self.shape, [
+            (run.inp, run.out, run.first,
+             [(coeff, _compile([_dense(F) for F in factors], run.shape)[0])
+              for coeff, factors in run.terms])
+            for run in self.runs])
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """The matrix times x of shape (N,) or (N, k), without assembly,
+        by sum factorization: :attr:`plan` called on x.  An x whose N is
+        not the matrix's column count raises ``ValueError``."""
+        return self.plan(x)
+
+    def transpose(self) -> KronBlocks:
+        """The transpose, factored: block (i, j) moved to (j, i) with
+        every factor transposed (a dense one as a view).  Blocks that
+        share one term list here share one there."""
+        transposed = {}
+
+        def terms_T(terms):
+            if terms is not None and id(terms) not in transposed:
+                transposed[id(terms)] = [(coeff, [F.T for F in factors])
+                                         for coeff, factors in terms]
+            return None if terms is None else transposed[id(terms)]
+        return KronBlocks([[terms_T(terms) for terms in col]
+                           for col in zip(*self.rows)])
 
 
 def _outer(vectors) -> np.ndarray:
@@ -381,34 +435,56 @@ def kron_apply(factors, X: np.ndarray) -> np.ndarray:
     """``F_1 (x) ... (x) F_d`` applied to each of the ``count`` rows of
     ``X``, a ``(count, n_1 * ... * n_d)`` or ``(count, n_1, ..., n_d)``
     array with ``F_k`` of shape ``(m_k, n_k)``; returns shape ``(count,
-    m_1, ..., m_d)``.  ``F_1 .. F_{d-1}`` multiply their axes from the
-    left and ``F_d`` the last axis from the right (as ``F_d.T``); every
-    step is one (batched) matmul on a reshaped view.  A factor ``None``
-    is the identity of its axis, which is skipped; ``X`` then has the
-    shape ``(count, n_1, ..., n_d)``.  The result never shares memory
-    with ``X``."""
-    count, Y = X.shape[0], X
+    m_1, ..., m_d)``: the steps of :func:`_compile`, run by a one-block
+    :class:`KronPlan`.  A factor ``None`` is the identity of its axis,
+    which is skipped; ``X`` then has the shape ``(count, n_1, ..., n_d)``.
+    The result never shares memory with ``X``."""
     if X.ndim == len(factors) + 1:
         sizes = X.shape[1:]
     else:
         sizes = [F.shape[1] for F in factors]
+    steps, out = _compile(factors, sizes)
+    everything = slice(None)
+    plan = KronPlan((math.prod(out), math.prod(sizes)),
+                    [(everything, everything, True, [(1.0, steps)])])
+    return plan(X.reshape(X.shape[0], -1).T).T.reshape(X.shape[0], *out)
+
+
+def _compile(factors, sizes) -> tuple[list, list[int]]:
+    """The steps of ``F_1 (x) ... (x) F_d`` on a batch of arrays of shape
+    ``sizes`` = (n_1, ..., n_d), and the output sizes (m_1, ..., m_d).
+    A step ``(func, M, shape, left)`` reshapes the batch to ``shape``, whose
+    lead axis -1 takes the batch, and gives ``func(M, Y)`` (``left``) or
+    ``func(Y, M)``: ``F_1 .. F_{d-1}`` multiply their axes from the left,
+    with the axes after theirs as one, and ``F_d`` the last axis from the
+    right, as ``F_d.T`` (one, batched, matmul per factor).  A ``None``
+    factor is the identity of its axis and gives no step; with every
+    factor ``None`` the one step is a product with 1.0, a copy, so that
+    :class:`KronPlan` never scales or sums into its input."""
+    steps, out = [], []
     last = len(factors) - 1
-    out, lead = [], count
     for k, (F, n) in enumerate(zip(factors, sizes)):
         if F is None:
             out.append(n)
+            continue
+        if k < last:
+            steps.append((np.matmul, F, (-1, n, math.prod(sizes[k + 1:])), True))
         else:
-            Y = F @ Y.reshape(lead, n, -1) if k < last else Y.reshape(-1, n) @ F.T
-            out.append(F.shape[0])
-        lead *= out[-1]
-    return (Y.copy() if Y is X else Y).reshape(count, *out)
+            steps.append((np.matmul, F.T, (-1, n), False))
+        out.append(F.shape[0])
+    return steps or [(np.multiply, 1.0, (-1,), False)], out
 
 
-def _is_identity(F) -> bool:
-    """Whether F is a sparse identity matrix (the factor of a block
-    between factor spaces of one kind), which :func:`kron_apply` skips."""
-    return (sp.issparse(F) and F.shape[0] == F.shape[1] and F.nnz == F.shape[0]
-            and bool(np.all(F.diagonal() == 1.0)))
+def _dense(F):
+    """The factor F as :func:`_compile` takes it: ``None`` for a sparse
+    identity (the factor of a block between factor spaces of one kind),
+    ``toarray()`` of another sparse matrix, F itself when dense."""
+    if not sp.issparse(F):
+        return F
+    if (F.shape[0] == F.shape[1] and F.nnz == F.shape[0]
+            and bool(np.all(F.diagonal() == 1.0))):
+        return None
+    return F.toarray()
 
 
 # The sign of each block of the differentials between neighbouring
@@ -464,13 +540,18 @@ def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
     return differential_blocks(src, dst).tocsr()
 
 
-def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix:
-    """The assembled transfer from the auxiliary vector space onto a curl
-    or div space: diagonal signs, and ``b_to_d`` the histopolation."""
+def transfer_blocks(aux: TensorSpace, dst: TensorSpace, b_to_d) -> KronBlocks:
+    """The transfer from the auxiliary vector space onto a curl or div
+    space: diagonal signs, and ``b_to_d`` the histopolation."""
     if aux.kind.kind != "vector" or dst.kind.kind not in ("curl", "div"):
         raise ValueError("transfers map the auxiliary space into curl or div")
     signs = np.where(np.eye(dst.n_components), 1.0, None).tolist()
-    return _blocks(aux, dst, signs, b_to_d).tocsr()
+    return _blocks(aux, dst, signs, b_to_d)
+
+
+def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix:
+    """The transfer of :func:`transfer_blocks`, assembled."""
+    return transfer_blocks(aux, dst, b_to_d).tocsr()
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:

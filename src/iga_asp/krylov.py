@@ -150,25 +150,29 @@ def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
     recurrences and their order of operations are those of scipy's
     ``minres``.  It stops early only on a Lanczos breakdown, beta_{k+1}
     <= 10 eps beta_1, where that space is invariant and x solves the
-    system (scipy's ``istop = -1``); it makes no residual test."""
+    system (scipy's ``istop = -1``); it makes no residual test.  The
+    vector updates run in place, on buffers allocated once, so
+    ``matvec`` must return a new array on every call."""
     b = np.asarray(b, dtype=float)
     x = np.zeros_like(b)
     beta1 = math.sqrt(b @ b)
     if beta1 == 0.0:
         return x
     eps = np.finfo(float).eps
-    # r1, r2: the last two Lanczos vectors times their norms oldb, beta
+    # r1, r2: the last two Lanczos vectors times their norms oldb, beta;
+    # v, the w's and tmp are updated in place (y is matvec's new array)
     r1 = r2 = y = b
     oldb, beta = 0.0, beta1
     cs, sn, dbar, epsln, phibar = -1.0, 0.0, 0.0, 0.0, beta1
-    w = w2 = np.zeros_like(b)
+    v, tmp = np.empty_like(b), np.empty_like(b)
+    w, w1, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
     for k in range(steps):
-        v = (1.0 / beta) * y
+        np.multiply(1.0 / beta, y, out=v)
         y = matvec(v)
         if k:
-            y = y - (beta / oldb) * r1
+            y -= np.multiply(beta / oldb, r1, out=tmp)
         alpha = float(v @ y)
-        y = y - (alpha / beta) * r2
+        y -= np.multiply(alpha / beta, r2, out=tmp)
         r1, r2 = r2, y
         oldb, beta = beta, math.sqrt(y @ y)
         # the last rotation on the new column of the tridiagonal matrix,
@@ -180,10 +184,13 @@ def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
         gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        # the next search direction, and x along it
-        w1, w2 = w2, w
-        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
-        x += phi * w
+        # the next search direction, in the buffer of the oldest, and x
+        # along it
+        w1, w2, w = w2, w, w1
+        np.subtract(v, np.multiply(oldeps, w1, out=tmp), out=w)
+        w -= np.multiply(delta, w2, out=tmp)
+        w *= 1.0 / gamma
+        x += np.multiply(phi, w, out=tmp)
         if beta <= 10.0 * eps * beta1:
             break
     return x

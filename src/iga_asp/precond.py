@@ -44,12 +44,13 @@ Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
 on the first dense kappa the Gram factors of the space's sectors)
 for one mesh, and :class:`AspPreconditioner` adds the two per-tau
-pieces.
+pieces.  P and P^T are applied by sum factorization past the system's
+product rule (:func:`iga_asp.assembly.factored_product_wins`) and by
+their CSR below it; P_curl and T stay CSR, where the factored product
+measured no faster.
 """
 
 from __future__ import annotations
-
-from functools import partial
 
 import numpy as np
 import scipy.linalg as sla
@@ -68,7 +69,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import KronBlocks, kron_apply
+from .derham import KronBlocks, KronPlan
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -148,38 +149,35 @@ def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
 
 class InnerSolver:
     """Exact inverse of the :class:`KronSum` ``op``, which has stiffness
-    factors (H, H + tau M or L), by fast diagonalization.  With U = (x)U_k the 1-D eigenbases (U^T M U = I)
-    and Lambda the sums of the 1-D eigenvalues plus the mass
-    coefficient, (op + shift (x)M)^{-1} = U diag(1/(Lambda + shift)) U^T.
-    The 1-D eigenpairs are computed once, here, per run of identical
-    components of ``op`` (:attr:`iga_asp.derham.KronBlocks.runs`), and U^T
-    is kept as the :class:`iga_asp.derham.KronBlocks` ``U_T`` with the
-    same runs; :meth:`forward` applies it, :meth:`eigenvalues` gives
-    Lambda + shift, and :meth:`make` builds the solve for one shift."""
+    factors (H, H + tau M or L), by fast diagonalization.  With U = (x)U_k
+    the 1-D eigenbases (U^T M U = I) and Lambda the sums of the 1-D
+    eigenvalues plus the mass coefficient, (op + shift (x)M)^{-1} = U
+    diag(1/(Lambda + shift)) U^T.  The 1-D eigenpairs are computed once,
+    here, per run of identical components of ``op``
+    (:attr:`iga_asp.derham.KronBlocks.runs`); U^T is kept as the
+    :class:`iga_asp.derham.KronBlocks` ``U_T`` with the same runs and U as
+    its transpose ``U``, both with the eigenvectors as ``eigh`` returns
+    them.  :meth:`forward` applies U^T, :meth:`eigenvalues` gives Lambda +
+    shift, and :meth:`make` builds the solve for one shift."""
 
     def __init__(self, op: KronSum) -> None:
         self.op = op
-        self._inverse = []      # per run: 1-D eigenvalues, forward, backward
+        self._eigenvalues = []      # per run: the 1-D eigenvalues
         blocks = []
         if not op.stiffnesses:
             raise ValueError("fast diagonalization needs the stiffness factors")
         for run in op.runs:
             pairs = [_m_orthonormal_eigenpairs(K, M) for K, M
                      in zip(op.stiffnesses[run.row], op.masses[run.row])]
-            # forward applies (x) U_k^T, backward (x) U_k; kron_apply
-            # multiplies by the last factor's transpose, which the Fortran
-            # copy turns into a C-ordered operand
-            Us = [U for _, U in pairs]
-            forward = [np.ascontiguousarray(U.T) for U in Us[:-1]] + [Us[-1].T]
-            blocks += [[(1.0, forward)]] * run.count
-            self._inverse.append(([w for w, _ in pairs], forward,
-                                  Us[:-1] + [np.asfortranarray(Us[-1])]))
+            self._eigenvalues.append([w for w, _ in pairs])
+            blocks += [[(1.0, [U.T for _, U in pairs])]] * run.count
         self.U_T = KronBlocks.block_diagonal(blocks)
+        self.U = self.U_T.transpose()
 
     def _sums(self, shift: float) -> list[np.ndarray]:
         """Per run Lambda + shift, shaped as one component."""
         sums = [sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
-                for eigenvalues, _, _ in self._inverse]
+                for eigenvalues in self._eigenvalues]
         if any(np.any(lam <= 0.0) for lam in sums):
             raise ArithmeticError("Kronecker-sum operator is not SPD")
         return sums
@@ -194,17 +192,16 @@ class InnerSolver:
         """The eigen-coefficients U^T b of b of shape (N,) or (N, k)."""
         return self.U_T.apply(b)
 
-    def make(self, shift: float = 0.0):
-        """Solve with ``op + shift * (x)M``: the walk of ``U_T.apply`` with
-        one forward-scale-backward step per run.  The shift adds to the mass
+    def make(self, shift: float = 0.0) -> KronPlan:
+        """Solve with ``op + shift * (x)M``: the plan of U_T composed with
+        U's (:meth:`iga_asp.derham.KronPlan.compose`), which per run takes
+        the forward steps, the scaling by 1/(Lambda + shift) and the
+        backward steps in one walk.  The shift adds to the mass
         coefficient, so H + tau M is never formed; identical components,
         and the k columns of an (N, k) right-hand side, are solved as one
         batch."""
-        steps = [
-            lambda X, forward=forward, backward=backward, inv=1.0 / lam:
-                kron_apply(backward, kron_apply(forward, X) * inv)
-            for (_, forward, backward), lam in zip(self._inverse, self._sums(shift))]
-        return partial(self.U_T.apply, steps=steps)
+        return self.U_T.plan.compose([1.0 / lam for lam in self._sums(shift)],
+                                     self.U.plan)
 
 
 def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:
@@ -257,6 +254,10 @@ class AspSetup:
     ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
     ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
     Q_curl (3-D div only); ``solve_potential`` applies B_T from them.
+    ``apply_P`` and ``apply_P_T`` apply P and P^T: factored (the transfer
+    set's ``P_op`` and ``P_op_T``) where the system setup's
+    ``factored_product_wins``, else by the CSR P and its stored
+    transpose, which are then built here and not in the first apply.
     """
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
@@ -266,6 +267,11 @@ class AspSetup:
             raise ValueError("the preconditioner requires essential bc")
         self.system_setup = setup
         self.transfers: TransferSet = build_transfer_set(setup)
+        ts = self.transfers
+        if setup.factored_product_wins:
+            self.apply_P, self.apply_P_T = ts.P_op.apply, ts.P_op_T.apply
+        else:
+            self.apply_P, self.apply_P_T = ts.P_main.dot, ts.P_main_T.dot
         self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
         self.potential: InnerSolver | None = None
         self.curl_smoother: Smoother | None = None
@@ -353,9 +359,10 @@ class AspPreconditioner:
     def correction(self, r: np.ndarray) -> np.ndarray:
         """K r = (B - S^{-1}) r: the auxiliary-space terms alone."""
         r = np.asarray(r, dtype=float)
-        ts = self.setup.transfers
-        out = ts.P_main @ self._solve_main(ts.P_main_T @ r)
-        return out + (ts.potential @ self.setup.solve_potential(
+        setup = self.setup
+        ts = setup.transfers
+        out = setup.apply_P(self._solve_main(setup.apply_P_T(r)))
+        return out + (ts.potential @ setup.solve_potential(
             ts.potential_T @ r)) / self.tau
 
     def sector_blocks(self) -> list[np.ndarray] | None:

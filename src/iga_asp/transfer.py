@@ -9,21 +9,25 @@ own space) and bc-restricted 1-D histopolations Q per block:
     P_div  = diag(I x Q2 x Q3, Q1 x I x Q3, Q1 x Q2 x I)   (3-D)
     P_div  = diag(I x Q2,      Q1 x I)                     (2-D)
 
-:func:`iga_asp.derham.transfer_matrix` builds them by the differentials'
-per-factor rule with Q in place of the difference matrix.
+:func:`iga_asp.derham.transfer_blocks` builds them by the differentials'
+per-factor rule with Q in place of the difference matrix.  A
+:class:`TransferSet` keeps the transfer onto the problem's space
+factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
+and assembles its CSR only when read; the transfer onto the potential
+space (3-D div) and the potential map stay CSR.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache
+from functools import cache, cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
 from .assembly import SystemSetup
-from .derham import (TensorSpace, differential_matrix, potential_and_range,
-                     transfer_matrix)
+from .derham import (KronBlocks, TensorSpace, differential_matrix,
+                     potential_and_range, transfer_blocks, transfer_matrix)
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .splines1d import (
     Space1D,
@@ -46,20 +50,34 @@ __all__ = [
 @dataclass(frozen=True)
 class TransferSet:
     """All matrices one ASP formula needs besides the smoother, and the
-    transposes its apply reads: the CSC views ``.T`` returns, which
-    share the arrays of the CSR matrices, stored once."""
+    transposes its apply reads.  The transfer onto the problem's space is
+    kept factored, as ``P_op`` and its transpose ``P_op_T``; ``P_main``
+    is its CSR and ``P_main_T`` the CSC view ``.T`` returns, both built
+    on first read.  The potential map and ``P_curl`` are CSR, with their
+    transposes stored once as the CSC views that share their arrays."""
 
-    P_main: sp.csr_matrix = field(repr=False)
+    P_op: KronBlocks = field(repr=False)
     potential: sp.csr_matrix = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
-    P_main_T: sp.csc_matrix = field(init=False, repr=False)
     potential_T: sp.csc_matrix = field(init=False, repr=False)
     P_curl_T: sp.csc_matrix | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        for name in ("P_main", "potential", "P_curl"):
+        for name in ("potential", "P_curl"):
             M = getattr(self, name)
             object.__setattr__(self, f"{name}_T", None if M is None else M.T)
+
+    @cached_property
+    def P_op_T(self) -> KronBlocks:
+        return self.P_op.transpose()
+
+    @cached_property
+    def P_main(self) -> sp.csr_matrix:
+        return self.P_op.tocsr()
+
+    @cached_property
+    def P_main_T(self) -> sp.csc_matrix:
+        return self.P_main.T
 
 
 def _histopolation():
@@ -109,16 +127,17 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
     """The transfer-matrix set of the problem of ``setup`` (tau does not
-    enter): the transfers onto its space and, unless that is the scalar
-    grad space, onto its potential space, sharing one histopolation per
-    knot vector, and the differential from the potential space."""
+    enter): the transfers onto its space (factored) and, unless that is
+    the scalar grad space, onto its potential space, sharing one
+    histopolation per knot vector, and the differential from the
+    potential space."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces = setup.disc.spaces
     potential, _ = potential_and_range(setup.operator, setup.dim)
     xh, Q = spaces["vector"], _histopolation()
     return TransferSet(
-        P_main=transfer_matrix(xh, setup.space, Q),
+        P_op=transfer_blocks(xh, setup.space, Q),
         potential=differential_matrix(spaces[potential], setup.space),
         P_curl=None if potential == "grad" else
         transfer_matrix(xh, spaces[potential], Q))

@@ -260,16 +260,15 @@ class TestFactoredApply:
                 assert relative_error(system.apply_A(x), system.A @ x) <= 1e-13
 
     def test_dense_factors_built_once_per_mesh(self):
-        # the system of every tau applies the setup's masses, whose
-        # dense factors the first product builds
+        # the system of every tau applies the setup's masses, whose plans
+        # (and the dense factors in them) the first product compiles
         setup = system_setup("curl", 3, 2, 3)
         x = np.ones(setup.M_D.shape[0])
         system_matrix(setup, 1.0).apply_A(x)
         ops = setup.M_D_op, setup.M_range_op
-        dense = [run.dense for op in ops for run in op.runs]
+        plans = [op.plan for op in ops]
         system_matrix(setup, 1e-4).apply_A(x)
-        assert all(a is b for a, b in zip(
-            [run.dense for op in ops for run in op.runs], dense))
+        assert all(op.plan is plan for op, plan in zip(ops, plans))
 
 
 class TestMassBasis:
@@ -312,14 +311,15 @@ class TestMassBasis:
 
     def test_one_single_axis_factor_per_block(self):
         # every block of W differentiates in one direction: its other
-        # factors are identities, which the dense walk skips
+        # factors are identities, which the plan skips, so each block is
+        # one matmul
         for operator, dim, blocks in (("curl", 2, 2), ("div", 2, 2),
                                       ("curl", 3, 6), ("div", 3, 3)):
             basis = system_setup(operator, dim, 2, 3).mass_basis
             for op in (basis.W, basis.W_T):
-                factors = [Fs for run in op.runs for _, Fs in run.dense]
-                assert len(factors) == blocks
-                assert all(sum(F is not None for F in Fs) == 1 for Fs in factors)
+                steps = [steps for *_, terms in op.plan.runs for _, steps in terms]
+                assert len(steps) == blocks
+                assert all(len(block) == 1 for block in steps)
 
     def test_built_once_per_mesh(self):
         setup = system_setup("div", 3, 2, 3)

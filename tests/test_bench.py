@@ -554,6 +554,24 @@ class TestEmit:
         assert int(parsed[0]["iters"]) == rows[0]["iters"]
         assert parsed[0]["converged"] == "true"
 
+    def test_json_rows_name_their_options(self):
+        # the curl smoother on 3-D div rows with a preconditioner and the
+        # cycle counts on composite-cycle rows, None elsewhere; the CSV
+        # keeps its columns
+        rows = [*run_experiment(ExperimentSpec(
+                    "div", 3, (1,), (2,), (1.0,), precond="asp-glt", nu1=2,
+                    nu2_rule="pcube", nu_asp=1, curl_smoother="sgs")),
+                *run_experiment(ExperimentSpec("div", 3, (1,), (2,), (1.0,))),
+                *run_experiment(ExperimentSpec("curl", 2, (2,), (4,), (1.0,),
+                                               precond="asp"))]
+        options = [{k: r[k] for k in ("curl_smoother", "nu1", "nu2", "nu_asp")}
+                   for r in json.loads(emit(rows, "json"))]
+        assert options == [
+            {"curl_smoother": "sgs", "nu1": 2, "nu2": 1, "nu_asp": 1},
+            dict.fromkeys(("curl_smoother", "nu1", "nu2", "nu_asp")),
+            dict.fromkeys(("curl_smoother", "nu1", "nu2", "nu_asp"))]
+        assert emit(rows, "csv").splitlines()[0] == ",".join(COLUMNS)
+
     def test_json_round_trip(self, rows):
         data = json.loads(emit(rows, "json"))
         assert data[0]["iters"] == rows[0]["iters"]

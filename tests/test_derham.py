@@ -8,7 +8,8 @@ import scipy.sparse as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from iga_asp.assembly import discretize, h1_vector_matrix
+from iga_asp.assembly import (discretize, h1_vector_matrix,
+                              scalar_laplacian_matrix, system_setup)
 from iga_asp.derham import (
     SpaceKind,
     build_space,
@@ -116,11 +117,13 @@ class TestKronBlocks:
                                    rtol=1e-13, atol=1e-13)
 
 
-def random_kron_blocks(rng, n_rows, n_cols, n_factors):
+def random_kron_blocks(rng, n_rows, n_cols, n_factors, mixed=False):
     """A random KronBlocks of small sparse non-square factors: ``None``,
     multi-term and off-diagonal blocks, and diagonal blocks that are the
     term list of the block before them (runs of identical blocks), most
-    of them alone in their block rows."""
+    of them alone in their block rows.  ``mixed`` makes some square
+    factors sparse identities (which the plan skips) and some factors
+    dense, C- or Fortran-ordered."""
     row_dims = rng.integers(1, 4, size=(n_rows, n_factors))
     col_dims = rng.integers(1, 4, size=(n_cols, n_factors))
     present = rng.random((n_rows, n_cols)) < 0.4
@@ -137,12 +140,22 @@ def random_kron_blocks(rng, n_rows, n_cols, n_factors):
     for i in np.flatnonzero(~present.any(axis=1)):
         present[i, i % n_cols] = True
 
+    def factor(r, c):
+        F = rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.6)
+        if not mixed:
+            return sp.csr_matrix(F)
+        kind = rng.integers(3)
+        if kind == 0 and r == c:
+            return sp.identity(r, format="csr")
+        if kind == 1:
+            return np.asfortranarray(F) if rng.random() < 0.5 else F
+        return sp.csr_matrix(F)
+
     def terms(i, j):
         out = []
         for _ in range(rng.integers(1, 4)):
             coeff = 1.0 if rng.random() < 0.3 else rng.standard_normal()
-            out.append((coeff, [sp.csr_matrix(rng.standard_normal((r, c))
-                                              * (rng.random((r, c)) < 0.6))
+            out.append((coeff, [factor(r, c)
                                 for r, c in zip(row_dims[i], col_dims[j])]))
         return out
 
@@ -151,6 +164,146 @@ def random_kron_blocks(rng, n_rows, n_cols, n_factors):
     for i in shared:
         rows[i][i] = rows[i - 1][i - 1]
     return KronBlocks(rows)
+
+
+def oracle_kron_apply(factors, X):
+    """The axis walk that the compiled plans replaced, kept as their
+    oracle: F_1 .. F_{d-1} multiply from the left, F_d from the right as
+    F_d.T, each on a view of the shape reached so far; a ``None`` factor
+    skips its axis."""
+    count, Y = X.shape[0], X
+    if X.ndim == len(factors) + 1:
+        sizes = X.shape[1:]
+    else:
+        sizes = [F.shape[1] for F in factors]
+    last = len(factors) - 1
+    out, lead = [], count
+    for k, (F, n) in enumerate(zip(factors, sizes)):
+        if F is None:
+            out.append(n)
+        else:
+            Y = F @ Y.reshape(lead, n, -1) if k < last else Y.reshape(-1, n) @ F.T
+            out.append(F.shape[0])
+        lead *= out[-1]
+    return (Y.copy() if Y is X else Y).reshape(count, *out)
+
+
+def oracle_apply(B, x, steps=None):
+    """B x by the walk that preceded the plans: per run of ``B.runs`` its
+    k columns and ``count`` blocks as one (k * count, n_1, ..., n_d)
+    batch, the terms by :func:`oracle_kron_apply` of their dense copies
+    (``None`` for a sparse identity), or ``steps[i]`` in place of run i."""
+    def dense(F):
+        if not sp.issparse(F):
+            return F
+        if (F.shape[0] == F.shape[1] and F.nnz == F.shape[0]
+                and np.all(F.diagonal() == 1.0)):
+            return None
+        return F.toarray()
+
+    cols = x.T.reshape(-1, x.shape[0])
+    k = cols.shape[0]
+    out = np.empty((k, B.shape[0]))
+    for i, run in enumerate(B.runs):
+        X = cols[:, run.inp].reshape(k * run.count, *run.shape)
+        if steps is not None:
+            Y = steps[i](X)
+        else:
+            Y = None
+            for coeff, factors in run.terms:
+                T = oracle_kron_apply([dense(F) for F in factors], X)
+                if coeff != 1.0:
+                    T *= coeff
+                Y = T if Y is None else np.add(Y, T, out=Y)
+        Y = Y.reshape(k, -1)
+        if run.first:
+            out[:, run.out] = Y
+        else:
+            out[:, run.out] += Y
+    return out.T.reshape(out.shape[1], *x.shape[1:])
+
+
+def oracle_solve(solver, shift, x):
+    """The solve of ``solver.make(shift)`` by the walk that preceded the
+    plans: per run forward, scale by 1/(Lambda + shift), backward, with
+    the eigenvectors laid out as that walk had them."""
+    steps = []
+    for run, lam in zip(solver.U_T.runs, solver._sums(shift)):
+        Us = [F.T for F in run.terms[0][1]]
+        forward = [np.ascontiguousarray(U.T) for U in Us[:-1]] + [Us[-1].T]
+        backward = Us[:-1] + [np.asfortranarray(Us[-1])]
+        steps.append(lambda X, f=forward, b=backward, inv=1.0 / lam:
+                     oracle_kron_apply(b, oracle_kron_apply(f, X) * inv))
+    return oracle_apply(solver.U_T, x, steps)
+
+
+class TestPlannedWalk:
+    """The compiled plans against the walk they replaced, bit for bit."""
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3),
+           st.sampled_from([None, 1, 3]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=120, deadline=None)
+    def test_apply_is_the_old_walk(self, n_rows, n_cols, n_factors, k, seed):
+        # None factors, non-square and dense factors of both layouts,
+        # several terms, coefficients != 1, off-diagonal blocks and runs
+        # of one shared term list
+        rng = np.random.default_rng(seed)
+        B = random_kron_blocks(rng, n_rows, n_cols, n_factors, mixed=True)
+        x = rng.standard_normal((B.shape[1],) if k is None else (B.shape[1], k))
+        y = B.apply(x)
+        assert y.shape == (B.shape[0],) + x.shape[1:]
+        assert np.array_equal(y, oracle_apply(B, x))
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_operators_of_the_diagram_are_the_old_walk(self, dim):
+        setup = system_setup("div", dim, 3, 4)
+        basis = setup.mass_basis
+        rng = np.random.default_rng(dim)
+        for op in (setup.M_D_op, setup.M_range_op, basis.W, basis.W_T,
+                   basis.forward, basis.backward,
+                   differential_blocks(setup.space, setup.range_space)):
+            for cols in ((), (1,), (4,)):
+                x = rng.standard_normal((op.shape[1], *cols))
+                assert np.array_equal(op.apply(x), oracle_apply(op, x))
+
+    @given(st.sampled_from([2, 3]), st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=5),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.sampled_from([None, 1, 3]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_solves_are_the_old_walk(self, dim, p, n, log_shift, k, seed):
+        disc = discretize(p, n, dim=dim, bc="essential")
+        rng = np.random.default_rng(seed)
+        for op in (h1_vector_matrix(disc), scalar_laplacian_matrix(disc)):
+            solver = InnerSolver(op)
+            x = rng.standard_normal((op.shape[1],) if k is None else (op.shape[1], k))
+            shift = 10.0 ** log_shift
+            assert np.array_equal(solver.make(shift)(x), oracle_solve(solver, shift, x))
+            assert np.array_equal(solver.forward(x), oracle_apply(solver.U_T, x))
+
+    @given(st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=5),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_transpose(self, n_rows, n_cols, n_factors, seed):
+        # the factored transpose assembles to the transposed assembly, and
+        # blocks that shared a term list still do (the same runs)
+        rng = np.random.default_rng(seed)
+        B = random_kron_blocks(rng, n_rows, n_cols, n_factors, mixed=True)
+        T = B.transpose()
+        assert T.shape == B.shape[::-1]
+        assert np.array_equal(T.tocsr().toarray(), B.tocsr().T.toarray())
+        assert all(T.rows[j][i] is T.rows[b][a]
+                   for i, row in enumerate(B.rows) for j, terms in enumerate(row)
+                   for a, other in enumerate(B.rows) for b, terms_ in enumerate(other)
+                   if terms is not None and terms is terms_)
+        x = rng.standard_normal((T.shape[1], 2))
+        assert np.array_equal(T.apply(x), oracle_apply(T, x))
 
 
 class TestKronBlocksOperator:
@@ -256,6 +409,7 @@ class TestKronApply:
         assert out.shape == (count, *shapes[:, 0])
         np.testing.assert_allclose(out.reshape(count, -1), X @ product.T,
                                    rtol=1e-13, atol=1e-13)
+        assert np.array_equal(out, oracle_kron_apply(factors, X))
 
     @given(st.integers(min_value=1, max_value=3),
            st.integers(min_value=1, max_value=3),
@@ -281,6 +435,7 @@ class TestKronApply:
         np.testing.assert_allclose(out.reshape(count, -1),
                                    X.reshape(count, -1) @ product.T,
                                    rtol=1e-13, atol=1e-13)
+        assert np.array_equal(out, oracle_kron_apply(factors, X))
 
 
 class TestDifferentialMatrices:

@@ -412,3 +412,24 @@ class TestFactoredSetup:
         for curl_smoother in ("diag", "sgs"):
             with pytest.raises(ArithmeticError, match="Q_curl"):
                 AspSetup(setup, curl_smoother)
+
+
+class TestFactoredCorrection:
+    """Past the rule the correction applies P and P^T factored; the CSR
+    correction is its oracle."""
+
+    @pytest.mark.parametrize("operator, dim, p, n", [
+        ("curl", 2, 3, 27), ("div", 2, 3, 27), ("curl", 3, 2, 8),
+        ("div", 3, 2, 8), ("div", 3, 3, 7)])
+    def test_matches_the_csr_correction(self, operator, dim, p, n):
+        system, B = build(operator, dim, p, n, 1e-2)
+        assert system.setup.factored_product_wins
+        ts = B.setup.transfers
+        rng = np.random.default_rng(p + n)
+        for shape in ((B.shape[0],), (B.shape[0], 3)):
+            r = rng.standard_normal(shape)
+            got = B.correction(r)
+            ref = (ts.P_main @ B._solve_main(ts.P_main_T @ r)
+                   + ts.potential @ B.setup.solve_potential(ts.potential_T @ r)
+                   / B.tau)
+            assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -1,10 +1,17 @@
-"""The README sweep's rows as a checked contract, and the rules of
-``scripts/rows_diff.py`` that check it.
+"""The README sweep's rows as a checked contract, the rows of cells past
+the product rule, and the rules of ``scripts/rows_diff.py`` that check
+them.
 
 ``tests/data/readme_sweep_n16.json`` holds the README sweep's n <= 16
 cells (54 cells, dense kappa) as written by ``SWEEP`` with
-``--out``.  A change that moves a row rewrites the file and says in
-CHANGES.md which rows moved and why.
+``--out``.  ``tests/data/past_rule_rows.json`` holds the rows of
+``PAST_RULE`` (every cell past ``assembly.factored_product_wins``, so
+that the ASP applies its transfer factored), rewritten by
+
+    PYTHONPATH=src python tests/test_rows.py
+
+A change that moves a row rewrites the file and says in CHANGES.md which
+rows moved and why.
 """
 
 import importlib.util
@@ -13,10 +20,22 @@ from pathlib import Path
 
 import pytest
 
+from iga_asp.assembly import factored_product_wins
+from iga_asp.bench import ExperimentSpec, emit, run_experiment
 from iga_asp.cli import main
+from iga_asp.derham import build_space
 
 ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "readme_sweep_n16.json"
+PAST_RULE_PINNED = ROOT / "tests" / "data" / "past_rule_rows.json"
+PAST_RULE = [
+    ExperimentSpec("curl", 2, (3,), (32,), (1e-4, 1.0, 1e4), precond="asp"),
+    ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp"),
+    ExperimentSpec("div", 3, (2,), (8,), (1e-4,), precond="asp"),
+    ExperimentSpec("div", 3, (2,), (8,), (1.0,), precond="asp-glt",
+                   curl_smoother="sgs", nu2_rule="pcube"),
+    ExperimentSpec("curl", 2, (6,), (64,), (1e-4,), precond="asp-glt"),
+]
 SWEEP = ["run", "--problem", "curl", "--dim", "2", "--p", "1..3",
          "--n", "8,16", "--tau", "1e-4..1e4", "--precond", "asp",
          "--smoother", "jacobi", "--report", "iters,cond,errors",
@@ -35,6 +54,29 @@ def test_readme_sweep_rows_match_the_pinned_table(tmp_path):
     assert len(pinned) == len(rows) == 54
     problems, _ = rows_diff.compare(pinned, rows)
     assert problems == []
+
+
+def past_rule_rows() -> list[dict]:
+    return json.loads(emit([r for spec in PAST_RULE for r in run_experiment(spec)],
+                           "json"))
+
+
+def test_rows_past_the_product_rule_match_the_pinned_table():
+    # iteration counts and convergence exactly; res_err only against tol,
+    # since the factored and the CSR products differ in round-off
+    for spec in PAST_RULE:
+        for p in spec.p_values:
+            for n in spec.n_values:
+                assert factored_product_wins(build_space(
+                    spec.problem, p, n, dim=spec.dim, bc="essential"))
+    pinned, rows = json.loads(PAST_RULE_PINNED.read_text()), past_rule_rows()
+    assert len(pinned) == len(rows) == 7
+    keyed = rows_diff._keyed(rows)
+    assert keyed.keys() == rows_diff._keyed(pinned).keys()
+    for key, want in rows_diff._keyed(pinned).items():
+        got = keyed[key]
+        assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
+        assert got["res_err"] <= 1e-6
 
 
 def row(**changes) -> dict:
@@ -86,6 +128,20 @@ class TestRowsDiff:
         assert rows_diff.compare(old, [row(iters=5), row(iters=7)])[0] == []
         assert len(rows_diff.compare(old, [row(iters=7), row(iters=5)])[0]) == 2
 
+    def test_option_keys_pair_rows_and_read_none_when_absent(self):
+        # two 3-D div rows that differ only in their curl smoother pair by
+        # it, whatever their order; a table written before the option keys
+        # existed reads them as None
+        div = dict(problem="div", dim=3, precond="asp-glt", nu1=1, nu2=8,
+                   nu_asp=3)
+        old = [row(**div, curl_smoother="diag", iters=18),
+               row(**div, curl_smoother="sgs", iters=4)]
+        assert rows_diff.compare(old, old[::-1])[0] == []
+        assert len(rows_diff.compare(old, [row(**div, curl_smoother="diag",
+                                                iters=18)])[0]) == 1
+        assert rows_diff.compare([row()], [row(curl_smoother=None, nu1=None,
+                                               nu2=None, nu_asp=None)])[0] == []
+
     def test_exit_codes(self, tmp_path, capsys):
         old, same, moved = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
         old.write_text(json.dumps([row()]))
@@ -95,3 +151,7 @@ class TestRowsDiff:
         assert rows_diff.main([str(old), str(moved)]) == 1
         assert "MISMATCH" in capsys.readouterr().out
         assert rows_diff.main([str(old)]) == 2
+
+
+if __name__ == "__main__":
+    PAST_RULE_PINNED.write_text(json.dumps(past_rule_rows(), indent=2) + "\n")

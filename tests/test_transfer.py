@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from iga_asp import derham
-from iga_asp.assembly import _range_kind, system_setup
+from iga_asp import derham, precond
+from iga_asp.assembly import _range_kind, system_matrix, system_setup
 from iga_asp.bench import quasi_interpolant_coefficients
 from iga_asp.derham import build_space, differential_matrix, gradient_matrix
+from iga_asp.krylov import pcg
 from iga_asp.splines1d import (
     Space1D,
     difference_matrix_1d,
@@ -264,3 +265,54 @@ class TestFunctionProjection1d:
         factor = Space1D(kv, kind="B", bc="zero")
         nodes, T = function_projection_1d(factor)
         assert T.shape == (kv.n - 2, len(nodes))
+
+
+class TestFactoredTransfer:
+    """The transfer onto the problem's space, factored, against its CSR
+    (the oracle), and its CSR built only when read past the rule."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("operator", ["curl", "div"])
+    def test_factored_matches_csr(self, operator, dim, p, n):
+        ts = build_transfer_set(system_setup(operator, dim, p, n))
+        rng = np.random.default_rng(n)
+        for op, csr in ((ts.P_op, ts.P_main), (ts.P_op_T, ts.P_main_T)):
+            assert op.shape == csr.shape
+            for shape in ((csr.shape[1],), (csr.shape[1], 3)):
+                x = rng.standard_normal(shape)
+                ref = csr @ x
+                y = op.apply(x)
+                assert y.shape == ref.shape
+                assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+
+    def test_csr_built_only_when_read_past_the_rule(self):
+        # past the rule: neither the transfer set, nor the ASP setup and
+        # its correction, nor a solve assembles P
+        setup = system_setup("curl", 3, 2, 8)
+        assert setup.factored_product_wins
+        asp = precond.AspSetup(setup)
+        ts = asp.transfers
+        system = system_matrix(setup, 1e-2)
+        B = precond.AspPreconditioner(asp, system)
+        _, report = pcg(system, np.ones(system.shape[0]), B, tol=1e-6)
+        assert report.converged
+        assert not {"P_main", "P_main_T"} & set(vars(ts))
+        assert ts.P_main is ts.P_main and "P_main" in vars(ts)
+        assert np.shares_memory(ts.P_main_T.data, ts.P_main.data)
+
+    def test_csr_built_by_the_setup_below_the_rule(self, monkeypatch):
+        # below the rule the ASP setup builds P and its transpose, so that
+        # the first correction assembles nothing
+        setup = system_setup("curl", 2, 2, 8)
+        assert not setup.factored_product_wins
+        asp = precond.AspSetup(setup)
+        ts = asp.transfers
+        assert {"P_main", "P_main_T"} <= set(vars(ts))
+        built = []
+        monkeypatch.setattr(derham.KronBlocks, "tocsr",
+                            lambda self: built.append(self))
+        B = precond.AspPreconditioner(asp, system_matrix(setup, 1e-2))
+        B.correction(np.ones(B.shape[0]))
+        assert built == []
