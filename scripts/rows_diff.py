@@ -2,10 +2,12 @@
 
     python scripts/rows_diff.py OLD.json NEW.json
 
-Rows are matched on their key columns (``KEYS``, a key that a row lacks,
-as in a table written before it was added, reads ``None``; rows with
-equal keys, such as two specs that differ only in an option the table
-does not show, are matched in their order).  ``iters`` and ``converged`` must be
+Rows are matched on their key columns (``KEYS``; rows with equal keys,
+such as two specs that differ only in an option the table does not show,
+are matched in their order).  A key column that no row of one table
+carries, as in a table written before the column was added, is dropped
+from both tables' keys, with a note naming it; a key that only some rows
+lack reads ``None`` in them.  ``iters`` and ``converged`` must be
 equal.  ``kappa2``, ``res_err`` and ``l2_err`` match when they differ by
 at most ``max(floor, rtol * max(|old|, |new|))`` with the per-column
 ``(rtol, floor)`` of ``TOLERANCES``; ``None`` matches only ``None``.
@@ -35,12 +37,20 @@ TOLERANCES = {
 }
 
 
-def _keyed(rows: list[dict]) -> dict[tuple, dict]:
-    """Rows by their key columns plus the occurrence count of that key."""
+def key_columns(old: list[dict], new: list[dict]) -> tuple[str, ...]:
+    """``KEYS`` less the columns that no row of a non-empty table
+    carries."""
+    return tuple(k for k in KEYS if not any(
+        rows and all(k not in row for row in rows) for rows in (old, new)))
+
+
+def _keyed(rows: list[dict], keys: tuple[str, ...] = KEYS) -> dict[tuple, dict]:
+    """Rows by their ``keys`` columns plus the occurrence count of that
+    key."""
     seen: Counter = Counter()
     out = {}
     for row in rows:
-        key = tuple(row.get(k) for k in KEYS)
+        key = tuple(row.get(k) for k in keys)
         out[key + (seen[key],)] = row
         seen[key] += 1
     return out
@@ -51,7 +61,8 @@ def compare(old: list[dict], new: list[dict],
     """``(mismatches, worst)``: one message per mismatching cell or row,
     and per toleranced column the largest relative difference
     ``|new - old| / max(|old|, |new|)`` over the matched rows."""
-    old_rows, new_rows = _keyed(old), _keyed(new)
+    keys = key_columns(old, new)
+    old_rows, new_rows = _keyed(old, keys), _keyed(new, keys)
     problems = [f"missing row {key[:-1]}" for key in old_rows if key not in new_rows]
     problems += [f"extra row {key[:-1]}" for key in new_rows if key not in old_rows]
     worst = dict.fromkeys(tolerances, 0.0)
@@ -86,6 +97,10 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     old, new = (json.loads(Path(path).read_text()) for path in argv)
     problems, worst = compare(old, new)
+    dropped = [k for k in KEYS if k not in key_columns(old, new)]
+    if dropped:
+        print(f"note: no row of one table carries {', '.join(dropped)}; "
+              "rows are paired without them")
     for column, value in worst.items():
         print(f"{column}: largest relative difference {value:.3g}")
     for line in problems:

@@ -214,6 +214,8 @@ class ExperimentSpec:
         for name, allowed in _CHOICES.items():
             if getattr(self, name) not in allowed:
                 raise ValueError(f"{name} must be one of {', '.join(allowed)}")
+        if self.curl_smoother == "sgs" and (self.problem, self.dim) != ("div", 3):
+            raise ValueError("curl_smoother must be 'diag' outside 3-D div")
         if min(*self.p_values, *self.n_values, self.nu1, self.nu_asp,
                self.max_iter) < 1:
             raise ValueError("p, n, nu1, nu_asp and max_iter must be >= 1")

@@ -27,9 +27,9 @@ K_k U_k = M_k U_k Lambda_k, computed once per mesh, give U = (x)U_k and
 the eigenvalue sums Lambda, and every solve is forward (U^T, dense 1-D
 matrix products), scale (by 1/(Lambda + shift)) and backward (U), in
 one step per run of identical components.  The Jacobi smoothers read
-diagonals built from the 1-D factors; the SGS smoothers of A and
-Q_curl, which are not Kronecker, assemble their matrix and keep sparse
-triangular solves.
+diagonals built from the 1-D factors.  The SGS smoothers of A and
+Q_curl, which are not Kronecker, assemble their matrix and keep one
+triangular factorization (:class:`Smoother`).
 
 With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
 
@@ -86,26 +86,22 @@ __all__ = [
 SECTOR_TOL = 1e-10
 
 
-def _lower_upper(A: sp.csr_matrix) -> tuple[sp.csc_matrix, sp.csc_matrix]:
-    L = sp.tril(A, format="csc")
-    U = sp.triu(A, format="csc")
-    return L, U
-
-
-def _triangular_factor(T: sp.csc_matrix):
-    """Direct factorization of a triangular matrix (no fill, no pivots)."""
-    return spla.splu(T, permc_spec="NATURAL",
-                     options={"SymmetricMode": False, "DiagPivotThresh": 0.0})
+def _upper_transposed(A: sp.csr_matrix) -> sp.csc_matrix:
+    """triu(A)^T, sliced from the CSR A in one pass: the CSR arrays of
+    triu(A) are the CSC arrays of its transpose."""
+    upper = A.indices >= np.repeat(np.arange(A.shape[0]), np.diff(A.indptr))
+    indptr = np.concatenate(([0], np.cumsum(upper)))[A.indptr]
+    return sp.csc_matrix((A.data[upper], A.indices[upper], indptr), A.shape)
 
 
 class Smoother:
     """Jacobi or symmetric Gauss-Seidel smoother of a sparse matrix.
 
     ``apply`` realizes S^{-1} r for r of shape (N,) or a block (N, k):
-    Jacobi divides by the diagonal; SGS evaluates
-    L^{-1} - L^{-1} A U^{-1} + U^{-1} with L/U the lower and upper
-    triangles including the diagonal.  Jacobi may be given the
-    ``diagonal`` alone in place of ``A``, and keeps no matrix either way.
+    Jacobi divides by the diagonal D; SGS, that of the symmetric matrix
+    whose upper triangle is A's, evaluates L^{-1} D L^{-T} with L =
+    triu(A)^T from one factorization.  Jacobi may be given the
+    ``diagonal`` alone in place of ``A``; neither kind keeps a matrix.
     """
 
     def __init__(self, kind: str, A: sp.spmatrix | None = None, *,
@@ -124,10 +120,10 @@ class Smoother:
             raise ArithmeticError("matrix has a zero diagonal entry")
         self.diagonal = diagonal
         if kind == "gs":
-            self._A = A
-            L, U = _lower_upper(A)
-            self._solve_l = _triangular_factor(L).solve
-            self._solve_u = _triangular_factor(U).solve
+            # triangular: no fill, no pivots
+            self._lower = spla.splu(
+                _upper_transposed(A), permc_spec="NATURAL",
+                options={"DiagPivotThresh": 0.0})
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """S^{-1} r; an r whose length is not the matrix's raises
@@ -136,10 +132,10 @@ class Smoother:
         if r.shape[0] != self.diagonal.shape[0]:
             raise ValueError(f"r has {r.shape[0]} rows; the matrix has "
                              f"{self.diagonal.shape[0]} columns")
+        d = self.diagonal.reshape((-1,) + (1,) * (r.ndim - 1))
         if self.kind == "jacobi":
-            return r / self.diagonal.reshape((-1,) + (1,) * (r.ndim - 1))
-        x = self._solve_u(r)
-        return x + self._solve_l(r - self._A @ x)
+            return r / d
+        return self._lower.solve(d * self._lower.solve(r, trans="T"))
 
 
 def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:

@@ -235,6 +235,16 @@ class TestExperimentSpec:
                                   "n_values": (8,), "tau_values": (1.0,),
                                   "precond": "asp-glt", **bad})
 
+    def test_sgs_curl_smoother_outside_3d_div_rejected(self):
+        # it would do nothing there, and the rows would not say so
+        for problem, dim in (("curl", 2), ("div", 2), ("curl", 3)):
+            for precond in ("none", "asp", "asp-glt"):
+                with pytest.raises(ValueError, match="3-D div"):
+                    ExperimentSpec(problem, dim, (1,), (4,), (1.0,),
+                                   precond=precond, curl_smoother="sgs")
+        ExperimentSpec("div", 3, (1,), (2,), (1.0,), precond="asp",
+                       curl_smoother="sgs")
+
     def test_dense_kappa_past_its_limit_rejected(self):
         # 2-D curl p=1 n=110 has N = 23,980: rejected from the space
         # dimensions before any cell runs

@@ -118,7 +118,9 @@ class TestMain:
         ("max_iter", True), ("p", [[1]]), ("p", 2.5), ("n", {"8": 1}),
         ("tau", [None]),
         # values a cell would die on
-        ("p", 0), ("n", [8, 0]), ("nu2", 0), ("tol", -1), ("max_iter", 0)])
+        ("p", 0), ("n", [8, 0]), ("nu2", 0), ("tol", -1), ("max_iter", 0),
+        # an option that does nothing for the default 2-D curl problem
+        ("curl_smoother", "sgs")])
     def test_spec_file_bad_choice_exits_before_any_cell(
             self, tmp_path, monkeypatch, key, value):
         # values from --spec bypass argparse choices; they must still
@@ -143,7 +145,12 @@ class TestMain:
         ["--n", "1", "--precond", "asp", "--report", "cond",
          "--cond-mode", "lanczos"],
         ["--n", "1", "--report", "errors"],
-        ["--n", "1", "--problem", "div", "--dim", "3", "--precond", "asp"]])
+        ["--n", "1", "--problem", "div", "--dim", "3", "--precond", "asp"],
+        # the sgs curl smoother exists only in 3-D div's preconditioner
+        ["--curl-smoother", "sgs"],
+        ["--problem", "curl", "--dim", "3", "--curl-smoother", "sgs"],
+        ["--problem", "div", "--dim", "2", "--precond", "asp",
+         "--curl-smoother", "sgs"]])
     def test_bad_sweep_value_exits_before_any_cell(self, monkeypatch, capsys,
                                                    args):
         # exit 2 (usage), not a traceback in a cell or the exit 1 of a

@@ -35,6 +35,45 @@ def random_spd(n, seed=0):
     return sp.csr_matrix(X @ X.T + n * np.eye(n))
 
 
+def two_factor_sgs(A):
+    """The two-factor SGS oracle L^{-1} + U^{-1} - L^{-1} A U^{-1}, with
+    L/U = ``sp.tril``/``sp.triu`` of A (diagonal included) each given
+    its own SuperLU factorization."""
+    A = sp.csr_matrix(A)
+    solve_l, solve_u = (
+        spla.splu(T, permc_spec="NATURAL",
+                  options={"DiagPivotThresh": 0.0}).solve
+        for T in (sp.tril(A, format="csc"), sp.triu(A, format="csc")))
+
+    def apply(r):
+        x = solve_u(r)
+        return x + solve_l(r - A @ x)
+    return apply
+
+
+def assert_matches_two_factor_sgs(A, rtol=1e-12, seed=0):
+    rng = np.random.default_rng(seed)
+    smoother, oracle = Smoother("gs", A), two_factor_sgs(A)
+    for shape in ((A.shape[0],), (A.shape[0], 3)):
+        r = rng.standard_normal(shape)
+        got, ref = smoother.apply(r), oracle(r)
+        assert got.shape == shape
+        assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
+@st.composite
+def sparse_spd(draw):
+    """A random sparse SPD matrix: X X^T plus a positive diagonal, with a
+    sparse random X."""
+    n = draw(st.integers(min_value=1, max_value=30))
+    density = draw(st.floats(min_value=0.05, max_value=0.5))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    rng = np.random.default_rng(seed)
+    X = sp.random(n, n, density=density, random_state=rng)
+    shift = sp.diags(rng.uniform(0.5, 2.0, n))
+    return sp.csr_matrix(X @ X.T + shift)
+
+
 class TestSmoother:
     def test_jacobi_is_diagonal_scaling(self):
         A = random_spd(6, 1)
@@ -54,6 +93,52 @@ class TestSmoother:
         expected = np.linalg.solve(L, D @ np.linalg.solve(U, r))
         np.testing.assert_allclose(Smoother("gs", A).apply(r), expected,
                                    atol=1e-10)
+
+    @given(sparse_spd(), st.integers(min_value=1, max_value=4),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_sgs_matches_dense_oracle_on_sparse_spd(self, A, k, seed):
+        # S^{-1} = L^{-1} D U^{-1} for (N,) and (N, k) inputs
+        Ad = A.toarray()
+        D = np.diag(np.diag(Ad))
+        rng = np.random.default_rng(seed)
+        smoother = Smoother("gs", A)
+        for shape in ((A.shape[0],), (A.shape[0], k)):
+            r = rng.standard_normal(shape)
+            ref = np.linalg.solve(np.tril(Ad), D @ np.linalg.solve(np.triu(Ad), r))
+            got = smoother.apply(r)
+            assert got.shape == shape
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_sgs_matches_two_factors_on_q_curl(self, p, n):
+        # the 3-D div sgs curl smoother's matrix, symmetric up to round-off
+        setup = system_setup("div", 3, p, n)
+        assert_matches_two_factor_sgs(curl_stiffness_matrix(
+            build_transfer_set(setup).potential, setup.M_D))
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e2])
+    @pytest.mark.parametrize("op, dim, p, n", [
+        ("curl", 2, 2, 4), ("div", 2, 2, 4), ("curl", 3, 2, 3),
+        ("div", 3, 2, 3)])
+    def test_sgs_matches_two_factors_on_a(self, op, dim, p, n, tau):
+        assert_matches_two_factor_sgs(
+            system_matrix(system_setup(op, dim, p, n), tau).A)
+
+    def test_sgs_factors_once_and_keeps_no_matrix(self, monkeypatch):
+        calls, splu = [], spla.splu
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return splu(*args, **kwargs)
+        monkeypatch.setattr(precond.spla, "splu", counted)
+        A = random_spd(9, 6)
+        smoother = Smoother("gs", A)
+        assert len(calls) == 1
+        np.testing.assert_array_equal(calls[0].toarray(),
+                                      np.tril(A.toarray()))
+        assert not any(sp.issparse(v) for v in vars(smoother).values())
 
     def test_sgs_inverse_is_symmetric(self):
         A = random_spd(10, 3)

@@ -6,7 +6,9 @@ them.
 cells (54 cells, dense kappa) as written by ``SWEEP`` with
 ``--out``.  ``tests/data/past_rule_rows.json`` holds the rows of
 ``PAST_RULE`` (every cell past ``assembly.factored_product_wins``, so
-that the ASP applies its transfer factored), rewritten by
+that the ASP applies its transfer factored) and
+``tests/data/gauss_seidel_rows.json`` those of ``GAUSS_SEIDEL`` (the
+Gauss-Seidel smoother of A and the sgs curl smoother), both rewritten by
 
     PYTHONPATH=src python tests/test_rows.py
 
@@ -36,15 +38,28 @@ PAST_RULE = [
                    curl_smoother="sgs", nu2_rule="pcube"),
     ExperimentSpec("curl", 2, (6,), (64,), (1e-4,), precond="asp-glt"),
 ]
+GAUSS_SEIDEL_PINNED = ROOT / "tests" / "data" / "gauss_seidel_rows.json"
+GAUSS_SEIDEL = [
+    ExperimentSpec("curl", 2, (1, 2), (4, 8), (1e-2, 1e2), precond="asp",
+                   smoother="gs", report=("iters", "cond", "errors")),
+    ExperimentSpec("div", 3, (2,), (3,), (1e-4, 1.0, 1e4), precond="asp",
+                   curl_smoother="sgs", report=("iters", "cond")),
+]
 SWEEP = ["run", "--problem", "curl", "--dim", "2", "--p", "1..3",
          "--n", "8,16", "--tau", "1e-4..1e4", "--precond", "asp",
          "--smoother", "jacobi", "--report", "iters,cond,errors",
          "--format", "json"]
 
+README_DIV3D = ["run", "--problem", "div", "--dim", "3", "--p", "2,3",
+                "--n", "8", "--tau", "1e-4", "--precond", "asp-glt",
+                "--nu2", "pcube", "--curl-smoother", "sgs", "--format", "json"]
+OPTION_KEYS = ("curl_smoother", "nu1", "nu2", "nu_asp")
+
 _spec = importlib.util.spec_from_file_location(
     "rows_diff", ROOT / "scripts" / "rows_diff.py")
 rows_diff = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(rows_diff)
+KEYS_WITHOUT_OPTIONS = tuple(k for k in rows_diff.KEYS if k not in OPTION_KEYS)
 
 
 def test_readme_sweep_rows_match_the_pinned_table(tmp_path):
@@ -77,6 +92,18 @@ def test_rows_past_the_product_rule_match_the_pinned_table():
         got = keyed[key]
         assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
         assert got["res_err"] <= 1e-6
+
+
+def gauss_seidel_rows() -> list[dict]:
+    return json.loads(emit([r for spec in GAUSS_SEIDEL
+                            for r in run_experiment(spec)], "json"))
+
+
+def test_gauss_seidel_rows_match_the_pinned_table():
+    pinned, rows = json.loads(GAUSS_SEIDEL_PINNED.read_text()), gauss_seidel_rows()
+    assert len(pinned) == len(rows) == 11
+    problems, _ = rows_diff.compare(pinned, rows)
+    assert problems == []
 
 
 def row(**changes) -> dict:
@@ -142,6 +169,38 @@ class TestRowsDiff:
         assert rows_diff.compare([row()], [row(curl_smoother=None, nu1=None,
                                                nu2=None, nu_asp=None)])[0] == []
 
+    def test_a_key_no_row_of_a_table_carries_is_dropped(self):
+        # rows that differ only in a dropped key pair in their order
+        div = dict(problem="div", dim=3, precond="asp-glt")
+        old = [row(**div, iters=18), row(**div, iters=4)]
+        new = [row(**div, curl_smoother="diag", nu1=1, nu2=27, nu_asp=3,
+                   iters=18),
+               row(**div, curl_smoother="sgs", nu1=1, nu2=27, nu_asp=3,
+                   iters=4)]
+        assert rows_diff.key_columns(old, new) == KEYS_WITHOUT_OPTIONS
+        assert rows_diff.compare(old, new)[0] == []
+        assert rows_diff.compare(new, old)[0] == []
+        assert len(rows_diff.compare(old, new[::-1])[0]) == 2
+        assert rows_diff.key_columns(new, new[::-1]) == rows_diff.KEYS
+        assert rows_diff.key_columns([], new) == rows_diff.KEYS
+
+    def test_old_format_table_matches_a_new_one(self, tmp_path, capsys):
+        # the README 3-D div example written before the option columns,
+        # against the same table written now
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        assert main(README_DIV3D + ["--out", str(new)]) == 0
+        rows = json.loads(new.read_text())
+        assert {r["curl_smoother"] for r in rows} == {"sgs"}
+        old.write_text(json.dumps([{k: v for k, v in r.items()
+                                    if k not in OPTION_KEYS} for r in rows]))
+        capsys.readouterr()
+        for pair in ((old, new), (new, old)):
+            assert rows_diff.main([str(path) for path in pair]) == 0
+            out = capsys.readouterr().out
+            assert ("note: no row of one table carries curl_smoother, nu1, "
+                    "nu2, nu_asp") in out
+            assert out.rstrip().endswith("2 old rows, 2 new rows, 0 mismatches")
+
     def test_exit_codes(self, tmp_path, capsys):
         old, same, moved = (tmp_path / f"{name}.json" for name in ("a", "b", "c"))
         old.write_text(json.dumps([row()]))
@@ -155,3 +214,5 @@ class TestRowsDiff:
 
 if __name__ == "__main__":
     PAST_RULE_PINNED.write_text(json.dumps(past_rule_rows(), indent=2) + "\n")
+    GAUSS_SEIDEL_PINNED.write_text(json.dumps(gauss_seidel_rows(), indent=2)
+                                   + "\n")
