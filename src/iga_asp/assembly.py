@@ -33,7 +33,7 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                one tau, the one operator of A = K + tau
                                M_D that CG and kappa read: its product,
                                factored from the masses or by the CSR
-                               assembled from K only when read, its
+                               assembled from K with the system, its
                                diagonal from the 1-D factors, and its
                                sector blocks for dense kappa,
 * ``factored_product_wins`` -- the measured rule on which spaces the
@@ -49,7 +49,8 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                ``diag`` curl smoother),
 * ``column_panels``         -- a sparse matrix as dense panels of 64
                                columns, the one walk of dense kappa's
-                               products,
+                               panel products (the one-block path and
+                               the ASP's Gram factors),
 * ``assemble_rhs``          -- load vector from an analytic field,
 * ``field_coefficients``    -- the Kronecker apply of per-direction
                                (nodes, matrix) pairs to a sampled field
@@ -131,9 +132,10 @@ class AssembledSystem:
     """System of one tau: the tau-independent ``setup`` it was built
     from, tau, and the load vector ``b``; the one operator of A that CG
     and kappa (dense and Lanczos) are given.  :meth:`apply_A` applies A
-    from the factored masses of ``setup``; ``A`` is the assembled CSR,
-    built on its first read (by the SGS smoother, the matrix export, and
-    :meth:`apply` below the rule) from the setup's ``stiffness``;
+    from the factored masses of ``setup``; ``A`` is the assembled CSR
+    from the setup's ``stiffness``, built by :func:`system_matrix` where
+    :meth:`apply` takes its product (below the rule) and elsewhere on its
+    first read (by the SGS smoother and the matrix export);
     ``diagonal`` is A's diagonal, built without it."""
 
     setup: SystemSetup = field(repr=False)
@@ -246,12 +248,14 @@ class SystemSetup:
     factored as ``M_D_op`` and ``M_range_op``, per distinct 1-D factor
     of the problem's space the Gauss nodes and transposed weighted basis
     values of the load vector, and :func:`factored_product_wins` of the
-    space, which :meth:`AssembledSystem.apply` reads.  The CSR ``M_D`` and
-    ``M_range`` are assembled on first read (by the CSR A, the SGS
-    Q_curl and the matrix export), as is K = D^T M_range D (by the CSR
-    A); A's diagonal needs none.  So is :attr:`mass_basis` (by the
-    composite cycle).  A sweep builds the setup once per mesh
-    and assembles each tau's system from it."""
+    space, which picks the product of A (:meth:`AssembledSystem.apply`,
+    :func:`system_matrix`) and of P (:class:`iga_asp.precond.AspSetup`).
+    The CSR ``M_D`` and ``M_range`` are assembled on first read (by the
+    CSR A, the SGS Q_curl, A's sector factors and the matrix export), as
+    is K = D^T M_range D (by the CSR A and the sector factors); A's
+    diagonal needs none.  So is :attr:`mass_basis` (by the composite cycle).  A
+    sweep builds the setup once per mesh and assembles each tau's
+    system from it."""
 
     operator: str
     dim: int
@@ -287,15 +291,9 @@ class SystemSetup:
     def sector_factors(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
         """Per basis Q of ``space.sectors`` the tau-independent factors
         (Q^T K Q, Q^T M_D Q) of A's sector block, built on the mesh's
-        first dense kappa and kept.  Where :func:`factored_product_wins`
-        they are (D Q)^T M_range (D Q) and Q^T M_D Q from the factored
-        masses (:func:`_congruence`), and no CSR A, K or M_D is
-        assembled; below it, sparse products with the CSR K and M_D that
-        the CSR A is built from."""
-        if self.factored_product_wins:
-            return tuple((_congruence(self.M_range_op, self.D_mat @ Q),
-                          _congruence(self.M_D_op, Q))
-                         for Q in self.space.sectors)
+        first dense kappa and kept: sparse products with the CSR K and
+        M_D, on either side of :func:`factored_product_wins`; no CSR A
+        is assembled for them."""
         return tuple(((Q.T @ self.stiffness @ Q).toarray(),
                       (Q.T @ self.M_D @ Q).toarray())
                      for Q in self.space.sectors)
@@ -407,16 +405,6 @@ def column_panels(F: sp.spmatrix) -> Iterator[tuple[slice, np.ndarray]]:
         yield columns, F[:, columns].toarray()
 
 
-def _congruence(op: KronSum, F: sp.spmatrix) -> np.ndarray:
-    """F^T op F for a sparse F, with ``op`` applied by sum factorization
-    to the :func:`column_panels` of F."""
-    F_T = sp.csc_matrix(F).T
-    out = np.empty((F.shape[1], F.shape[1]))
-    for columns, panel in column_panels(F):
-        out[:, columns] = F_T @ op.apply(panel)
-    return out
-
-
 def system_setup(operator: str, dim: int, p, n_elems,
                  bc: str = "essential") -> SystemSetup:
     """Build the tau-independent part of the curl-curl (``operator``
@@ -439,11 +427,16 @@ def system_matrix(setup: SystemSetup, tau: float,
                   rhs: FieldFunc | None = None) -> AssembledSystem:
     """The system A = D^T M_range D + tau M_D of ``setup``, plus the load
     vector of ``rhs`` when given; all but tau and b is read from
-    ``setup``, and the CSR A is assembled only when something reads it."""
+    ``setup``.  Below the setup's :func:`factored_product_wins` the CSR A,
+    whose product CG then takes, is assembled here; past it only when
+    something reads it."""
     if not 0.0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
     b = assemble_rhs(setup, rhs) if rhs is not None else None
-    return AssembledSystem(setup, tau, b)
+    system = AssembledSystem(setup, tau, b)
+    if not setup.factored_product_wins:
+        system.A
+    return system
 
 
 # One product with A, factored (``apply_A``) against CSR, one vCPU: the

@@ -295,8 +295,6 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         precond = AspPreconditioner(shared.asp, system, spec.smoother)
     if spec.precond == "asp-glt":
         precond = GltPreconditioner(precond, spec.nu1, spec.nu2(p), spec.nu_asp)
-    if not shared.system.factored_product_wins:
-        system.A    # CG's product below the rule: assembled here, not in the solve
     x, rep = pcg(system, system.b, precond, tol=spec.tol,
                  max_iter=spec.max_iter)
     glt = spec.precond == "asp-glt"

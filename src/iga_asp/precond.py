@@ -44,13 +44,16 @@ Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
 on the first dense kappa the Gram factors of the space's sectors)
 for one mesh, and :class:`AspPreconditioner` adds the two per-tau
-pieces.  P and P^T are applied by sum factorization past the system's
-product rule (:func:`iga_asp.assembly.factored_product_wins`) and by
-their CSR below it; P_curl and T stay CSR, where the factored product
-measured no faster.
+pieces.  In the correction, P and P^T are applied by sum factorization
+past the system's product rule
+(:func:`iga_asp.assembly.factored_product_wins`) and by their CSR below
+it; P_curl and T stay CSR, where the factored product measured no
+faster.  The Gram factors read the CSR P on either side.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -98,22 +101,22 @@ class Smoother:
     """Jacobi or symmetric Gauss-Seidel smoother of a sparse matrix.
 
     ``apply`` realizes S^{-1} r for r of shape (N,) or a block (N, k):
-    Jacobi divides by the diagonal D; SGS, that of the symmetric matrix
-    whose upper triangle is A's, evaluates L^{-1} D L^{-T} with L =
-    triu(A)^T from one factorization.  Jacobi may be given the
-    ``diagonal`` alone in place of ``A``; neither kind keeps a matrix.
+    Jacobi divides by the diagonal D, which it is given alone
+    (``diagonal=``); SGS, that of the symmetric matrix ``A`` whose upper
+    triangle it is given, evaluates L^{-1} D L^{-T} with L = triu(A)^T
+    from one factorization.  Neither kind keeps a matrix.
     """
 
     def __init__(self, kind: str, A: sp.spmatrix | None = None, *,
                  diagonal: np.ndarray | None = None) -> None:
         if kind not in ("jacobi", "gs"):
             raise ValueError("smoother kind must be 'jacobi' or 'gs'")
-        if (A is None) == (diagonal is None):
-            raise ValueError("give exactly one of the matrix and its diagonal")
-        if A is None and kind == "gs":
-            raise ValueError("the Gauss-Seidel smoother needs the matrix")
+        if kind == "jacobi" and (A is not None or diagonal is None):
+            raise ValueError("the Jacobi smoother takes the diagonal alone")
+        if kind == "gs" and (A is None or diagonal is not None):
+            raise ValueError("the Gauss-Seidel smoother takes the matrix alone")
         self.kind = kind
-        if A is not None:
+        if kind == "gs":
             A = sp.csr_matrix(A)
             diagonal = A.diagonal()
         if np.any(diagonal == 0.0):
@@ -243,9 +246,8 @@ class AspSetup:
     """The tau-independent part of the auxiliary-space preconditioner of
     one problem on one mesh: the transfers, the eigenpairs of H, B_T
     and the Gram factors of the space's sectors (on the first dense
-    kappa, see
-    :meth:`gram_factors`).  A sweep builds it once per mesh and every
-    tau's :class:`AspPreconditioner` reads it.
+    kappa, see :attr:`gram_factors`).  A sweep builds it once per mesh
+    and every tau's :class:`AspPreconditioner` reads it.
 
     ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
     ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
@@ -271,7 +273,6 @@ class AspSetup:
         self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
         self.potential: InnerSolver | None = None
         self.curl_smoother: Smoother | None = None
-        self._sector_factors: list[tuple] | None = None
         P_curl = self.transfers.P_curl
         if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
@@ -292,27 +293,27 @@ class AspSetup:
         self.solve_potential = (
             lambda y: W.apply(y) + P_curl @ solve_h(P_curl_T @ y))
 
+    @cached_property
     def gram_factors(self) -> list[tuple] | None:
         """Per basis Q of the space's sectors (``space.sectors``, whose
         columns have disjoint supports) the tau-independent factors of
         Q^T B Q: ``(squares, rows, W, G)`` with ``squares`` = (Q o Q)^T,
         so that Q^T diag(w) Q = diag(squares @ w); W = U_H^T P^T Q kept
-        on its ``rows`` (:func:`_significant_forward`); and the Gram
-        block G = Q^T T B_T T^T Q.  Built on the first call and kept;
-        ``None`` when B_T has no term form (the sgs curl smoother)."""
+        on its ``rows`` (:func:`_significant_forward`, from the CSR P);
+        and the Gram block G = Q^T T B_T T^T Q.  Built on the first read
+        and kept; ``None`` when B_T has no term form (the sgs curl
+        smoother)."""
         if self.curl_smoother is not None and self.curl_smoother.kind != "jacobi":
             return None
-        if self._sector_factors is None:
-            ts = self.transfers
-            factors = []
-            for Q in self.system_setup.space.sectors:
-                rows, W = _significant_forward(self.h1, ts.P_main_T @ Q)
-                G = np.zeros((Q.shape[1], Q.shape[1]))
-                for F, w in self._potential_terms(ts.potential_T @ Q):
-                    _add_gram(G, F, w)
-                factors.append((Q.multiply(Q).T.tocsr(), rows, W, G))
-            self._sector_factors = factors
-        return self._sector_factors
+        ts = self.transfers
+        factors = []
+        for Q in self.system_setup.space.sectors:
+            rows, W = _significant_forward(self.h1, ts.P_main_T @ Q)
+            G = np.zeros((Q.shape[1], Q.shape[1]))
+            for F, w in self._potential_terms(ts.potential_T @ Q):
+                _add_gram(G, F, w)
+            factors.append((Q.multiply(Q).T.tocsr(), rows, W, G))
+        return factors
 
     def _potential_terms(self, X: sp.spmatrix) -> list[tuple]:
         """The pairs (F, w) with X^T B_T X = sum F^T diag(w) F, for X =
@@ -331,7 +332,8 @@ class AspPreconditioner:
     ``system``, whose system setup ``setup`` was built from.  Only the
     smoother of A and the shift of H + tau M are built per tau; the
     transfers and B_T are read through ``setup``.  Jacobi reads
-    ``system.diagonal``, so only the SGS smoother assembles the CSR A."""
+    ``system.diagonal``, so only the SGS smoother reads the CSR A (past
+    the product rule, its first read assembles it)."""
 
     def __init__(self, setup: AspSetup, system: AssembledSystem,
                  smoother: str = "jacobi") -> None:
@@ -363,14 +365,14 @@ class AspPreconditioner:
 
     def sector_blocks(self) -> list[np.ndarray] | None:
         """Q^T B Q for each basis Q of ``space.sectors``, from the terms
-        of B and the per-mesh factors of :meth:`AspSetup.gram_factors`:
+        of B and the per-mesh factors of :attr:`AspSetup.gram_factors`:
 
             diag(squares @ (1/diag A)) + W^T diag(1/(Lambda_H + tau)) W + G / tau
 
         ``None`` when the smoother (Gauss-Seidel) or B_T (the sgs curl
         smoother) has no term form; dense kappa then applies B to
         panels."""
-        factors = self.smoother.kind == "jacobi" and self.setup.gram_factors()
+        factors = self.smoother.kind == "jacobi" and self.setup.gram_factors
         if not factors:
             return None
         inv_diag = 1.0 / self.smoother.diagonal

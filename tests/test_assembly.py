@@ -1,6 +1,7 @@
 """Global assembly: system, mass, H1, Laplacian matrices and load vectors."""
 
 import json
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from iga_asp import assembly
 from iga_asp.assembly import (
+    AssembledSystem,
     assemble_rhs,
     curl_stiffness_diagonal,
     curl_stiffness_matrix,
@@ -328,7 +330,8 @@ class TestMassBasis:
 
 class TestCsrOnDemand:
     """A without assembly: its diagonal from the setup, its product by
-    the measured rule, and its CSR only when read."""
+    the measured rule, and its CSR only where that product or a reader
+    needs it."""
 
     @given(st.sampled_from(["curl", "div"]), st.sampled_from([2, 3]),
            st.sampled_from(["natural", "essential"]),
@@ -340,16 +343,24 @@ class TestCsrOnDemand:
         setup = system_setup(operator, dim, tuple(p[:dim]), tuple(n[:dim]),
                              bc=bc)
         for tau in (1e-4, 1.0, 1e4):
-            system = system_matrix(setup, tau)
+            # the bare system: below the rule system_matrix assembles A
+            system = AssembledSystem(setup, tau)
             diagonal = system.diagonal
             assert "A" not in vars(system)
             ref = system.A.diagonal()
             assert np.all(np.abs(diagonal - ref) <= 1e-14 * np.abs(ref))
 
     def test_assembled_on_first_read_only(self):
-        system = system_matrix(system_setup("curl", 2, 2, 4), 1.0)
+        # past the rule A is built on its first read only; below it
+        # system_matrix has built the product CG takes
+        system = system_matrix(system_setup("curl", 3, 2, 8), 1.0)
+        assert system.setup.factored_product_wins
         assert "A" not in vars(system)
         assert system.A is system.A
+        below = system_matrix(system_setup("curl", 2, 2, 4), 1.0)
+        assert not below.setup.factored_product_wins
+        assert "A" in vars(below)
+        assert below.A is below.A
 
     @pytest.mark.parametrize("operator, dim, p, n, factored", [
         # every sweep2d cell: 2-D curl, p 1..3, n 8 and 16
@@ -392,18 +403,20 @@ class TestSectorFactors:
         sectors = setup.space.sectors
         factored = factored_product_wins(setup.space)
         builds = []
-        congruence = assembly._congruence
-        monkeypatch.setattr(assembly, "_congruence",
-                            lambda *a: builds.append(1) or congruence(*a))
+        build = assembly.SystemSetup.sector_factors.func
+        counted = cached_property(lambda s: builds.append(1) or build(s))
+        counted.__set_name__(assembly.SystemSetup, "sector_factors")
+        monkeypatch.setattr(assembly.SystemSetup, "sector_factors", counted)
         systems = [system_matrix(setup, tau) for tau in (1e-4, 1.0, 1e4)]
         blocks = [s.sector_blocks() for s in systems]
         factors = setup.sector_factors
-        # built once per mesh: the later taus read the first one's factors
-        assert len(builds) == (2 * len(sectors) if factored else 0)
+        # built once per mesh, on either side of the rule: the later taus
+        # read the first one's factors, the sparse products with K and M_D
+        assert builds == [1]
         assert setup.sector_factors is factors
+        assert {"stiffness", "M_D"} <= set(vars(setup))
         if factored:
-            assert "A" not in vars(systems[0])
-            assert not {"stiffness", "M_D", "M_range"} & set(vars(setup))
+            assert not any("A" in vars(system) for system in systems)
         for system, per_tau in zip(systems, blocks):
             assert len(per_tau) == len(sectors)
             for Q, block in zip(sectors, per_tau):

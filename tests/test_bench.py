@@ -482,11 +482,10 @@ class TestSharedDiscretization:
     def test_dense_kappa_past_the_rule_assembles_no_csr_A(self, monkeypatch):
         # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG
         # reads the factored product and dense kappa A's sector factors
-        # from the factored masses, so no CSR A (and no K) is assembled,
-        # and kappa equals that of the CSR A: the oracle is the same
-        # system on a setup below the rule, whose sector factors are
-        # sparse products with the CSR K and M_D, so both sides take the
-        # sector path and differ only in A's blocks
+        # from the CSR K and M_D, so K is built but no CSR A, and kappa
+        # equals that of the same system on a setup below the rule,
+        # whose CSR A system_matrix assembles: both sides take the
+        # sector path and differ only in the products of A and P
         systems = []
         monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
         spec = ExperimentSpec("curl", 2, (3,), (27,), (1e-4,), precond="asp",
@@ -496,7 +495,7 @@ class TestSharedDiscretization:
         system, = systems
         assert assembly.factored_product_wins(system.setup.space)
         assert "A" not in vars(system)
-        assert "stiffness" not in vars(system.setup)
+        assert "stiffness" in vars(system.setup)
         setup = dataclasses.replace(system.setup, factored_product_wins=False)
         csr = system_matrix(setup, system.tau)
         B = AspPreconditioner(AspSetup(setup), csr)

@@ -7,6 +7,7 @@ import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iga_asp import assembly, derham
 from iga_asp.assembly import (
     _PANEL_WIDTH,
     AssembledSystem,
@@ -228,6 +229,21 @@ class TestPcg:
         A = sp.diags([1.0, -1.0, 2.0])
         _, report = pcg(A, np.array([1.0, 1.0, 1.0]), tol=1e-12, max_iter=10)
         assert report.breakdown and not report.converged
+
+    def test_solve_below_the_rule_assembles_nothing(self, monkeypatch):
+        # system_matrix has built the CSR A whose product CG takes below
+        # the rule, and the ASP setup the CSR P: the Jacobi-ASP solve
+        # assembles no sparse matrix
+        system, B = asp_cell(2, 8, 1e-2)
+        assert not system.setup.factored_product_wins
+        built = []
+        monkeypatch.setattr(assembly, "drop_small",
+                            lambda *a: built.append("drop_small"))
+        monkeypatch.setattr(derham.KronBlocks, "tocsr",
+                            lambda self: built.append("tocsr"))
+        _, report = pcg(system, np.ones(system.shape[0]), B, tol=1e-6)
+        assert report.converged
+        assert built == []
 
 
 class TestGltPreconditioner:
@@ -464,9 +480,9 @@ class TestTermBlocks:
 
     def test_sector_factors_are_built_once_per_mesh(self):
         system, B = asp_cell(2, 8, 1.0)
-        first = B.setup.gram_factors()
+        first = B.setup.gram_factors
         other = AspPreconditioner(B.setup, system_matrix(system.setup, 1e-2))
-        assert other.setup.gram_factors() is first
+        assert other.setup.gram_factors is first
 
     def test_dense_kappa_does_not_apply_b(self):
         system, B = asp_cell(2, 8, 1.0)
@@ -508,7 +524,7 @@ class TestTermBlocks:
         assert asked == []
         assert "sectors" not in vars(system.setup.space)
         assert "sector_factors" not in vars(system.setup)
-        assert B.setup._sector_factors is None
+        assert "gram_factors" not in vars(B.setup)
 
     def test_preconditioner_of_another_system_takes_the_one_block_path(self):
         # a Jacobi ASP built on another system of the same mesh has term
@@ -520,7 +536,7 @@ class TestTermBlocks:
         assert estimate_condition_number(system, other) == (
             estimate_condition_number(system, Panels(other)))
         assert "sector_factors" not in vars(system.setup)
-        assert B.setup._sector_factors is None
+        assert "gram_factors" not in vars(B.setup)
 
 
 class TestEstimateConditionNumber:

@@ -78,8 +78,9 @@ class TestSmoother:
     def test_jacobi_is_diagonal_scaling(self):
         A = random_spd(6, 1)
         r = np.arange(1.0, 7.0)
-        np.testing.assert_allclose(Smoother("jacobi", A).apply(r),
-                                   r / A.diagonal(), atol=1e-15)
+        np.testing.assert_allclose(
+            Smoother("jacobi", diagonal=A.diagonal()).apply(r),
+            r / A.diagonal(), atol=1e-15)
 
     def test_sgs_matches_dense_oracle(self):
         # S = U D^{-1} L with L/U the triangles including the diagonal,
@@ -153,28 +154,31 @@ class TestSmoother:
     def test_zero_diagonal_rejected(self):
         A = sp.csr_matrix(np.array([[0.0, 1.0], [1.0, 2.0]]))
         with pytest.raises(ArithmeticError):
-            Smoother("jacobi", A)
+            Smoother("gs", A)
         with pytest.raises(ArithmeticError):
             Smoother("jacobi", diagonal=A.diagonal())
 
     def test_jacobi_from_diagonal_alone(self):
+        # Jacobi takes the diagonal alone and SGS the matrix alone
         A = random_spd(6, 4)
         R = np.arange(12.0).reshape(6, 2)
         np.testing.assert_array_equal(
             Smoother("jacobi", diagonal=A.diagonal()).apply(R),
-            Smoother("jacobi", A).apply(R))
-        with pytest.raises(ValueError):
-            Smoother("gs", diagonal=A.diagonal())     # SGS needs A
-        for kw in ({}, {"A": A, "diagonal": A.diagonal()}):
-            with pytest.raises(ValueError):
+            R / A.diagonal()[:, None])
+        for kw in ({}, {"A": A}, {"A": A, "diagonal": A.diagonal()}):
+            with pytest.raises(ValueError, match="Jacobi"):
                 Smoother("jacobi", **kw)
+        for kw in ({}, {"diagonal": A.diagonal()},
+                   {"A": A, "diagonal": A.diagonal()}):
+            with pytest.raises(ValueError, match="Gauss-Seidel"):
+                Smoother("gs", **kw)
 
     def test_wrong_length_rejected(self):
         # Jacobi's division would broadcast a length-1 input to length N;
         # every input whose length is not N raises, naming both sizes
         A = random_spd(6, 5)
         for smoother in (Smoother("jacobi", diagonal=A.diagonal()),
-                         Smoother("jacobi", A), Smoother("gs", A)):
+                         Smoother("gs", A)):
             for shape in ((1,), (7,), (1, 3)):
                 with pytest.raises(ValueError,
                                    match=f"{shape[0]} rows.*6 columns"):

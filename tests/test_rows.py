@@ -31,8 +31,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PINNED = ROOT / "tests" / "data" / "readme_sweep_n16.json"
 PAST_RULE_PINNED = ROOT / "tests" / "data" / "past_rule_rows.json"
 PAST_RULE = [
-    ExperimentSpec("curl", 2, (3,), (32,), (1e-4, 1.0, 1e4), precond="asp"),
-    ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp"),
+    ExperimentSpec("curl", 2, (3,), (32,), (1e-4, 1.0, 1e4), precond="asp",
+                   report=("iters", "cond")),
+    ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp",
+                   report=("iters", "cond")),
     ExperimentSpec("div", 3, (2,), (8,), (1e-4,), precond="asp"),
     ExperimentSpec("div", 3, (2,), (8,), (1.0,), precond="asp-glt",
                    curl_smoother="sgs", nu2_rule="pcube"),
@@ -78,7 +80,8 @@ def past_rule_rows() -> list[dict]:
 
 def test_rows_past_the_product_rule_match_the_pinned_table():
     # iteration counts and convergence exactly; res_err only against tol,
-    # since the factored and the CSR products differ in round-off
+    # since the factored and the CSR products differ in round-off; the
+    # dense kappa of the Jacobi ASP cells within rows_diff's tolerance
     for spec in PAST_RULE:
         for p in spec.p_values:
             for n in spec.n_values:
@@ -92,6 +95,12 @@ def test_rows_past_the_product_rule_match_the_pinned_table():
         got = keyed[key]
         assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
         assert got["res_err"] <= 1e-6
+        if want["kappa2"] is None:
+            assert got["kappa2"] is None
+        else:
+            assert got["kappa2"] == pytest.approx(
+                want["kappa2"], rel=rows_diff.TOLERANCES["kappa2"][0])
+    assert sum(r["kappa2"] is not None for r in rows) == 4
 
 
 def gauss_seidel_rows() -> list[dict]:

@@ -310,9 +310,11 @@ class TestFactoredTransfer:
         asp = precond.AspSetup(setup)
         ts = asp.transfers
         assert {"P_main", "P_main_T"} <= set(vars(ts))
+        # the system assembles its CSR A (and the masses) before the patch
+        system = system_matrix(setup, 1e-2)
         built = []
         monkeypatch.setattr(derham.KronBlocks, "tocsr",
                             lambda self: built.append(self))
-        B = precond.AspPreconditioner(asp, system_matrix(setup, 1e-2))
+        B = precond.AspPreconditioner(asp, system)
         B.correction(np.ones(B.shape[0]))
         assert built == []
