@@ -7,6 +7,10 @@ naming the test, on any failure or collection error other than the
 standing reds below, and also when a standing red passes or does not
 run: whoever mends one removes it from ``STANDING_REDS`` and from
 ROADMAP.md in the same change.  Exits 0 otherwise.
+
+pytest runs on one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless the
+environment sets the count, as CI and the benchmark's workers do: at
+tau = 1e-4 dense kappa moves with the thread count.
 """
 
 from __future__ import annotations
@@ -44,6 +48,7 @@ def _test_id(case: ET.Element) -> str:
 
 def main() -> int:
     env = dict(os.environ)
+    env.setdefault("OPENBLAS_NUM_THREADS", "1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [env.get("PYTHONPATH")])])
     with tempfile.TemporaryDirectory() as tmp:

@@ -44,9 +44,9 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                space (KronSum L, essential bc only),
 * ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C assembled from the
                                curl matrix and div mass (the SGS curl
-                               smoother of 3-D div),
-* ``curl_stiffness_diagonal`` -- its diagonal from the 1-D factors (the
-                               ``diag`` curl smoother),
+                               smoother of 3-D div; the ``diag`` one
+                               reads its diagonal from the 1-D factors
+                               of C and M_div, see :mod:`iga_asp.precond`),
 * ``column_panels``         -- a sparse matrix as dense panels of 64
                                columns, the one walk of dense kappa's
                                panel products (the one-block path and
@@ -106,7 +106,6 @@ __all__ = [
     "h1_vector_matrix",
     "scalar_laplacian_matrix",
     "curl_stiffness_matrix",
-    "curl_stiffness_diagonal",
     "column_panels",
     "assemble_rhs",
     "field_coefficients",
@@ -115,16 +114,6 @@ __all__ = [
 ]
 
 FieldFunc = Sequence[Callable[..., np.ndarray]]
-
-
-def _range_kind(operator: str, dim: int) -> str:
-    """Kind of the range space of the problem's differential, after
-    checking the operator and the dimension."""
-    if operator not in ("curl", "div"):
-        raise ValueError("operator must be 'curl' or 'div'")
-    if dim not in (2, 3):
-        raise ValueError("dimension must be 2 or 3")
-    return derham.potential_and_range(operator, dim)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -411,7 +400,7 @@ def system_setup(operator: str, dim: int, p, n_elems,
     'curl') or grad-div ('div') problem on the unit square or cube
     (``dim`` 2 or 3) with ``n_elems`` elements of degree ``p`` per
     direction."""
-    range_kind = _range_kind(operator, dim)
+    _, range_kind = derham.potential_and_range(operator, dim)
     disc = discretize(p, n_elems, dim=dim, bc=bc)
     space = disc.spaces[operator]
     range_space = disc.spaces[range_kind]
@@ -494,15 +483,6 @@ def curl_stiffness_matrix(C: sp.csr_matrix, M_div: sp.csr_matrix) -> sp.csr_matr
     the curl-curl stiffness of the SGS curl smoother of the div problem
     (the ``diag`` smoother reads its diagonal from the 1-D factors)."""
     return drop_small(C.T @ M_div @ C)
-
-
-def curl_stiffness_diagonal(disc: Discretization) -> np.ndarray:
-    """diag(Q_curl) = diag(C^T M_div C) of a 3-D mesh, from the 1-D
-    factors of the curl matrix and the div mass, without assembling
-    either (the ``diag`` curl smoother of the div problem)."""
-    spaces = disc.spaces
-    return differential_blocks(spaces["curl"], spaces["div"]).congruence_diagonal(
-        mass_operator(disc, "div"))
 
 
 def field_coefficients(space: TensorSpace, funcs: FieldFunc,

@@ -306,7 +306,7 @@ def _cell(spec: ExperimentSpec, shared: _SharedSetup, tau: float) -> dict:
         "nu1": spec.nu1 if glt else None, "nu2": spec.nu2(p) if glt else None,
         "nu_asp": spec.nu_asp if glt else None,
         "iters": rep.iterations, "converged": rep.converged,
-        "kappa2": None, "res_err": rep.residuals[-1], "l2_err": None,
+        "kappa2": None, "res_err": min(rep.residuals), "l2_err": None,
     }
     if "cond" in spec.report and not getattr(precond, "nonlinear", False):
         _, _, kappa = estimate_condition_number(system, precond,

@@ -69,7 +69,6 @@ __all__ = [
     "vector_curl_matrix",
     "differential_blocks",
     "differential_matrix",
-    "transfer_matrix",
     "potential_and_range",
     "space_descriptor",
     "KronBlocks",
@@ -504,10 +503,15 @@ _DIFFERENTIALS = {
 
 def potential_and_range(kind: str, dim: int) -> tuple[str, str]:
     """The potential and the range of the problem on the space ``kind``:
-    the source of the differential into it and the target of the one out."""
-    (potential,) = [s for s, t, d in _DIFFERENTIALS if (t, d) == (kind, dim)]
-    (range_kind,) = [t for s, t, d in _DIFFERENTIALS if (s, d) == (kind, dim)]
-    return potential, range_kind
+    the source of the differential into it and the target of the one out.
+    A space without exactly one of each (any kind but curl and div, any
+    dimension but 2 and 3) raises ``ValueError``."""
+    potentials = [s for s, t, d in _DIFFERENTIALS if (t, d) == (kind, dim)]
+    ranges = [t for s, t, d in _DIFFERENTIALS if (s, d) == (kind, dim)]
+    if len(potentials) != 1 or len(ranges) != 1:
+        raise ValueError(f"no problem on the {kind!r} space in dimension {dim}:"
+                         " the problems are 'curl' and 'div' in dimension 2 or 3")
+    return potentials[0], ranges[0]
 
 
 def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d) -> KronBlocks:
@@ -547,11 +551,6 @@ def transfer_blocks(aux: TensorSpace, dst: TensorSpace, b_to_d) -> KronBlocks:
         raise ValueError("transfers map the auxiliary space into curl or div")
     signs = np.where(np.eye(dst.n_components), 1.0, None).tolist()
     return _blocks(aux, dst, signs, b_to_d)
-
-
-def transfer_matrix(aux: TensorSpace, dst: TensorSpace, b_to_d) -> sp.csr_matrix:
-    """The transfer of :func:`transfer_blocks`, assembled."""
-    return transfer_blocks(aux, dst, b_to_d).tocsr()
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:

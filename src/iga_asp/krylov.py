@@ -2,7 +2,8 @@
 
 * :func:`pcg` -- outer preconditioned conjugate gradients with the
   true-residual stopping rule ||A x - b|| / ||b|| <= tol and zero
-  initial guess.  It takes the flexible (Polak-Ribiere) direction
+  initial guess; stopped without converging, it returns the iterate of
+  smallest true residual.  It takes the flexible (Polak-Ribiere) direction
   update exactly when the preconditioner declares ``nonlinear = True``.
 * :class:`GltPreconditioner` -- the composite cycle: relaxation sweeps,
   a fixed number of mass-preconditioned MINRES iterations on the
@@ -92,7 +93,9 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
     ||b - A x||, not the recurrence residual.  A ``B`` with a true
     ``nonlinear`` attribute gets the flexible (Polak-Ribiere) update
     beta = z^T (r - r_old) / rz (Notay, SIAM J. Sci. Comput. 22, 2000);
-    any other ``B`` the standard beta = z^T r / rz.
+    any other ``B`` the standard beta = z^T r / rz.  The returned x is
+    the iterate of smallest true residual, ``min(report.residuals)``;
+    when it converged, that is the last one.
     """
     amat = _as_matvec(A)
     bmat = _as_matvec(B)
@@ -110,6 +113,8 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
     z = bmat(r)
     p = z.copy()
     rz = float(r @ z)
+    # x is rebound at every step, so the best iterate needs no copy
+    best_x, best_res = x, residuals[0]
     breakdown = False
     converged = False
     it = 0
@@ -126,6 +131,8 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
         r = r - alpha * Ap
         true_res = float(np.linalg.norm(b - amat(x)) / nb)
         residuals.append(true_res)
+        if true_res < best_res:
+            best_x, best_res = x, true_res
         if true_res <= tol:
             converged = True
             break
@@ -141,7 +148,7 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
         p = z + beta * p
     report = SolveReport(it, converged, residuals,
                          time.perf_counter() - t0, max_iter, breakdown)
-    return x, report
+    return best_x, report
 
 
 def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
@@ -227,7 +234,6 @@ class GltPreconditioner:
         self.system = asp.system
         self.asp = asp
         self.nu1, self.nu2, self.nu_asp = nu1, nu2, nu_asp
-        self.shape = asp.shape
         self._basis = self.system.setup.mass_basis
 
     def _transformed_A(self, y: np.ndarray) -> np.ndarray:

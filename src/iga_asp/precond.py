@@ -15,9 +15,10 @@ mass.  The potential map T and the potential-space operator B_T are
 
 with L the scalar Laplacian.  For 3-D div, B_T is itself an
 auxiliary-space preconditioner on V(curl): W is either the diagonal of
-Q_curl = C^T M_div C, computed from the 1-D factors of C and M_div
-without assembling Q_curl, or its symmetric Gauss-Seidel matrix, and
-P_curl the transfer onto V(curl).
+Q_curl = C^T M_div C, read from the 1-D factors of the C and M_div that
+the transfer set and the system setup hold, without assembling Q_curl,
+or its symmetric Gauss-Seidel matrix, and P_curl the transfer onto
+V(curl).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
@@ -48,7 +49,8 @@ pieces.  In the correction, P and P^T are applied by sum factorization
 past the system's product rule
 (:func:`iga_asp.assembly.factored_product_wins`) and by their CSR below
 it; P_curl and T stay CSR, where the factored product measured no
-faster.  The Gram factors read the CSR P on either side.
+faster; the transfer set also keeps T factored, for the diagonal of
+Q_curl.  The Gram factors read the CSR P on either side.
 """
 
 from __future__ import annotations
@@ -65,7 +67,6 @@ from .assembly import (
     KronSum,
     SystemSetup,
     column_panels,
-    curl_stiffness_diagonal,
     curl_stiffness_matrix,
     h1_vector_matrix,
     mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
@@ -281,7 +282,8 @@ class AspSetup:
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
         if curl_smoother == "diag":
-            diagonal = curl_stiffness_diagonal(setup.disc)
+            # diag(C^T M_div C) from the factored C and M_div held here
+            diagonal = self.transfers.T_op.congruence_diagonal(setup.M_D_op)
             W = Smoother("jacobi", diagonal=_checked_q_curl_diagonal(diagonal))
         else:
             Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)

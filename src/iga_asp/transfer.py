@@ -13,8 +13,10 @@ own space) and bc-restricted 1-D histopolations Q per block:
 per-factor rule with Q in place of the difference matrix.  A
 :class:`TransferSet` keeps the transfer onto the problem's space
 factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
-and assembles its CSR only when read; the transfer onto the potential
-space (3-D div) and the potential map stay CSR.
+and assembles its CSR only when read.  It keeps the potential map T
+(G, R or C) as the KronBlocks it is assembled from, which gives
+diag(T^T M T) from the 1-D factors, and assembles its CSR from it; the
+transfer onto the potential space (3-D div) is CSR alone.
 """
 
 from __future__ import annotations
@@ -26,8 +28,8 @@ import numpy as np
 import scipy.sparse as sp
 
 from .assembly import SystemSetup
-from .derham import (KronBlocks, TensorSpace, differential_matrix,
-                     potential_and_range, transfer_blocks, transfer_matrix)
+from .derham import (KronBlocks, TensorSpace, differential_blocks,
+                     potential_and_range, transfer_blocks)
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
 from .splines1d import (
     Space1D,
@@ -53,16 +55,19 @@ class TransferSet:
     transposes its apply reads.  The transfer onto the problem's space is
     kept factored, as ``P_op`` and its transpose ``P_op_T``; ``P_main``
     is its CSR and ``P_main_T`` the CSC view ``.T`` returns, both built
-    on first read.  The potential map and ``P_curl`` are CSR, with their
-    transposes stored once as the CSC views that share their arrays."""
+    on first read.  The potential map is kept factored, as ``T_op``;
+    ``potential`` is its CSR.  ``potential`` and ``P_curl`` store their
+    transposes once as the CSC views that share their arrays."""
 
     P_op: KronBlocks = field(repr=False)
-    potential: sp.csr_matrix = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
+    T_op: KronBlocks = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
     P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
+    potential: sp.csr_matrix = field(init=False, repr=False)
     potential_T: sp.csc_matrix = field(init=False, repr=False)
     P_curl_T: sp.csc_matrix | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "potential", self.T_op.tocsr())
         for name in ("potential", "P_curl"):
             M = getattr(self, name)
             object.__setattr__(self, f"{name}_T", None if M is None else M.T)
@@ -90,14 +95,14 @@ def build_p_curl(xh_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matri
     """Transfer matrix from the auxiliary vector space onto V(curl)."""
     if curl_space.kind.kind != "curl":
         raise ValueError("target must be a curl space")
-    return transfer_matrix(xh_space, curl_space, _histopolation())
+    return transfer_blocks(xh_space, curl_space, _histopolation()).tocsr()
 
 
 def build_p_div(xh_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(div)."""
     if div_space.kind.kind != "div":
         raise ValueError("target must be a div space")
-    return transfer_matrix(xh_space, div_space, _histopolation())
+    return transfer_blocks(xh_space, div_space, _histopolation()).tocsr()
 
 
 def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
@@ -130,7 +135,7 @@ def build_transfer_set(setup: SystemSetup) -> TransferSet:
     enter): the transfers onto its space (factored) and, unless that is
     the scalar grad space, onto its potential space, sharing one
     histopolation per knot vector, and the differential from the
-    potential space."""
+    potential space, factored and assembled."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces = setup.disc.spaces
@@ -138,6 +143,6 @@ def build_transfer_set(setup: SystemSetup) -> TransferSet:
     xh, Q = spaces["vector"], _histopolation()
     return TransferSet(
         P_op=transfer_blocks(xh, setup.space, Q),
-        potential=differential_matrix(spaces[potential], setup.space),
+        T_op=differential_blocks(spaces[potential], setup.space),
         P_curl=None if potential == "grad" else
-        transfer_matrix(xh, spaces[potential], Q))
+        transfer_blocks(xh, spaces[potential], Q).tocsr())

@@ -13,7 +13,6 @@ from iga_asp import assembly
 from iga_asp.assembly import (
     AssembledSystem,
     assemble_rhs,
-    curl_stiffness_diagonal,
     curl_stiffness_matrix,
     discretize,
     export_matrix_market,
@@ -27,9 +26,11 @@ from iga_asp.assembly import (
     system_matrix,
     system_setup,
 )
-from iga_asp.derham import KronBlocks, build_space, differential_matrix, kron_apply
+from iga_asp.derham import (KronBlocks, build_space, differential_blocks,
+                            differential_matrix, kron_apply)
 from iga_asp.krylov import _dense
 from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
+from iga_asp.transfer import build_transfer_set
 
 
 def cond2(A: sp.csr_matrix) -> float:
@@ -453,10 +454,18 @@ class TestFactoredDiagonals:
                      np.asarray(D.multiply(setup.M_range @ D).sum(axis=0)).ravel())
         assert_close(setup.M_D_op.diagonal(), setup.M_D.diagonal())
         if dim == 3:
-            disc = setup.disc
-            C = differential_matrix(disc.spaces["curl"], disc.spaces["div"])
-            assert_close(curl_stiffness_diagonal(disc),
-                         curl_stiffness_matrix(C, mass_matrix(disc, "div")).diagonal())
+            # the diag curl smoother's diag(Q_curl): the 3-D div setup's
+            # factored C (its transfer set's T_op; a natural-bc setup has
+            # no transfer set) congruent to its factored M_div
+            div = setup if operator == "div" else system_setup(
+                "div", 3, tuple(p), tuple(n), bc=bc)
+            spaces = div.disc.spaces
+            C_op = (build_transfer_set(div).T_op if bc == "essential" else
+                    differential_blocks(spaces["curl"], spaces["div"]))
+            C = differential_matrix(spaces["curl"], spaces["div"])
+            assert_close(C_op.congruence_diagonal(div.M_D_op),
+                         curl_stiffness_matrix(
+                             C, mass_matrix(div.disc, "div")).diagonal())
 
 
 def dense_grid_coefficients(space, funcs, factor_pairs):

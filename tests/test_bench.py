@@ -451,6 +451,20 @@ class TestSharedDiscretization:
         assert all(r["converged"] for r in rows)
         assert forward[0] == 0
 
+    def test_div_diag_curl_smoother_reads_its_setup(self, monkeypatch):
+        # the diag curl smoother of 3-D div reads diag(C^T M_div C) from
+        # the C of the transfer set and the M_div of the system setup:
+        # C's blocks are built once, with the transfer set, and no mass
+        setup = system_setup("div", 3, 2, 3)
+        counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
+            derham.differential_blocks, assembly.mass_operator,
+            transfer.build_transfer_set)}
+        asp = AspSetup(setup, "diag")
+        assert asp.curl_smoother.kind == "jacobi"
+        got = {name: c[0] for name, c in counts.items()}
+        assert got == {"differential_blocks": 1, "mass_operator": 0,
+                       "build_transfer_set": 1}, got
+
     def test_stiffness_formed_once_per_mesh(self, monkeypatch):
         # three tau cells with dense kappa read three CSR A's, which all
         # add their tau M_D to one D^T M_range D

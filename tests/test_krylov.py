@@ -230,6 +230,22 @@ class TestPcg:
         _, report = pcg(A, np.array([1.0, 1.0, 1.0]), tol=1e-12, max_iter=10)
         assert report.breakdown and not report.converged
 
+    @given(st.integers(min_value=1, max_value=3), st.integers(min_value=2, max_value=6),
+           st.sampled_from([1e-10, 1e-4, 1.0]), st.integers(min_value=5, max_value=40),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_stopped_solve_returns_its_best_iterate(self, p, n, tau, max_iter,
+                                                    seed):
+        # a tol below attainable accuracy: CG stops without converging
+        # (max_iter, or a breakdown where it diverges), and the x it
+        # returns has the smallest true residual of its history
+        system, B = asp_cell(p, n, tau)
+        b = np.random.default_rng(seed).standard_normal(system.shape[0])
+        x, report = pcg(system, b, B, tol=1e-18, max_iter=max_iter)
+        assert not report.converged
+        true_res = float(np.linalg.norm(b - system.apply(x)) / np.linalg.norm(b))
+        assert true_res == min(report.residuals)
+
     def test_solve_below_the_rule_assembles_nothing(self, monkeypatch):
         # system_matrix has built the CSR A whose product CG takes below
         # the rule, and the ASP setup the CSR P: the Jacobi-ASP solve
@@ -322,6 +338,27 @@ class TestGltPreconditioner:
                                 1, nu2, 1)
         b = np.random.default_rng(4).standard_normal(system.A.shape[0])
         x, x_csr = glt.apply(b), csr_cycle(glt, b)
+        assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
+
+    @pytest.mark.parametrize("nu1, nu_asp", [(1, 1), (1, 3), (2, 2)])
+    def test_products_with_A_per_apply(self, nu1, nu_asp):
+        # per cycle one product with A for each of the nu1 sweeps and two
+        # for the residuals before MINRES and the correction; the result
+        # is the oracle's
+        setup = system_setup("curl", 2, 2, 4)
+        system = system_matrix(setup, 1e-2)
+        glt = GltPreconditioner(AspPreconditioner(AspSetup(setup), system),
+                                nu1, 4, nu_asp)
+        apply_A, products = system.apply_A, [0]
+
+        def counted(x):
+            products[0] += 1
+            return apply_A(x)
+        object.__setattr__(system, "apply_A", counted)
+        b = np.random.default_rng(5).standard_normal(system.shape[0])
+        x = glt.apply(b)
+        assert products[0] == nu_asp * (nu1 + 2)
+        x_csr = csr_cycle(glt, b)
         assert np.linalg.norm(x - x_csr) <= 1e-10 * np.linalg.norm(x_csr)
 
     def test_cycle_makes_no_csr_product_with_A(self):

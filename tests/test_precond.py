@@ -483,20 +483,28 @@ class TestFactoredSetup:
     def test_q_curl_guard_on_both_smoothers(self, monkeypatch, entry):
         # the guard reads the diagonal after the DROP_TOL zeroing of
         # drop_small, so an entry of 1e-16 counts as zero
+        # (the diag smoother's diagonal is the transfer set's C congruent
+        # to M_div, the sgs smoother's Q_curl the assembled product)
         setup = system_setup("div", 3, 2, 3)
-        diagonal_of, matrix_of = (precond.curl_stiffness_diagonal,
-                                  precond.curl_stiffness_matrix)
+        transfers_of, matrix_of = (precond.build_transfer_set,
+                                   precond.curl_stiffness_matrix)
 
-        def bad_diagonal(disc):
-            out = diagonal_of(disc)
-            out[5] = entry
-            return out
+        def bad_transfers(setup):
+            ts = transfers_of(setup)
+            diagonal_of = ts.T_op.congruence_diagonal
+
+            def bad_diagonal(op):
+                out = diagonal_of(op)
+                out[5] = entry
+                return out
+            ts.T_op.congruence_diagonal = bad_diagonal
+            return ts
 
         def bad_matrix(C, M_div):
             Q = matrix_of(C, M_div).tolil()
             Q[5, 5] = entry
             return Q.tocsr()
-        monkeypatch.setattr(precond, "curl_stiffness_diagonal", bad_diagonal)
+        monkeypatch.setattr(precond, "build_transfer_set", bad_transfers)
         monkeypatch.setattr(precond, "curl_stiffness_matrix", bad_matrix)
         for curl_smoother in ("diag", "sgs"):
             with pytest.raises(ArithmeticError, match="Q_curl"):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from iga_asp import derham, precond
-from iga_asp.assembly import _range_kind, system_matrix, system_setup
+from iga_asp.assembly import system_matrix, system_setup
 from iga_asp.bench import quasi_interpolant_coefficients
 from iga_asp.derham import build_space, differential_matrix, gradient_matrix
 from iga_asp.krylov import pcg
@@ -224,8 +224,17 @@ def test_potential_and_range_follow_the_diagram(operator, dim):
     assert (ts.P_curl is not None) == (potential == "curl")
     if ts.P_curl is not None:
         assert (ts.P_curl != build_p_curl(spaces["vector"], spaces["curl"])).nnz == 0
-    assert _range_kind(operator, dim) == range_kind
+    assert derham.potential_and_range(operator, dim) == (potential, range_kind)
     assert setup.range_space is spaces[range_kind]
+
+
+@pytest.mark.parametrize("kind, dim", [("grad", 2), ("l2", 3), ("curl", 4)])
+def test_potential_and_range_name_a_space_without_a_problem(kind, dim):
+    message = f"no problem on the '{kind}' space in dimension {dim}"
+    with pytest.raises(ValueError, match=message):
+        derham.potential_and_range(kind, dim)
+    with pytest.raises(ValueError, match=message):
+        system_setup(kind, dim, 2, 3)
 
 
 class TestFunctionProjection1d:
