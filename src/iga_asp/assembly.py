@@ -27,8 +27,11 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 * ``mass_basis``            -- the ``MassBasis`` of a system setup: the
                                mass-orthonormal basis in which
                                C^T A C = W^T W + tau I, with W one dense
-                               1-D matrix on one axis per block (the
-                               composite cycle's smoothing step),
+                               1-D matrix on one axis per block, and the
+                               eigenbasis V, mu of the range Laplacian
+                               L = W W^T (+ W_+^T W_+), a Kronecker sum
+                               of 1-D matrices (the composite cycle's
+                               smoothing step),
 * ``system_matrix``         -- the ``AssembledSystem(setup, tau, b)`` of
                                one tau, the one operator of A = K + tau
                                M_D that CG and kappa read: its product,
@@ -316,17 +319,34 @@ class MassBasis:
     Every identity factor of D cancels (R_k^T C_k = I), so a block of W is
     its block of D with the 1-D difference map delta of its one
     differentiated direction replaced by the dense R_D^T delta C_B, and
-    the plan of its apply skips the identities.  ``forward`` (C^T),
-    ``backward`` (C), ``W`` and ``W_T`` (W^T, W's
-    :meth:`iga_asp.derham.KronBlocks.transpose`) are
+    the plan of its apply skips the identities.
+
+    The range Laplacian L = W W^T, plus W_+^T W_+ on 3-D curl (W_+ the
+    mass-basis div of the range space, which vanishes on range(W)), is per
+    range component c a Kronecker sum of dense 1-D matrices G_{c,k}: the
+    sum of w w^T over the single-axis factors w on axis k of W's blocks in
+    row c, plus v^T v over those of W_+.  The other products cancel, since
+    a block's one dense factor depends only on its differentiated axis.
+    With G_{c,k} = V_{c,k} diag(mu_{c,k}) V_{c,k}^T (one ``eigh`` each),
+    L = V diag(mu) V^T, V per component (x)_k V_{c,k} and mu per component
+    the sums mu_{c,0} + ... + mu_{c,d-1}, in V's order.  W^T W + tau I
+    acts as tau on ker W and as mu + tau on each W^T v / sqrt(mu) with
+    mu > 0 (:class:`iga_asp.krylov.GltPreconditioner` runs its MINRES
+    there).
+
+    ``forward`` (C^T), ``backward`` (C), ``W``, ``W_T`` (W^T, W's
+    :meth:`iga_asp.derham.KronBlocks.transpose`), ``V`` and ``V_T`` are
     :class:`iga_asp.derham.KronBlocks` with their dense factors laid out
-    by :func:`_laid_out`."""
+    by :func:`_laid_out`; ``mu`` is the 1-D array of L's eigenvalues."""
 
     factors: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
     forward: KronBlocks = field(repr=False)
     backward: KronBlocks = field(repr=False)
     W: KronBlocks = field(repr=False)
     W_T: KronBlocks = field(repr=False)
+    V: KronBlocks = field(repr=False)
+    V_T: KronBlocks = field(repr=False)
+    mu: np.ndarray = field(repr=False)
 
 
 def _laid_out(op: KronBlocks) -> KronBlocks:
@@ -349,7 +369,8 @@ def _laid_out(op: KronBlocks) -> KronBlocks:
 def mass_basis(setup: SystemSetup) -> MassBasis:
     """The :class:`MassBasis` of ``setup``: one eigendecomposition per
     distinct 1-D factor space of the space and the range space, the
-    dense 1-D factors of W from D's blocks, and W^T as W's transpose."""
+    dense 1-D factors of W from D's blocks, W^T as W's transpose, and one
+    eigendecomposition per range component and axis of L's 1-D G_{c,k}."""
     factors = {}
     for space in (setup.space, setup.range_space):
         for f in {f for comp in space.components for f in comp} - factors.keys():
@@ -371,13 +392,44 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
                          for F, s, t in zip(Fs, src, dst)])
                 for coeff, Fs in terms]
 
-    D = differential_blocks(setup.space, setup.range_space)
-    W = KronBlocks([[in_basis(terms, src, dst)
-                     for terms, src in zip(row, setup.space.components)]
-                    for row, dst in zip(D.rows, setup.range_space.components)])
+    def in_basis_blocks(src: TensorSpace, dst: TensorSpace) -> KronBlocks:
+        D = differential_blocks(src, dst)
+        return KronBlocks([[in_basis(terms, s, t)
+                            for terms, s in zip(row, src.components)]
+                           for row, t in zip(D.rows, dst.components)])
+
+    W = in_basis_blocks(setup.space, setup.range_space)
+    # L's G_{c,k}: w w^T of W's single-axis factors by block row, and on a
+    # vector range (3-D curl) v^T v of W_+'s by block column
+    range_space = setup.range_space
+    grams = [[np.zeros((f.dim, f.dim)) for f in comp]
+             for comp in range_space.components]
+    for c, row in enumerate(W.rows):
+        for coeff, Fs in (term for terms in row for term in terms or ()):
+            k, w = _single_axis(Fs)
+            grams[c][k] += coeff**2 * (w @ w.T)
+    if range_space.n_components > 1:
+        _, after = derham.potential_and_range(range_space.kind.kind, setup.dim)
+        W_next = in_basis_blocks(range_space, setup.disc.spaces[after])
+        for c, terms in enumerate(W_next.rows[0]):
+            for coeff, Fs in terms:
+                k, v = _single_axis(Fs)
+                grams[c][k] += coeff**2 * (v.T @ v)
+    eigen = [[sla.eigh(G) for G in comp] for comp in grams]
+    V = KronBlocks.block_diagonal([[(1.0, [U for _, U in comp])] for comp in eigen])
+    mu = np.concatenate([sum(np.ix_(*[lam for lam, _ in comp])).ravel()
+                         for comp in eigen])
     return MassBasis(factors, _laid_out(per_component(lambda f: factors[f][0].T)),
                      _laid_out(per_component(lambda f: factors[f][0])),
-                     _laid_out(W), _laid_out(W.transpose()))
+                     _laid_out(W), _laid_out(W.transpose()),
+                     _laid_out(V), _laid_out(V.transpose()), mu)
+
+
+def _single_axis(factors) -> tuple[int, np.ndarray]:
+    """The axis and the one dense factor of a block of a mass-basis
+    differential, whose other factors are sparse identities."""
+    (k, w), = [(k, F) for k, F in enumerate(factors) if not sp.issparse(F)]
+    return k, w
 
 
 # columns per product when dense kappa builds blocks: one block of n

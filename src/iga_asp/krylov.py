@@ -12,10 +12,13 @@
   with the masses applied by sum factorization); its MINRES runs in the
   mass-orthonormal basis of the system setup
   (:class:`iga_asp.assembly.MassBasis`), where the mass preconditioner
-  is the identity and A is W^T W + tau I.  Its truncated MINRES step
-  makes it nonlinear, and it says so.
+  is the identity and A is W^T W + tau I, and there on the eigenvalues
+  of W^T W + tau I, which the basis's eigenbasis of the range Laplacian
+  gives, so that its steps make no Kronecker product.  Its truncated
+  MINRES step makes it nonlinear, and it says so.
 * :func:`minres` -- unpreconditioned MINRES from zero for a fixed
-  number of steps, the cycle's smoothing step.
+  number of steps, which the cycle's smoothing step runs on a diagonal
+  operator.
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos; it refuses a nonlinear preconditioner.
@@ -63,6 +66,10 @@ __all__ = [
 DENSE_MAX_DIM = 20000
 # largest dimension at which mode="auto" picks dense kappa over Lanczos
 AUTO_DENSE_MAX_DIM = 2500
+# eigenvalues of the range Laplacian at or below this times the largest
+# are its null modes (round-off of 0; the smallest other one is 2.0e-5 of
+# the largest on 2-D curl p=6 n=64)
+NULL_MODE_TOL = 1e-10
 
 
 @dataclass
@@ -217,10 +224,20 @@ class GltPreconditioner:
     the assembled CSR).  The MINRES step runs in the mass-orthonormal
     basis of the system setup (:class:`iga_asp.assembly.MassBasis`, built
     once per mesh, here): preconditioning by M_D^{-1} = C C^T gives, in
-    exact arithmetic, the iterates of plain MINRES on C^T A C = W^T W +
-    tau I, so each cycle transforms once, r = C^T (b - A x), runs
-    :func:`minres` with W and W^T (one dense 1-D matrix per block, on one
-    axis) and adds C y to x; no mass solve is made.
+    exact arithmetic, the iterates of plain MINRES on S = C^T A C = W^T W
+    + tau I from r = C^T (b - A x), and x gains C y.
+
+    MINRES from zero depends only on the spectral measure of r under S,
+    so :meth:`_smoothing_step` runs it on S's eigenvalues instead, with
+    the eigenbasis V, mu of the range Laplacian that the mass basis holds:
+    z = V^T W r on the modes with mu > ``NULL_MODE_TOL`` max mu (the
+    others, the constant of a scalar range, are in ker W^T), r0 = r -
+    W^T V (z / mu) the part of r in ker W, and :func:`minres` on the
+    diagonal (tau, mu + tau) with right-hand side (||r0||, z / sqrt mu);
+    its y maps back as y_0 r0 / ||r0|| + W^T V (y_1 / sqrt mu).  In exact
+    arithmetic these are the iterates of MINRES on S.  The nu2 steps make
+    no Kronecker product; the step makes six (W and V^T once, V and W^T
+    twice), where MINRES on S made two per step.
     """
 
     # MINRES truncated at nu2 steps is not a fixed linear map of b: pcg
@@ -234,14 +251,29 @@ class GltPreconditioner:
         self.system = asp.system
         self.asp = asp
         self.nu1, self.nu2, self.nu_asp = nu1, nu2, nu_asp
-        self._basis = self.system.setup.mass_basis
+        basis = self._basis = self.system.setup.mass_basis
+        self.modes = basis.mu > NULL_MODE_TOL * basis.mu.max()
+        mu = basis.mu[self.modes]
+        self._mu, self._sqrt_mu = mu, np.sqrt(mu)
+        self._spectrum = np.concatenate(([self.system.tau], mu + self.system.tau))
 
-    def _transformed_A(self, y: np.ndarray) -> np.ndarray:
-        """C^T A C y = W^T (W y) + tau y."""
-        basis = self._basis
-        out = basis.W_T.apply(basis.W.apply(y))
-        out += self.system.tau * y
-        return out
+    def _smoothing_step(self, r: np.ndarray) -> np.ndarray:
+        """nu2 MINRES steps on W^T W + tau I from zero, run on its
+        eigenvalues (see the class docstring)."""
+        basis, modes = self._basis, self.modes
+        u = np.zeros(basis.mu.shape[0])
+        z = basis.V_T.apply(basis.W.apply(r))[modes]
+        u[modes] = z / self._mu
+        r0 = r - basis.W_T.apply(basis.V.apply(u))
+        norm_r0 = math.sqrt(r0 @ r0)
+        spectrum = self._spectrum
+        y = minres(lambda v: spectrum * v,
+                   np.concatenate(([norm_r0], z / self._sqrt_mu)), self.nu2)
+        u[modes] = y[1:] / self._sqrt_mu
+        x = basis.W_T.apply(basis.V.apply(u))
+        if norm_r0 > 0.0:
+            x += (y[0] / norm_r0) * r0
+        return x
 
     def apply(self, b: np.ndarray) -> np.ndarray:
         A = self.system.apply_A
@@ -251,7 +283,7 @@ class GltPreconditioner:
             for _ in range(self.nu1):
                 x = x + self.asp.smoother.apply(b - A(x))
             r = basis.forward.apply(b - A(x))
-            x = x + basis.backward.apply(minres(self._transformed_A, r, self.nu2))
+            x = x + basis.backward.apply(self._smoothing_step(r))
             d = b - A(x)
             x = x + self.asp.correction(d)
         return x

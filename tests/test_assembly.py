@@ -312,6 +312,26 @@ class TestMassBasis:
             assert relative_error(op.apply(x), ref @ x) <= 1e-13
             assert relative_error(op.apply(x[:, 0]), ref @ x[:, 0]) <= 1e-13
 
+    @pytest.mark.parametrize("bc", ["essential", "natural"])
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    @pytest.mark.parametrize("dim", [2, 3])
+    @pytest.mark.parametrize("operator", ["curl", "div"])
+    def test_range_laplacian_is_a_kronecker_sum(self, operator, dim, p, bc):
+        # V diag(mu) V^T with V orthogonal is the dense W W^T, plus
+        # W_+^T W_+ on 3-D curl, W_+ the mass-basis W of the 3-D div
+        # setup on the same mesh and bc
+        for n in (2, 4):
+            basis = system_setup(operator, dim, p, n, bc=bc).mass_basis
+            W = basis.W.tocsr().toarray()
+            L = W @ W.T
+            if (operator, dim) == ("curl", 3):
+                W_next = system_setup("div", 3, p, n, bc=bc).mass_basis.W.tocsr()
+                L += (W_next.T @ W_next).toarray()
+            V = basis.V.tocsr().toarray()
+            assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
+            assert np.abs((V * basis.mu) @ V.T - L).max() <= 1e-14 * np.abs(L).max()
+            assert np.array_equal(basis.V_T.tocsr().toarray(), V.T)
+
     def test_one_single_axis_factor_per_block(self):
         # every block of W differentiates in one direction: its other
         # factors are identities, which the plan skips, so each block is

@@ -5,7 +5,7 @@ import itertools
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from iga_asp.assembly import (discretize, h1_vector_matrix,
@@ -306,14 +306,31 @@ class TestPlannedWalk:
         assert np.array_equal(T.apply(x), oracle_apply(T, x))
 
 
+def absolute(B: KronBlocks) -> KronBlocks:
+    """B with every coefficient and factor in absolute value: its
+    assembled matrix bounds |B| entry by entry, and adds the terms that
+    cancel in B without cancellation."""
+    return KronBlocks([[None if terms is None else
+                        [(abs(coeff), [abs(F) for F in factors])
+                         for coeff, factors in terms]
+                        for terms in row] for row in B.rows])
+
+
 class TestKronBlocksOperator:
-    """apply, diagonal and congruence_diagonal against ``tocsr()``."""
+    """apply, diagonal and congruence_diagonal against ``tocsr()``.  The
+    round-off of either side is on the scale of B's terms, not of their
+    sum, which cancels on some draws (seed 1093: a difference of 1.1e-16
+    against ||A x|| = 9.1e-4), so both bounds scale by :func:`absolute`,
+    never less than the assembled matrices' |A|; the pinned draws failed
+    the bounds on the assembled matrices."""
 
     @given(st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=5),
            st.integers(min_value=1, max_value=3),
            st.sampled_from([None, 1, 3]),
            st.integers(min_value=0, max_value=2**32 - 1))
+    @example(4, 3, 3, None, 1093)
+    @example(1, 4, 1, None, 2168741208)
     @settings(max_examples=80, deadline=None)
     def test_apply_matches_assembled(self, n_rows, n_cols, n_factors, k, seed):
         rng = np.random.default_rng(seed)
@@ -323,12 +340,18 @@ class TestKronBlocksOperator:
         x = rng.standard_normal((A.shape[1],) if k is None else (A.shape[1], k))
         y, ref = B.apply(x), A @ x
         assert y.shape == ref.shape
-        assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
+        scale = max(np.linalg.norm(ref),
+                    np.linalg.norm(absolute(B).tocsr() @ np.abs(x)))
+        assert np.linalg.norm(y - ref) <= 1e-14 * scale
 
     @given(st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=4),
            st.integers(min_value=1, max_value=3),
            st.integers(min_value=0, max_value=2**32 - 1))
+    @example(3, 4, 1, 769068387)
+    @example(4, 4, 1, 2878292695)
+    @example(2, 2, 1, 2467342646)
+    @example(1, 3, 1, 936935699)
     @settings(max_examples=60, deadline=None)
     def test_diagonals_match_assembled(self, n_rows, n_cols, n_factors, seed):
         # diag(B^T op B) for a random B and a random block-diagonal op on
@@ -343,7 +366,9 @@ class TestKronBlocksOperator:
              for _ in range(rng.integers(1, 3))] for d in dims])
         Bd, opd = B.tocsr().toarray(), op.tocsr().toarray()
         ref = np.einsum("ij,ij->j", Bd, opd @ Bd)
-        scale = np.abs(Bd).T @ np.abs(opd) @ np.abs(Bd)
+        Ba, opa = absolute(B).tocsr().toarray(), absolute(op).tocsr().toarray()
+        scale = np.maximum(np.abs(Bd).T @ np.abs(opd) @ np.abs(Bd),
+                           Ba.T @ opa @ Ba)
         assert np.all(np.abs(B.congruence_diagonal(op) - ref)
                       <= 1e-13 * scale.diagonal())
         np.testing.assert_array_equal(op.diagonal(), np.diagonal(opd))

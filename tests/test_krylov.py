@@ -1,5 +1,7 @@
 """Krylov solvers, the composite cycle, and condition-number estimation."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from iga_asp import assembly, derham
+from iga_asp.derham import KronPlan
 from iga_asp.assembly import (
     _PANEL_WIDTH,
     AssembledSystem,
@@ -17,6 +20,7 @@ from iga_asp.assembly import (
 )
 from iga_asp.krylov import (
     AUTO_DENSE_MAX_DIM,
+    NULL_MODE_TOL,
     GltPreconditioner,
     SolveReport,
     _as_matvec,
@@ -262,7 +266,90 @@ class TestPcg:
         assert built == []
 
 
+@lru_cache(maxsize=None)
+def glt_setups(problem, dim, p, n):
+    """The system setup and ASP setup of one mesh, kept for the
+    Hypothesis draws that return to it."""
+    setup = system_setup(problem, dim, p, n)
+    return setup, AspSetup(setup)
+
+
+def old_smoothing_step(glt, r):
+    """The oracle of the cycle's MINRES step: the step as it ran before
+    it moved onto the eigenvalues, MINRES on W^T W + tau I with two
+    Kronecker products per step."""
+    basis, tau = glt.system.setup.mass_basis, glt.system.tau
+    return minres(lambda y: basis.W_T.apply(basis.W.apply(y)) + tau * y, r,
+                  glt.nu2)
+
+
 class TestGltPreconditioner:
+    @given(st.sampled_from(["curl", "div"]), st.sampled_from([2, 3]),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=2, max_value=5),
+           st.floats(min_value=-4.0, max_value=4.0),
+           st.integers(min_value=1, max_value=30),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_smoothing_step_is_the_old_minres(self, problem, dim, p, n, log_tau,
+                                              nu2, seed):
+        # the two are one MINRES in exact arithmetic.  Where its Krylov
+        # polynomial reaches the isolated eigenvalue tau of ker W (small
+        # tau, nu2 near the number of distinct mu), the iterate itself is
+        # ill-conditioned: on 3-D div p=1 n=5, tau=1e-4, nu2=30 the step
+        # and the oracle differ by 0.17 of the oracle, and the oracle with
+        # the dense W^T W + tau I in place of its factored products moves
+        # by 0.12.  So the step is held to 100 times that spread of the
+        # oracle under round-off, and to 1e-10 relative where the spread
+        # is smaller (1,536 cells over this domain: at most 44 and 15
+        # times the spread at floors 1e-12 and 1e-10)
+        setup, asp_setup = glt_setups(problem, dim, p, n)
+        tau = 10.0**log_tau
+        glt = GltPreconditioner(AspPreconditioner(asp_setup,
+                                                  system_matrix(setup, tau)),
+                                1, nu2, 1)
+        r = np.random.default_rng(seed).standard_normal(setup.space.total_dim)
+        x, ref = glt._smoothing_step(r), old_smoothing_step(glt, r)
+        W = setup.mass_basis.W.tocsr().toarray()
+        S = W.T @ W + tau * np.eye(W.shape[1])
+        spread = np.linalg.norm(minres(lambda y: S @ y, r, nu2) - ref)
+        assert np.linalg.norm(x - ref) <= max(
+            100.0 * spread, 1e-10 * np.linalg.norm(ref))
+
+    @pytest.mark.parametrize("problem, dim, dropped", [
+        ("curl", 2, 1), ("div", 2, 1), ("div", 3, 1), ("curl", 3, 0)])
+    def test_null_modes_of_the_range_laplacian(self, problem, dim, dropped):
+        # a scalar range (essential bc) drops its constant, exactly one
+        # mode; on 3-D curl L = W W^T + W_+^T W_+ is SPD and keeps all
+        for p, n in ((1, 3), (2, 4), (3, 3)):
+            setup = system_setup(problem, dim, p, n)
+            glt = GltPreconditioner(AspPreconditioner(
+                AspSetup(setup), system_matrix(setup, 1.0)), 1, 4, 1)
+            mu = setup.mass_basis.mu
+            assert np.count_nonzero(~glt.modes) == dropped
+            assert np.all(np.abs(mu[~glt.modes]) <= 1e-14 * mu.max())
+            assert mu[glt.modes].min() > 1e6 * NULL_MODE_TOL * mu.max()
+
+    def test_kronecker_products_per_apply_do_not_grow_with_nu2(self, monkeypatch):
+        # the nu2 MINRES steps run on a diagonal: every Kronecker product
+        # of an apply (transforms, A, the step's maps, the correction) is
+        # made as often at nu2 = 4 as at nu2 = 27
+        setup, asp_setup = glt_setups("div", 3, 2, 3)
+        asp = AspPreconditioner(asp_setup, system_matrix(setup, 1e-4))
+        b = np.random.default_rng(6).standard_normal(setup.space.total_dim)
+        call, calls = KronPlan.__call__, [0]
+
+        def counted(plan, x):
+            calls[0] += 1
+            return call(plan, x)
+        monkeypatch.setattr(KronPlan, "__call__", counted)
+        counts = []
+        for nu2 in (4, 27):
+            calls[0] = 0
+            GltPreconditioner(asp, 1, nu2, 3).apply(b)
+            counts.append(calls[0])
+        assert counts[0] == counts[1] > 0
+
     def test_config_validation(self):
         _, asp = asp_cell(1, 4, 1.0)
         with pytest.raises(ValueError):

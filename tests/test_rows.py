@@ -8,7 +8,9 @@ cells (54 cells, dense kappa) as written by ``SWEEP`` with
 ``PAST_RULE`` (every cell past ``assembly.factored_product_wins``, so
 that the ASP applies its transfer factored) and
 ``tests/data/gauss_seidel_rows.json`` those of ``GAUSS_SEIDEL`` (the
-Gauss-Seidel smoother of A and the sgs curl smoother), both rewritten by
+Gauss-Seidel smoother of A and the sgs curl smoother) and
+``tests/data/cycle_rows.json`` those of ``CYCLE`` (the composite cycle
+on a vector and a scalar range), all rewritten by
 
     PYTHONPATH=src python tests/test_rows.py
 
@@ -39,6 +41,12 @@ PAST_RULE = [
     ExperimentSpec("div", 3, (2,), (8,), (1.0,), precond="asp-glt",
                    curl_smoother="sgs", nu2_rule="pcube"),
     ExperimentSpec("curl", 2, (6,), (64,), (1e-4,), precond="asp-glt"),
+]
+CYCLE_PINNED = ROOT / "tests" / "data" / "cycle_rows.json"
+CYCLE = [
+    ExperimentSpec("curl", 3, (2,), (8,), (1e-4, 1.0), precond="asp-glt",
+                   nu2_rule="pcube"),
+    ExperimentSpec("div", 2, (1, 2), (8,), (1e-4, 1.0), precond="asp-glt"),
 ]
 GAUSS_SEIDEL_PINNED = ROOT / "tests" / "data" / "gauss_seidel_rows.json"
 GAUSS_SEIDEL = [
@@ -101,6 +109,29 @@ def test_rows_past_the_product_rule_match_the_pinned_table():
             assert got["kappa2"] == pytest.approx(
                 want["kappa2"], rel=rows_diff.TOLERANCES["kappa2"][0])
     assert sum(r["kappa2"] is not None for r in rows) == 4
+
+
+def cycle_rows() -> list[dict]:
+    return json.loads(emit([r for spec in CYCLE for r in run_experiment(spec)],
+                           "json"))
+
+
+def test_cycle_rows_match_the_pinned_table():
+    # the composite cycle on 3-D curl (a vector range, past the product
+    # rule) and 2-D div (a scalar range, below it): iteration counts and
+    # convergence exactly; res_err only against tol, since the cycle's
+    # truncated MINRES amplifies round-off
+    assert [factored_product_wins(build_space(
+        spec.problem, p, spec.n_values[0], dim=spec.dim, bc="essential"))
+        for spec in CYCLE for p in spec.p_values] == [True, False, False]
+    pinned, rows = json.loads(CYCLE_PINNED.read_text()), cycle_rows()
+    assert len(pinned) == len(rows) == 6
+    keyed = rows_diff._keyed(rows)
+    assert keyed.keys() == rows_diff._keyed(pinned).keys()
+    for key, want in rows_diff._keyed(pinned).items():
+        got = keyed[key]
+        assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
+        assert got["converged"] and got["res_err"] <= 1e-6
 
 
 def gauss_seidel_rows() -> list[dict]:
@@ -223,5 +254,6 @@ class TestRowsDiff:
 
 if __name__ == "__main__":
     PAST_RULE_PINNED.write_text(json.dumps(past_rule_rows(), indent=2) + "\n")
+    CYCLE_PINNED.write_text(json.dumps(cycle_rows(), indent=2) + "\n")
     GAUSS_SEIDEL_PINNED.write_text(json.dumps(gauss_seidel_rows(), indent=2)
                                    + "\n")
