@@ -332,12 +332,15 @@ class MassBasis:
     the sums mu_{c,0} + ... + mu_{c,d-1}, in V's order.  W^T W + tau I
     acts as tau on ker W and as mu + tau on each W^T v / sqrt(mu) with
     mu > 0 (:class:`iga_asp.krylov.GltPreconditioner` runs its MINRES
-    there).
+    there).  The modes with mu at or below ``NULL_MODE_TOL`` max mu are
+    L's null space, in ker W^T: the constant of a scalar range, none on
+    3-D curl, where L is SPD.
 
     ``forward`` (C^T), ``backward`` (C), ``W``, ``W_T`` (W^T, W's
     :meth:`iga_asp.derham.KronBlocks.transpose`), ``V`` and ``V_T`` are
     :class:`iga_asp.derham.KronBlocks` with their dense factors laid out
-    by :func:`_laid_out`; ``mu`` is the 1-D array of L's eigenvalues."""
+    by :func:`_laid_out`; ``mu`` is the 1-D array of L's eigenvalues and
+    ``mode_scale`` that of 1/sqrt(mu), 0 on the null modes."""
 
     factors: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
     forward: KronBlocks = field(repr=False)
@@ -347,6 +350,7 @@ class MassBasis:
     V: KronBlocks = field(repr=False)
     V_T: KronBlocks = field(repr=False)
     mu: np.ndarray = field(repr=False)
+    mode_scale: np.ndarray = field(repr=False)
 
 
 def _laid_out(op: KronBlocks) -> KronBlocks:
@@ -366,11 +370,18 @@ def _laid_out(op: KronBlocks) -> KronBlocks:
         for terms in row] for row in op.rows])
 
 
+# eigenvalues of the range Laplacian at or below this times the largest
+# are its null modes (round-off of 0; the smallest other one is 2.0e-5 of
+# the largest on 2-D curl p=6 n=64)
+NULL_MODE_TOL = 1e-10
+
+
 def mass_basis(setup: SystemSetup) -> MassBasis:
     """The :class:`MassBasis` of ``setup``: one eigendecomposition per
     distinct 1-D factor space of the space and the range space, the
     dense 1-D factors of W from D's blocks, W^T as W's transpose, and one
-    eigendecomposition per range component and axis of L's 1-D G_{c,k}."""
+    eigendecomposition per range component and axis of L's 1-D G_{c,k},
+    with the scale 1/sqrt(mu) of L's modes past its null space."""
     factors = {}
     for space in (setup.space, setup.range_space):
         for f in {f for comp in space.components for f in comp} - factors.keys():
@@ -419,10 +430,13 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
     V = KronBlocks.block_diagonal([[(1.0, [U for _, U in comp])] for comp in eigen])
     mu = np.concatenate([sum(np.ix_(*[lam for lam, _ in comp])).ravel()
                          for comp in eigen])
+    kept = mu > NULL_MODE_TOL * mu.max()
+    mode_scale = np.zeros_like(mu)
+    mode_scale[kept] = 1.0 / np.sqrt(mu[kept])
     return MassBasis(factors, _laid_out(per_component(lambda f: factors[f][0].T)),
                      _laid_out(per_component(lambda f: factors[f][0])),
                      _laid_out(W), _laid_out(W.transpose()),
-                     _laid_out(V), _laid_out(V.transpose()), mu)
+                     _laid_out(V), _laid_out(V.transpose()), mu, mode_scale)
 
 
 def _single_axis(factors) -> tuple[int, np.ndarray]:

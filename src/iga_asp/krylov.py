@@ -66,10 +66,6 @@ __all__ = [
 DENSE_MAX_DIM = 20000
 # largest dimension at which mode="auto" picks dense kappa over Lanczos
 AUTO_DENSE_MAX_DIM = 2500
-# eigenvalues of the range Laplacian at or below this times the largest
-# are its null modes (round-off of 0; the smallest other one is 2.0e-5 of
-# the largest on 2-D curl p=6 n=64)
-NULL_MODE_TOL = 1e-10
 
 
 @dataclass
@@ -229,13 +225,13 @@ class GltPreconditioner:
 
     MINRES from zero depends only on the spectral measure of r under S,
     so :meth:`_smoothing_step` runs it on S's eigenvalues instead, with
-    the eigenbasis V, mu of the range Laplacian that the mass basis holds:
-    z = V^T W r on the modes with mu > ``NULL_MODE_TOL`` max mu (the
-    others, the constant of a scalar range, are in ker W^T), r0 = r -
-    W^T V (z / mu) the part of r in ker W, and :func:`minres` on the
-    diagonal (tau, mu + tau) with right-hand side (||r0||, z / sqrt mu);
-    its y maps back as y_0 r0 / ||r0|| + W^T V (y_1 / sqrt mu).  In exact
-    arithmetic these are the iterates of MINRES on S.  The nu2 steps make
+    the eigenbasis V, mu of the range Laplacian that the mass basis holds
+    and its ``mode_scale`` s (1/sqrt mu, 0 on L's null modes, which are
+    in ker W^T): z = s V^T W r, r0 = r - W^T V (s z) the part of r in ker
+    W, and :func:`minres` on the diagonal (tau, mu + tau) with right-hand
+    side (||r0||, z), whose null-mode entries are 0 and stay 0; its y maps
+    back as y_0 r0 / ||r0|| + W^T V (s y_1).  In exact arithmetic these
+    are the iterates of MINRES on S.  The nu2 steps make
     no Kronecker product; the step makes six (W and V^T once, V and W^T
     twice), where MINRES on S made two per step.
     """
@@ -252,25 +248,21 @@ class GltPreconditioner:
         self.asp = asp
         self.nu1, self.nu2, self.nu_asp = nu1, nu2, nu_asp
         basis = self._basis = self.system.setup.mass_basis
-        self.modes = basis.mu > NULL_MODE_TOL * basis.mu.max()
-        mu = basis.mu[self.modes]
-        self._mu, self._sqrt_mu = mu, np.sqrt(mu)
-        self._spectrum = np.concatenate(([self.system.tau], mu + self.system.tau))
+        self._spectrum = np.concatenate(([self.system.tau],
+                                         basis.mu + self.system.tau))
 
     def _smoothing_step(self, r: np.ndarray) -> np.ndarray:
         """nu2 MINRES steps on W^T W + tau I from zero, run on its
         eigenvalues (see the class docstring)."""
-        basis, modes = self._basis, self.modes
-        u = np.zeros(basis.mu.shape[0])
-        z = basis.V_T.apply(basis.W.apply(r))[modes]
-        u[modes] = z / self._mu
-        r0 = r - basis.W_T.apply(basis.V.apply(u))
+        basis = self._basis
+        scale = basis.mode_scale
+        z = basis.V_T.apply(basis.W.apply(r)) * scale
+        r0 = r - basis.W_T.apply(basis.V.apply(z * scale))
         norm_r0 = math.sqrt(r0 @ r0)
         spectrum = self._spectrum
-        y = minres(lambda v: spectrum * v,
-                   np.concatenate(([norm_r0], z / self._sqrt_mu)), self.nu2)
-        u[modes] = y[1:] / self._sqrt_mu
-        x = basis.W_T.apply(basis.V.apply(u))
+        y = minres(lambda v: spectrum * v, np.concatenate(([norm_r0], z)),
+                   self.nu2)
+        x = basis.W_T.apply(basis.V.apply(y[1:] * scale))
         if norm_r0 > 0.0:
             x += (y[0] / norm_r0) * r0
         return x

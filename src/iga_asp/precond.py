@@ -45,12 +45,12 @@ Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
 on the first dense kappa the Gram factors of the space's sectors)
 for one mesh, and :class:`AspPreconditioner` adds the two per-tau
-pieces.  In the correction, P, P_curl and their transposes are applied
-by sum factorization past the system's product rule
+pieces.  In the correction, P and P^T are applied by sum factorization
+past the system's product rule
 (:func:`iga_asp.assembly.factored_product_wins`) and by their CSR below
-it; T stays CSR, where the factored product of C measured slower; the
-transfer set also keeps T factored, for the diagonal of Q_curl.  The
-Gram factors read the CSR P and P_curl on either side.
+it; P_curl and T stay CSR, where the factored product measured no
+faster; the transfer set also keeps T factored, for the diagonal of
+Q_curl.  The Gram factors read the CSR P on either side.
 """
 
 from __future__ import annotations
@@ -253,11 +253,10 @@ class AspSetup:
     ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
     ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
     Q_curl (3-D div only); ``solve_potential`` applies B_T from them.
-    ``apply_P`` and ``apply_P_T`` apply P and P^T, and ``solve_potential``
-    P_curl and P_curl^T: factored (the transfer set's ``P_op`` and
-    ``P_curl_op`` and their transposes) where the system setup's
-    ``factored_product_wins``, else by the CSR matrices and their stored
-    transposes, which are then built here and not in the first apply.
+    ``apply_P`` and ``apply_P_T`` apply P and P^T: factored (the transfer
+    set's ``P_op`` and ``P_op_T``) where the system setup's
+    ``factored_product_wins``, else by the CSR P and its stored
+    transpose, which are then built here and not in the first apply.
     """
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
@@ -268,13 +267,15 @@ class AspSetup:
         self.system_setup = setup
         self.transfers: TransferSet = build_transfer_set(setup)
         ts = self.transfers
-        wins = setup.factored_product_wins
-        self.apply_P, self.apply_P_T = ((ts.P_op.apply, ts.P_op_T.apply) if wins
-                                        else (ts.P_main.dot, ts.P_main_T.dot))
+        if setup.factored_product_wins:
+            self.apply_P, self.apply_P_T = ts.P_op.apply, ts.P_op_T.apply
+        else:
+            self.apply_P, self.apply_P_T = ts.P_main.dot, ts.P_main_T.dot
         self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
         self.potential: InnerSolver | None = None
         self.curl_smoother: Smoother | None = None
-        if ts.P_curl_op is None:
+        P_curl = self.transfers.P_curl
+        if P_curl is None:
             # curl and 2-D div: B_T = L^{-1}
             self.potential = InnerSolver(scalar_laplacian_matrix(setup.disc))
             self.solve_potential = self.potential.make()
@@ -290,9 +291,9 @@ class AspSetup:
             W = Smoother("gs", Q_curl)
         self.curl_smoother = W
         solve_h = self.h1.make()
-        P_curl, P_curl_T = ((ts.P_curl_op.apply, ts.P_curl_op_T.apply) if wins
-                            else (ts.P_curl.dot, ts.P_curl_T.dot))
-        self.solve_potential = lambda y: W.apply(y) + P_curl(solve_h(P_curl_T(y)))
+        P_curl_T = self.transfers.P_curl_T
+        self.solve_potential = (
+            lambda y: W.apply(y) + P_curl @ solve_h(P_curl_T @ y))
 
     @cached_property
     def gram_factors(self) -> list[tuple] | None:

@@ -13,10 +13,10 @@ own space) and bc-restricted 1-D histopolations Q per block:
 per-factor rule with Q in place of the difference matrix.  A
 :class:`TransferSet` keeps the transfer onto the problem's space
 factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
-and assembles its CSR only when read; so it does with the transfer onto
-the potential space (3-D div).  It keeps the potential map T (G, R or
-C) as the KronBlocks it is assembled from, which gives diag(T^T M T)
-from the 1-D factors, and assembles its CSR from it.
+and assembles its CSR only when read.  It keeps the potential map T
+(G, R or C) as the KronBlocks it is assembled from, which gives
+diag(T^T M T) from the 1-D factors, and assembles its CSR from it; the
+transfer onto the potential space (3-D div) is CSR alone.
 """
 
 from __future__ import annotations
@@ -55,21 +55,22 @@ class TransferSet:
     transposes its apply reads.  The transfer onto the problem's space is
     kept factored, as ``P_op`` and its transpose ``P_op_T``; ``P_main``
     is its CSR and ``P_main_T`` the CSC view ``.T`` returns, both built
-    on first read.  So is the transfer onto the potential space (3-D div;
-    ``None`` elsewhere): ``P_curl_op`` and ``P_curl_op_T`` factored,
-    ``P_curl`` and ``P_curl_T`` its CSR and CSC view, built on first
-    read.  The potential map is kept factored, as ``T_op``; ``potential``
-    is its CSR and ``potential_T`` the CSC view that shares its arrays."""
+    on first read.  The potential map is kept factored, as ``T_op``;
+    ``potential`` is its CSR.  ``potential`` and ``P_curl`` store their
+    transposes once as the CSC views that share their arrays."""
 
     P_op: KronBlocks = field(repr=False)
     T_op: KronBlocks = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
-    P_curl_op: KronBlocks | None = field(repr=False, default=None)  # 3-D div
+    P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
     potential: sp.csr_matrix = field(init=False, repr=False)
     potential_T: sp.csc_matrix = field(init=False, repr=False)
+    P_curl_T: sp.csc_matrix | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "potential", self.T_op.tocsr())
-        object.__setattr__(self, "potential_T", self.potential.T)
+        for name in ("potential", "P_curl"):
+            M = getattr(self, name)
+            object.__setattr__(self, f"{name}_T", None if M is None else M.T)
 
     @cached_property
     def P_op_T(self) -> KronBlocks:
@@ -82,18 +83,6 @@ class TransferSet:
     @cached_property
     def P_main_T(self) -> sp.csc_matrix:
         return self.P_main.T
-
-    @cached_property
-    def P_curl_op_T(self) -> KronBlocks | None:
-        return None if self.P_curl_op is None else self.P_curl_op.transpose()
-
-    @cached_property
-    def P_curl(self) -> sp.csr_matrix | None:
-        return None if self.P_curl_op is None else self.P_curl_op.tocsr()
-
-    @cached_property
-    def P_curl_T(self) -> sp.csc_matrix | None:
-        return None if self.P_curl is None else self.P_curl.T
 
 
 def _histopolation():
@@ -144,9 +133,9 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
     """The transfer-matrix set of the problem of ``setup`` (tau does not
     enter): the transfers onto its space (factored) and, unless that is
-    the scalar grad space, onto its potential space (both factored),
-    sharing one histopolation per knot vector, and the differential from
-    the potential space, factored and assembled."""
+    the scalar grad space, onto its potential space, sharing one
+    histopolation per knot vector, and the differential from the
+    potential space, factored and assembled."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces = setup.disc.spaces
@@ -155,5 +144,5 @@ def build_transfer_set(setup: SystemSetup) -> TransferSet:
     return TransferSet(
         P_op=transfer_blocks(xh, setup.space, Q),
         T_op=differential_blocks(spaces[potential], setup.space),
-        P_curl_op=None if potential == "grad" else
-        transfer_blocks(xh, spaces[potential], Q))
+        P_curl=None if potential == "grad" else
+        transfer_blocks(xh, spaces[potential], Q).tocsr())

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from iga_asp import assembly
 from iga_asp.assembly import (
+    NULL_MODE_TOL,
     AssembledSystem,
     assemble_rhs,
     curl_stiffness_matrix,
@@ -331,6 +332,20 @@ class TestMassBasis:
             assert np.abs(V.T @ V - np.eye(V.shape[1])).max() <= 1e-14
             assert np.abs((V * basis.mu) @ V.T - L).max() <= 1e-14 * np.abs(L).max()
             assert np.array_equal(basis.V_T.tocsr().toarray(), V.T)
+
+    @pytest.mark.parametrize("operator, dim, dropped", [
+        ("curl", 2, 1), ("div", 2, 1), ("div", 3, 1), ("curl", 3, 0)])
+    def test_null_modes_of_the_range_laplacian(self, operator, dim, dropped):
+        # a scalar range (essential bc) drops its constant, exactly one
+        # mode, far below the tolerance; on 3-D curl L = W W^T + W_+^T W_+
+        # is SPD and keeps all, far above it
+        for p, n in ((1, 3), (2, 4), (3, 3)):
+            basis = system_setup(operator, dim, p, n).mass_basis
+            mu, null = basis.mu, basis.mode_scale == 0.0
+            assert np.count_nonzero(null) == dropped
+            assert np.all(np.abs(mu[null]) <= 1e-14 * mu.max())
+            assert mu[~null].min() > 1e6 * NULL_MODE_TOL * mu.max()
+            assert np.array_equal(basis.mode_scale[~null], 1.0 / np.sqrt(mu[~null]))
 
     def test_one_single_axis_factor_per_block(self):
         # every block of W differentiates in one direction: its other

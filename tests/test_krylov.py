@@ -20,7 +20,6 @@ from iga_asp.assembly import (
 )
 from iga_asp.krylov import (
     AUTO_DENSE_MAX_DIM,
-    NULL_MODE_TOL,
     GltPreconditioner,
     SolveReport,
     _as_matvec,
@@ -298,11 +297,14 @@ class TestGltPreconditioner:
         # tau, nu2 near the number of distinct mu), the iterate itself is
         # ill-conditioned: on 3-D div p=1 n=5, tau=1e-4, nu2=30 the step
         # and the oracle differ by 0.17 of the oracle, and the oracle with
-        # the dense W^T W + tau I in place of its factored products moves
-        # by 0.12.  So the step is held to 100 times that spread of the
-        # oracle under round-off, and to 1e-10 relative where the spread
-        # is smaller (1,536 cells over this domain: at most 44 and 15
-        # times the spread at floors 1e-12 and 1e-10)
+        # the dense S = W^T W + tau I in place of its factored products
+        # moves by 0.12.  Where that spread of the oracle is below 1e-12
+        # of it, the step is held to the oracle's iterate within 1e-10;
+        # elsewhere to its residual vector, S (x - ref), within 1e-8 ||r||
+        # plus 100 times the oracle's own spread of it.  Over 13,800
+        # draws of this domain, 1,136 of them past the spread floor, the
+        # step reached at most 44 times that spread, and x = 0 or -ref
+        # would fail on all but 2
         setup, asp_setup = glt_setups(problem, dim, p, n)
         tau = 10.0**log_tau
         glt = GltPreconditioner(AspPreconditioner(asp_setup,
@@ -312,23 +314,12 @@ class TestGltPreconditioner:
         x, ref = glt._smoothing_step(r), old_smoothing_step(glt, r)
         W = setup.mass_basis.W.tocsr().toarray()
         S = W.T @ W + tau * np.eye(W.shape[1])
-        spread = np.linalg.norm(minres(lambda y: S @ y, r, nu2) - ref)
-        assert np.linalg.norm(x - ref) <= max(
-            100.0 * spread, 1e-10 * np.linalg.norm(ref))
-
-    @pytest.mark.parametrize("problem, dim, dropped", [
-        ("curl", 2, 1), ("div", 2, 1), ("div", 3, 1), ("curl", 3, 0)])
-    def test_null_modes_of_the_range_laplacian(self, problem, dim, dropped):
-        # a scalar range (essential bc) drops its constant, exactly one
-        # mode; on 3-D curl L = W W^T + W_+^T W_+ is SPD and keeps all
-        for p, n in ((1, 3), (2, 4), (3, 3)):
-            setup = system_setup(problem, dim, p, n)
-            glt = GltPreconditioner(AspPreconditioner(
-                AspSetup(setup), system_matrix(setup, 1.0)), 1, 4, 1)
-            mu = setup.mass_basis.mu
-            assert np.count_nonzero(~glt.modes) == dropped
-            assert np.all(np.abs(mu[~glt.modes]) <= 1e-14 * mu.max())
-            assert mu[glt.modes].min() > 1e6 * NULL_MODE_TOL * mu.max()
+        dense = minres(lambda y: S @ y, r, nu2)
+        if np.linalg.norm(dense - ref) <= 1e-12 * np.linalg.norm(ref):
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+        else:
+            assert np.linalg.norm(S @ (x - ref)) <= (
+                1e-8 * np.linalg.norm(r) + 100.0 * np.linalg.norm(S @ (dense - ref)))
 
     def test_kronecker_products_per_apply_do_not_grow_with_nu2(self, monkeypatch):
         # the nu2 MINRES steps run on a diagonal: every Kronecker product
