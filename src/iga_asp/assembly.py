@@ -45,11 +45,13 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
                                space (KronSum L, essential bc only),
-* ``curl_stiffness_matrix`` -- Q_curl = C^T M_div C assembled from the
-                               curl matrix and div mass (the SGS curl
-                               smoother of 3-D div; the ``diag`` one
-                               reads its diagonal from the 1-D factors
-                               of C and M_div, see :mod:`iga_asp.precond`),
+* ``curl_stiffness_matrix`` -- triu(Q_curl), Q_curl = C^T M_div C, as
+                               sorted CSR written from the 1-D factors
+                               of the factored curl matrix and div mass,
+                               neither assembled (the SGS curl smoother
+                               of 3-D div; the ``diag`` one reads the
+                               congruence's diagonal, see
+                               :mod:`iga_asp.precond`),
 * ``column_panels``         -- a sparse matrix as dense panels of 64
                                columns, the one walk of dense kappa's
                                panel products (the one-block path and
@@ -243,7 +245,7 @@ class SystemSetup:
     space, which picks the product of A (:meth:`AssembledSystem.apply`,
     :func:`system_matrix`) and of P (:class:`iga_asp.precond.AspSetup`).
     The CSR ``M_D`` and ``M_range`` are assembled on first read (by the
-    CSR A, the SGS Q_curl, A's sector factors and the matrix export), as
+    CSR A, A's sector factors and the matrix export), as
     is K = D^T M_range D (by the CSR A and the sector factors); A's
     diagonal needs none.  So is :attr:`mass_basis` (by the composite cycle).  A
     sweep builds the setup once per mesh and assembles each tau's
@@ -294,8 +296,8 @@ class SystemSetup:
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(D^T M_range D), the tau-independent part of A's diagonal,
         from the 1-D factors of D and M_range."""
-        return differential_blocks(self.space, self.range_space).congruence_diagonal(
-            self.M_range_op)
+        return differential_blocks(self.space, self.range_space).congruence(
+            self.M_range_op).diagonal()
 
     @cached_property
     def mass_basis(self) -> MassBasis:
@@ -327,7 +329,8 @@ class MassBasis:
     sum of w w^T over the single-axis factors w on axis k of W's blocks in
     row c, plus v^T v over those of W_+.  The other products cancel, since
     a block's one dense factor depends only on its differentiated axis.
-    With G_{c,k} = V_{c,k} diag(mu_{c,k}) V_{c,k}^T (one ``eigh`` each),
+    With G_{c,k} = V_{c,k} diag(mu_{c,k}) V_{c,k}^T (one ``eigh`` per
+    distinct G_{c,k}),
     L = V diag(mu) V^T, V per component (x)_k V_{c,k} and mu per component
     the sums mu_{c,0} + ... + mu_{c,d-1}, in V's order.  W^T W + tau I
     acts as tau on ker W and as mu + tau on each W^T v / sqrt(mu) with
@@ -380,8 +383,9 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
     """The :class:`MassBasis` of ``setup``: one eigendecomposition per
     distinct 1-D factor space of the space and the range space, the
     dense 1-D factors of W from D's blocks, W^T as W's transpose, and one
-    eigendecomposition per range component and axis of L's 1-D G_{c,k},
-    with the scale 1/sqrt(mu) of L's modes past its null space."""
+    eigendecomposition per distinct 1-D G_{c,k} of L (equal matrices
+    share one), with the scale 1/sqrt(mu) of L's modes past its null
+    space."""
     factors = {}
     for space in (setup.space, setup.range_space):
         for f in {f for comp in space.components for f in comp} - factors.keys():
@@ -426,7 +430,17 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
             for coeff, Fs in terms:
                 k, v = _single_axis(Fs)
                 grams[c][k] += coeff**2 * (v.T @ v)
-    eigen = [[sla.eigh(G) for G in comp] for comp in grams]
+    # one eigh per distinct G, keyed on its bytes, so that only equal
+    # matrices share one (the axes of an isotropic 3-D div mesh, the rows
+    # k != c of 3-D curl)
+    decompositions = {}
+
+    def eigh_once(G):
+        key = (G.shape, G.tobytes())
+        if key not in decompositions:
+            decompositions[key] = sla.eigh(G)
+        return decompositions[key]
+    eigen = [[eigh_once(G) for G in comp] for comp in grams]
     V = KronBlocks.block_diagonal([[(1.0, [U for _, U in comp])] for comp in eigen])
     mu = np.concatenate([sum(np.ix_(*[lam for lam, _ in comp])).ravel()
                          for comp in eigen])
@@ -544,11 +558,15 @@ def scalar_laplacian_matrix(disc: Discretization) -> KronSum:
     return _h1_operator(grad_space, disc, 0.0)
 
 
-def curl_stiffness_matrix(C: sp.csr_matrix, M_div: sp.csr_matrix) -> sp.csr_matrix:
-    """Q_curl = C^T M_div C from the 3-D curl matrix and the div mass:
-    the curl-curl stiffness of the SGS curl smoother of the div problem
-    (the ``diag`` smoother reads its diagonal from the 1-D factors)."""
-    return drop_small(C.T @ M_div @ C)
+def curl_stiffness_matrix(C_op: KronBlocks, M_div_op: KronSum) -> sp.csr_matrix:
+    """triu(Q_curl), Q_curl = C^T M_div C, from the factored 3-D curl
+    matrix and div mass: the upper triangle that the SGS curl smoother of
+    the div problem reads, written from the 1-D factors of their
+    congruence (:meth:`iga_asp.derham.KronBlocks.upper_triangle`, which
+    drops entries as :func:`iga_asp.splines1d.drop_small` does); neither
+    C^T M_div C nor the CSR M_div is assembled.  The ``diag`` smoother
+    reads the congruence's diagonal."""
+    return C_op.congruence(M_div_op).upper_triangle()
 
 
 def field_coefficients(space: TensorSpace, funcs: FieldFunc,

@@ -28,11 +28,13 @@ array of shape ``(n_1, ..., n_d)`` and a Kronecker product
 ``F_1 (x) ... (x) F_d`` acts on it one axis at a time.  Every matrix of
 the diagram is a :class:`KronBlocks`, a block matrix of sums of such
 products: ``tocsr`` assembles it, ``transpose`` transposes it factored,
-and ``apply`` applies it without assembly through its :class:`KronPlan`,
-compiled once per operator: per run of identical blocks and per term the
-list of (batched) matmuls with their view shapes, which one walk takes
-for (N,) and (N, k) inputs alike.  :func:`kron_apply` compiles and runs
-the steps of one product.
+``congruence`` gives B^T op B with dense 1-D factors, ``upper_triangle``
+writes the upper triangle of a square one as sorted CSR from its 1-D
+factors, and ``apply`` applies it without assembly through its
+:class:`KronPlan`, compiled once per operator: per run of identical
+blocks and per term the list of (batched) matmuls with their view
+shapes, which one walk takes for (N,) and (N, k) inputs alike.
+:func:`kron_apply` compiles and runs the steps of one product.
 
 With uniform open knots every factor basis is mirror-symmetric,
 b_i(1 - x) = b_{m-1-i}(x) with m its dimension (essential bc drops one
@@ -56,7 +58,8 @@ from functools import cached_property, reduce
 import numpy as np
 import scipy.sparse as sp
 
-from .splines1d import KnotVector, Space1D, difference_matrix_1d, make_uniform_open_knots
+from .splines1d import (DROP_TOL, KnotVector, Space1D, difference_matrix_1d,
+                        make_uniform_open_knots)
 
 __all__ = [
     "SpaceKind",
@@ -296,8 +299,10 @@ class KronBlocks:
     order, with factors of any shape.  Every block row and column needs a
     non-``None`` entry, from which the zero blocks take their shapes.
     Blocks that are the same term list object are identical, which
-    :meth:`apply` batches; :meth:`tocsr` assembles the matrix and
-    :meth:`transpose` gives the transpose, factored."""
+    :meth:`apply` batches; :meth:`tocsr` assembles the matrix,
+    :meth:`transpose` gives the transpose and :meth:`congruence` B^T op B,
+    both factored, and :meth:`upper_triangle` writes the upper triangle
+    of a square one from the 1-D factors."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
@@ -347,24 +352,68 @@ class KronBlocks:
                 for coeff, factors in row[c])
             for c, row in enumerate(self.rows)])
 
-    def congruence_diagonal(self, op: KronBlocks) -> np.ndarray:
-        """diag(B^T op B) of this B from the 1-D factors, with ``op``
-        square and block-diagonal over B's block rows.  Block column c is
-        the sum over block rows r, over pairs of terms (a, F), (b, G) of
-        block (r, c) and over the terms (m, M) of op's block r of
+    def congruence(self, op: KronBlocks) -> KronBlocks:
+        """B^T op B of this B, factored, with ``op`` square and
+        block-diagonal over B's block rows.  Block (c, d) is the sum over
+        block rows r, over pairs of terms (a, F) of block (r, c) and (b, G)
+        of block (r, d) and over the terms (m, M) of op's block r of
 
-            a b m (x)_k diag(F_k^T M_k G_k)."""
-        out = []
-        for c, col in enumerate(zip(*self.rows)):
-            total = 0.0
-            for r, terms in enumerate(col):
-                for (a, F), (b, G) in itertools.product(terms or (), repeat=2):
-                    for m, masses in op.rows[r][r]:
-                        diags = [np.einsum("ij,ij->j", f.toarray(), M @ g.toarray())
-                                 for f, g, M in zip(F, G, masses)]
-                        total = total + a * b * m * _outer(diags)
-            out.append(total)
-        return np.concatenate(out)
+            a b m (x)_k F_k^T M_k G_k,
+
+        one dense 1-D factor per axis, in that order of terms; ``None``
+        where no block row pairs c with d."""
+        def block(col_c, col_d):
+            return [(a * b * m, [_array(f).T @ (M @ _array(g))
+                                 for f, M, g in zip(F, masses, G)])
+                    for r, (left, right) in enumerate(zip(col_c, col_d))
+                    if left and right
+                    for (a, F), (b, G) in itertools.product(left, right)
+                    for m, masses in op.rows[r][r]] or None
+        cols = list(zip(*self.rows))
+        return KronBlocks([[block(c, d) for d in cols] for c in cols])
+
+    def upper_triangle(self) -> sp.csr_matrix:
+        """triu of this square matrix, whose block rows and columns split
+        alike, without the entries below ``DROP_TOL`` in absolute value
+        (the rule of :func:`iga_asp.splines1d.drop_small`): CSR with sorted
+        indices, written from the 1-D factors without assembling the
+        matrix.  Per block row c and block d >= c, each axis takes per row
+        the window of columns that spans the nonzeros of the sum of the
+        terms' |F_k| (:func:`_windows`); the products ((coeff F_1) F_2)
+        ... F_d of every row over its windows, summed over the terms in
+        order, and their columns go into one buffer per block row.  Block
+        columns come in order and the windows are lexicographic, so each
+        row's entries are sorted; those kept are at or above ``DROP_TOL``
+        and on or right of the diagonal."""
+        row_at, col_at = self._offsets
+        if not np.array_equal(row_at, col_at):
+            raise ValueError("the upper triangle needs a square matrix whose "
+                             "block rows and columns split alike")
+        data, indices, counts = [], [], []
+        for c, row in enumerate(self.rows):
+            blocks = [(d, terms, _windows(terms))
+                      for d, terms in enumerate(row) if d >= c and terms is not None]
+            widths = [math.prod(w.shape[1] for w in windows)
+                      for *_, windows in blocks]
+            values = np.empty((row_at[c + 1] - row_at[c], sum(widths)))
+            columns = np.empty(values.shape, dtype=np.int32)
+            keep = np.empty(values.shape, dtype=bool)
+            at = 0
+            for (d, terms, windows), width in zip(blocks, widths):
+                block = slice(at, at + width)
+                at += width
+                _window_products(terms, windows, values[:, block])
+                _window_columns(terms, windows, col_at[d], columns[:, block])
+                np.greater_equal(np.abs(values[:, block]), DROP_TOL, out=keep[:, block])
+                if d == c:
+                    keep[:, block] &= columns[:, block] >= np.arange(
+                        row_at[c], row_at[c + 1])[:, None]
+            data.append(values[keep])
+            indices.append(columns[keep])
+            counts.append(np.count_nonzero(keep, axis=1))
+        indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+        return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
+                              indptr), shape=self.shape)
 
     @cached_property
     def runs(self) -> list[_Run]:
@@ -428,6 +477,66 @@ class KronBlocks:
 def _outer(vectors) -> np.ndarray:
     """(x)_k v_k of 1-D vectors, last index fastest as in ``sp.kron``."""
     return reduce(np.multiply.outer, vectors).ravel()
+
+
+def _outer_sum(vectors) -> np.ndarray:
+    """The sums v_1[i_1] + ... + v_d[i_d] of 1-D vectors, last index
+    fastest."""
+    return reduce(np.add.outer, vectors).ravel()
+
+
+def _array(F) -> np.ndarray:
+    """F as a dense array."""
+    return F.toarray() if sp.issparse(F) else np.asarray(F)
+
+
+def _windows(terms) -> list[np.ndarray]:
+    """Per axis k of a block, the ``(n_k, width)`` columns of each row's
+    window: ``width`` consecutive columns from the first nonzero of the
+    row in the sum of the terms' |F_k|, with ``width`` the widest span of
+    nonzeros and the window shifted left where it would pass the last
+    column (a row without nonzeros starts at 0)."""
+    out = []
+    for k, F in enumerate(terms[0][1]):
+        nonzero = sum(np.abs(_array(factors[k])) for _, factors in terms) != 0.0
+        first = nonzero.argmax(axis=1)
+        end = F.shape[1] - nonzero[:, ::-1].argmax(axis=1)
+        empty = ~nonzero.any(axis=1)
+        first[empty], end[empty] = 0, 1
+        width = int((end - first).max())
+        out.append(np.minimum(first, F.shape[1] - width)[:, None] + np.arange(width))
+    return out
+
+
+def _window_columns(terms, windows, start: int, out: np.ndarray) -> None:
+    """Write into ``out``, laid out as in :func:`_window_products`, the
+    column of each entry: ``start`` plus the lexicographic index of its
+    window point in the block's columns."""
+    sizes = [F.shape[1] for F in terms[0][1]]
+    strides = [math.prod(sizes[k + 1:]) for k in range(len(sizes))]
+    np.add(_outer_sum([w[:, 0] * s for w, s in zip(windows, strides)])[:, None],
+           _outer_sum([np.arange(w.shape[1]) * s for w, s in zip(windows, strides)])
+           + start, out=out, casting="unsafe")
+
+
+def _window_products(terms, windows, out: np.ndarray) -> None:
+    """Write into ``out`` (one row per row of the block, one column per
+    point of its windows, both lexicographic) the sum over the terms of
+    ((coeff F_1) F_2) ... F_d on the windows, in term order."""
+    gathered = [[_array(F)[np.arange(F.shape[0])[:, None], w]
+                 for F, w in zip(factors, windows)] for _, factors in terms]
+    n, w = gathered[0][-1].shape
+    # splitting the axes of a slice is always a view of it
+    split = out.reshape(out.shape[0] // n, n, out.shape[1] // w, w)
+    for t, ((coeff, _), g) in enumerate(zip(terms, gathered)):
+        prefix = np.full((1, 1), coeff)
+        for gk in g[:-1]:
+            prefix = (prefix[:, None, :, None] * gk[None, :, None, :]).reshape(
+                prefix.shape[0] * gk.shape[0], -1)
+        if t == 0:
+            np.multiply(prefix[:, None, :, None], g[-1][None, :, None, :], out=split)
+        else:
+            split += prefix[:, None, :, None] * g[-1][None, :, None, :]
 
 
 def kron_apply(factors, X: np.ndarray) -> np.ndarray:

@@ -15,10 +15,12 @@ mass.  The potential map T and the potential-space operator B_T are
 
 with L the scalar Laplacian.  For 3-D div, B_T is itself an
 auxiliary-space preconditioner on V(curl): W is either the diagonal of
-Q_curl = C^T M_div C, read from the 1-D factors of the C and M_div that
-the transfer set and the system setup hold, without assembling Q_curl,
-or its symmetric Gauss-Seidel matrix, and P_curl the transfer onto
-V(curl).
+Q_curl = C^T M_div C or its symmetric Gauss-Seidel matrix, and P_curl
+the transfer onto V(curl).  Both read Q_curl from the congruence of the
+factored C and M_div that the transfer set and the system setup hold,
+without assembling Q_curl or the CSR M_div: the diagonal, or the upper
+triangle written from the 1-D factors
+(:func:`iga_asp.assembly.curl_stiffness_matrix`).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
@@ -29,8 +31,9 @@ the eigenvalue sums Lambda, and every solve is forward (U^T, dense 1-D
 matrix products), scale (by 1/(Lambda + shift)) and backward (U), in
 one step per run of identical components.  The Jacobi smoothers read
 diagonals built from the 1-D factors.  The SGS smoothers of A and
-Q_curl, which are not Kronecker, assemble their matrix and keep one
-triangular factorization (:class:`Smoother`).
+Q_curl, which are not Kronecker, keep one triangular factorization of
+the upper triangle (:class:`Smoother`): the SGS of A reads the CSR A,
+that of Q_curl the triangle written from the 1-D factors.
 
 With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
 
@@ -49,8 +52,8 @@ pieces.  In the correction, P and P^T are applied by sum factorization
 past the system's product rule
 (:func:`iga_asp.assembly.factored_product_wins`) and by their CSR below
 it; P_curl and T stay CSR, where the factored product measured no
-faster; the transfer set also keeps T factored, for the diagonal of
-Q_curl.  The Gram factors read the CSR P on either side.
+faster; the transfer set also keeps T factored, for Q_curl.  The Gram
+factors read the CSR P on either side.
 """
 
 from __future__ import annotations
@@ -281,14 +284,14 @@ class AspSetup:
             self.solve_potential = self.potential.make()
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
+        # Q_curl = C^T M_div C from the factored C and M_div held here
         if curl_smoother == "diag":
-            # diag(C^T M_div C) from the factored C and M_div held here
-            diagonal = self.transfers.T_op.congruence_diagonal(setup.M_D_op)
+            diagonal = self.transfers.T_op.congruence(setup.M_D_op).diagonal()
             W = Smoother("jacobi", diagonal=_checked_q_curl_diagonal(diagonal))
         else:
-            Q_curl = curl_stiffness_matrix(self.transfers.potential, setup.M_D)
-            _checked_q_curl_diagonal(Q_curl.diagonal())
-            W = Smoother("gs", Q_curl)
+            upper = curl_stiffness_matrix(self.transfers.T_op, setup.M_D_op)
+            _checked_q_curl_diagonal(upper.diagonal())
+            W = Smoother("gs", upper)
         self.curl_smoother = W
         solve_h = self.h1.make()
         P_curl_T = self.transfers.P_curl_T

@@ -14,8 +14,9 @@ per-factor rule with Q in place of the difference matrix.  A
 :class:`TransferSet` keeps the transfer onto the problem's space
 factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
 and assembles its CSR only when read.  It keeps the potential map T
-(G, R or C) as the KronBlocks it is assembled from, which gives
-diag(T^T M T) from the 1-D factors, and assembles its CSR from it; the
+(G, R or C) as the KronBlocks it is assembled from, whose congruence
+T^T M T gives Q_curl's diagonal and upper triangle from the 1-D factors
+(3-D div), and assembles its CSR from it; the
 transfer onto the potential space (3-D div) is CSR alone.
 """
 

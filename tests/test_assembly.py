@@ -30,7 +30,8 @@ from iga_asp.assembly import (
 from iga_asp.derham import (KronBlocks, build_space, differential_blocks,
                             differential_matrix, kron_apply)
 from iga_asp.krylov import _dense
-from iga_asp.splines1d import make_quadrature, mass_matrix_1d, stiffness_matrix_1d
+from iga_asp.splines1d import (drop_small, make_quadrature, mass_matrix_1d,
+                               stiffness_matrix_1d)
 from iga_asp.transfer import build_transfer_set
 
 
@@ -163,14 +164,36 @@ class TestH1VectorMatrix:
         np.testing.assert_allclose(H[:n, n:], 0.0, atol=1e-15)
 
 
+def q_curl(disc):
+    """The oracle of Q_curl = C^T M_div C: the sparse triple product of
+    the assembled curl matrix and div mass, entries below DROP_TOL
+    dropped; and |C|^T |M_div| |C|, the scale of its round-off."""
+    C = differential_matrix(disc.spaces["curl"], disc.spaces["div"])
+    M_div = mass_matrix(disc, "div")
+    return drop_small(C.T @ M_div @ C), abs(C).T @ abs(M_div) @ abs(C)
+
+
 class TestCurlStiffness:
-    def test_matches_curl_route(self):
-        disc = discretize(2, 2, dim=3, bc="essential")
-        C = differential_matrix(disc.spaces["curl"], disc.spaces["div"])
-        M_div = mass_matrix(disc, "div")
-        Q = curl_stiffness_matrix(C, M_div)
-        np.testing.assert_allclose(Q.toarray(), (C.T @ M_div @ C).toarray(),
-                                   atol=1e-13)
+    @pytest.mark.parametrize("bc", ["essential", "natural"])
+    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("p", [1, 2, 3])
+    def test_upper_triangle_matches_triple_product(self, p, n, bc):
+        # triu(Q_curl) from the factored C (the transfer set's T_op; a
+        # natural-bc setup has no transfer set) and M_div: the pattern of
+        # the assembled product's triangle, its values within 1e-14 of
+        # each entry's terms (entries of two terms cancel to 1e-2 of them)
+        setup = system_setup("div", 3, p, n, bc=bc)
+        spaces = setup.disc.spaces
+        C_op = (build_transfer_set(setup).T_op if bc == "essential" else
+                differential_blocks(spaces["curl"], spaces["div"]))
+        got = curl_stiffness_matrix(C_op, setup.M_D_op)
+        Q, scale = q_curl(setup.disc)
+        ref = sp.triu(Q, format="csr")
+        assert got.has_sorted_indices
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        assert (abs(got - ref) - 1e-14 * sp.triu(scale)).max() <= 0.0
+        assert "M_D" not in vars(setup)
 
 
 def factor_route(space, stiffness_only=False, with_stiffness=False):
@@ -497,10 +520,8 @@ class TestFactoredDiagonals:
             spaces = div.disc.spaces
             C_op = (build_transfer_set(div).T_op if bc == "essential" else
                     differential_blocks(spaces["curl"], spaces["div"]))
-            C = differential_matrix(spaces["curl"], spaces["div"])
-            assert_close(C_op.congruence_diagonal(div.M_D_op),
-                         curl_stiffness_matrix(
-                             C, mass_matrix(div.disc, "div")).diagonal())
+            assert_close(C_op.congruence(div.M_D_op).diagonal(),
+                         q_curl(div.disc)[0].diagonal())
 
 
 def dense_grid_coefficients(space, funcs, factor_pairs):

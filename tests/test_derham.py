@@ -26,6 +26,7 @@ from iga_asp.derham import (
 )
 from iga_asp.derham import _reflection_sector
 from iga_asp.precond import InnerSolver
+from iga_asp.splines1d import drop_small
 
 
 class TestBuildSpace:
@@ -316,8 +317,25 @@ def absolute(B: KronBlocks) -> KronBlocks:
                         for terms in row] for row in B.rows])
 
 
+def random_congruence(rng, n_rows, n_cols, n_factors, mixed=False):
+    """A random B (:func:`random_kron_blocks`), a random square op
+    block-diagonal over B's block rows with one to two terms of dense or
+    sparse factors per block, and B^T op B, factored."""
+    B = random_kron_blocks(rng, n_rows, n_cols, n_factors, mixed)
+    dims = [[F.shape[0] for F in next(t for t in row if t)[0][1]]
+            for row in B.rows]
+
+    def factor(m):
+        F = rng.standard_normal((m, m))
+        return F if mixed and rng.random() < 0.5 else sp.csr_matrix(F)
+    op = KronBlocks.block_diagonal([
+        [(rng.standard_normal(), [factor(m) for m in d])
+         for _ in range(rng.integers(1, 3))] for d in dims])
+    return B, op, B.congruence(op)
+
+
 class TestKronBlocksOperator:
-    """apply, diagonal and congruence_diagonal against ``tocsr()``.  The
+    """apply, diagonal, congruence and upper_triangle against ``tocsr()``.  The
     round-off of either side is on the scale of B's terms, not of their
     sum, which cancels on some draws (seed 1093: a difference of 1.1e-16
     against ||A x|| = 9.1e-4), so both bounds scale by :func:`absolute`,
@@ -357,21 +375,72 @@ class TestKronBlocksOperator:
         # diag(B^T op B) for a random B and a random block-diagonal op on
         # B's block rows, and op's own diagonal
         rng = np.random.default_rng(seed)
-        B = random_kron_blocks(rng, n_rows, n_cols, n_factors)
-        dims = [[F.shape[0] for F in next(t for t in row if t)[0][1]]
-                for row in B.rows]
-        op = KronBlocks.block_diagonal([
-            [(rng.standard_normal(), [sp.csr_matrix(rng.standard_normal((m, m)))
-                                      for m in d])
-             for _ in range(rng.integers(1, 3))] for d in dims])
+        B, op, BtopB = random_congruence(rng, n_rows, n_cols, n_factors)
         Bd, opd = B.tocsr().toarray(), op.tocsr().toarray()
         ref = np.einsum("ij,ij->j", Bd, opd @ Bd)
         Ba, opa = absolute(B).tocsr().toarray(), absolute(op).tocsr().toarray()
         scale = np.maximum(np.abs(Bd).T @ np.abs(opd) @ np.abs(Bd),
                            Ba.T @ opa @ Ba)
-        assert np.all(np.abs(B.congruence_diagonal(op) - ref)
-                      <= 1e-13 * scale.diagonal())
+        assert np.all(np.abs(BtopB.diagonal() - ref) <= 1e-13 * scale.diagonal())
         np.testing.assert_array_equal(op.diagonal(), np.diagonal(opd))
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_congruence_matches_assembled(self, n_rows, n_cols, n_factors,
+                                          mixed, seed):
+        # B^T op B, factored, against the product of the assembled
+        # matrices; the products of the absolute values bound the
+        # round-off of both sides
+        rng = np.random.default_rng(seed)
+        B, op, BtopB = random_congruence(rng, n_rows, n_cols, n_factors, mixed)
+        Bs, ops = B.tocsr(), op.tocsr()
+        got, ref = BtopB.tocsr().toarray(), (Bs.T @ ops @ Bs).toarray()
+        assert got.shape == ref.shape == (B.shape[1],) * 2
+        Ba, opa = absolute(B).tocsr(), absolute(op).tocsr()
+        scale = np.maximum((abs(Bs).T @ abs(ops) @ abs(Bs)).toarray(),
+                           (Ba.T @ opa @ Ba).toarray())
+        assert np.all(np.abs(got - ref) <= 1e-13 * scale)
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_upper_triangle_matches_assembled(self, n_rows, n_cols, n_factors,
+                                              mixed, seed):
+        # written from the 1-D factors: the pattern of triu(drop_small())
+        # of the assembled matrix, its values within the round-off of
+        # either side's sums of terms
+        rng = np.random.default_rng(seed)
+        *_, K = random_congruence(rng, n_rows, n_cols, n_factors, mixed)
+        got = K.upper_triangle()
+        ref = sp.triu(drop_small(K.tocsr()), format="csr")
+        assert got.has_sorted_indices
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        scale = sp.triu(absolute(K).tocsr())
+        assert (abs(got - ref) - 1e-14 * scale).max() <= 0.0
+
+    def test_upper_triangle_drops_below_tol(self):
+        # entries below DROP_TOL and below the diagonal go, DROP_TOL itself
+        # stays; explicit zeros of the factors inside a row's window are
+        # not stored
+        F = np.array([[4.0, 0.0, 1e-15], [0.0, 2.0, 3.0], [5.0, 0.0, 1e-14]])
+        got = KronBlocks([[[(1.0, [F])]]]).upper_triangle()
+        np.testing.assert_array_equal(got.toarray(), np.triu(F) * (np.abs(F) >= 1e-14))
+        assert got.nnz == 4
+
+    def test_upper_triangle_needs_blocks_split_alike(self):
+        # square, but block row 0 has one row and block column 0 two
+        B = KronBlocks([[[(1.0, [np.ones((1, 2))])], [(1.0, [np.ones((1, 1))])]],
+                        [[(1.0, [np.ones((2, 2))])], [(1.0, [np.ones((2, 1))])]]])
+        with pytest.raises(ValueError, match="split alike"):
+            B.upper_triangle()
 
     def test_identical_components_are_one_run(self):
         # H's components share one term list: the walk batches them, and

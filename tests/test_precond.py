@@ -19,6 +19,7 @@ from iga_asp.assembly import (
     system_setup,
 )
 from iga_asp.bench import ExperimentSpec, run_experiment
+from iga_asp.derham import differential_matrix
 from iga_asp.krylov import estimate_condition_number, pcg
 from iga_asp.precond import (
     AspPreconditioner,
@@ -26,6 +27,7 @@ from iga_asp.precond import (
     InnerSolver,
     Smoother,
 )
+from iga_asp.splines1d import drop_small
 from iga_asp.transfer import build_transfer_set
 
 
@@ -51,9 +53,20 @@ def two_factor_sgs(A):
     return apply
 
 
-def assert_matches_two_factor_sgs(A, rtol=1e-12, seed=0):
+def q_curl(setup):
+    """The oracle of the sgs curl smoother's matrix: Q_curl = C^T M_div C
+    of a 3-D div setup as the sparse triple product of the assembled curl
+    matrix and div mass, entries below DROP_TOL dropped."""
+    spaces = setup.disc.spaces
+    C = differential_matrix(spaces["curl"], spaces["div"])
+    return drop_small(C.T @ mass_matrix(setup.disc, "div") @ C)
+
+
+def assert_matches_two_factor_sgs(A, rtol=1e-12, seed=0, upper=None):
+    """The SGS smoother of A, given A or its upper triangle ``upper``,
+    against :func:`two_factor_sgs` of A."""
     rng = np.random.default_rng(seed)
-    smoother, oracle = Smoother("gs", A), two_factor_sgs(A)
+    smoother, oracle = Smoother("gs", A if upper is None else upper), two_factor_sgs(A)
     for shape in ((A.shape[0],), (A.shape[0], 3)):
         r = rng.standard_normal(shape)
         got, ref = smoother.apply(r), oracle(r)
@@ -114,10 +127,11 @@ class TestSmoother:
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_sgs_matches_two_factors_on_q_curl(self, p, n):
-        # the 3-D div sgs curl smoother's matrix, symmetric up to round-off
+        # the 3-D div sgs curl smoother's matrix, symmetric up to round-off,
+        # and the triangle of it that the smoother is given
         setup = system_setup("div", 3, p, n)
-        assert_matches_two_factor_sgs(curl_stiffness_matrix(
-            build_transfer_set(setup).potential, setup.M_D))
+        assert_matches_two_factor_sgs(q_curl(setup), upper=curl_stiffness_matrix(
+            build_transfer_set(setup).T_op, setup.M_D_op))
 
     @pytest.mark.parametrize("tau", [1e-4, 1e2])
     @pytest.mark.parametrize("op, dim, p, n", [
@@ -291,7 +305,7 @@ def dense_correction(system, smoother="jacobi", curl_smoother="diag"):
     H = h1_vector_matrix(disc).tocsr().toarray()
     main = P @ np.linalg.inv(H + tau * mass_matrix(disc, "vector").toarray()) @ P.T
     if (setup.operator, setup.dim) == ("div", 3):
-        Q = curl_stiffness_matrix(ts.potential, setup.M_D).toarray()
+        Q = q_curl(setup).toarray()
         if curl_smoother == "diag":
             W = np.diag(np.diag(Q))
         else:    # symmetric Gauss-Seidel: W = U D^{-1} L
@@ -437,7 +451,7 @@ class TestDiv3d:
 
 def run_recorded(monkeypatch, spec):
     """Run the one-cell sweep ``spec``; returns its system and the number
-    of Q_curl assemblies."""
+    of triu(Q_curl) builds."""
     systems = []
     q_curl = [0]
 
@@ -458,7 +472,8 @@ def run_recorded(monkeypatch, spec):
 
 class TestFactoredSetup:
     """A Jacobi cell past the product rule assembles no CSR mass, no CSR
-    A and, with the diag curl smoother, no Q_curl."""
+    A and, with the diag curl smoother, no Q_curl; with the sgs one it
+    builds triu(Q_curl) once, and no CSR mass either."""
 
     @pytest.mark.parametrize("spec", [
         ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp"),
@@ -473,35 +488,46 @@ class TestFactoredSetup:
         assert q_curl == 0
 
     def test_sgs_cell_builds_q_curl(self, monkeypatch):
-        spec = ExperimentSpec("div", 3, (2,), (2,), (1e-4,), precond="asp-glt",
+        # past the product rule, where no CSR A reads the CSR M_D:
+        # triu(Q_curl) comes from the factored C and M_div
+        spec = ExperimentSpec("div", 3, (2,), (8,), (1e-4,), precond="asp-glt",
                               curl_smoother="sgs")
         system, q_curl = run_recorded(monkeypatch, spec)
         assert q_curl == 1
-        assert "M_D" in vars(system.setup)
+        assert "A" not in vars(system)
+        assert "M_D" not in vars(system.setup)
+        assert "M_range" not in vars(system.setup)
 
     @pytest.mark.parametrize("entry", [0.0, 1e-16, -1.0])
     def test_q_curl_guard_on_both_smoothers(self, monkeypatch, entry):
         # the guard reads the diagonal after the DROP_TOL zeroing of
         # drop_small, so an entry of 1e-16 counts as zero
-        # (the diag smoother's diagonal is the transfer set's C congruent
-        # to M_div, the sgs smoother's Q_curl the assembled product)
+        # (the diag smoother's diagonal is that of the transfer set's C
+        # congruent to M_div, the sgs smoother's triu(Q_curl) written from
+        # that congruence)
         setup = system_setup("div", 3, 2, 3)
         transfers_of, matrix_of = (precond.build_transfer_set,
                                    precond.curl_stiffness_matrix)
 
         def bad_transfers(setup):
             ts = transfers_of(setup)
-            diagonal_of = ts.T_op.congruence_diagonal
+            congruence_of = ts.T_op.congruence
 
-            def bad_diagonal(op):
-                out = diagonal_of(op)
-                out[5] = entry
-                return out
-            ts.T_op.congruence_diagonal = bad_diagonal
+            def bad_congruence(op):
+                Q = congruence_of(op)
+                diagonal_of = Q.diagonal
+
+                def bad_diagonal():
+                    out = diagonal_of()
+                    out[5] = entry
+                    return out
+                Q.diagonal = bad_diagonal
+                return Q
+            ts.T_op.congruence = bad_congruence
             return ts
 
-        def bad_matrix(C, M_div):
-            Q = matrix_of(C, M_div).tolil()
+        def bad_matrix(C_op, M_div_op):
+            Q = matrix_of(C_op, M_div_op).tolil()
             Q[5, 5] = entry
             return Q.tocsr()
         monkeypatch.setattr(precond, "build_transfer_set", bad_transfers)
