@@ -175,13 +175,20 @@ class AssembledSystem:
 @dataclass(frozen=True, eq=False)
 class Discretization:
     """The five de Rham spaces of one mesh (``spaces[kind]``), one
-    quadrature rule per direction, and the 1-D factor matrices keyed by
-    factor space."""
+    quadrature rule per direction, the 1-D mass and stiffness factors
+    keyed by factor space, and ``factor_blocks``, the 1-D blocks of the
+    diagram's maps (identities, difference maps, histopolations) keyed by
+    (source factor, target factor, map), which every differential and
+    transfer of the mesh reads and the first one to need a block adds
+    (:func:`iga_asp.derham.differential_blocks`), so that each is built
+    once per mesh."""
 
     spaces: dict[str, TensorSpace] = field(repr=False)
     quads: tuple[QuadratureRule, ...] = field(repr=False)
     masses: dict[Space1D, sp.csr_matrix] = field(repr=False)
     stiffnesses: dict[Space1D, sp.csr_matrix] = field(repr=False)
+    factor_blocks: dict[tuple, sp.csr_matrix] = field(default_factory=dict,
+                                                      repr=False)
 
 
 def discretize(p, n_elems, *, dim: int, bc: str) -> Discretization:
@@ -296,7 +303,8 @@ class SystemSetup:
     def stiffness_diagonal(self) -> np.ndarray:
         """diag(D^T M_range D), the tau-independent part of A's diagonal,
         from the 1-D factors of D and M_range."""
-        return differential_blocks(self.space, self.range_space).congruence(
+        return differential_blocks(self.space, self.range_space,
+                                   self.disc.factor_blocks).congruence(
             self.M_range_op).diagonal()
 
     @cached_property
@@ -408,7 +416,7 @@ def mass_basis(setup: SystemSetup) -> MassBasis:
                 for coeff, Fs in terms]
 
     def in_basis_blocks(src: TensorSpace, dst: TensorSpace) -> KronBlocks:
-        D = differential_blocks(src, dst)
+        D = differential_blocks(src, dst, setup.disc.factor_blocks)
         return KronBlocks([[in_basis(terms, s, t)
                             for terms, s in zip(row, src.components)]
                            for row, t in zip(D.rows, dst.components)])
@@ -467,11 +475,15 @@ _PANEL_WIDTH = 64
 
 def column_panels(F: sp.spmatrix) -> Iterator[tuple[slice, np.ndarray]]:
     """``(columns, panel)``: the sparse F as dense panels of
-    ``_PANEL_WIDTH`` columns, left to right, with their column slice."""
+    ``_PANEL_WIDTH`` columns, left to right, with their column slice;
+    each panel is the CSC of its range of ``indptr``."""
     F = sp.csc_matrix(F)
     for lo in range(0, F.shape[1], _PANEL_WIDTH):
-        columns = slice(lo, min(lo + _PANEL_WIDTH, F.shape[1]))
-        yield columns, F[:, columns].toarray()
+        hi = min(lo + _PANEL_WIDTH, F.shape[1])
+        start, end = F.indptr[lo], F.indptr[hi]
+        yield slice(lo, hi), sp.csc_matrix(
+            (F.data[start:end], F.indices[start:end], F.indptr[lo:hi + 1] - start),
+            shape=(F.shape[0], hi - lo)).toarray()
 
 
 def system_setup(operator: str, dim: int, p, n_elems,
@@ -488,7 +500,8 @@ def system_setup(operator: str, dim: int, p, n_elems,
     M_range_op = mass_operator(disc, range_kind)
     return SystemSetup(
         operator, dim, p, n_elems, bc, disc, space, range_space,
-        differential_matrix(space, range_space), M_D_op, M_range_op,
+        differential_matrix(space, range_space, disc.factor_blocks),
+        M_D_op, M_range_op,
         _load_bases(space, disc), factored_product_wins(space))
 
 

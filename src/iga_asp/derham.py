@@ -19,7 +19,10 @@ Every map of the diagram follows one per-factor rule: the identity
 between factors of one kind, a 1-D B -> D map onto a D factor.  With the
 difference matrix and the signs of ``_DIFFERENTIALS`` it gives the exact
 integer differentials, whose compositions vanish with zero stored
-entries; with the histopolation and diagonal signs, the transfers.  A
+entries; with the histopolation and diagonal signs, the transfers.  The
+1-D blocks are looked up by (source factor, target factor, map) in a
+dict that the mesh's :class:`iga_asp.assembly.Discretization` holds, so
+that every map of one mesh shares them and each is built once.  A
 problem's potential and range are read from the ``_DIFFERENTIALS`` keys.
 
 DOF numbering is component-major, then lexicographic with the *last*
@@ -27,10 +30,13 @@ coordinate index fastest, so a component's coefficients reshape to an
 array of shape ``(n_1, ..., n_d)`` and a Kronecker product
 ``F_1 (x) ... (x) F_d`` acts on it one axis at a time.  Every matrix of
 the diagram is a :class:`KronBlocks`, a block matrix of sums of such
-products: ``tocsr`` assembles it, ``transpose`` transposes it factored,
-``congruence`` gives B^T op B with dense 1-D factors, ``upper_triangle``
-writes the upper triangle of a square one as sorted CSR from its 1-D
-factors, and ``apply`` applies it without assembly through its
+products: ``tocsr`` writes it, and ``upper_triangle`` the upper
+triangle of a square one, as sorted CSR straight from the 1-D factors
+(one writer: per block row and axis a window of columns per row, the
+products and their columns in one buffer, and a mask of the entries
+stored), ``transpose`` transposes it factored, ``congruence`` gives
+B^T op B with dense 1-D factors, and ``apply`` applies it without
+assembly through its
 :class:`KronPlan`, compiled once per operator: per run of identical
 blocks and per term the list of (batched) matmuls with their view
 shapes, which one walk takes for (N,) and (N, k) inputs alike.
@@ -222,6 +228,12 @@ def _factor_block(src_factor: Space1D, dst_factor: Space1D, b_to_d) -> sp.csr_ma
     return sp.csr_matrix(b_to_d(src_factor.knot)[:, src_factor.indices()])
 
 
+def _difference(knot: KnotVector) -> sp.csr_matrix:
+    """The differentials' 1-D B -> D map: the difference matrix of the
+    knot vector's full B-spline space."""
+    return difference_matrix_1d(knot.n)
+
+
 @dataclass(eq=False)
 class _Run:
     """``count`` blocks of a :class:`KronBlocks` from block (row, col)
@@ -299,10 +311,10 @@ class KronBlocks:
     order, with factors of any shape.  Every block row and column needs a
     non-``None`` entry, from which the zero blocks take their shapes.
     Blocks that are the same term list object are identical, which
-    :meth:`apply` batches; :meth:`tocsr` assembles the matrix,
-    :meth:`transpose` gives the transpose and :meth:`congruence` B^T op B,
-    both factored, and :meth:`upper_triangle` writes the upper triangle
-    of a square one from the 1-D factors."""
+    :meth:`apply` batches; :meth:`tocsr` writes the matrix and
+    :meth:`upper_triangle` the upper triangle of a square one as CSR from
+    the 1-D factors, both by :meth:`_write`, and :meth:`transpose` gives
+    the transpose and :meth:`congruence` B^T op B, both factored."""
 
     def __init__(self, rows) -> None:
         self.rows = rows
@@ -326,23 +338,11 @@ class KronBlocks:
         return tuple(int(at[-1]) for at in self._offsets)
 
     def tocsr(self) -> sp.csr_matrix:
-        """The assembled matrix.  The products stay COO until ``bmat`` (or
-        the sum of a block's terms) converts them; CSR with sorted
-        indices."""
-        def block(terms):
-            if terms is None:
-                return None
-            mats = []
-            for coeff, factors in terms:
-                out = sp.coo_matrix(factors[0])     # a dense factor too
-                for f in factors[1:]:
-                    out = sp.kron(out, f, format="coo")
-                mats.append(coeff * out)
-            return sum(mats[1:], mats[0])
-
-        out = sp.bmat([[block(t) for t in row] for row in self.rows], format="csr")
-        out.sort_indices()
-        return out
+        """The assembled matrix, CSR with sorted indices, written from the
+        1-D factors by :meth:`_write`; an entry is stored where the sum
+        of its block's terms is not zero (an explicit zero of a sparse
+        factor is not stored)."""
+        return self._write(upper=False)
 
     def diagonal(self) -> np.ndarray:
         """The diagonal of a square block-diagonal matrix, from the 1-D
@@ -376,41 +376,56 @@ class KronBlocks:
         """triu of this square matrix, whose block rows and columns split
         alike, without the entries below ``DROP_TOL`` in absolute value
         (the rule of :func:`iga_asp.splines1d.drop_small`): CSR with sorted
-        indices, written from the 1-D factors without assembling the
-        matrix.  Per block row c and block d >= c, each axis takes per row
-        the window of columns that spans the nonzeros of the sum of the
-        terms' |F_k| (:func:`_windows`); the products ((coeff F_1) F_2)
-        ... F_d of every row over its windows, summed over the terms in
-        order, and their columns go into one buffer per block row.  Block
-        columns come in order and the windows are lexicographic, so each
-        row's entries are sorted; those kept are at or above ``DROP_TOL``
-        and on or right of the diagonal."""
+        indices, written by :meth:`_write`."""
         row_at, col_at = self._offsets
         if not np.array_equal(row_at, col_at):
             raise ValueError("the upper triangle needs a square matrix whose "
                              "block rows and columns split alike")
+        return self._write(upper=True)
+
+    def _write(self, upper: bool) -> sp.csr_matrix:
+        """The matrix, or with ``upper`` the blocks d >= c of each block
+        row c, as sorted CSR written from the 1-D factors without
+        assembling the blocks.  Per block row c and block d it takes, each
+        axis takes per row the window of columns that spans the nonzeros
+        of the sum of the terms' |F_k| (:func:`_windows`); the products
+        coeff ((F_1 F_2) ... F_d) of every row over its windows, summed
+        over the terms in order (:func:`_window_products`), and their
+        int32 columns (:func:`_window_columns`) go into one buffer per
+        block row.  Block columns come in order and the windows are
+        lexicographic, so each row's entries are sorted.  A mask picks the
+        entries stored: those not zero, or with ``upper`` those at or above
+        ``DROP_TOL`` in absolute value and, in a diagonal block, on or
+        right of the diagonal."""
+        row_at, col_at = self._offsets
         data, indices, counts = [], [], []
         for c, row in enumerate(self.rows):
-            blocks = [(d, terms, _windows(terms))
-                      for d, terms in enumerate(row) if d >= c and terms is not None]
+            blocks = [(d, terms, _windows(terms)) for d, terms in enumerate(row)
+                      if terms is not None and (d >= c or not upper)]
             widths = [math.prod(w.shape[1] for w in windows)
                       for *_, windows in blocks]
             values = np.empty((row_at[c + 1] - row_at[c], sum(widths)))
             columns = np.empty(values.shape, dtype=np.int32)
-            keep = np.empty(values.shape, dtype=bool)
+            kept = np.zeros(values.shape, dtype=bool)
             at = 0
             for (d, terms, windows), width in zip(blocks, widths):
                 block = slice(at, at + width)
                 at += width
+                if not values[:, block].size:
+                    continue
                 _window_products(terms, windows, values[:, block])
                 _window_columns(terms, windows, col_at[d], columns[:, block])
-                np.greater_equal(np.abs(values[:, block]), DROP_TOL, out=keep[:, block])
+                if not upper:
+                    np.not_equal(values[:, block], 0.0, out=kept[:, block])
+                    continue
+                np.greater_equal(np.abs(values[:, block]), DROP_TOL,
+                                 out=kept[:, block])
                 if d == c:
-                    keep[:, block] &= columns[:, block] >= np.arange(
+                    kept[:, block] &= columns[:, block] >= np.arange(
                         row_at[c], row_at[c + 1])[:, None]
-            data.append(values[keep])
-            indices.append(columns[keep])
-            counts.append(np.count_nonzero(keep, axis=1))
+            data.append(values[kept])
+            indices.append(columns[kept])
+            counts.append(np.count_nonzero(kept, axis=1))
         indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
         return sp.csr_matrix((np.concatenate(data), np.concatenate(indices),
                               indptr), shape=self.shape)
@@ -475,7 +490,7 @@ class KronBlocks:
 
 
 def _outer(vectors) -> np.ndarray:
-    """(x)_k v_k of 1-D vectors, last index fastest as in ``sp.kron``."""
+    """(x)_k v_k of 1-D vectors, last index fastest as in a Kronecker product."""
     return reduce(np.multiply.outer, vectors).ravel()
 
 
@@ -495,15 +510,19 @@ def _windows(terms) -> list[np.ndarray]:
     window: ``width`` consecutive columns from the first nonzero of the
     row in the sum of the terms' |F_k|, with ``width`` the widest span of
     nonzeros and the window shifted left where it would pass the last
-    column (a row without nonzeros starts at 0)."""
+    column (a row without nonzeros starts at 0; an axis without columns
+    has width 0)."""
     out = []
     for k, F in enumerate(terms[0][1]):
+        if not F.shape[1]:
+            out.append(np.zeros((F.shape[0], 0), dtype=np.intp))
+            continue
         nonzero = sum(np.abs(_array(factors[k])) for _, factors in terms) != 0.0
         first = nonzero.argmax(axis=1)
         end = F.shape[1] - nonzero[:, ::-1].argmax(axis=1)
         empty = ~nonzero.any(axis=1)
         first[empty], end[empty] = 0, 1
-        width = int((end - first).max())
+        width = int((end - first).max(initial=0))
         out.append(np.minimum(first, F.shape[1] - width)[:, None] + np.arange(width))
     return out
 
@@ -522,21 +541,25 @@ def _window_columns(terms, windows, start: int, out: np.ndarray) -> None:
 def _window_products(terms, windows, out: np.ndarray) -> None:
     """Write into ``out`` (one row per row of the block, one column per
     point of its windows, both lexicographic) the sum over the terms of
-    ((coeff F_1) F_2) ... F_d on the windows, in term order."""
+    coeff ((F_1 F_2) ... F_d) on the windows, in term order: the order
+    of scipy's Kronecker product and sparse sum, whose assembly this
+    equals bit for bit."""
     gathered = [[_array(F)[np.arange(F.shape[0])[:, None], w]
                  for F, w in zip(factors, windows)] for _, factors in terms]
     n, w = gathered[0][-1].shape
     # splitting the axes of a slice is always a view of it
     split = out.reshape(out.shape[0] // n, n, out.shape[1] // w, w)
     for t, ((coeff, _), g) in enumerate(zip(terms, gathered)):
-        prefix = np.full((1, 1), coeff)
+        prefix = np.ones((1, 1))
         for gk in g[:-1]:
             prefix = (prefix[:, None, :, None] * gk[None, :, None, :]).reshape(
                 prefix.shape[0] * gk.shape[0], -1)
-        if t == 0:
-            np.multiply(prefix[:, None, :, None], g[-1][None, :, None, :], out=split)
-        else:
-            split += prefix[:, None, :, None] * g[-1][None, :, None, :]
+        term = split if t == 0 else np.empty(split.shape)
+        np.multiply(prefix[:, None, :, None], g[-1][None, :, None, :], out=term)
+        if coeff != 1.0:
+            term *= coeff
+        if t:
+            split += term
 
 
 def kron_apply(factors, X: np.ndarray) -> np.ndarray:
@@ -623,43 +646,61 @@ def potential_and_range(kind: str, dim: int) -> tuple[str, str]:
     return potentials[0], ranges[0]
 
 
-def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d) -> KronBlocks:
+def _blocks(src: TensorSpace, dst: TensorSpace, signs, b_to_d,
+            factor_blocks: dict | None) -> KronBlocks:
     """The map from ``src`` into ``dst`` with the block signs ``signs``:
     block [i][j] is ``None`` or the one term ``(sign, factors)``, its
-    factors by :func:`_factor_block`."""
+    factors by :func:`_factor_block`, each looked up in ``factor_blocks``
+    by (source factor, target factor, map) and built only when missing
+    (the map is ``None`` for the identity, which every map shares).  A
+    mesh's :class:`iga_asp.assembly.Discretization` holds that dict, so
+    that each 1-D block is built once per mesh; without one the blocks
+    are shared within this map only."""
     if src.knots != dst.knots or src.kind.bc != dst.kind.bc or src.dim != dst.dim:
         raise ValueError("spaces must share knots, bc, and dimension")
+    memo = {} if factor_blocks is None else factor_blocks
+
+    def block(sf: Space1D, df: Space1D) -> sp.csr_matrix:
+        key = (sf, df, None if sf.kind == df.kind else b_to_d)
+        if key not in memo:
+            memo[key] = _factor_block(sf, df, b_to_d)
+        return memo[key]
     return KronBlocks([[None if sign is None else
-                        [(sign, [_factor_block(sf, df, b_to_d)
-                                 for sf, df in zip(src_comp, dst_comp)])]
+                        [(sign, [block(sf, df) for sf, df in zip(src_comp, dst_comp)])]
                         for sign, src_comp in zip(row, src.components)]
                        for row, dst_comp in zip(signs, dst.components)])
 
 
-def differential_blocks(src: TensorSpace, dst: TensorSpace) -> KronBlocks:
+def differential_blocks(src: TensorSpace, dst: TensorSpace,
+                        factor_blocks: dict | None = None) -> KronBlocks:
     """The differential between two neighbouring spaces, with the signs
-    of ``_DIFFERENTIALS`` and the difference matrix as the 1-D map; the
-    assembled matrix and the 1-D diagonals read it."""
+    of ``_DIFFERENTIALS`` and the difference matrix as the 1-D map, its
+    1-D blocks read from (and added to) ``factor_blocks`` (see
+    :func:`_blocks`); the assembled matrix and the 1-D diagonals read
+    it."""
     key = (src.kind.kind, dst.kind.kind, src.dim)
     if key not in _DIFFERENTIALS:
         raise ValueError(f"no differential between {src.kind} and {dst.kind}")
-    return _blocks(src, dst, _DIFFERENTIALS[key],
-                   lambda knot: difference_matrix_1d(knot.n))
+    return _blocks(src, dst, _DIFFERENTIALS[key], _difference, factor_blocks)
 
 
-def differential_matrix(src: TensorSpace, dst: TensorSpace) -> sp.csr_matrix:
+def differential_matrix(src: TensorSpace, dst: TensorSpace,
+                        factor_blocks: dict | None = None) -> sp.csr_matrix:
     """The de Rham differential between two neighbouring spaces,
     assembled from :func:`differential_blocks`."""
-    return differential_blocks(src, dst).tocsr()
+    return differential_blocks(src, dst, factor_blocks).tocsr()
 
 
-def transfer_blocks(aux: TensorSpace, dst: TensorSpace, b_to_d) -> KronBlocks:
+def transfer_blocks(aux: TensorSpace, dst: TensorSpace, b_to_d,
+                    factor_blocks: dict | None = None) -> KronBlocks:
     """The transfer from the auxiliary vector space onto a curl or div
-    space: diagonal signs, and ``b_to_d`` the histopolation."""
+    space: diagonal signs, and ``b_to_d`` the histopolation (a function
+    of the knot vector, the same object for every call that should share
+    its blocks in ``factor_blocks``)."""
     if aux.kind.kind != "vector" or dst.kind.kind not in ("curl", "div"):
         raise ValueError("transfers map the auxiliary space into curl or div")
     signs = np.where(np.eye(dst.n_components), 1.0, None).tolist()
-    return _blocks(aux, dst, signs, b_to_d)
+    return _blocks(aux, dst, signs, b_to_d, factor_blocks)
 
 
 def gradient_matrix(grad_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
@@ -701,19 +742,19 @@ def vector_curl_matrix(grad_space: TensorSpace, div_space: TensorSpace) -> sp.cs
     return differential_matrix(grad_space, div_space)
 
 
-def _reversal_basis(n: int, odd: bool) -> sp.csr_matrix:
+def _reversal_basis(n: int, odd: bool) -> np.ndarray:
     """Orthonormal basis of the vectors of length n that the reversal
     i -> n-1-i maps to themselves (``odd`` False) or to their negatives:
     columns (e_i +- e_{n-1-i}) / sqrt 2 for i < n // 2, then e_{n//2} in
-    the even basis when n is odd."""
+    the even basis when n is odd; dense, as the CSR writer reads it."""
     half = n // 2
     i = np.arange(half)
-    s = np.sqrt(0.5)
-    rows, cols = np.r_[i, n - 1 - i], np.r_[i, i]
-    vals = np.r_[np.full(half, s), np.full(half, -s if odd else s)]
+    out = np.zeros((n, half if odd else n - half))
+    out[i, i] = np.sqrt(0.5)
+    out[n - 1 - i, i] = -np.sqrt(0.5) if odd else np.sqrt(0.5)
     if n % 2 and not odd:
-        rows, cols, vals = np.r_[rows, half], np.r_[cols, half], np.r_[vals, 1.0]
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, half if odd else n - half))
+        out[half, half] = 1.0
+    return out
 
 
 def _swap_halves(Q: sp.csc_matrix, swap: np.ndarray) -> list[sp.csc_matrix]:

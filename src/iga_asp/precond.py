@@ -101,6 +101,14 @@ def _upper_transposed(A: sp.csr_matrix) -> sp.csc_matrix:
     return sp.csc_matrix((A.data[upper], A.indices[upper], indptr), A.shape)
 
 
+def _is_upper_triangle(A: sp.csr_matrix) -> bool:
+    """Whether the CSR A is its own upper triangle: sorted indices, and
+    each row's first stored column at or right of the row."""
+    stored = np.flatnonzero(np.diff(A.indptr))
+    return bool(A.has_sorted_indices
+                and np.all(A.indices[A.indptr[stored]] >= stored))
+
+
 class Smoother:
     """Jacobi or symmetric Gauss-Seidel smoother of a sparse matrix.
 
@@ -127,10 +135,12 @@ class Smoother:
             raise ArithmeticError("matrix has a zero diagonal entry")
         self.diagonal = diagonal
         if kind == "gs":
+            # an upper triangle's CSR arrays are the CSC arrays of triu(A)^T
+            lower = (sp.csc_matrix((A.data, A.indices, A.indptr), A.shape)
+                     if _is_upper_triangle(A) else _upper_transposed(A))
             # triangular: no fill, no pivots
-            self._lower = spla.splu(
-                _upper_transposed(A), permc_spec="NATURAL",
-                options={"DiagPivotThresh": 0.0})
+            self._lower = spla.splu(lower, permc_spec="NATURAL",
+                                    options={"DiagPivotThresh": 0.0})
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """S^{-1} r; an r whose length is not the matrix's raises

@@ -10,20 +10,24 @@ own space) and bc-restricted 1-D histopolations Q per block:
     P_div  = diag(I x Q2,      Q1 x I)                     (2-D)
 
 :func:`iga_asp.derham.transfer_blocks` builds them by the differentials'
-per-factor rule with Q in place of the difference matrix.  A
+per-factor rule with Q in place of the difference matrix; a mesh's
+transfers and differentials read their 1-D blocks (identities, the
+difference maps, one Q per knot vector) from the mesh's
+:attr:`iga_asp.assembly.Discretization.factor_blocks`, built once.  A
 :class:`TransferSet` keeps the transfer onto the problem's space
 factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
 and assembles its CSR only when read.  It keeps the potential map T
-(G, R or C) as the KronBlocks it is assembled from, whose congruence
+(G, R or C) as the KronBlocks it is written from, whose congruence
 T^T M T gives Q_curl's diagonal and upper triangle from the 1-D factors
-(3-D div), and assembles its CSR from it; the
-transfer onto the potential space (3-D div) is CSR alone.
+(3-D div), and writes its CSR from it; the transfer onto the potential
+space (3-D div) is CSR alone.  Every CSR here is written straight from
+the 1-D factors (:meth:`iga_asp.derham.KronBlocks.tocsr`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cache, cached_property
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -86,24 +90,26 @@ class TransferSet:
         return self.P_main.T
 
 
-def _histopolation():
+def _histopolation(knot) -> sp.csr_matrix:
     """The transfers' 1-D B -> D map: the histopolation of a knot
-    vector's full B-spline space, built once per knot vector."""
-    return cache(lambda knot: histopolation_matrix_1d(Space1D(knot)))
+    vector's full B-spline space.  A mesh's transfers look their blocks
+    up in its :attr:`iga_asp.assembly.Discretization.factor_blocks`, so
+    it runs once per knot vector and mesh."""
+    return histopolation_matrix_1d(Space1D(knot))
 
 
 def build_p_curl(xh_space: TensorSpace, curl_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(curl)."""
     if curl_space.kind.kind != "curl":
         raise ValueError("target must be a curl space")
-    return transfer_blocks(xh_space, curl_space, _histopolation()).tocsr()
+    return transfer_blocks(xh_space, curl_space, _histopolation).tocsr()
 
 
 def build_p_div(xh_space: TensorSpace, div_space: TensorSpace) -> sp.csr_matrix:
     """Transfer matrix from the auxiliary vector space onto V(div)."""
     if div_space.kind.kind != "div":
         raise ValueError("target must be a div space")
-    return transfer_blocks(xh_space, div_space, _histopolation()).tocsr()
+    return transfer_blocks(xh_space, div_space, _histopolation).tocsr()
 
 
 def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +140,17 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
     """The transfer-matrix set of the problem of ``setup`` (tau does not
     enter): the transfers onto its space (factored) and, unless that is
-    the scalar grad space, onto its potential space, sharing one
-    histopolation per knot vector, and the differential from the
-    potential space, factored and assembled."""
+    the scalar grad space, onto its potential space, and the differential
+    from the potential space, factored and assembled; every 1-D block
+    comes from the mesh's ``factor_blocks``, shared with D and the other
+    maps of the mesh."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
-    spaces = setup.disc.spaces
+    spaces, blocks = setup.disc.spaces, setup.disc.factor_blocks
     potential, _ = potential_and_range(setup.operator, setup.dim)
-    xh, Q = spaces["vector"], _histopolation()
+    xh = spaces["vector"]
     return TransferSet(
-        P_op=transfer_blocks(xh, setup.space, Q),
-        T_op=differential_blocks(spaces[potential], setup.space),
+        P_op=transfer_blocks(xh, setup.space, _histopolation, blocks),
+        T_op=differential_blocks(spaces[potential], setup.space, blocks),
         P_curl=None if potential == "grad" else
-        transfer_blocks(xh, spaces[potential], Q).tocsr())
+        transfer_blocks(xh, spaces[potential], _histopolation, blocks).tocsr())

@@ -9,7 +9,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iga_asp import assembly
+from iga_asp import assembly, derham, precond, transfer
 from iga_asp.assembly import (
     NULL_MODE_TOL,
     AssembledSystem,
@@ -244,6 +244,45 @@ class TestDiscretization:
             assert_bit_equal(scalar_laplacian_matrix(disc).tocsr(),
                              factor_route(disc.spaces["grad"], stiffness_only=True))
 
+    @pytest.mark.parametrize("operator, dim, p, n", [
+        ("curl", 2, 3, (4, 5)), ("div", 2, 2, 4), ("curl", 3, 2, 3),
+        ("div", 3, (3, 2, 2), (3, 4, 3))])
+    def test_factor_blocks_built_once_per_mesh(self, monkeypatch, operator,
+                                               dim, p, n):
+        # the setup, its stiffness diagonal and mass basis, a transfer set
+        # and the ASP setups (3-D div: both curl smoothers, each with its
+        # own transfer set) build each 1-D block of the diagram once and
+        # each knot vector's histopolation once; the mesh's
+        # Discretization holds them, and another mesh builds its own
+        built, histopolations = [], []
+        factor_block = derham._factor_block
+        histopolation = transfer.histopolation_matrix_1d
+
+        def counted_block(sf, df, b_to_d):
+            built.append((sf, df, None if sf.kind == df.kind else b_to_d))
+            return factor_block(sf, df, b_to_d)
+
+        def counted_histopolation(space):
+            histopolations.append(space.knot)
+            return histopolation(space)
+        monkeypatch.setattr(derham, "_factor_block", counted_block)
+        monkeypatch.setattr(transfer, "histopolation_matrix_1d",
+                            counted_histopolation)
+        smoothers = ("diag", "sgs") if (operator, dim) == ("div", 3) else ("diag",)
+        for _ in range(2):
+            built.clear()
+            histopolations.clear()
+            setup = system_setup(operator, dim, p, n)
+            setup.stiffness_diagonal
+            setup.mass_basis
+            build_transfer_set(setup)
+            for curl_smoother in smoothers:
+                precond.AspSetup(setup, curl_smoother)
+            assert len(built) == len(set(built)) == len(setup.disc.factor_blocks)
+            assert set(built) == set(setup.disc.factor_blocks)
+            assert len(histopolations) == len(set(histopolations))
+            assert set(histopolations) == set(setup.space.knots)
+
 
 def relative_error(got, ref):
     return np.linalg.norm(got - ref) / np.linalg.norm(ref)
@@ -447,6 +486,29 @@ class TestCsrOnDemand:
         y = past.apply(x)
         assert "A" not in vars(past)
         assert relative_error(y, past.A @ x) <= 1e-13
+
+
+class TestColumnPanels:
+    @given(st.integers(min_value=1, max_value=40),
+           st.integers(min_value=0, max_value=200),
+           st.sampled_from(["csr", "csc", "coo"]),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_panels_equal_sliced_columns(self, n_rows, n_cols, fmt, seed):
+        # each panel, cut from its range of indptr, against scipy's column
+        # slice of the CSC matrix, bit for bit; empty columns and a last
+        # panel narrower than 64 included
+        rng = np.random.default_rng(seed)
+        F = sp.random(n_rows, n_cols, density=0.1, format=fmt, random_state=rng)
+        C = sp.csc_matrix(F)
+        at = 0
+        for columns, panel in assembly.column_panels(F):
+            assert columns == slice(at, min(at + 64, n_cols))
+            ref = C[:, columns].toarray()
+            assert panel.dtype == ref.dtype
+            np.testing.assert_array_equal(panel, ref)
+            at = columns.stop
+        assert at == n_cols
 
 
 class TestSectorFactors:

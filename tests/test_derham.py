@@ -117,6 +117,106 @@ class TestKronBlocks:
         np.testing.assert_allclose(out.toarray(), np.block(dense),
                                    rtol=1e-13, atol=1e-13)
 
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.booleans(),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_writes_the_kron_bmat_oracle(self, n_rows, n_cols, n_factors,
+                                         explicit_zeros, seed):
+        # the writer against the sp.kron + bmat assembly it replaced: None
+        # blocks, sparse and dense factors (some with zero rows or no
+        # columns), shared term lists, +-1 and random coefficients,
+        # multi-term blocks and terms that cancel.  indptr, indices and
+        # data are equal bit for bit to the oracle's without its stored
+        # zeros: the writer stores no zero, so an explicit zero of a
+        # sparse factor is not stored, and neither is a sum that cancels
+        # (the oracle's sparse addition drops that too)
+        rng = np.random.default_rng(seed)
+        row_dims = rng.integers(0, 4, size=(n_rows, n_factors)) + (rng.random(
+            (n_rows, n_factors)) < 0.9)
+        col_dims = rng.integers(0, 4, size=(n_cols, n_factors)) + (rng.random(
+            (n_cols, n_factors)) < 0.9)
+        present = rng.random((n_rows, n_cols)) < 0.5
+        present[np.arange(n_rows), np.arange(n_rows) % n_cols] = True
+        present[np.arange(n_cols) % n_rows, np.arange(n_cols)] = True
+
+        def factor(r, c):
+            F = rng.standard_normal((r, c)) * (rng.random((r, c)) < 0.6)
+            F[rng.random(r) < 0.2] = 0.0            # empty rows
+            if rng.random() < 0.3:
+                return F                            # dense
+            F = sp.csr_matrix(F)
+            if explicit_zeros and F.nnz:
+                F.data[rng.random(F.nnz) < 0.3] = 0.0
+            return F
+
+        shared = {}
+        rows = []
+        for i in range(n_rows):
+            row = []
+            for j in range(n_cols):
+                if not present[i, j]:
+                    row.append(None)
+                    continue
+                key = (tuple(row_dims[i]), tuple(col_dims[j]))
+                if key in shared and rng.random() < 0.5:
+                    row.append(shared[key])         # one term list, twice
+                    continue
+                terms = []
+                for _ in range(rng.integers(1, 4)):
+                    coeff = rng.choice([1.0, -1.0, rng.standard_normal()])
+                    factors = [factor(r, c) for r, c in zip(row_dims[i], col_dims[j])]
+                    terms.append((coeff, factors))
+                    if rng.random() < 0.2:
+                        terms.append((-coeff, factors))   # cancels exactly
+                shared[key] = terms
+                row.append(terms)
+            rows.append(row)
+        K = KronBlocks(rows)
+        got, ref = K.tocsr(), kron_bmat_oracle(K)
+        assert isinstance(got, sp.csr_matrix) and got.has_sorted_indices
+        assert got.shape == ref.shape == K.shape
+        assert ref.has_sorted_indices
+        ref.eliminate_zeros()
+        for name in ("indptr", "indices", "data"):
+            assert getattr(got, name).dtype == getattr(ref, name).dtype
+            np.testing.assert_array_equal(getattr(got, name), getattr(ref, name))
+
+    def test_explicit_zeros_of_a_sparse_factor_are_not_stored(self):
+        # the oracle stores the products of an explicit zero; the writer
+        # stores what is left without them
+        F = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
+        F.data[1] = 0.0
+        G = sp.csr_matrix(np.array([[1.0, -1.0]]))
+        K = KronBlocks([[[(1.0, [F, G])]]])
+        assert kron_bmat_oracle(K).nnz == 6
+        got = K.tocsr()
+        assert got.nnz == 4
+        np.testing.assert_array_equal(got.toarray(), [[1, -1, 0, 0], [0, 0, 3, -3]])
+
+
+def kron_bmat_oracle(K: KronBlocks) -> sp.csr_matrix:
+    """The assembly :meth:`KronBlocks.tocsr` replaced: per block the COO
+    ``sp.kron`` chain of each term times its coefficient, the terms
+    summed by sparse addition in order, and ``sp.bmat`` of the blocks,
+    CSR with sorted indices."""
+    def block(terms):
+        if terms is None:
+            return None
+        mats = []
+        for coeff, factors in terms:
+            out = sp.coo_matrix(factors[0])
+            for f in factors[1:]:
+                out = sp.kron(out, f, format="coo")
+            mats.append(coeff * out)
+        return sum(mats[1:], mats[0])
+
+    out = sp.bmat([[block(t) for t in row] for row in K.rows], format="csr")
+    out.sort_indices()
+    return out
+
 
 def random_kron_blocks(rng, n_rows, n_cols, n_factors, mixed=False):
     """A random KronBlocks of small sparse non-square factors: ``None``,

@@ -155,6 +155,37 @@ class TestSmoother:
                                       np.tril(A.toarray()))
         assert not any(sp.issparse(v) for v in vars(smoother).values())
 
+    @pytest.mark.parametrize("A", [
+        random_spd(9, 6),
+        sp.csr_matrix(np.diag(np.arange(1.0, 6.0))),
+        system_matrix(system_setup("curl", 2, 2, 3), 1e-2).A,
+        q_curl(system_setup("div", 3, 2, 2))])
+    def test_sgs_takes_a_triangle_as_it_is(self, monkeypatch, A):
+        # given its upper triangle (a diagonal matrix is one), the smoother
+        # factors the CSC view of its arrays and masks nothing; given the
+        # full A, it masks once; the applies are equal bit for bit
+        calls, upper_transposed = [], precond._upper_transposed
+
+        def counted(M):
+            calls.append(M)
+            return upper_transposed(M)
+        monkeypatch.setattr(precond, "_upper_transposed", counted)
+        triangle = sp.triu(A, format="csr")
+        from_triangle = Smoother("gs", triangle)
+        assert calls == []
+        from_full = Smoother("gs", A)
+        assert len(calls) == int((abs(sp.tril(A, -1)) > 0).nnz > 0)
+        R = np.random.default_rng(0).standard_normal((A.shape[0], 3))
+        for r in (R[:, 0], R):
+            np.testing.assert_array_equal(from_triangle.apply(r), from_full.apply(r))
+
+    def test_sgs_curl_smoother_masks_nothing(self, monkeypatch):
+        # the written triu(Q_curl) goes to the smoother as it is
+        calls = []
+        monkeypatch.setattr(precond, "_upper_transposed", calls.append)
+        AspSetup(system_setup("div", 3, 2, 3), curl_smoother="sgs")
+        assert calls == []
+
     def test_sgs_inverse_is_symmetric(self):
         A = random_spd(10, 3)
         s = Smoother("gs", A)
