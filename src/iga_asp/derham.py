@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from .splines1d import (DROP_TOL, KnotVector, Space1D, difference_matrix_1d,
@@ -81,6 +82,7 @@ __all__ = [
     "potential_and_range",
     "space_descriptor",
     "KronBlocks",
+    "KronEigenbasis",
     "KronPlan",
     "kron_apply",
     "transfer_blocks",
@@ -487,6 +489,66 @@ class KronBlocks:
             return None if terms is None else transposed[id(terms)]
         return KronBlocks([[terms_T(terms) for terms in col]
                            for col in zip(*self.rows)])
+
+
+def _eigh(pencil) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, U) of a dense 1-D pencil: (K, M) with U^T M U = I, or (G,)."""
+    return sla.eigh(*pencil)
+
+
+class KronEigenbasis:
+    """Fast diagonalization (Lynch, Rice & Thomas 1964) of a block-diagonal
+    Kronecker sum: per run of ``counts[i]`` identical blocks the sum over
+    the axes k of K_k (x) (x)_{j != k} M_j plus ``offset`` (x)_j M_j, from
+    the 1-D pencils ``pencils[i][k]``, (K_k, M_k) or (G_k,) with M_k = I.
+    One :func:`_eigh` per distinct pencil, keyed on its bytes, gives U_k
+    and lam_k; the block is U^{-T} diag(Lambda) U^{-1} with U = (x)U_k and
+    Lambda the sums offset + lam_1 + ... + lam_d.  U^T is kept as the
+    block-diagonal :class:`KronBlocks` ``U_T`` with the runs of ``counts``
+    and U as its transpose ``U``, both passed through ``layout``: the
+    layout of their dense factors fixes the round-off of their plans."""
+
+    def __init__(self, pencils: list, counts: list[int], offset: float = 0.0,
+                 layout=lambda op: op) -> None:
+        self.offset = offset
+        eighs = {}
+        self._eigenvalues, blocks = [], []    # per run: the 1-D eigenvalues
+        for run, count in zip(pencils, counts):
+            pairs = []
+            for pencil in run:
+                pencil = [_array(F) for F in pencil]
+                key = tuple((F.shape, F.tobytes()) for F in pencil)
+                if key not in eighs:
+                    eighs[key] = _eigh(pencil)
+                pairs.append(eighs[key])
+            self._eigenvalues.append([lam for lam, _ in pairs])
+            blocks += [[(1.0, [U.T for _, U in pairs])]] * count
+        U_T = KronBlocks.block_diagonal(blocks)
+        self.U_T, self.U = layout(U_T), layout(U_T.transpose())
+
+    def _sums(self, shift: float) -> list[np.ndarray]:
+        """Per run Lambda + shift, shaped as one block."""
+        return [sum(np.ix_(*eigenvalues), self.offset + shift)
+                for eigenvalues in self._eigenvalues]
+
+    def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
+        """Lambda + shift in the order of :meth:`forward`'s coefficients."""
+        return np.concatenate([np.tile(lam.ravel(), run.count) for lam, run
+                               in zip(self._sums(shift), self.U_T.runs)])
+
+    def forward(self, b: np.ndarray) -> np.ndarray:
+        """The eigen-coefficients U^T b of b of shape (N,) or (N, k)."""
+        return self.U_T.apply(b)
+
+    def make(self, shift: float = 0.0) -> KronPlan:
+        """Solve with the sum plus ``shift`` (x)M: ``U_T``'s plan composed
+        with ``U``'s (:meth:`KronPlan.compose`), one walk per run, whose
+        blocks and the k columns of an (N, k) input are one batch.  Raises
+        ``ArithmeticError`` where Lambda + shift is not positive."""
+        sums = self._sums(shift)
+        if any(np.any(lam <= 0.0) for lam in sums):
+            raise ArithmeticError("Kronecker-sum operator is not SPD")
+        return self.U_T.plan.compose([1.0 / lam for lam in sums], self.U.plan)
 
 
 def _outer(vectors) -> np.ndarray:

@@ -225,13 +225,13 @@ class GltPreconditioner:
 
     MINRES from zero depends only on the spectral measure of r under S,
     so :meth:`_smoothing_step` runs it on S's eigenvalues instead, with
-    the eigenbasis V, mu of the range Laplacian that the mass basis holds
-    and its ``mode_scale`` s (1/sqrt mu, 0 on L's null modes, which are
-    in ker W^T): z = s V^T W r, r0 = r - W^T V (s z) the part of r in ker
-    W, and :func:`minres` on the diagonal (tau, mu + tau) with right-hand
-    side (||r0||, z), whose null-mode entries are 0 and stay 0; its y maps
-    back as y_0 r0 / ||r0|| + W^T V (s y_1).  In exact arithmetic these
-    are the iterates of MINRES on S.  The nu2 steps make
+    the range Laplacian's eigenbasis V, mu that the mass basis holds as
+    ``laplacian`` and its ``mode_scale`` s (1/sqrt mu, 0 on L's null
+    modes, which are in ker W^T): z = s V^T W r, r0 = r - W^T V (s z) the
+    part of r in ker W, and :func:`minres` on the diagonal (tau, mu + tau)
+    with right-hand side (||r0||, z), whose null-mode entries are 0 and
+    stay 0; its y maps back as y_0 r0 / ||r0|| + W^T V (s y_1).  In exact
+    arithmetic these are the iterates of MINRES on S.  The nu2 steps make
     no Kronecker product; the step makes six (W and V^T once, V and W^T
     twice), where MINRES on S made two per step.
     """
@@ -249,20 +249,21 @@ class GltPreconditioner:
         self.nu1, self.nu2, self.nu_asp = nu1, nu2, nu_asp
         basis = self._basis = self.system.setup.mass_basis
         self._spectrum = np.concatenate(([self.system.tau],
-                                         basis.mu + self.system.tau))
+                                         basis.laplacian.eigenvalues()
+                                         + self.system.tau))
 
     def _smoothing_step(self, r: np.ndarray) -> np.ndarray:
         """nu2 MINRES steps on W^T W + tau I from zero, run on its
         eigenvalues (see the class docstring)."""
         basis = self._basis
-        scale = basis.mode_scale
-        z = basis.V_T.apply(basis.W.apply(r)) * scale
-        r0 = r - basis.W_T.apply(basis.V.apply(z * scale))
+        scale, V = basis.mode_scale, basis.laplacian.U
+        z = basis.laplacian.forward(basis.W.apply(r)) * scale
+        r0 = r - basis.W_T.apply(V.apply(z * scale))
         norm_r0 = math.sqrt(r0 @ r0)
         spectrum = self._spectrum
         y = minres(lambda v: spectrum * v, np.concatenate(([norm_r0], z)),
                    self.nu2)
-        x = basis.W_T.apply(basis.V.apply(y[1:] * scale))
+        x = basis.W_T.apply(V.apply(y[1:] * scale))
         if norm_r0 > 0.0:
             x += (y[0] / norm_r0) * r0
         return x

@@ -24,16 +24,14 @@ triangle written from the 1-D factors
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
-:class:`InnerSolver` inverts them exactly by fast diagonalization
-(Lynch, Rice & Thomas 1964): the 1-D generalized eigenpairs
-K_k U_k = M_k U_k Lambda_k, computed once per mesh, give U = (x)U_k and
-the eigenvalue sums Lambda, and every solve is forward (U^T, dense 1-D
-matrix products), scale (by 1/(Lambda + shift)) and backward (U), in
-one step per run of identical components.  The Jacobi smoothers read
-diagonals built from the 1-D factors.  The SGS smoothers of A and
-Q_curl, which are not Kronecker, keep one triangular factorization of
-the upper triangle (:class:`Smoother`): the SGS of A reads the CSR A,
-that of Q_curl the triangle written from the 1-D factors.
+:class:`InnerSolver` inverts them exactly as the
+:class:`iga_asp.derham.KronEigenbasis` of their 1-D pencils (K_k, M_k),
+built once per mesh: a solve is forward (U^T), scale (1/(Lambda +
+shift)) and backward (U), one walk per run of identical components.
+The Jacobi smoothers read diagonals built from the 1-D factors.  The
+SGS smoothers of A and Q_curl, which are not Kronecker, keep one
+triangular factorization of the upper triangle (:class:`Smoother`):
+the SGS of A reads the CSR A, that of Q_curl the written triangle.
 
 With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
 
@@ -61,7 +59,6 @@ from __future__ import annotations
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -76,7 +73,7 @@ from .assembly import (
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import KronBlocks, KronPlan
+from .derham import KronEigenbasis
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -155,66 +152,19 @@ class Smoother:
         return self._lower.solve(d * self._lower.solve(r, trans="T"))
 
 
-def _m_orthonormal_eigenpairs(K, M) -> tuple[np.ndarray, np.ndarray]:
-    """(lam, U) with K U = M U diag(lam) and U^T M U = I."""
-    return sla.eigh(K.toarray(), M.toarray())
-
-
-class InnerSolver:
-    """Exact inverse of the :class:`KronSum` ``op``, which has stiffness
-    factors (H, H + tau M or L), by fast diagonalization.  With U = (x)U_k
-    the 1-D eigenbases (U^T M U = I) and Lambda the sums of the 1-D
-    eigenvalues plus the mass coefficient, (op + shift (x)M)^{-1} = U
-    diag(1/(Lambda + shift)) U^T.  The 1-D eigenpairs are computed once,
-    here, per run of identical components of ``op``
-    (:attr:`iga_asp.derham.KronBlocks.runs`); U^T is kept as the
-    :class:`iga_asp.derham.KronBlocks` ``U_T`` with the same runs and U as
-    its transpose ``U``, both with the eigenvectors as ``eigh`` returns
-    them.  :meth:`forward` applies U^T, :meth:`eigenvalues` gives Lambda +
-    shift, and :meth:`make` builds the solve for one shift."""
+class InnerSolver(KronEigenbasis):
+    """(op + shift (x)M)^{-1} = ``make(shift)`` of the :class:`KronSum`
+    ``op`` with stiffness factors (H, H + tau M or L): the
+    :class:`iga_asp.derham.KronEigenbasis` of the pencils (K_k, M_k) of
+    each of ``op``'s runs, offset by its mass coefficient, with the
+    eigenvectors laid out as ``eigh`` returns them."""
 
     def __init__(self, op: KronSum) -> None:
-        self.op = op
-        self._eigenvalues = []      # per run: the 1-D eigenvalues
-        blocks = []
         if not op.stiffnesses:
             raise ValueError("fast diagonalization needs the stiffness factors")
-        for run in op.runs:
-            pairs = [_m_orthonormal_eigenpairs(K, M) for K, M
-                     in zip(op.stiffnesses[run.row], op.masses[run.row])]
-            self._eigenvalues.append([w for w, _ in pairs])
-            blocks += [[(1.0, [U.T for _, U in pairs])]] * run.count
-        self.U_T = KronBlocks.block_diagonal(blocks)
-        self.U = self.U_T.transpose()
-
-    def _sums(self, shift: float) -> list[np.ndarray]:
-        """Per run Lambda + shift, shaped as one component."""
-        sums = [sum(np.ix_(*eigenvalues), self.op.mass_coeff + shift)
-                for eigenvalues in self._eigenvalues]
-        if any(np.any(lam <= 0.0) for lam in sums):
-            raise ArithmeticError("Kronecker-sum operator is not SPD")
-        return sums
-
-    def eigenvalues(self, shift: float = 0.0) -> np.ndarray:
-        """Lambda + shift, one entry per eigen-coefficient, in the order
-        of :meth:`forward`."""
-        return np.concatenate([np.tile(lam.ravel(), run.count) for lam, run
-                               in zip(self._sums(shift), self.U_T.runs)])
-
-    def forward(self, b: np.ndarray) -> np.ndarray:
-        """The eigen-coefficients U^T b of b of shape (N,) or (N, k)."""
-        return self.U_T.apply(b)
-
-    def make(self, shift: float = 0.0) -> KronPlan:
-        """Solve with ``op + shift * (x)M``: the plan of U_T composed with
-        U's (:meth:`iga_asp.derham.KronPlan.compose`), which per run takes
-        the forward steps, the scaling by 1/(Lambda + shift) and the
-        backward steps in one walk.  The shift adds to the mass
-        coefficient, so H + tau M is never formed; identical components,
-        and the k columns of an (N, k) right-hand side, are solved as one
-        batch."""
-        return self.U_T.plan.compose([1.0 / lam for lam in self._sums(shift)],
-                                     self.U.plan)
+        super().__init__([list(zip(op.stiffnesses[run.row], op.masses[run.row]))
+                          for run in op.runs],
+                         [run.count for run in op.runs], op.mass_coeff)
 
 
 def _checked_q_curl_diagonal(diagonal: np.ndarray) -> np.ndarray:

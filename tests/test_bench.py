@@ -423,7 +423,7 @@ class TestSharedDiscretization:
         # composite cycle's mass basis, and the forward transforms that
         # build dense kappa's Gram factors
         counts = {fn.__name__: count_calls(monkeypatch, fn) for fn in (
-            precond._m_orthonormal_eigenpairs, splines1d.basis_values,
+            derham._eigh, splines1d.basis_values,
             transfer.function_projection_1d, assembly.differential_matrix,
             assembly.mass_operator, assembly.mass_basis)}
         counts["forward"] = count_forward_transforms(monkeypatch)

@@ -264,6 +264,24 @@ class TestPcg:
         assert report.converged
         assert built == []
 
+    @pytest.mark.parametrize("problem, dim, p, n, tau", [
+        ("curl", 2, 2, 8, 1e-4), ("div", 2, 3, 6, 1.0), ("curl", 3, 2, 4, 1e-2),
+        ("div", 3, 2, 4, 1e2)])
+    def test_converged_solve_lands_on_the_exact_solve(self, problem, dim, p,
+                                                      n, tau):
+        # relative residual <= tol bounds the relative error of CG's x
+        # against the mass basis's exact solve by kappa(A) tol (measured
+        # 5e-12 to 2e-9, against bounds of 1.3e-6 to 0.4)
+        system, B = asp_cell(p, n, tau, problem, dim)
+        b = np.random.default_rng(n).standard_normal(system.shape[0])
+        tol = 1e-8
+        x, report = pcg(system, b, B, tol=tol)
+        assert report.converged
+        exact = system.setup.mass_basis.solve(b, tau)
+        lam = np.linalg.eigvalsh(system.A.toarray())
+        assert (np.linalg.norm(x - exact)
+                <= lam[-1] / lam[0] * tol * np.linalg.norm(exact))
+
 
 @lru_cache(maxsize=None)
 def glt_setups(problem, dim, p, n):

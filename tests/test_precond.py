@@ -299,8 +299,9 @@ class TestInnerSolver:
             assert np.linalg.norm(f - F[:, 0]) <= 1e-13 * np.linalg.norm(f), name
 
     def test_pure_mass_rejected(self):
-        # fast diagonalization needs the stiffness factors; the composite
-        # cycle's mass basis is assembly.MassBasis
+        # an InnerSolver needs the stiffness factors; the eigenbasis of a
+        # single matrix per axis, the composite cycle's range Laplacian,
+        # is a derham.KronEigenbasis of pencils (G,)
         with pytest.raises(ValueError, match="stiffness"):
             InnerSolver(mass_operator(discretize(2, 4, dim=2, bc="essential"),
                                       "curl"))

@@ -10,7 +10,9 @@ that the ASP applies its transfer factored) and
 ``tests/data/gauss_seidel_rows.json`` those of ``GAUSS_SEIDEL`` (the
 Gauss-Seidel smoother of A and the sgs curl smoother) and
 ``tests/data/cycle_rows.json`` those of ``CYCLE`` (the composite cycle
-on a vector and a scalar range), all rewritten by
+on a vector and a scalar range) and ``tests/data/scale3d_rows.json``
+those of ``SCALE3D`` (3-D cells at n = 8 and 16, the paper's 3-D range
+below n = 32), all rewritten by
 
     PYTHONPATH=src python tests/test_rows.py
 
@@ -47,6 +49,13 @@ CYCLE = [
     ExperimentSpec("curl", 3, (2,), (8,), (1e-4, 1.0), precond="asp-glt",
                    nu2_rule="pcube"),
     ExperimentSpec("div", 2, (1, 2), (8,), (1e-4, 1.0), precond="asp-glt"),
+]
+SCALE3D_PINNED = ROOT / "tests" / "data" / "scale3d_rows.json"
+SCALE3D = [
+    ExperimentSpec("curl", 3, (2,), (16,), (1e-4, 1.0), precond="asp"),
+    ExperimentSpec("div", 3, (2,), (16,), (1e-4,), precond="asp"),
+    ExperimentSpec("div", 3, (3,), (16,), (1e-4,), precond="asp-glt"),
+    ExperimentSpec("curl", 3, (1, 2, 3), (8,), (1e-4,), precond="asp"),
 ]
 GAUSS_SEIDEL_PINNED = ROOT / "tests" / "data" / "gauss_seidel_rows.json"
 GAUSS_SEIDEL = [
@@ -132,6 +141,25 @@ def test_cycle_rows_match_the_pinned_table():
         got = keyed[key]
         assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
         assert got["converged"] and got["res_err"] <= 1e-6
+
+
+def scale3d_rows() -> list[dict]:
+    return json.loads(emit([r for spec in SCALE3D for r in run_experiment(spec)],
+                           "json"))
+
+
+def test_scale3d_rows_match_the_pinned_table():
+    # the 3-D cells up to n = 16: iteration counts and convergence
+    # exactly, the other columns within rows_diff's tolerances
+    pinned, rows = json.loads(SCALE3D_PINNED.read_text()), scale3d_rows()
+    assert len(pinned) == len(rows) == 7
+    keyed = rows_diff._keyed(rows)
+    assert keyed.keys() == rows_diff._keyed(pinned).keys()
+    for key, want in rows_diff._keyed(pinned).items():
+        got = keyed[key]
+        assert (got["iters"], got["converged"]) == (want["iters"], want["converged"])
+    problems, _ = rows_diff.compare(pinned, rows)
+    assert problems == []
 
 
 def gauss_seidel_rows() -> list[dict]:
@@ -257,3 +285,4 @@ if __name__ == "__main__":
     CYCLE_PINNED.write_text(json.dumps(cycle_rows(), indent=2) + "\n")
     GAUSS_SEIDEL_PINNED.write_text(json.dumps(gauss_seidel_rows(), indent=2)
                                    + "\n")
+    SCALE3D_PINNED.write_text(json.dumps(scale3d_rows(), indent=2) + "\n")
