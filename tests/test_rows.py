@@ -3,8 +3,7 @@ the product rule, and the rules of ``scripts/rows_diff.py`` that check
 them.
 
 ``tests/data/readme_sweep_n16.json`` holds the README sweep's n <= 16
-cells (54 cells, dense kappa) as written by ``SWEEP`` with
-``--out``.  ``tests/data/past_rule_rows.json`` holds the rows of
+cells (54 cells, dense kappa) as ``SWEEP`` writes them with ``--out``.  ``tests/data/past_rule_rows.json`` holds the rows of
 ``PAST_RULE`` (every cell past ``assembly.factored_product_wins``, so
 that the ASP applies its transfer factored) and
 ``tests/data/gauss_seidel_rows.json`` those of ``GAUSS_SEIDEL`` (the
@@ -12,16 +11,20 @@ Gauss-Seidel smoother of A and the sgs curl smoother) and
 ``tests/data/cycle_rows.json`` those of ``CYCLE`` (the composite cycle
 on a vector and a scalar range) and ``tests/data/scale3d_rows.json``
 those of ``SCALE3D`` (3-D cells at n = 8 and 16, the paper's 3-D range
-below n = 32), all rewritten by
+below n = 32).  The tables are rewritten by
 
-    PYTHONPATH=src python tests/test_rows.py
+    PYTHONPATH=src python tests/test_rows.py [readme past_rule cycle gauss_seidel scale3d]
 
-A change that moves a row rewrites the file and says in CHANGES.md which
+which rewrites the named ones, or all of them when none is named.  A
+change that moves a row rewrites the file and says in CHANGES.md which
 rows moved and why.
 """
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -174,6 +177,15 @@ def test_gauss_seidel_rows_match_the_pinned_table():
     assert problems == []
 
 
+def test_rewrite_refuses_an_unknown_table_before_writing_any():
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, str(Path(__file__)), "readme", "nope"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 1
+    assert proc.stderr.strip() == (
+        "unknown table nope; choose from readme past_rule cycle gauss_seidel scale3d")
+
+
 def row(**changes) -> dict:
     out = {"problem": "curl", "dim": 2, "p": 2, "n": 8, "tau": 1.0,
            "precond": "asp", "smoother": "jacobi", "iters": 12,
@@ -280,9 +292,25 @@ class TestRowsDiff:
         assert rows_diff.main([str(old)]) == 2
 
 
+def _write(path: Path, rows: list[dict]) -> None:
+    path.write_text(json.dumps(rows, indent=2) + "\n")
+
+
+# the rewrite of each pinned table, by the name the command line takes
+REWRITES = {
+    "readme": lambda: main(SWEEP + ["--out", str(PINNED)]),
+    "past_rule": lambda: _write(PAST_RULE_PINNED, past_rule_rows()),
+    "cycle": lambda: _write(CYCLE_PINNED, cycle_rows()),
+    "gauss_seidel": lambda: _write(GAUSS_SEIDEL_PINNED, gauss_seidel_rows()),
+    "scale3d": lambda: _write(SCALE3D_PINNED, scale3d_rows()),
+}
+
+
 if __name__ == "__main__":
-    PAST_RULE_PINNED.write_text(json.dumps(past_rule_rows(), indent=2) + "\n")
-    CYCLE_PINNED.write_text(json.dumps(cycle_rows(), indent=2) + "\n")
-    GAUSS_SEIDEL_PINNED.write_text(json.dumps(gauss_seidel_rows(), indent=2)
-                                   + "\n")
-    SCALE3D_PINNED.write_text(json.dumps(scale3d_rows(), indent=2) + "\n")
+    names = sys.argv[1:] or list(REWRITES)
+    unknown = [name for name in names if name not in REWRITES]
+    if unknown:
+        sys.exit(f"unknown table {', '.join(unknown)}; "
+                 f"choose from {' '.join(REWRITES)}")
+    for name in names:
+        REWRITES[name]()
