@@ -40,7 +40,9 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
                                diagonal from the 1-D factors, and its
                                sector blocks for dense kappa,
 * ``factored_product_wins`` -- the measured rule on which spaces the
-                               factored product is faster than CSR,
+                               factored product with A is faster than
+                               CSR, which picks A's product and nothing
+                               else,
 * ``h1_vector_matrix``      -- vector H1 inner product on the auxiliary
                                space (KronSum H, includes the L2 part),
 * ``scalar_laplacian_matrix`` -- grad-grad form on the scalar potential
@@ -129,9 +131,11 @@ class AssembledSystem:
     and kappa (dense and Lanczos) are given.  :meth:`apply_A` applies A
     from the factored masses of ``setup``; ``A`` is the assembled CSR
     from the setup's ``stiffness``, built by :func:`system_matrix` where
-    :meth:`apply` takes its product (below the rule) and elsewhere on its
-    first read (by the SGS smoother and the matrix export);
-    ``diagonal`` is A's diagonal, built without it."""
+    :meth:`apply` takes its product (below the setup's
+    :attr:`SystemSetup.factored_product_wins`, a rule that decides A's
+    product alone) and elsewhere on its first read (by the SGS smoother
+    and the matrix export); ``diagonal`` is A's diagonal, built without
+    it."""
 
     setup: SystemSetup = field(repr=False)
     tau: float
@@ -249,15 +253,15 @@ class SystemSetup:
     problem's space onto its range space, the masses M_D and M_range
     factored as ``M_D_op`` and ``M_range_op``, per distinct 1-D factor
     of the problem's space the Gauss nodes and transposed weighted basis
-    values of the load vector, and :func:`factored_product_wins` of the
-    space, which picks the product of A (:meth:`AssembledSystem.apply`,
-    :func:`system_matrix`) and of P (:class:`iga_asp.precond.AspSetup`).
-    The CSR ``M_D`` and ``M_range`` are assembled on first read (by the
-    CSR A, A's sector factors and the matrix export), as
-    is K = D^T M_range D (by the CSR A and the sector factors); A's
-    diagonal needs none.  So is :attr:`mass_basis` (by the composite cycle).  A
-    sweep builds the setup once per mesh and assembles each tau's
-    system from it."""
+    values of the load vector.  :attr:`factored_product_wins` is the
+    rule :func:`factored_product_wins` of the space, derived from it and
+    not settable, which picks the product of A and nothing else
+    (:meth:`AssembledSystem.apply`, :func:`system_matrix`).  The CSR
+    ``M_D`` and ``M_range`` are assembled on first read (by the CSR A,
+    A's sector factors and the matrix export), as is K = D^T M_range D
+    (by the CSR A and the sector factors); A's diagonal needs none.  So
+    is :attr:`mass_basis` (by the composite cycle).  A sweep builds the
+    setup once per mesh and assembles each tau's system from it."""
 
     operator: str
     dim: int
@@ -271,7 +275,10 @@ class SystemSetup:
     M_D_op: KronSum = field(repr=False)
     M_range_op: KronSum = field(repr=False)
     load_bases: dict[Space1D, tuple[np.ndarray, np.ndarray]] = field(repr=False)
-    factored_product_wins: bool
+
+    @cached_property
+    def factored_product_wins(self) -> bool:
+        return factored_product_wins(self.space)
 
     @cached_property
     def M_D(self) -> sp.csr_matrix:
@@ -501,7 +508,7 @@ def system_setup(operator: str, dim: int, p, n_elems,
         operator, dim, p, n_elems, bc, disc, space, range_space,
         differential_matrix(space, range_space, disc.factor_blocks),
         M_D_op, M_range_op,
-        _load_bases(space, disc), factored_product_wins(space))
+        _load_bases(space, disc))
 
 
 def system_matrix(setup: SystemSetup, tau: float,

@@ -35,8 +35,9 @@ Every consumer takes one operator per system: the sweep gives CG and
 both kappa modes the ``AssembledSystem`` itself, whose ``apply`` is the
 factored product past a measured rule and below it the product of the
 CSR A that :func:`iga_asp.assembly.system_matrix` assembled with the
-system.  Dense kappa's sector blocks of A are sparse products with the
-CSR K and M_D on either side of the rule.
+system.  The rule decides A's product only: the ASP applies its
+transfers factored on every mesh.  Dense kappa's sector blocks of A are
+sparse products with the CSR K and M_D on either side of the rule.
 """
 
 from __future__ import annotations

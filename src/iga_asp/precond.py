@@ -46,12 +46,11 @@ Only S and the shift of H + tau M depend on tau.  :class:`AspSetup`
 holds everything else (P, T, P_curl, the eigenpairs of H and B_T, and
 on the first dense kappa the Gram factors of the space's sectors)
 for one mesh, and :class:`AspPreconditioner` adds the two per-tau
-pieces.  In the correction, P and P^T are applied by sum factorization
-past the system's product rule
-(:func:`iga_asp.assembly.factored_product_wins`) and by their CSR below
-it; P_curl and T stay CSR, where the factored product measured no
-faster; the transfer set also keeps T factored, for Q_curl.  The Gram
-factors read the CSR P on either side.
+pieces.  The correction applies P, P_curl and their transposes by sum
+factorization on every mesh, and T by its CSR, whose integer stencil
+measured faster than the factored product; the transfer set also keeps
+T factored, for Q_curl.  Only the Gram factors read the CSR P and
+P_curl.
 """
 
 from __future__ import annotations
@@ -215,11 +214,8 @@ class AspSetup:
 
     ``potential`` is the :class:`InnerSolver` of L (curl and 2-D div;
     ``None`` for 3-D div) and ``curl_smoother`` the smoother W of
-    Q_curl (3-D div only); ``solve_potential`` applies B_T from them.
-    ``apply_P`` and ``apply_P_T`` apply P and P^T: factored (the transfer
-    set's ``P_op`` and ``P_op_T``) where the system setup's
-    ``factored_product_wins``, else by the CSR P and its stored
-    transpose, which are then built here and not in the first apply.
+    Q_curl (3-D div only); ``solve_potential`` applies B_T from them,
+    with P_curl factored.
     """
 
     def __init__(self, setup: SystemSetup, curl_smoother: str = "diag") -> None:
@@ -229,16 +225,10 @@ class AspSetup:
             raise ValueError("the preconditioner requires essential bc")
         self.system_setup = setup
         self.transfers: TransferSet = build_transfer_set(setup)
-        ts = self.transfers
-        if setup.factored_product_wins:
-            self.apply_P, self.apply_P_T = ts.P_op.apply, ts.P_op_T.apply
-        else:
-            self.apply_P, self.apply_P_T = ts.P_main.dot, ts.P_main_T.dot
         self.h1 = InnerSolver(h1_vector_matrix(setup.disc))
         self.potential: InnerSolver | None = None
         self.curl_smoother: Smoother | None = None
-        P_curl = self.transfers.P_curl
-        if P_curl is None:
+        if self.transfers.P_curl_op is None:
             # curl and 2-D div: B_T = L^{-1}
             self.potential = InnerSolver(scalar_laplacian_matrix(setup.disc))
             self.solve_potential = self.potential.make()
@@ -254,9 +244,9 @@ class AspSetup:
             W = Smoother("gs", upper)
         self.curl_smoother = W
         solve_h = self.h1.make()
-        P_curl_T = self.transfers.P_curl_T
+        P_curl, P_curl_T = self.transfers.P_curl_op, self.transfers.P_curl_op_T
         self.solve_potential = (
-            lambda y: W.apply(y) + P_curl @ solve_h(P_curl_T @ y))
+            lambda y: W.apply(y) + P_curl.apply(solve_h(P_curl_T.apply(y))))
 
     @cached_property
     def gram_factors(self) -> list[tuple] | None:
@@ -297,8 +287,9 @@ class AspPreconditioner:
     ``system``, whose system setup ``setup`` was built from.  Only the
     smoother of A and the shift of H + tau M are built per tau; the
     transfers and B_T are read through ``setup``.  Jacobi reads
-    ``system.diagonal``, so only the SGS smoother reads the CSR A (past
-    the product rule, its first read assembles it)."""
+    ``system.diagonal``, so only the SGS smoother reads the CSR A (where
+    :func:`iga_asp.assembly.system_matrix` did not assemble it, its first
+    read does)."""
 
     def __init__(self, setup: AspSetup, system: AssembledSystem,
                  smoother: str = "jacobi") -> None:
@@ -324,7 +315,7 @@ class AspPreconditioner:
         r = np.asarray(r, dtype=float)
         setup = self.setup
         ts = setup.transfers
-        out = setup.apply_P(self._solve_main(setup.apply_P_T(r)))
+        out = ts.P_op.apply(self._solve_main(ts.P_op_T.apply(r)))
         return out + (ts.potential @ setup.solve_potential(
             ts.potential_T @ r)) / self.tau
 

@@ -14,14 +14,15 @@ per-factor rule with Q in place of the difference matrix; a mesh's
 transfers and differentials read their 1-D blocks (identities, the
 difference maps, one Q per knot vector) from the mesh's
 :attr:`iga_asp.assembly.Discretization.factor_blocks`, built once.  A
-:class:`TransferSet` keeps the transfer onto the problem's space
-factored, as that :class:`iga_asp.derham.KronBlocks` and its transpose,
-and assembles its CSR only when read.  It keeps the potential map T
-(G, R or C) as the KronBlocks it is written from, whose congruence
-T^T M T gives Q_curl's diagonal and upper triangle from the 1-D factors
-(3-D div), and writes its CSR from it; the transfer onto the potential
-space (3-D div) is CSR alone.  Every CSR here is written straight from
-the 1-D factors (:meth:`iga_asp.derham.KronBlocks.tocsr`).
+:class:`TransferSet` keeps the transfers onto the problem's space and
+(3-D div) onto its potential space factored, each as that
+:class:`iga_asp.derham.KronBlocks` and its transpose, which the
+correction applies on every mesh, and assembles their CSR only when
+read.  It keeps the potential map T (G, R or C) as the KronBlocks it is
+written from, whose congruence T^T M T gives Q_curl's diagonal and upper
+triangle from the 1-D factors (3-D div), and writes its CSR from it,
+whose product the correction takes.  Every CSR here is written straight
+from the 1-D factors (:meth:`iga_asp.derham.KronBlocks.tocsr`).
 """
 
 from __future__ import annotations
@@ -57,37 +58,34 @@ __all__ = [
 @dataclass(frozen=True)
 class TransferSet:
     """All matrices one ASP formula needs besides the smoother, and the
-    transposes its apply reads.  The transfer onto the problem's space is
-    kept factored, as ``P_op`` and its transpose ``P_op_T``; ``P_main``
-    is its CSR and ``P_main_T`` the CSC view ``.T`` returns, both built
-    on first read.  The potential map is kept factored, as ``T_op``;
-    ``potential`` is its CSR.  ``potential`` and ``P_curl`` store their
-    transposes once as the CSC views that share their arrays."""
+    transposes its apply reads.  The transfers onto the problem's space
+    and (3-D div; else ``None``) onto its potential space are kept
+    factored, as ``P_op`` and ``P_curl_op``, with their transposes
+    ``P_op_T`` and ``P_curl_op_T``; ``P_main`` and ``P_curl`` are their
+    CSR and ``P_main_T`` and ``P_curl_T`` the CSC views ``.T`` returns,
+    all built on first read.  The potential map is kept factored, as
+    ``T_op``; ``potential`` is its CSR and ``potential_T`` the CSC view
+    that shares its arrays."""
 
     P_op: KronBlocks = field(repr=False)
     T_op: KronBlocks = field(repr=False)   # G (curl), R (2-D div), C (3-D div)
-    P_curl: sp.csr_matrix | None = field(repr=False, default=None)  # 3-D div
+    P_curl_op: KronBlocks | None = field(repr=False, default=None)  # 3-D div
     potential: sp.csr_matrix = field(init=False, repr=False)
     potential_T: sp.csc_matrix = field(init=False, repr=False)
-    P_curl_T: sp.csc_matrix | None = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "potential", self.T_op.tocsr())
-        for name in ("potential", "P_curl"):
-            M = getattr(self, name)
-            object.__setattr__(self, f"{name}_T", None if M is None else M.T)
+        object.__setattr__(self, "potential_T", self.potential.T)
 
-    @cached_property
-    def P_op_T(self) -> KronBlocks:
-        return self.P_op.transpose()
-
-    @cached_property
-    def P_main(self) -> sp.csr_matrix:
-        return self.P_op.tocsr()
-
-    @cached_property
-    def P_main_T(self) -> sp.csc_matrix:
-        return self.P_main.T
+    # the transposes, and the CSR forms with their CSC views, built on
+    # first read; P_curl's are None where P_curl_op is
+    P_op_T = cached_property(lambda self: self.P_op.transpose())
+    P_main = cached_property(lambda self: self.P_op.tocsr())
+    P_main_T = cached_property(lambda self: self.P_main.T)
+    P_curl_op_T = cached_property(
+        lambda self: self.P_curl_op and self.P_curl_op.transpose())
+    P_curl = cached_property(lambda self: self.P_curl_op and self.P_curl_op.tocsr())
+    P_curl_T = cached_property(lambda self: self.P_curl_op and self.P_curl.T)
 
 
 def _histopolation(knot) -> sp.csr_matrix:
@@ -139,11 +137,11 @@ def function_projection_1d(factor: Space1D) -> tuple[np.ndarray, np.ndarray]:
 
 def build_transfer_set(setup: SystemSetup) -> TransferSet:
     """The transfer-matrix set of the problem of ``setup`` (tau does not
-    enter): the transfers onto its space (factored) and, unless that is
-    the scalar grad space, onto its potential space, and the differential
-    from the potential space, factored and assembled; every 1-D block
-    comes from the mesh's ``factor_blocks``, shared with D and the other
-    maps of the mesh."""
+    enter): the transfers onto its space and, unless that is the scalar
+    grad space, onto its potential space, both factored, and the
+    differential from the potential space, factored and assembled; every
+    1-D block comes from the mesh's ``factor_blocks``, shared with D and
+    the other maps of the mesh."""
     if setup.bc != "essential":
         raise ValueError("transfer sets exist for essential bc only")
     spaces, blocks = setup.disc.spaces, setup.disc.factor_blocks
@@ -152,5 +150,5 @@ def build_transfer_set(setup: SystemSetup) -> TransferSet:
     return TransferSet(
         P_op=transfer_blocks(xh, setup.space, _histopolation, blocks),
         T_op=differential_blocks(spaces[potential], setup.space, blocks),
-        P_curl=None if potential == "grad" else
-        transfer_blocks(xh, spaces[potential], _histopolation, blocks).tocsr())
+        P_curl_op=None if potential == "grad" else
+        transfer_blocks(xh, spaces[potential], _histopolation, blocks))

@@ -1,5 +1,6 @@
 """Global assembly: system, mass, H1, Laplacian matrices and load vectors."""
 
+import dataclasses
 import json
 from functools import cached_property
 
@@ -535,6 +536,16 @@ class TestCsrOnDemand:
     def test_product_rule(self, operator, dim, p, n, factored):
         space = build_space(operator, p, n, dim=dim, bc="essential")
         assert factored_product_wins(space) is factored
+
+    def test_rule_is_derived_from_the_space(self):
+        # the setup's flag is the rule of its space, and no caller sets it
+        for p, n in ((2, 8), (1, 8)):
+            setup = system_setup("curl", 3, p, n)
+            assert setup.factored_product_wins is factored_product_wins(setup.space)
+            with pytest.raises(TypeError):
+                dataclasses.replace(setup, factored_product_wins=False)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setup.factored_product_wins = False
 
     def test_product_follows_the_rule(self):
         rng = np.random.default_rng(0)

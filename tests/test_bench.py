@@ -497,9 +497,8 @@ class TestSharedDiscretization:
         # 2-D curl p=3 n=27 (N = 1,624) is past the product rule: CG
         # reads the factored product and dense kappa A's sector factors
         # from the CSR K and M_D, so K is built but no CSR A, and kappa
-        # equals that of the same system on a setup below the rule,
-        # whose CSR A system_matrix assembles: both sides take the
-        # sector path and differ only in the products of A and P
+        # equals that of the same system on a fresh setup with its CSR A
+        # assembled: the sector path reads no product of A
         systems = []
         monkeypatch.setattr(bench, "system_matrix", recorded(system_matrix, systems))
         spec = ExperimentSpec("curl", 2, (3,), (27,), (1e-4,), precond="asp",
@@ -510,8 +509,9 @@ class TestSharedDiscretization:
         assert assembly.factored_product_wins(system.setup.space)
         assert "A" not in vars(system)
         assert "stiffness" in vars(system.setup)
-        setup = dataclasses.replace(system.setup, factored_product_wins=False)
+        setup = dataclasses.replace(system.setup)
         csr = system_matrix(setup, system.tau)
+        assert csr.A is not None
         B = AspPreconditioner(AspSetup(setup), csr)
         _, _, oracle = estimate_condition_number(csr, B, mode="dense")
         assert "stiffness" in vars(setup)

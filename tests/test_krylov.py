@@ -251,8 +251,8 @@ class TestPcg:
 
     def test_solve_below_the_rule_assembles_nothing(self, monkeypatch):
         # system_matrix has built the CSR A whose product CG takes below
-        # the rule, and the ASP setup the CSR P: the Jacobi-ASP solve
-        # assembles no sparse matrix
+        # the rule, and the ASP applies its transfers factored: the
+        # Jacobi-ASP solve assembles no sparse matrix
         system, B = asp_cell(2, 8, 1e-2)
         assert not system.setup.factored_product_wins
         built = []

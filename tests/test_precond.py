@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import given, settings
@@ -306,6 +307,25 @@ class TestInnerSolver:
             InnerSolver(mass_operator(discretize(2, 4, dim=2, bc="essential"),
                                       "curl"))
 
+    @pytest.mark.parametrize("dim, p, n", [(2, 3, 16), (3, 2, 6)])
+    def test_factors_keep_the_layout_eigh_returns(self, dim, p, n):
+        # the layout of the dense factors picks the BLAS calls of the plans
+        # and with them the round-off of every inner solve: U's factors keep
+        # the memory order of eigh's eigenvectors, U_T's that of their
+        # transposes (the mass basis's layout would change the applies)
+        _, V = sla.eigh(np.diag([1.0, 2.0, 3.0]), np.eye(3))
+        disc = discretize(p, n, dim=dim, bc="essential")
+        for op in (h1_vector_matrix(disc), scalar_laplacian_matrix(disc)):
+            solver = InnerSolver(op)
+            for basis, eigh_out in ((solver.U, V), (solver.U_T, V.T)):
+                factors = [F for row in basis.rows for terms in row
+                           for _, Fs in terms or () for F in Fs]
+                assert len(factors) >= dim
+                for F in factors:
+                    assert min(F.shape) > 1
+                    assert (F.flags.c_contiguous, F.flags.f_contiguous) == (
+                        eigh_out.flags.c_contiguous, eigh_out.flags.f_contiguous)
+
     def test_indefinite_shift_rejected(self):
         with pytest.raises(ArithmeticError):
             InnerSolver(h1_vector_matrix(
@@ -569,22 +589,46 @@ class TestFactoredSetup:
                 AspSetup(setup, curl_smoother)
 
 
-class TestFactoredCorrection:
-    """Past the rule the correction applies P and P^T factored; the CSR
-    correction is its oracle."""
+def csr_correction(B, r):
+    """B's correction with the CSR P, P_curl and T: the oracle of the
+    factored transfers, with B's own inner solves and curl smoother."""
+    setup, ts = B.setup, B.setup.transfers
+    y = ts.potential_T @ r
+    if ts.P_curl is None:
+        z = setup.potential.make()(y)
+    else:
+        z = (setup.curl_smoother.apply(y)
+             + ts.P_curl @ setup.h1.make()(ts.P_curl_T @ y))
+    return ts.P_main @ B._solve_main(ts.P_main_T @ r) + ts.potential @ z / B.tau
 
-    @pytest.mark.parametrize("operator, dim, p, n", [
-        ("curl", 2, 3, 27), ("div", 2, 3, 27), ("curl", 3, 2, 8),
-        ("div", 3, 2, 8), ("div", 3, 3, 7)])
-    def test_matches_the_csr_correction(self, operator, dim, p, n):
-        system, B = build(operator, dim, p, n, 1e-2)
-        assert system.setup.factored_product_wins
-        ts = B.setup.transfers
+
+class TestFactoredCorrection:
+    """On every mesh the correction applies P, P_curl and their transposes
+    factored; the correction with their CSR is its oracle."""
+
+    CELLS = [("curl", 2, 1, 8), ("curl", 2, 3, 27), ("div", 2, 1, 8),
+             ("div", 2, 3, 27), ("curl", 3, 1, 4), ("curl", 3, 2, 8),
+             ("div", 3, 1, 4), ("div", 3, 2, 3), ("div", 3, 2, 8),
+             ("div", 3, 3, 4), ("div", 3, 3, 7)]
+
+    def test_cells_straddle_the_product_rule(self):
+        # the rule picks A's product alone: the cells lie on both sides
+        wins = {(op, dim): set() for op, dim, _, _ in self.CELLS}
+        for op, dim, p, n in self.CELLS:
+            wins[op, dim].add(system_setup(op, dim, p, n).factored_product_wins)
+        assert all(sides == {False, True} for sides in wins.values())
+
+    @pytest.mark.parametrize("operator, dim, p, n, curl_smoother", [
+        *(cell + ("diag",) for cell in CELLS),
+        *(cell + ("sgs",) for cell in CELLS if cell[:2] == ("div", 3))])
+    def test_matches_the_csr_correction(self, operator, dim, p, n,
+                                        curl_smoother):
+        system, B = build(operator, dim, p, n, 1e-2,
+                          curl_smoother=curl_smoother)
         rng = np.random.default_rng(p + n)
         for shape in ((B.shape[0],), (B.shape[0], 3)):
             r = rng.standard_normal(shape)
             got = B.correction(r)
-            ref = (ts.P_main @ B._solve_main(ts.P_main_T @ r)
-                   + ts.potential @ B.setup.solve_potential(ts.potential_T @ r)
-                   / B.tau)
+            ref = csr_correction(B, r)
+            assert got.shape == ref.shape
             assert np.linalg.norm(got - ref) <= 1e-13 * np.linalg.norm(ref)

@@ -5,7 +5,8 @@ them.
 ``tests/data/readme_sweep_n16.json`` holds the README sweep's n <= 16
 cells (54 cells, dense kappa) as ``SWEEP`` writes them with ``--out``.  ``tests/data/past_rule_rows.json`` holds the rows of
 ``PAST_RULE`` (every cell past ``assembly.factored_product_wins``, so
-that the ASP applies its transfer factored) and
+that CG applies A factored; the rule decides A's product alone, and the
+ASP applies its transfers factored on every mesh) and
 ``tests/data/gauss_seidel_rows.json`` those of ``GAUSS_SEIDEL`` (the
 Gauss-Seidel smoother of A and the sgs curl smoother) and
 ``tests/data/cycle_rows.json`` those of ``CYCLE`` (the composite cycle

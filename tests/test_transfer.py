@@ -277,17 +277,25 @@ class TestFunctionProjection1d:
 
 
 class TestFactoredTransfer:
-    """The transfer onto the problem's space, factored, against its CSR
-    (the oracle), and its CSR built only when read past the rule."""
+    """The transfers onto the problem's space and (3-D div) onto its
+    potential space, factored, against their CSR (the oracle), and their
+    CSR built only when read, on every mesh."""
 
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("p", [1, 2, 3])
     @pytest.mark.parametrize("dim", [2, 3])
     @pytest.mark.parametrize("operator", ["curl", "div"])
     def test_factored_matches_csr(self, operator, dim, p, n):
-        ts = build_transfer_set(system_setup(operator, dim, p, n))
+        setup = system_setup(operator, dim, p, n)
+        ts = build_transfer_set(setup)
+        pairs = [(ts.P_op, ts.P_main), (ts.P_op_T, ts.P_main_T)]
+        assert (ts.P_curl_op is None) == ((operator, dim) != ("div", 3))
+        if ts.P_curl_op is not None:
+            spaces = setup.disc.spaces
+            P_curl = build_p_curl(spaces["vector"], spaces["curl"])
+            pairs += [(ts.P_curl_op, P_curl), (ts.P_curl_op_T, P_curl.T)]
         rng = np.random.default_rng(n)
-        for op, csr in ((ts.P_op, ts.P_main), (ts.P_op_T, ts.P_main_T)):
+        for op, csr in pairs:
             assert op.shape == csr.shape
             for shape in ((csr.shape[1],), (csr.shape[1], 3)):
                 x = rng.standard_normal(shape)
@@ -296,34 +304,32 @@ class TestFactoredTransfer:
                 assert y.shape == ref.shape
                 assert np.linalg.norm(y - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    def test_csr_built_only_when_read_past_the_rule(self):
-        # past the rule: neither the transfer set, nor the ASP setup and
-        # its correction, nor a solve assembles P
-        setup = system_setup("curl", 3, 2, 8)
-        assert setup.factored_product_wins
+    @pytest.mark.parametrize("operator, dim, p, n", [
+        ("curl", 2, 1, 8), ("curl", 2, 3, 27), ("curl", 3, 2, 8),
+        ("div", 3, 1, 4), ("div", 3, 3, 8)])
+    def test_csr_built_only_when_read(self, operator, dim, p, n, monkeypatch):
+        # on both sides of A's product rule: the ASP setup assembles no P
+        # or P_curl, a converged solve assembles nothing (below the rule
+        # system_matrix has assembled A), and dense kappa's Gram factors
+        # build the CSR they read
+        setup = system_setup(operator, dim, p, n)
         asp = precond.AspSetup(setup)
         ts = asp.transfers
         system = system_matrix(setup, 1e-2)
         B = precond.AspPreconditioner(asp, system)
-        _, report = pcg(system, np.ones(system.shape[0]), B, tol=1e-6)
-        assert report.converged
-        assert not {"P_main", "P_main_T"} & set(vars(ts))
-        assert ts.P_main is ts.P_main and "P_main" in vars(ts)
-        assert np.shares_memory(ts.P_main_T.data, ts.P_main.data)
-
-    def test_csr_built_by_the_setup_below_the_rule(self, monkeypatch):
-        # below the rule the ASP setup builds P and its transpose, so that
-        # the first correction assembles nothing
-        setup = system_setup("curl", 2, 2, 8)
-        assert not setup.factored_product_wins
-        asp = precond.AspSetup(setup)
-        ts = asp.transfers
-        assert {"P_main", "P_main_T"} <= set(vars(ts))
-        # the system assembles its CSR A (and the masses) before the patch
-        system = system_matrix(setup, 1e-2)
         built = []
         monkeypatch.setattr(derham.KronBlocks, "tocsr",
                             lambda self: built.append(self))
-        B = precond.AspPreconditioner(asp, system)
-        B.correction(np.ones(B.shape[0]))
-        assert built == []
+        _, report = pcg(system, np.ones(system.shape[0]), B, tol=1e-6)
+        monkeypatch.undo()
+        assert report.converged and built == []
+        csr = {"P_main", "P_main_T", "P_curl", "P_curl_T"}
+        assert not csr & set(vars(ts))
+        B.sector_blocks()
+        read = {"P_main", "P_main_T"} | (
+            {"P_curl", "P_curl_T"} if ts.P_curl_op is not None else set())
+        assert csr & set(vars(ts)) == read
+        assert ts.P_main is ts.P_main
+        for name in read - {"P_main", "P_curl"}:
+            assert np.shares_memory(getattr(ts, name).data,
+                                    getattr(ts, name[:-2]).data)
