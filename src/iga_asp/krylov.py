@@ -18,7 +18,9 @@
   MINRES step makes it nonlinear, and it says so.
 * :func:`minres` -- unpreconditioned MINRES from zero for a fixed
   number of steps, which the cycle's smoothing step runs on a diagonal
-  operator.
+  operator.  It keeps its Lanczos vectors and forms the iterate once,
+  at the end, so that a step makes only the vector operations of the
+  Lanczos recurrence.
 * :func:`estimate_condition_number` -- extreme eigenvalues of the
   (preconditioned) operator, dense (up to ``DENSE_MAX_DIM`` unknowns)
   or via preconditioned Lanczos; it refuses a nonlinear preconditioner.
@@ -141,11 +143,11 @@ def pcg(A, b: np.ndarray, B=None, tol: float = 1e-6, max_iter: int = 3000):
             converged = True
             break
         z = bmat(r)
+        rz_old, rz = rz, float(r @ z)
         if flexible:
-            beta = float(z @ (r - r_old)) / rz
+            beta = float(z @ (r - r_old)) / rz_old
         else:
-            beta = float(r @ z) / rz
-        rz = float(r @ z)
+            beta = rz / rz_old
         if rz == 0.0:
             breakdown = True
             break
@@ -160,28 +162,37 @@ def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
     Anal. 12, 1975) on the symmetric operator ``matvec`` from x = 0,
     unpreconditioned: the Lanczos recurrence with the QR factorization of
     its tridiagonal matrix updated by one Givens rotation per step, so
-    that x minimizes ||b - A x|| over the Krylov space of b.  The
-    recurrences and their order of operations are those of scipy's
-    ``minres``.  It stops early only on a Lanczos breakdown, beta_{k+1}
-    <= 10 eps beta_1, where that space is invariant and x solves the
-    system (scipy's ``istop = -1``); it makes no residual test.  The
-    vector updates run in place, on buffers allocated once, so
-    ``matvec`` must return a new array on every call."""
+    that x minimizes ||b - A x|| over the Krylov space of b.  The Lanczos
+    recurrence is scipy's unnormalized one, with its order of operations.
+    It stops early only on a Lanczos breakdown, beta_{k+1} <= 10 eps
+    beta_1, where that space is invariant and x solves the system
+    (scipy's ``istop = -1``); it makes no residual test.
+
+    The Lanczos vectors v_k are kept as the rows of one (steps, N) array,
+    and x is formed once, at the end: x = V^T c with R c = phi, where R is
+    the upper-triangular factor of the tridiagonal matrix (diagonal
+    gamma_k, superdiagonals delta_k and eps_k) and phi the rotated
+    right-hand side, so c comes by back-substitution.  Scipy's MINRES
+    forms the same x as sum phi_k w_k with W = V R^{-1} updated per step;
+    here a step makes only the recurrence's vector operations.  ``matvec``
+    receives rows of that array and must return a new array on every
+    call."""
     b = np.asarray(b, dtype=float)
-    x = np.zeros_like(b)
     beta1 = math.sqrt(b @ b)
     if beta1 == 0.0:
-        return x
+        return np.zeros_like(b)
     eps = np.finfo(float).eps
-    # r1, r2: the last two Lanczos vectors times their norms oldb, beta;
-    # v, the w's and tmp are updated in place (y is matvec's new array)
+    # r1, r2: the last two Lanczos vectors times their norms oldb, beta
+    # (y is matvec's new array, updated in place)
     r1 = r2 = y = b
     oldb, beta = 0.0, beta1
     cs, sn, dbar, epsln, phibar = -1.0, 0.0, 0.0, 0.0, beta1
-    v, tmp = np.empty_like(b), np.empty_like(b)
-    w, w1, w2 = np.zeros_like(b), np.zeros_like(b), np.zeros_like(b)
+    V, tmp = np.empty((steps, b.shape[0])), np.empty_like(b)
+    # R's diagonal gamma_k and superdiagonals delta_k (row k - 1) and
+    # eps_k (row k - 2), and phi
+    gammas, deltas, epsilons, phis = [], [], [], []
     for k in range(steps):
-        np.multiply(1.0 / beta, y, out=v)
+        v = np.multiply(1.0 / beta, y, out=V[k])
         y = matvec(v)
         if k:
             y -= np.multiply(beta / oldb, r1, out=tmp)
@@ -198,16 +209,22 @@ def minres(matvec, b: np.ndarray, steps: int) -> np.ndarray:
         gamma = max(math.sqrt(gbar * gbar + beta * beta), eps)
         cs, sn = gbar / gamma, beta / gamma
         phi, phibar = cs * phibar, sn * phibar
-        # the next search direction, in the buffer of the oldest, and x
-        # along it
-        w1, w2, w = w2, w, w1
-        np.subtract(v, np.multiply(oldeps, w1, out=tmp), out=w)
-        w -= np.multiply(delta, w2, out=tmp)
-        w *= 1.0 / gamma
-        x += np.multiply(phi, w, out=tmp)
+        gammas.append(gamma)
+        deltas.append(delta)
+        epsilons.append(oldeps)
+        phis.append(phi)
         if beta <= 10.0 * eps * beta1:
             break
-    return x
+    # R c = phi by back-substitution, with R's entries past its last
+    # column 0
+    m = len(phis)
+    deltas += [0.0]
+    epsilons += [0.0, 0.0]
+    c = [0.0] * (m + 2)
+    for k in reversed(range(m)):
+        c[k] = (phis[k] - deltas[k + 1] * c[k + 1]
+                - epsilons[k + 2] * c[k + 2]) / gammas[k]
+    return np.array(c[:m]) @ V[:m]
 
 
 class GltPreconditioner:
@@ -218,11 +235,13 @@ class GltPreconditioner:
 
     The system is ``asp.system``.  The relaxation residuals and the
     residual before the correction are its ``apply_A`` (A factored, never
-    the assembled CSR).  The MINRES step runs in the mass-orthonormal
-    basis of the system setup (:class:`iga_asp.assembly.MassBasis`, built
-    once per mesh, here): preconditioning by M_D^{-1} = C C^T gives, in
-    exact arithmetic, the iterates of plain MINRES on S = C^T A C = W^T W
-    + tau I from r = C^T (b - A x), and x gains C y.
+    the assembled CSR); the first sweep of an application starts from
+    x = 0 and relaxes b itself, with no product.  The MINRES step runs in
+    the mass-orthonormal basis of the system setup
+    (:class:`iga_asp.assembly.MassBasis`, built once per mesh, here):
+    preconditioning by M_D^{-1} = C C^T gives, in exact arithmetic, the
+    iterates of plain MINRES on S = C^T A C = W^T W + tau I from
+    r = C^T (b - A x), and x gains C y.
 
     MINRES from zero depends only on the spectral measure of r under S,
     so :meth:`_smoothing_step` runs it on S's eigenvalues instead, with
@@ -270,12 +289,14 @@ class GltPreconditioner:
         return x
 
     def apply(self, b: np.ndarray) -> np.ndarray:
-        A = self.system.apply_A
+        A, smooth = self.system.apply_A, self.asp.smoother.apply
         basis = self._basis
-        x = np.zeros_like(np.asarray(b, dtype=float))
-        for _ in range(self.nu_asp):
-            for _ in range(self.nu1):
-                x = x + self.asp.smoother.apply(b - A(x))
+        b = np.asarray(b, dtype=float)
+        # the first sweep starts from x = 0, whose residual is b itself
+        x = smooth(b)
+        for cycle in range(self.nu_asp):
+            for _ in range(self.nu1 if cycle else self.nu1 - 1):
+                x = x + smooth(b - A(x))
             r = basis.forward.apply(b - A(x))
             x = x + basis.backward.apply(self._smoothing_step(r))
             d = b - A(x)
