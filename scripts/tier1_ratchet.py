@@ -6,7 +6,9 @@ Runs the Tier-1 command of ROADMAP.md with a JUnit report and exits 1,
 naming the test, on any failure or collection error other than the
 standing reds below, and also when a standing red passes or does not
 run: whoever mends one removes it from ``STANDING_REDS`` and from
-ROADMAP.md in the same change.  Exits 0 otherwise.
+ROADMAP.md in the same change.  Exits 0 otherwise.  It also prints the
+suite's total time and its five slowest tests, from the same report,
+for Tier-1's one-minute budget (ROADMAP.md item 3).
 
 pytest runs on one BLAS thread (``OPENBLAS_NUM_THREADS=1``) unless the
 environment sets the count, as CI and the benchmark's workers do: at
@@ -46,6 +48,30 @@ def _test_id(case: ET.Element) -> str:
     return "::".join(filter(None, [classname, name]))
 
 
+def read_report(report: Path) -> tuple[dict, dict, float]:
+    """The JUnit report's outcome ("passed", "failed" or "skipped") and
+    seconds per test id, and the suite's total seconds (the sum over its
+    ``testsuite`` elements)."""
+    root = ET.parse(report).getroot()
+    outcome, seconds = {}, {}
+    for case in root.iter("testcase"):
+        test = _test_id(case)
+        bad = case.find("failure") is not None or case.find("error") is not None
+        outcome[test] = "failed" if bad else (
+            "skipped" if case.find("skipped") is not None else "passed")
+        seconds[test] = float(case.get("time", 0.0))
+    total = sum(float(suite.get("time", 0.0)) for suite in root.iter("testsuite"))
+    return outcome, seconds, total
+
+
+def timing_lines(seconds: dict, total: float) -> list[str]:
+    """The total time, then the five slowest tests, slowest first."""
+    lines = [f"{total:.1f} s in total; slowest:"]
+    for test in sorted(seconds, key=seconds.get, reverse=True)[:5]:
+        lines.append(f"  {seconds[test]:6.2f} s  {test}")
+    return lines
+
+
 def main() -> int:
     env = dict(os.environ)
     env.setdefault("OPENBLAS_NUM_THREADS", "1")
@@ -60,12 +86,7 @@ def main() -> int:
         if not report.is_file():
             print(f"tier1: pytest wrote no report (exit {code})")
             return 1
-        cases = ET.parse(report).getroot().iter("testcase")
-        outcome = {}
-        for case in cases:
-            bad = case.find("failure") is not None or case.find("error") is not None
-            outcome[_test_id(case)] = "failed" if bad else (
-                "skipped" if case.find("skipped") is not None else "passed")
+        outcome, seconds, total = read_report(report)
     problems = [f"unexpected failure: {t}" for t, o in sorted(outcome.items())
                 if o == "failed" and t not in STANDING_REDS]
     problems += [f"standing red {o}: {t} (update STANDING_REDS and ROADMAP.md)"
@@ -74,6 +95,8 @@ def main() -> int:
     if code not in (0, 1):
         problems.append(f"pytest exited {code}")
     for line in problems:
+        print(f"tier1: {line}")
+    for line in timing_lines(seconds, total):
         print(f"tier1: {line}")
     counts = {o: sum(v == o for v in outcome.values())
               for o in ("passed", "failed", "skipped")}

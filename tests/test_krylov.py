@@ -134,6 +134,18 @@ def recorded(op):
     return matvec, given_vectors
 
 
+def assert_matches_the_oracle(op, b, steps, rtol):
+    """:func:`minres` gives ``op`` the vectors the oracle gives it, bit for
+    bit, and its x is within ``rtol`` of the oracle's."""
+    matvec, given_vectors = recorded(op)
+    x = minres(matvec, b, steps)
+    oracle, oracle_vectors = recorded(op)
+    ref = paige_saunders_minres(oracle, b, steps)
+    assert len(given_vectors) == len(oracle_vectors)
+    assert all(map(np.array_equal, given_vectors, oracle_vectors))
+    assert np.linalg.norm(x - ref) <= rtol * np.linalg.norm(ref)
+
+
 def cycle_diagonal(rng, n, tau, distinct):
     """A diagonal shaped like the cycle's MINRES operator: tau, then
     mu + tau with mu drawn from ``distinct`` values log-uniform in
@@ -170,14 +182,8 @@ class TestMinres:
         # is within 1e-14 (measured: 1.8e-15 over 3,000 draws)
         rng = np.random.default_rng(seed)
         A = random_symmetric(rng, n, definite)
-        b = rng.standard_normal(n)
-        matvec, given_vectors = recorded(lambda v: A @ v)
-        x = minres(matvec, b, steps)
-        oracle, oracle_vectors = recorded(lambda v: A @ v)
-        ref = paige_saunders_minres(oracle, b, steps)
-        assert len(given_vectors) == len(oracle_vectors)
-        assert all(map(np.array_equal, given_vectors, oracle_vectors))
-        assert np.linalg.norm(x - ref) <= 1e-14 * np.linalg.norm(ref)
+        assert_matches_the_oracle(lambda v: A @ v, rng.standard_normal(n),
+                                  steps, 1e-14)
 
     @given(st.integers(min_value=2, max_value=60),
            st.floats(min_value=-4.0, max_value=4.0),
@@ -196,17 +202,10 @@ class TestMinres:
         # 1e-14 bound holds there.  x is held to 1e-14 kappa of the
         # oracle; over 40,000 draws of this domain and one with
         # distinct mu the distance reached 1.9 eps kappa
-        rng = np.random.default_rng(seed)
-        d, b = cycle_diagonal(rng, n, 10.0**log_tau, distinct)
-        matvec, given_vectors = recorded(lambda v: d * v)
-        x = minres(matvec, b, steps)
-        oracle, oracle_vectors = recorded(lambda v: d * v)
-        ref = paige_saunders_minres(oracle, b, steps)
-        assert len(given_vectors) == len(oracle_vectors)
-        assert all(map(np.array_equal, given_vectors, oracle_vectors))
-        kappa = d.max() / d.min()
-        assert (np.linalg.norm(x - ref)
-                <= 1e-14 * kappa * np.linalg.norm(ref))
+        d, b = cycle_diagonal(np.random.default_rng(seed), n, 10.0**log_tau,
+                              distinct)
+        assert_matches_the_oracle(lambda v: d * v, b, steps,
+                                  1e-14 * d.max() / d.min())
 
     def test_one_step_solves_a_multiple_of_the_identity(self):
         # b spans an invariant subspace of c I: the first step solves
