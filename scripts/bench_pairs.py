@@ -10,12 +10,16 @@ the host falls on both sides alike.  Each run's last output line is its
 JSON result, whose ``metrics`` hold ``{"value", "unit"}`` per metric.
 
 The output file holds both sides' results per pair and, per metric, the
-median of each side, the parent's interquartile range, and the count of
-pairs in which the change is better.  Which way is better is read from
-the ``end_to_end`` entries of the change tree's ``BENCHMARK.json``
-(lower for a metric it does not name).  A gain holds when the change's
-median is better than the parent's by more than the parent's IQR.
-Exits 1 when a run fails or is not ``correct``, 0 otherwise.
+median of each side, the parent's interquartile range, and the counts of
+pairs in which the change is better and worse.  Which way is better is
+read from the ``end_to_end`` entries of the change tree's
+``BENCHMARK.json`` (lower for a metric it does not name).  A gain holds
+when the change's median is better than the parent's by more than the
+parent's IQR, and a metric is worse beyond its IQR when the change's
+median is worse by more than that; the last line printed names those
+metrics ("worse beyond IQR: none" when there are none), so that one run
+per workload shows whether any end-to-end metric got worse.  Exits 1 when
+a run fails or is not ``correct``, 0 otherwise.
 """
 
 from __future__ import annotations
@@ -52,8 +56,9 @@ def quartiles(values: list[float]) -> tuple[float, float]:
 def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
     """Per metric of the results in ``pairs`` (each ``{"parent": result,
     "change": result}``): both medians, the parent's IQR, the pairs in
-    which the change is better (``better[name]`` is "lower" or "higher",
-    lower by default), and whether the median gain exceeds the IQR."""
+    which the change is better and those in which it is worse
+    (``better[name]`` is "lower" or "higher", lower by default), and
+    whether the median gain, or the median loss, exceeds the IQR."""
     names = sorted(set.intersection(*(
         set(side["metrics"]) for pair in pairs for side in pair.values())))
     out = {}
@@ -70,8 +75,11 @@ def summarize(pairs: list[dict], better: dict[str, str]) -> dict:
             "parent_iqr": q3 - q1,
             "change_better_pairs": sum(sign * (p - c) > 0.0
                                        for p, c in zip(parent, change)),
+            "change_worse_pairs": sum(sign * (p - c) < 0.0
+                                      for p, c in zip(parent, change)),
             "pairs": len(pairs),
             "gain_exceeds_iqr": gain > q3 - q1,
+            "worse_beyond_iqr": -gain > q3 - q1,
         }
     return out
 
@@ -123,7 +131,10 @@ def main(argv: list[str] | None = None) -> int:
     for name, s in summary.items():
         print(f"{name:<14} parent {s['parent_median']:.6g}  change "
               f"{s['change_median']:.6g}  parent IQR {s['parent_iqr']:.3g}  "
-              f"change better in {s['change_better_pairs']}/{s['pairs']}")
+              f"change better in {s['change_better_pairs']}/{s['pairs']}, "
+              f"worse in {s['change_worse_pairs']}/{s['pairs']}")
+    worse = [name for name, s in summary.items() if s["worse_beyond_iqr"]]
+    print("worse beyond IQR: " + (", ".join(worse) or "none"))
     correct = all(side["correct"] for pair in results for side in pair.values())
     return 0 if correct else 1
 

@@ -50,10 +50,11 @@ the 1-D factor matrices from :mod:`iga_asp.splines1d`:
 * ``curl_stiffness_matrix`` -- triu(Q_curl), Q_curl = C^T M_div C, as
                                sorted CSR written from the 1-D factors
                                of the factored curl matrix and div mass,
-                               neither assembled (the SGS curl smoother
-                               of 3-D div; the ``diag`` one reads the
-                               congruence's diagonal, see
-                               :mod:`iga_asp.precond`),
+                               neither assembled: the whole triangle,
+                               the test oracle of the SGS curl smoother
+                               of 3-D div, which writes only the
+                               triangles of the congruence's diagonal
+                               blocks (see :mod:`iga_asp.precond`),
 * ``column_panels``         -- a sparse matrix as dense panels of 64
                                columns, the one walk of dense kappa's
                                panel products (the one-block path and
@@ -579,12 +580,13 @@ def scalar_laplacian_matrix(disc: Discretization) -> KronSum:
 
 def curl_stiffness_matrix(C_op: KronBlocks, M_div_op: KronSum) -> sp.csr_matrix:
     """triu(Q_curl), Q_curl = C^T M_div C, from the factored 3-D curl
-    matrix and div mass: the upper triangle that the SGS curl smoother of
-    the div problem reads, written from the 1-D factors of their
+    matrix and div mass, written from the 1-D factors of their
     congruence (:meth:`iga_asp.derham.KronBlocks.upper_triangle`, which
     drops entries as :func:`iga_asp.splines1d.drop_small` does); neither
-    C^T M_div C nor the CSR M_div is assembled.  The ``diag`` smoother
-    reads the congruence's diagonal."""
+    C^T M_div C nor the CSR M_div is assembled.  The SGS curl smoother of
+    the div problem, given that congruence, sweeps the same matrix by
+    blocks and writes only the triangles of its diagonal blocks; this
+    whole triangle, given to the smoother, is its test oracle."""
     return C_op.congruence(M_div_op).upper_triangle()
 
 

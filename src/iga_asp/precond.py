@@ -16,11 +16,11 @@ mass.  The potential map T and the potential-space operator B_T are
 with L the scalar Laplacian.  For 3-D div, B_T is itself an
 auxiliary-space preconditioner on V(curl): W is either the diagonal of
 Q_curl = C^T M_div C or its symmetric Gauss-Seidel matrix, and P_curl
-the transfer onto V(curl).  Both read Q_curl from the congruence of the
+the transfer onto V(curl).  Both read Q_curl as the congruence of the
 factored C and M_div that the transfer set and the system setup hold,
-without assembling Q_curl or the CSR M_div: the diagonal, or the upper
-triangle written from the 1-D factors
-(:func:`iga_asp.assembly.curl_stiffness_matrix`).
+without assembling Q_curl or the CSR M_div: its diagonal, or its blocks
+(the whole triangle :func:`iga_asp.assembly.curl_stiffness_matrix`
+writes is the sgs smoother's test oracle).
 
 H + tau M, L and H are per component Kronecker sums of 1-D stiffness
 and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
@@ -29,9 +29,11 @@ and mass matrices (:class:`iga_asp.assembly.KronSum`, a KronBlocks).
 built once per mesh: a solve is forward (U^T), scale (1/(Lambda +
 shift)) and backward (U), one walk per run of identical components.
 The Jacobi smoothers read diagonals built from the 1-D factors.  The
-SGS smoothers of A and Q_curl, which are not Kronecker, keep one
-triangular factorization of the upper triangle (:class:`Smoother`):
-the SGS of A reads the CSR A, that of Q_curl the written triangle.
+SGS smoothers of A and Q_curl are one block sweep (:class:`Smoother`)
+that keeps a triangular factorization of the upper triangle of each
+diagonal block: the SGS of A is one block, read from the CSR A; that of
+Q_curl has one block per curl component, the triangle written from the
+1-D factors, and applies its off-diagonal blocks factored.
 
 With the Jacobi smoothers, B is therefore a sum of Gram terms F diag(w) F^T:
 
@@ -66,13 +68,13 @@ from .assembly import (
     KronSum,
     SystemSetup,
     column_panels,
-    curl_stiffness_matrix,
+    curl_stiffness_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
     h1_vector_matrix,
     mass_matrix,  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
     scalar_laplacian_matrix,
 )
 from .derham import build_space  # noqa: F401  (unused; perfbench/tracing.py wraps it by name)
-from .derham import KronEigenbasis
+from .derham import KronBlocks, KronEigenbasis
 from .splines1d import DROP_TOL
 from .transfer import TransferSet, build_transfer_set
 
@@ -106,16 +108,24 @@ def _is_upper_triangle(A: sp.csr_matrix) -> bool:
 
 
 class Smoother:
-    """Jacobi or symmetric Gauss-Seidel smoother of a sparse matrix.
+    """Jacobi or symmetric Gauss-Seidel smoother of a symmetric matrix.
 
     ``apply`` realizes S^{-1} r for r of shape (N,) or a block (N, k):
     Jacobi divides by the diagonal D, which it is given alone
-    (``diagonal=``); SGS, that of the symmetric matrix ``A`` whose upper
-    triangle it is given, evaluates L^{-1} D L^{-T} with L = triu(A)^T
-    from one factorization.  Neither kind keeps a matrix.
+    (``diagonal=``); SGS, that of the matrix ``A`` it is given alone,
+    evaluates L^{-1} D L^{-T} with L = triu(A)^T by one block sweep each
+    way.  A sparse ``A``, or its upper triangle, is one block; a square
+    :class:`iga_asp.derham.KronBlocks` is one block per block row.  Each
+    diagonal block (c, c) keeps one triangular factorization of its
+    upper triangle, read from the sparse A's CSR arrays or written from
+    the 1-D factors (:meth:`iga_asp.derham.KronBlocks.upper_triangle`),
+    and each other block (c, d) its :class:`iga_asp.derham.KronPlan`.
+    The solve with L^T runs the block rows backward, taking the blocks
+    d > c of row c off its right-hand side; the one with L forward,
+    taking the blocks d < c off.  Neither kind keeps a sparse matrix.
     """
 
-    def __init__(self, kind: str, A: sp.spmatrix | None = None, *,
+    def __init__(self, kind: str, A: sp.spmatrix | KronBlocks | None = None, *,
                  diagonal: np.ndarray | None = None) -> None:
         if kind not in ("jacobi", "gs"):
             raise ValueError("smoother kind must be 'jacobi' or 'gs'")
@@ -124,19 +134,18 @@ class Smoother:
         if kind == "gs" and (A is None or diagonal is not None):
             raise ValueError("the Gauss-Seidel smoother takes the matrix alone")
         self.kind = kind
-        if kind == "gs":
-            A = sp.csr_matrix(A)
-            diagonal = A.diagonal()
-        if np.any(diagonal == 0.0):
-            raise ArithmeticError("matrix has a zero diagonal entry")
-        self.diagonal = diagonal
-        if kind == "gs":
-            # an upper triangle's CSR arrays are the CSC arrays of triu(A)^T
-            lower = (sp.csc_matrix((A.data, A.indices, A.indptr), A.shape)
-                     if _is_upper_triangle(A) else _upper_transposed(A))
-            # triangular: no fill, no pivots
-            self._lower = spla.splu(lower, permc_spec="NATURAL",
-                                    options={"DiagPivotThresh": 0.0})
+        if kind == "jacobi":
+            _check_diagonal(diagonal)
+            self.diagonal = diagonal
+            return
+        # per block row: (rows, factor of its block of L, the blocks d > c
+        # and d < c as (columns, plan))
+        self._sweep, diagonals, at = [], [], 0
+        for diagonal, lower, later, earlier in _gs_blocks(A):
+            diagonals.append(diagonal)
+            self._sweep.append((slice(at, at + diagonal.size), lower, later, earlier))
+            at += diagonal.size
+        self.diagonal = np.concatenate(diagonals)
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         """S^{-1} r; an r whose length is not the matrix's raises
@@ -148,7 +157,63 @@ class Smoother:
         d = self.diagonal.reshape((-1,) + (1,) * (r.ndim - 1))
         if self.kind == "jacobi":
             return r / d
-        return self._lower.solve(d * self._lower.solve(r, trans="T"))
+        x = np.empty(r.shape)
+        for rows, lower, later, _ in reversed(self._sweep):
+            x[rows] = lower.solve(_take_off(r[rows], later, x), trans="T")
+        x *= d
+        for rows, lower, _, earlier in self._sweep:
+            x[rows] = lower.solve(_take_off(x[rows], earlier, x))
+        return x
+
+
+def _check_diagonal(diagonal: np.ndarray) -> np.ndarray:
+    """``diagonal``, after checking that no entry is zero."""
+    if np.any(diagonal == 0.0):
+        raise ArithmeticError("matrix has a zero diagonal entry")
+    return diagonal
+
+
+def _gs_blocks(A):
+    """Per block row c of the SGS sweep of ``A``: the diagonal and the
+    factor of L's block (c, c) (:func:`_lower_factor`), and the
+    ``(columns, plan)`` of the blocks d > c and of the blocks d < c.  A
+    sparse A is one block, given as it is; a square KronBlocks gives triu
+    of each diagonal block, written when its block row is reached and
+    dropped once factored, so that one triangle is held at a time."""
+    if not isinstance(A, KronBlocks):
+        yield *_lower_factor(sp.csr_matrix(A)), [], []
+        return
+    blocks = [[None if terms is None else KronBlocks([[terms]]) for terms in row]
+              for row in A.rows]
+    if any(row[c] is None for c, row in enumerate(blocks)):
+        raise ArithmeticError("matrix has a zero diagonal entry")
+    at = np.cumsum([0] + [row[c].shape[0] for c, row in enumerate(blocks)])
+    for c, row in enumerate(blocks):
+        off = [(d, slice(at[d], at[d + 1]), block.plan)
+               for d, block in enumerate(row) if block is not None and d != c]
+        yield (*_lower_factor(row[c].upper_triangle()),
+               [(cols, plan) for d, cols, plan in off if d > c],
+               [(cols, plan) for d, cols, plan in off if d < c])
+
+
+def _lower_factor(block: sp.csr_matrix) -> tuple:
+    """``(diagonal, factor)`` of the CSR ``block`` or its upper triangle:
+    its diagonal, checked for zeros, and one SuperLU factorization of
+    triu(block)^T."""
+    diagonal = _check_diagonal(block.diagonal())
+    # an upper triangle's CSR arrays are the CSC arrays of triu(A)^T
+    lower = (sp.csc_matrix((block.data, block.indices, block.indptr), block.shape)
+             if _is_upper_triangle(block) else _upper_transposed(block))
+    # triangular: no fill, no pivots
+    return diagonal, spla.splu(lower, permc_spec="NATURAL",
+                               options={"DiagPivotThresh": 0.0})
+
+
+def _take_off(b: np.ndarray, blocks: list, x: np.ndarray) -> np.ndarray:
+    """b minus the sum of each block's plan times its columns of x."""
+    for cols, plan in blocks:
+        b = b - plan(x[cols])
+    return b
 
 
 class InnerSolver(KronEigenbasis):
@@ -234,14 +299,11 @@ class AspSetup:
             self.solve_potential = self.potential.make()
             return
         # 3-D div: B_T = W^{-1} + P_curl H^{-1} P_curl^T
-        # Q_curl = C^T M_div C from the factored C and M_div held here
-        if curl_smoother == "diag":
-            diagonal = self.transfers.T_op.congruence(setup.M_D_op).diagonal()
-            W = Smoother("jacobi", diagonal=_checked_q_curl_diagonal(diagonal))
-        else:
-            upper = curl_stiffness_matrix(self.transfers.T_op, setup.M_D_op)
-            _checked_q_curl_diagonal(upper.diagonal())
-            W = Smoother("gs", upper)
+        # Q_curl = C^T M_div C, factored, from the C and M_div held here
+        q_curl = self.transfers.T_op.congruence(setup.M_D_op)
+        diagonal = _checked_q_curl_diagonal(q_curl.diagonal())
+        W = (Smoother("jacobi", diagonal=diagonal) if curl_smoother == "diag"
+             else Smoother("gs", q_curl))
         self.curl_smoother = W
         solve_h = self.h1.make()
         P_curl, P_curl_T = self.transfers.P_curl_op, self.transfers.P_curl_op_T

@@ -34,7 +34,8 @@ def test_medians_iqr_and_better_pairs():
     # inclusive quartiles of the parent's 0.19, 0.20, 0.20, 0.21, 0.22
     assert s["parent_iqr"] == pytest.approx(0.01)
     assert s["change_better_pairs"] == 4 and s["pairs"] == 5
-    assert s["gain_exceeds_iqr"]
+    assert s["change_worse_pairs"] == 1
+    assert s["gain_exceeds_iqr"] and not s["worse_beyond_iqr"]
 
 
 def test_higher_is_better_and_a_gain_within_the_iqr():
@@ -44,16 +45,52 @@ def test_higher_is_better_and_a_gain_within_the_iqr():
                               {"gbps": "higher"})["gbps"]
     assert s["better"] == "higher"
     assert s["change_better_pairs"] == 3
+    assert s["change_worse_pairs"] == 1
     assert s["parent_iqr"] == pytest.approx(1.5)
     assert not s["gain_exceeds_iqr"]      # 2.5 -> 2.5
+    assert not s["worse_beyond_iqr"]
 
 
 def test_unnamed_metrics_are_lower_is_better_and_ties_are_not_better():
     s = bench_pairs.summarize(pairs([38, 38], [38, 38], "iters_total"), {})
     assert s["iters_total"]["better"] == "lower"
     assert s["iters_total"]["change_better_pairs"] == 0
+    assert s["iters_total"]["change_worse_pairs"] == 0
     assert s["iters_total"]["parent_iqr"] == 0
     assert not s["iters_total"]["gain_exceeds_iqr"]
+    assert not s["iters_total"]["worse_beyond_iqr"]
+
+
+@pytest.mark.parametrize("better, parent, change, worse_pairs, beyond", [
+    # lower is better: medians 0.20 -> 0.24 against an IQR of 0.01
+    ("lower", [0.20, 0.21, 0.22, 0.19, 0.20], [0.24, 0.25, 0.18, 0.24, 0.23], 4, True),
+    # a loss within the parent's spread
+    ("lower", [1.0, 2.0, 3.0, 4.0], [1.5, 2.5, 3.5, 3.5], 3, False),
+    # higher is better: medians 2.5 -> 0.85 against an IQR of 1.5
+    ("higher", [1.0, 2.0, 3.0, 4.0], [0.5, 0.8, 0.9, 5.0], 3, True),
+])
+def test_worse_pairs_and_a_loss_beyond_the_iqr(better, parent, change,
+                                               worse_pairs, beyond):
+    s = bench_pairs.summarize(pairs(parent, change), {"setup_s": better})["setup_s"]
+    assert s["change_worse_pairs"] == worse_pairs
+    assert s["worse_beyond_iqr"] is beyond
+    assert not (s["worse_beyond_iqr"] and s["gain_exceeds_iqr"])
+
+
+def test_main_prints_the_metrics_worse_beyond_the_iqr(monkeypatch, tmp_path, capsys):
+    # no benchmark runs: run_tree returns canned results, the change slower
+    # on setup_s and faster on solve_s
+    def fake_run(tree, workload, seed, seconds):
+        slow = tree.name == "change"
+        return result(setup_s=0.3 if slow else 0.2, solve_s=0.1 if slow else 0.2)
+    monkeypatch.setattr(bench_pairs, "run_tree", fake_run)
+    (tmp_path / "parent").mkdir()
+    (tmp_path / "change").mkdir()
+    out = tmp_path / "pairs.json"
+    assert bench_pairs.main([str(tmp_path / "parent"), str(tmp_path / "change"),
+                             "--workload", "cube3d", "--pairs", "3",
+                             "--out", str(out)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "worse beyond IQR: setup_s"
 
 
 def test_only_metrics_on_every_side_are_summarized():

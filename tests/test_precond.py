@@ -1,5 +1,7 @@
 """Smoothers and auxiliary-space preconditioners."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -20,7 +22,7 @@ from iga_asp.assembly import (
     system_setup,
 )
 from iga_asp.bench import ExperimentSpec, run_experiment
-from iga_asp.derham import differential_matrix
+from iga_asp.derham import KronBlocks, differential_matrix
 from iga_asp.krylov import estimate_condition_number, pcg
 from iga_asp.precond import (
     AspPreconditioner,
@@ -75,6 +77,46 @@ def assert_matches_two_factor_sgs(A, rtol=1e-12, seed=0, upper=None):
         assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
 
 
+def random_spd_kron_blocks(rng, n_blocks, n_factors):
+    """C^T M C, factored (``KronBlocks.congruence``), of a random square
+    block-Kronecker C with ``n_blocks`` block columns, one to three block
+    rows and one to two terms of dense Gaussian factors per block, and a
+    block-diagonal mass M of SPD 1-D factors over C's block rows."""
+    n_rows = rng.integers(1, 4)
+    col_dims = rng.integers(1, 5, size=(n_blocks, n_factors))
+    row_dims = rng.integers(1, 6, size=(n_rows, n_factors))
+    present = rng.random((n_rows, n_blocks)) < 0.6
+    present[rng.integers(n_rows, size=n_blocks), np.arange(n_blocks)] = True
+    present[np.arange(n_rows), rng.integers(n_blocks, size=n_rows)] = True
+    C = KronBlocks([[
+        [(rng.standard_normal(), [rng.standard_normal((r, c)) for r, c
+                                  in zip(row_dims[i], col_dims[j])])
+         for _ in range(rng.integers(1, 3))] if present[i, j] else None
+        for j in range(n_blocks)] for i in range(n_rows)])
+
+    def spd(m):
+        X = rng.standard_normal((m, m))
+        return X @ X.T + m * np.eye(m)
+    M = KronBlocks.block_diagonal([[(rng.uniform(0.5, 2.0), [spd(m) for m in dims])]
+                                   for dims in row_dims])
+    return C.congruence(M)
+
+
+def assert_close(got, ref, rtol=1e-12):
+    assert got.shape == ref.shape
+    assert np.linalg.norm(got - ref) <= rtol * np.linalg.norm(ref)
+
+
+def one_factor_sgs(A, r):
+    """The SGS apply of A's smoother before the block sweep, as it was
+    written: one SuperLU factor of L = triu(A)^T and
+    L^{-1} (D * L^{-T} r)."""
+    lower = spla.splu(sp.triu(A, format="csr").T.tocsc(), permc_spec="NATURAL",
+                      options={"DiagPivotThresh": 0.0})
+    d = A.diagonal().reshape((-1,) + (1,) * (r.ndim - 1))
+    return lower.solve(d * lower.solve(r, trans="T"))
+
+
 @st.composite
 def sparse_spd(draw):
     """A random sparse SPD matrix: X X^T plus a positive diagonal, with a
@@ -126,13 +168,89 @@ class TestSmoother:
             assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
 
     @pytest.mark.parametrize("p", [1, 2, 3])
-    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4, 6, 8])
     def test_sgs_matches_two_factors_on_q_curl(self, p, n):
-        # the 3-D div sgs curl smoother's matrix, symmetric up to round-off,
-        # and the triangle of it that the smoother is given
+        # the 3-D div sgs curl smoother's matrix, symmetric up to round-off:
+        # the block sweep of the factored Q_curl, which the preconditioner
+        # uses, against the whole written triangle (the oracle) and the
+        # two-factor SGS of the sparse triple product, on (N,) and (N, k)
         setup = system_setup("div", 3, p, n)
-        assert_matches_two_factor_sgs(q_curl(setup), upper=curl_stiffness_matrix(
-            build_transfer_set(setup).T_op, setup.M_D_op))
+        T_op = build_transfer_set(setup).T_op
+        upper = curl_stiffness_matrix(T_op, setup.M_D_op)
+        Q = q_curl(setup)
+        assert_matches_two_factor_sgs(Q, upper=upper)
+        blocks = Smoother("gs", T_op.congruence(setup.M_D_op))
+        whole, oracle = Smoother("gs", upper), two_factor_sgs(Q)
+        np.testing.assert_array_equal(blocks.diagonal, upper.diagonal())
+        rng = np.random.default_rng(p + n)
+        for shape in ((Q.shape[0],), (Q.shape[0], 4)):
+            r = rng.standard_normal(shape)
+            got = blocks.apply(r)
+            assert_close(got, whole.apply(r))
+            assert_close(got, oracle(r))
+
+    @given(st.integers(min_value=1, max_value=4),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=1, max_value=3),
+           st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_block_sweep_matches_the_whole_triangle(self, n_blocks, n_factors,
+                                                    k, seed):
+        # a random SPD square KronBlocks: its block sweep against the SGS
+        # of its written triangle and the two-factor SGS of its CSR
+        rng = np.random.default_rng(seed)
+        Q = random_spd_kron_blocks(rng, n_blocks, n_factors)
+        blocks, whole = Smoother("gs", Q), Smoother("gs", Q.upper_triangle())
+        oracle = two_factor_sgs(Q.tocsr())
+        for shape in ((Q.shape[0],), (Q.shape[0], k)):
+            r = rng.standard_normal(shape)
+            got = blocks.apply(r)
+            assert_close(got, whole.apply(r))
+            assert_close(got, oracle(r))
+
+    def test_block_sweep_factors_each_diagonal_triangle_once(self, monkeypatch):
+        # one SuperLU factor per curl component, of its diagonal block's
+        # triangle, equal to that block of the whole written triangle;
+        # no triangle of the whole matrix or of an off-diagonal block
+        setup = system_setup("div", 3, 2, 3)
+        T_op = build_transfer_set(setup).T_op
+        Q_op, upper = (T_op.congruence(setup.M_D_op),
+                       curl_stiffness_matrix(T_op, setup.M_D_op))
+        factored, written, splu = [], [], spla.splu
+        triangle_of = KronBlocks.upper_triangle
+
+        def counted(*args, **kwargs):
+            factored.append(args[0])
+            return splu(*args, **kwargs)
+
+        def recorded(self):
+            written.append(self.shape)
+            return triangle_of(self)
+        monkeypatch.setattr(precond.spla, "splu", counted)
+        monkeypatch.setattr(KronBlocks, "upper_triangle", recorded)
+        smoother = Smoother("gs", Q_op)
+        sizes = setup.disc.spaces["curl"].component_dims
+        assert written == [(m, m) for m in sizes]
+        at = np.cumsum((0,) + tuple(sizes))
+        assert len(factored) == len(sizes)
+        for lower, start, stop in zip(factored, at[:-1], at[1:]):
+            np.testing.assert_array_equal(
+                lower.toarray(), upper[start:stop, start:stop].T.toarray())
+        assert not any(sp.issparse(v) for v in vars(smoother).values())
+
+    @pytest.mark.parametrize("A", [
+        random_spd(9, 6),
+        sp.csr_matrix(np.diag(np.arange(1.0, 6.0))),
+        sp.triu(random_spd(7, 1), format="csr"),
+        system_matrix(system_setup("curl", 2, 2, 4), 1e-2).A,
+        system_matrix(system_setup("div", 3, 2, 3), 1e2).A])
+    def test_csr_sweep_is_the_one_factor_sgs(self, A):
+        # A's smoother is the one-block case of the sweep: the same bits
+        # as the one-factor apply it replaced
+        smoother = Smoother("gs", A)
+        R = np.random.default_rng(3).standard_normal((A.shape[0], 5))
+        for r in (R[:, 0], R, R[:, 1:3].T.copy().T):
+            np.testing.assert_array_equal(smoother.apply(r), one_factor_sgs(A, r))
 
     @pytest.mark.parametrize("tau", [1e-4, 1e2])
     @pytest.mark.parametrize("op, dim, p, n", [
@@ -203,6 +321,13 @@ class TestSmoother:
             Smoother("gs", A)
         with pytest.raises(ArithmeticError):
             Smoother("jacobi", diagonal=A.diagonal())
+        # a KronBlocks: a zero entry of a diagonal block, a zero block
+        one, zero = np.ones((1, 1)), np.zeros((1, 1))
+        for rows in ([[[(1.0, [zero])], [(1.0, [one])]],
+                      [[(1.0, [one])], [(2.0, [one])]]],
+                     [[None, [(1.0, [one])]], [[(1.0, [one])], [(2.0, [one])]]]):
+            with pytest.raises(ArithmeticError):
+                Smoother("gs", KronBlocks(rows))
 
     def test_jacobi_from_diagonal_alone(self):
         # Jacobi takes the diagonal alone and SGS the matrix alone
@@ -223,8 +348,10 @@ class TestSmoother:
         # Jacobi's division would broadcast a length-1 input to length N;
         # every input whose length is not N raises, naming both sizes
         A = random_spd(6, 5)
+        block, coupling = random_spd(3, 5).toarray(), [(0.1, [np.eye(3)])]
+        Q = KronBlocks([[[(1.0, [block])], coupling], [coupling, [(1.0, [block])]]])
         for smoother in (Smoother("jacobi", diagonal=A.diagonal()),
-                         Smoother("gs", A)):
+                         Smoother("gs", A), Smoother("gs", Q)):
             for shape in ((1,), (7,), (1, 3)):
                 with pytest.raises(ValueError,
                                    match=f"{shape[0]} rows.*6 columns"):
@@ -502,30 +629,32 @@ class TestDiv3d:
 
 
 def run_recorded(monkeypatch, spec):
-    """Run the one-cell sweep ``spec``; returns its system and the number
-    of triu(Q_curl) builds."""
-    systems = []
-    q_curl = [0]
+    """Run the one-cell sweep ``spec``; returns its system and the shape
+    of each upper triangle written from 1-D factors
+    (``KronBlocks.upper_triangle``), in order."""
+    systems, triangles = [], []
+    triangle_of = KronBlocks.upper_triangle
 
     def recorded(*args, **kwargs):
         systems.append(system_matrix(*args, **kwargs))
         return systems[-1]
 
-    def counted(*args):
-        q_curl[0] += 1
-        return curl_stiffness_matrix(*args)
+    def counted(self):
+        triangles.append(self.shape)
+        return triangle_of(self)
     monkeypatch.setattr(bench, "system_matrix", recorded)
-    monkeypatch.setattr(precond, "curl_stiffness_matrix", counted)
+    monkeypatch.setattr(KronBlocks, "upper_triangle", counted)
     (row,) = run_experiment(spec)
     assert row["converged"]
     (system,) = systems
-    return system, q_curl[0]
+    return system, triangles
 
 
 class TestFactoredSetup:
     """A Jacobi cell past the product rule assembles no CSR mass, no CSR
     A and, with the diag curl smoother, no Q_curl; with the sgs one it
-    builds triu(Q_curl) once, and no CSR mass either."""
+    writes the triangle of each diagonal block of Q_curl once, and no
+    CSR mass either."""
 
     @pytest.mark.parametrize("spec", [
         ExperimentSpec("curl", 3, (2,), (8,), (1e-4,), precond="asp"),
@@ -533,33 +662,54 @@ class TestFactoredSetup:
                        curl_smoother="diag")],
         ids=["curl3d-asp", "div3d-asp-glt-diag"])
     def test_jacobi_cell_assembles_no_csr(self, monkeypatch, spec):
-        system, q_curl = run_recorded(monkeypatch, spec)
+        system, triangles = run_recorded(monkeypatch, spec)
         assert "A" not in vars(system)
         assert "M_D" not in vars(system.setup)
         assert "M_range" not in vars(system.setup)
-        assert q_curl == 0
+        assert triangles == []
 
     def test_sgs_cell_builds_q_curl(self, monkeypatch):
-        # past the product rule, where no CSR A reads the CSR M_D:
-        # triu(Q_curl) comes from the factored C and M_div
+        # past the product rule, where no CSR A reads the CSR M_D: the
+        # triangles of Q_curl's diagonal blocks, one per curl component,
+        # come from the factored C and M_div; the whole triangle is not
+        # written
         spec = ExperimentSpec("div", 3, (2,), (8,), (1e-4,), precond="asp-glt",
                               curl_smoother="sgs")
-        system, q_curl = run_recorded(monkeypatch, spec)
-        assert q_curl == 1
+        system, triangles = run_recorded(monkeypatch, spec)
+        assert triangles == [(m, m) for m in
+                             system.setup.disc.spaces["curl"].component_dims]
         assert "A" not in vars(system)
         assert "M_D" not in vars(system.setup)
         assert "M_range" not in vars(system.setup)
+
+    def test_sgs_setup_peaks_below_the_whole_triangle(self):
+        # 3-D div p=3 n=8: the setup, which writes one diagonal block's
+        # triangle at a time, holds less than triu(Q_curl) alone
+        setup = system_setup("div", 3, 3, 8)
+        upper = curl_stiffness_matrix(build_transfer_set(setup).T_op,
+                                      setup.M_D_op)
+        nbytes = upper.data.nbytes + upper.indices.nbytes + upper.indptr.nbytes
+        del upper
+        setup = system_setup("div", 3, 3, 8)
+        tracemalloc.start()
+        try:
+            AspSetup(setup, "sgs")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < nbytes
 
     @pytest.mark.parametrize("entry", [0.0, 1e-16, -1.0])
     def test_q_curl_guard_on_both_smoothers(self, monkeypatch, entry):
         # the guard reads the diagonal after the DROP_TOL zeroing of
-        # drop_small, so an entry of 1e-16 counts as zero
-        # (the diag smoother's diagonal is that of the transfer set's C
-        # congruent to M_div, the sgs smoother's triu(Q_curl) written from
-        # that congruence)
+        # drop_small, so an entry of 1e-16 counts as zero; both smoothers
+        # read the diagonal of the transfer set's C congruent to M_div,
+        # and the sgs one raises before it writes a block's triangle
+        # (whose diagonal entry 5 is made bad too)
         setup = system_setup("div", 3, 2, 3)
-        transfers_of, matrix_of = (precond.build_transfer_set,
-                                   precond.curl_stiffness_matrix)
+        transfers_of, triangle_of = (precond.build_transfer_set,
+                                     KronBlocks.upper_triangle)
+        written = []
 
         def bad_transfers(setup):
             ts = transfers_of(setup)
@@ -578,15 +728,18 @@ class TestFactoredSetup:
             ts.T_op.congruence = bad_congruence
             return ts
 
-        def bad_matrix(C_op, M_div_op):
-            Q = matrix_of(C_op, M_div_op).tolil()
-            Q[5, 5] = entry
+        def bad_triangle(self):
+            written.append(self.shape)
+            Q = triangle_of(self).tolil()
+            if len(written) == 1:
+                Q[5, 5] = entry
             return Q.tocsr()
         monkeypatch.setattr(precond, "build_transfer_set", bad_transfers)
-        monkeypatch.setattr(precond, "curl_stiffness_matrix", bad_matrix)
+        monkeypatch.setattr(KronBlocks, "upper_triangle", bad_triangle)
         for curl_smoother in ("diag", "sgs"):
             with pytest.raises(ArithmeticError, match="Q_curl"):
                 AspSetup(setup, curl_smoother)
+        assert written == []
 
 
 def csr_correction(B, r):
